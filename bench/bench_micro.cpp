@@ -300,15 +300,13 @@ graphs::Graph manifold_like_graph(std::size_t n, std::uint64_t seed) {
 /// sketch per iteration, reporting wall time plus the summed CG iteration
 /// count across probes (the `cg_iters` counter).
 void sketch_solver_bench(benchmark::State& state,
-                         graphs::SolverPreconditioner precond,
-                         bool use_block_cg) {
+                         graphs::SolverPreconditioner precond) {
   const auto n = static_cast<std::size_t>(state.range(0));
   runtime::set_global_threads(static_cast<std::size_t>(state.range(1)));
   const auto g = manifold_like_graph(n, 5);
   graphs::ResistanceSketchOptions opts;
   opts.num_probes = 24;
   opts.preconditioner = precond;
-  opts.use_block_cg = use_block_cg;
   // Let every configuration run to convergence so the reported iteration
   // counts compare converged solves, not budget caps.
   opts.cg_max_iterations = 20000;
@@ -328,24 +326,15 @@ void sketch_solver_bench(benchmark::State& state,
   runtime::set_global_threads(0);
 }
 
-/// Pre-PR baseline: one Jacobi-CG task per probe.
-void BM_SketchSingleJacobi(benchmark::State& state) {
-  sketch_solver_bench(state, graphs::SolverPreconditioner::jacobi,
-                      /*use_block_cg=*/false);
-}
-BENCHMARK(BM_SketchSingleJacobi)->Apply(solver_sweep);
-
-/// Blocked multi-RHS CG, same Jacobi preconditioner (bit-identical results).
+/// Blocked multi-RHS CG with the Jacobi preconditioner.
 void BM_SketchBlockJacobi(benchmark::State& state) {
-  sketch_solver_bench(state, graphs::SolverPreconditioner::jacobi,
-                      /*use_block_cg=*/true);
+  sketch_solver_bench(state, graphs::SolverPreconditioner::jacobi);
 }
 BENCHMARK(BM_SketchBlockJacobi)->Apply(solver_sweep);
 
 /// Blocked multi-RHS CG with the spanning-tree preconditioner.
 void BM_SketchBlockTree(benchmark::State& state) {
-  sketch_solver_bench(state, graphs::SolverPreconditioner::spanning_tree,
-                      /*use_block_cg=*/true);
+  sketch_solver_bench(state, graphs::SolverPreconditioner::spanning_tree);
 }
 BENCHMARK(BM_SketchBlockTree)->Apply(solver_sweep);
 

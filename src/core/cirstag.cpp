@@ -175,10 +175,9 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
 
   // Cross-phase solver cache: the resistance sketches of Phase 2 and the
   // L_Y solver of Phase 3 key their solvers here, so a manifold reused
-  // across phases is assembled once.
+  // across phases is assembled once. Purely an assembly cache: scores are
+  // bit-identical to uncached solves.
   graphs::LaplacianSolverCache solver_cache;
-  graphs::LaplacianSolverCache* cache =
-      config_.use_solver_cache ? &solver_cache : nullptr;
 
   // Phase 2: kNN + PGM sparsification on both sides. Without dimension
   // reduction the raw input graph itself serves as the input manifold
@@ -188,8 +187,8 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
     {
       const obs::TraceSpan span("phase.manifold_x", "pipeline");
       if (config_.use_dimension_reduction) {
-        report.manifold_x =
-            build_manifold(report.input_embedding, config_.manifold, cache);
+        report.manifold_x = build_manifold(report.input_embedding,
+                                           config_.manifold, &solver_cache);
       } else {
         report.manifold_x = input_graph;
       }
@@ -197,7 +196,7 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
     {
       const obs::TraceSpan span("phase.manifold_y", "pipeline");
       report.manifold_y =
-          build_manifold(output_embedding, config_.manifold, cache);
+          build_manifold(output_embedding, config_.manifold, &solver_cache);
     }
   }
   static const obs::Gauge mx_edges("pipeline.manifold_x_edges");
@@ -218,7 +217,7 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
   {
     const runtime::ScopedTaskTimer scope(task_timer);
     stab = stability_scores(report.manifold_x, report.manifold_y,
-                            config_.stability, cache);
+                            config_.stability, &solver_cache);
   }
   report.timings.stability_seconds = timer.elapsed_seconds();
   report.timings.stability_busy_seconds = task_timer.busy_seconds();

@@ -34,11 +34,6 @@ struct CirStagConfig {
   /// bit-identical at every setting — the runtime's chunked reductions fix
   /// chunk boundaries independent of thread count.
   std::size_t threads = 0;
-  /// Share one Laplacian-solver cache across the manifold and stability
-  /// phases so each distinct manifold is assembled/factored once per
-  /// analyze(). Purely an assembly cache: scores are bit-identical with it
-  /// on or off.
-  bool use_solver_cache = true;
 };
 
 /// Wall-clock per phase (Fig. 5 scalability series), plus the summed busy
@@ -104,10 +99,8 @@ struct CirStagReport {
 
 /// Column standardization used by the Phase-1 feature augmentation: per-
 /// column mean and multiplier (feature_weight / sd, or 0 for a constant
-/// column, which is dropped to zero). analyze() refits these on every call;
-/// the sweep engine's exact mode matches that, while its fast mode keeps
-/// the baseline frame so untouched rows stay bitwise stable (see
-/// SweepOptions::baseline_feature_frame).
+/// column, which is dropped to zero). analyze() refits these on every call,
+/// and so does the sweep engine for every variant in both modes.
 struct FeatureColumnStats {
   std::vector<double> mean;
   std::vector<double> scale;

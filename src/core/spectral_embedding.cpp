@@ -13,36 +13,18 @@ namespace cirstag::core {
 
 linalg::Matrix spectral_embedding(const graphs::Graph& g,
                                   const SpectralEmbeddingOptions& opts) {
-  return spectral_embedding_warm(g, opts, nullptr);
-}
-
-linalg::Matrix spectral_embedding_warm(const graphs::Graph& g,
-                                       const SpectralEmbeddingOptions& opts,
-                                       const linalg::Matrix* warm_basis) {
   const std::size_t n = g.num_nodes();
   if (n == 0) return {};
   const std::size_t m = std::min(opts.dimensions, n);
 
-  // Warm start vector: equal mix of the baseline eigenbasis columns, which
-  // biases the Krylov recurrence toward the wanted low-frequency subspace.
-  std::vector<double> start;
-  if (warm_basis != nullptr && warm_basis->rows() == n &&
-      warm_basis->cols() > 0) {
-    start.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = warm_basis->row(i);
-      for (const double v : row) start[i] += v;
-    }
-  }
-
   const linalg::SparseMatrix l_norm = graphs::normalized_laplacian(g);
   // Normalized-Laplacian spectrum lives in [0, 2].
   linalg::EigenDecomposition eig;
-  if (start.empty() && graphs::coarsen_engaged(opts.coarsen, n)) {
+  if (graphs::coarsen_engaged(opts.coarsen, n)) {
     // Multilevel path (DESIGN.md §12): coarsen, solve the coarsest level's
     // own normalized Laplacian, then Rayleigh-Ritz-refine up the hierarchy
     // against each finer level's operator. Engaged only above the auto
-    // threshold and never on warm-started sweep variants.
+    // threshold.
     const graphs::CoarsenHierarchy hier =
         graphs::coarsen_graph(g, opts.coarsen);
     std::vector<linalg::SparseMatrix> coarse;
@@ -66,9 +48,8 @@ linalg::Matrix spectral_embedding_warm(const graphs::Graph& g,
     levels_gauge.set(static_cast<double>(stats.levels));
     coarsest_gauge.set(static_cast<double>(stats.coarsest_n));
   } else {
-    eig = linalg::smallest_eigenpairs(
-        l_norm, m, /*spectrum_upper_bound=*/2.0, opts.lanczos_subspace,
-        opts.seed, start.empty() ? nullptr : &start);
+    eig = linalg::smallest_eigenpairs(l_norm, m, /*spectrum_upper_bound=*/2.0,
+                                      opts.lanczos_subspace, opts.seed);
   }
 
   linalg::Matrix u(n, eig.values.size());

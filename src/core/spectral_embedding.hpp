@@ -13,8 +13,7 @@ struct SpectralEmbeddingOptions {
   std::uint64_t seed = 5;
   /// Multilevel coarsening policy (DESIGN.md §12). The default `automatic`
   /// engages only at coarsen.auto_threshold nodes and above, so small graphs
-  /// keep the exact Lanczos path byte for byte; warm-started sweep variants
-  /// always use the exact path regardless.
+  /// keep the exact Lanczos path byte for byte.
   graphs::CoarsenOptions coarsen;
 };
 
@@ -29,15 +28,5 @@ struct SpectralEmbeddingOptions {
 /// the circuit's global topology.
 [[nodiscard]] linalg::Matrix spectral_embedding(
     const graphs::Graph& g, const SpectralEmbeddingOptions& opts = {});
-
-/// Spectral embedding with an optional Lanczos warm start: when `warm_basis`
-/// is non-null with matching row count, the initial Krylov vector is the
-/// normalized column sum of the baseline basis instead of a random draw —
-/// the perturbation-sweep fast path for variants whose graph changed only
-/// locally. Changes results at tolerance level; a null `warm_basis` is
-/// exactly spectral_embedding(g, opts).
-[[nodiscard]] linalg::Matrix spectral_embedding_warm(
-    const graphs::Graph& g, const SpectralEmbeddingOptions& opts,
-    const linalg::Matrix* warm_basis);
 
 }  // namespace cirstag::core

@@ -50,14 +50,6 @@ StabilityResult stability_scores(const graphs::Graph& manifold_x,
   eopts.ly_regularization = 1.0 / opts.sigma2;
   eopts.cg_tolerance = opts.cg_tolerance;
   eopts.cg_max_iterations = opts.cg_max_iterations;
-  eopts.use_block_cg = opts.use_block_cg;
-  if (opts.initial_subspace != nullptr) {
-    eopts.initial_subspace = opts.initial_subspace;
-    if (opts.warm_subspace_iterations > 0)
-      eopts.iterations = opts.warm_subspace_iterations;
-  }
-  eopts.sweep_seed = opts.eigen_sweep_seed;
-  eopts.sweep_capture = opts.eigen_sweep_capture;
   eopts.ritz_tolerance = opts.ritz_tolerance;
 
   // Build (or fetch) the (L_Y + I/σ²) solver through the shared path so the
@@ -83,8 +75,7 @@ StabilityResult stability_scores(const graphs::Graph& manifold_x,
       ly_solver = std::make_shared<const linalg::LaplacianSolver>(
           graphs::make_laplacian_solver(manifold_y, sopts));
     }
-    if (opts.initial_subspace == nullptr &&
-        graphs::coarsen_engaged(opts.coarsen, n)) {
+    if (graphs::coarsen_engaged(opts.coarsen, n)) {
       // Multilevel path (DESIGN.md §12): one shared matching per level over
       // the edge union of both manifolds, coarsest-level solve, then
       // warm-started refinement sweeps up the hierarchy. The finest level

@@ -26,27 +26,6 @@ struct StabilityOptions {
   /// historical iterates bit-for-bit; spanning_tree converges faster).
   graphs::SolverPreconditioner preconditioner =
       graphs::SolverPreconditioner::jacobi;
-  /// Solve all subspace columns per sweep in one blocked CG call
-  /// (bit-identical per column; see GeneralizedEigenOptions::use_block_cg).
-  bool use_block_cg = true;
-  /// Optional eigensolver warm start (perturbation sweeps): seed the
-  /// subspace iteration with these columns (a converged baseline subspace,
-  /// see StabilityResult::raw_subspace) instead of the random init. Changes
-  /// results at convergence-tolerance level — bit-exact paths leave it null.
-  const linalg::Matrix* initial_subspace = nullptr;
-  /// Sweep count used when `initial_subspace` is set (0 = keep
-  /// subspace_iterations). Caution: on near-degenerate spectra the warm
-  /// subspace converges no faster than the random init, so reducing the
-  /// sweep count moves the scores — prefer `eigen_sweep_seed`.
-  std::size_t warm_subspace_iterations = 0;
-  /// Per-sweep CG warm start from a nearby problem's captured sweep
-  /// solutions (see GeneralizedEigenOptions::sweep_seed): accelerates each
-  /// sweep without changing the iterate trajectory beyond cg_tolerance.
-  /// Bit-exact paths leave both null.
-  const std::vector<linalg::Matrix>* eigen_sweep_seed = nullptr;
-  /// Capture this run's per-sweep solution blocks as the seed for
-  /// subsequent nearby runs (GeneralizedEigenOptions::sweep_capture).
-  std::vector<linalg::Matrix>* eigen_sweep_capture = nullptr;
   /// Adaptive subspace-iteration early stop: finish once the sorted
   /// Rayleigh quotients change by ≤ ritz_tolerance·ρ_max between sweeps
   /// (see GeneralizedEigenOptions::ritz_tolerance). Deterministic and
@@ -57,8 +36,7 @@ struct StabilityOptions {
   /// Multilevel coarsening policy (DESIGN.md §12): coarsen both manifolds
   /// through one shared matching, solve the generalized problem at the
   /// coarsest level, refine upward. The default `automatic` engages only at
-  /// coarsen.auto_threshold nodes and above; warm-started sweep variants
-  /// (initial_subspace set) always take the exact path.
+  /// coarsen.auto_threshold nodes and above.
   graphs::CoarsenOptions coarsen;
   /// Capture slot for the pair hierarchy the multilevel path builds: when
   /// set and the multilevel path runs, the hierarchy is moved here after the
@@ -82,8 +60,8 @@ struct StabilityResult {
   std::vector<double> eigenvalues;
   /// Weighted eigensubspace V_s = [v_1 √ζ_1, ..., v_s √ζ_s].
   linalg::Matrix weighted_subspace;
-  /// Unweighted converged eigenvectors (columns) — the warm-start seed for
-  /// nearby problems (StabilityOptions::initial_subspace).
+  /// Unweighted converged eigenvectors (columns); sweep baselines carry
+  /// them in binary snapshots (io/snapshot).
   linalg::Matrix raw_subspace;
   /// ‖V_sᵀ e_pq‖² for every edge of the input manifold G_X.
   std::vector<double> edge_scores;

@@ -40,9 +40,9 @@ struct SweepVariant {
 /// ‖s_fast − s_naive‖₂ / ‖s_naive‖₂ between a fast variant's node-score
 /// vector and the naive per-variant analyze() loop's stays below this
 /// bound (validated on Case-A and Case-B sweeps in test_sweep.cpp).
-/// The drift is entirely the Phase-3 adaptive early stop
-/// (fast_ritz_tolerance): measured across 120..1500-gate Case-A circuits
-/// and their perturbed variants, the spanning-tree preconditioner and the
+/// The drift is entirely the Phase-3 adaptive early stop (kFastRitzTolerance
+/// in core/sweep.cpp): measured across 120..1500-gate Case-A circuits and
+/// their perturbed variants, the spanning-tree preconditioner and the
 /// relaxed CG tolerance each contribute ≤ 1e-4 while stopping the subspace
 /// iteration at Ritz stability 1e-3 contributes up to ~5.7e-2 (a fixed
 /// sweep cut, by contrast, drifts unboundedly on small-eigengap manifolds
@@ -66,97 +66,6 @@ struct SweepOptions {
   /// scores drift from the naive loop by up to kFastScoreDriftTolerance
   /// (relative L2), all of it from the early stop.
   bool exact = false;
-  /// Fast mode: Phase-3 CG tolerance override (0 keeps the config's, 1e-7
-  /// by default). Subspace iteration tolerates inexact inner solves and the
-  /// Rayleigh-Ritz projection is exact on the converged subspace, so 1e-5
-  /// leaves mid-size node scores within ~1e-3 relative L2 of the tight
-  /// solves while cutting Phase-3 CG iterations by ~25%.
-  double fast_cg_tolerance = 1e-5;
-  /// Fast mode: Phase-3 adaptive early stop — finish the subspace iteration
-  /// once the sorted Rayleigh quotients move by less than this fraction of
-  /// the largest between consecutive sweeps (config's subspace_iterations
-  /// stays the hard budget; 0 disables the stop). Unlike a fixed truncated
-  /// sweep count, whose drift is set by the data-dependent eigengap and was
-  /// measured anywhere from 3e-3 to 0.26 at 10 sweeps, the adaptive stop
-  /// runs exactly as long as the spectrum requires (9-19 of 25 sweeps
-  /// across 120..1500-gate circuits at the default). It keeps the
-  /// deterministic cold start, so the iterate trajectory tracks the naive
-  /// loop's for the sweeps that do run. This is the one fast-mode lever
-  /// that moves scores measurably — the whole drift budget, worst observed
-  /// 5.7e-2 at 1e-3, ranking nearly intact at top-50 overlap ≥ 0.98.
-  double fast_ritz_tolerance = 1e-3;
-  /// Fast mode, Case A: standardize each variant's pin features with the
-  /// baseline's column stats instead of refitting per variant (analyze()'s
-  /// behavior), keeping untouched pins' augmented rows bitwise identical so
-  /// the input-side kNN delta engages on the touched cone only. Off by
-  /// default — measured catastrophic: the frames differ only by a tiny
-  /// mean/scale shift, but the sparsifier thresholds η = w·R_eff over ~20k
-  /// edges, single flipped manifold edges move node scores by ~1e-1
-  /// relative L2 (the (L_Y+εI)⁻¹ near-nullspace amplifies them), and the
-  /// frame shift flips several — ~0.57 drift and top-50 overlap down to
-  /// ~0.6 on a mid-size sweep, for a ~10% time win. Enable only for
-  /// experiments on manifold reuse.
-  bool baseline_feature_frame = false;
-  /// Fast mode: embedding rows whose relative L2 movement from the baseline
-  /// is at or below this threshold count as unmoved for the kNN delta
-  /// re-query (their baseline neighbor lists are reused verbatim). 0 =
-  /// exact row comparison. GNN output perturbations attenuate with DAG
-  /// distance (most rows of a mid-size Case-A variant move by ~1e-9..1e-6),
-  /// so a small tolerance makes the delta engage on sweeps whose cones span
-  /// the whole design — but the same edge-flip amplification documented on
-  /// baseline_feature_frame applies: at 1e-5 the delta's one-sided-neighbor
-  /// approximation drifts scores by ~0.5 relative L2 on a mid-size sweep.
-  /// Keep 0 unless the sweep's cones are genuinely shallow (the tested
-  /// regime where the delta is exact-modulo-one-sided edges and saves real
-  /// time).
-  double moved_row_tolerance = 0.0;
-  /// Aggressive Phase-3 shortcut (fast mode only): > 0 seeds the subspace
-  /// iteration with the baseline eigenbasis and truncates it to this many
-  /// sweeps, instead of the default per-sweep CG seeding. Off (0) by
-  /// default: on the near-degenerate spectra these manifolds produce, a
-  /// warm subspace converges no faster than the cold start (the rate is
-  /// set by the eigengap), so any count below
-  /// config.stability.subspace_iterations drifts well past
-  /// kFastScoreDriftTolerance — enable only when raw speed matters more
-  /// than closeness to the naive loop.
-  std::size_t warm_subspace_iterations = 0;
-  /// Fast mode, Case B only: seed the variant's Lanczos recurrence with the
-  /// baseline eigenbasis instead of the deterministic random start. Off by
-  /// default — on topology edits the warm subspace can rotate relative to
-  /// the cold solve and push the score drift well past
-  /// kFastScoreDriftTolerance; enable only when raw speed matters more
-  /// than closeness to the naive loop.
-  bool warm_spectral = false;
-  /// Fast mode: offer the baseline's captured per-sweep CG solution blocks
-  /// as initial guesses for each variant's Phase-3 sweeps (adopted per
-  /// column only when the seed's true residual beats the own-chain guess).
-  /// Off by default: under the relaxed fast_cg_tolerance an adopted seed
-  /// parks the solve at a different point of the tolerance ball than the
-  /// cold chain, and on the ill-conditioned (L_Y + I/σ²) systems that
-  /// ambiguity amplifies into ~4e-2 extra score drift — while saving no
-  /// measurable time (past the first sweep the own-chain guess is already
-  /// closer than any cross-variant seed; see DESIGN.md §9).
-  bool warm_sweep_cg = false;
-  /// Fast mode: seed each variant's resistance-sketch CG solves with the
-  /// baseline sketch solutions. Off by default — measured on a mid-size
-  /// sweep, the warm start saves no wall-clock (the sketch's bounded-budget
-  /// Jacobi solves are already cheap) while the perturbed CG trajectory
-  /// flips marginal sparsifier keep/drop decisions, moving node scores by
-  /// ~8e-2 relative L2. Enable only for experiments on sketch reuse.
-  bool warm_sketch = false;
-  /// Fast mode: run the Phase-3 subspace-sweep CG solves with the
-  /// spanning-tree preconditioner instead of the config's (Jacobi by
-  /// default, kept there for bit-compatibility with the historical
-  /// iterates). Every solve still converges to the same cg_tolerance and
-  /// Phase 3 makes no discrete decisions, so scores track the naive loop
-  /// at tolerance level (~4e-4 relative L2 mid-size) while the stability
-  /// phase runs ~2.5x faster. Deliberately NOT applied to the
-  /// resistance-sketch solves: the sparsifier ranks edges by sketched
-  /// η = w·R_eff and thresholds them, so any trajectory change there flips
-  /// marginal edges and costs ~8e-2 drift for no measured time win.
-  bool tree_preconditioner = true;
-  /// Run incremental STA per Case-A variant (worst arrival + cone stats).
-  bool with_sta = true;
   /// Fast mode: after each variant, re-run the naive per-variant analyze()
   /// and record the measured relative-L2 node-score drift in
   /// SweepVariantStats::audited_drift, raising a health event (error past
@@ -168,12 +77,11 @@ struct SweepOptions {
 
 /// Per-variant reuse accounting.
 struct SweepVariantStats {
-  circuit::IncrementalStaStats sta;   ///< Case A, when with_sta
+  circuit::IncrementalStaStats sta;   ///< Case A
   gnn::GnnIncrementalStats gnn;       ///< Case A
   graphs::KnnUpdateStats knn_x;       ///< fast Case A
   graphs::KnnUpdateStats knn_y;       ///< fast Case A
   bool spectral_reused = false;       ///< input embedding taken from baseline
-  bool eigen_warm_started = false;
   /// Phase-3 subspace sweeps executed (< the config budget when the fast
   /// mode's adaptive Ritz stop converged early). Deterministic.
   std::size_t subspace_sweeps = 0;
@@ -187,7 +95,7 @@ struct SweepVariantStats {
 struct SweepVariantResult {
   CirStagReport report;
   std::vector<double> prediction;  ///< Case A; empty for Case B
-  double worst_arrival = 0.0;      ///< Case A, when with_sta
+  double worst_arrival = 0.0;      ///< Case A
   SweepVariantStats stats;
 };
 
@@ -202,7 +110,6 @@ struct SweepStats {
   /// Mean executed / budgeted Phase-3 sweeps — the fraction of eigensolver
   /// work the adaptive Ritz stop left standing (1.0 in exact mode).
   double avg_subspace_sweep_fraction = 1.0;
-  std::size_t eigen_warm_starts = 0;
   std::size_t solver_cache_hits = 0;  ///< cross-variant cache hits in run()
 };
 
@@ -217,7 +124,7 @@ struct SweepStats {
 struct SweepBaselineState {
   CirStagReport baseline;          ///< full baseline report (incl. manifolds)
   linalg::Matrix u0;               ///< baseline spectral embedding
-  linalg::Matrix raw_subspace0;    ///< baseline eigenbasis (warm starts)
+  linalg::Matrix raw_subspace0;    ///< baseline eigenbasis
   ManifoldBaseline mx;             ///< input-side kNN baseline (fast mode)
   ManifoldBaseline my;             ///< output-side kNN baseline (fast mode)
   graphs::CoarsenPairHierarchy hier0;  ///< baseline pair hierarchy (if any)
@@ -234,7 +141,7 @@ struct SweepBaselineState {
 /// perturbed variants while sharing work across them — shared Laplacian
 /// solver cache, incremental STA (fanout-cone re-timing), incremental GNN
 /// forward (changed-row re-propagation), spectral-embedding reuse, and (in
-/// fast mode) kNN delta re-queries plus eigensolver/CG warm starts seeded
+/// fast mode) kNN delta re-queries and coarsening-hierarchy reuse seeded
 /// from the baseline only, so cross-variant parallelism stays deterministic.
 ///
 /// Typical Case-A use:
@@ -316,14 +223,12 @@ class SweepEngine {
                            const linalg::Matrix* node_features,
                            const linalg::Matrix& output_embedding,
                            std::size_t index) const;
-  /// Manifold/stability tail shared by both cases; `index` keys the
-  /// per-variant warm-start tags. In fast mode each side's kNN graph is
-  /// delta-re-queried when only a minority of its embedding rows moved
-  /// relative to the captured baseline, else fully rebuilt.
+  /// Manifold/stability tail shared by both cases. In fast mode each side's
+  /// kNN graph is delta-re-queried when only a minority of its embedding
+  /// rows moved relative to the captured baseline, else fully rebuilt.
   void finish_variant(SweepVariantResult& out, linalg::Matrix input_embedding,
                       const graphs::Graph* input_graph,
-                      const linalg::Matrix& output_embedding,
-                      std::size_t index);
+                      const linalg::Matrix& output_embedding);
 
   SweepOptions opts_;
 
@@ -332,17 +237,12 @@ class SweepEngine {
   gnn::TimingGnn* model_ = nullptr;
   graphs::Graph pin_graph_;
   linalg::Matrix features0_;
-  FeatureColumnStats stats0_;  ///< baseline standardization frame (Case A)
   gnn::GnnSnapshot snap_;
   std::unique_ptr<circuit::IncrementalSta> sta_;
 
   // Baseline artifacts shared by every variant.
   linalg::Matrix u0_;                 ///< baseline spectral embedding
-  linalg::Matrix raw_subspace0_;      ///< baseline eigenbasis (warm start)
-  /// Baseline Phase-3 per-sweep CG solution blocks (fast mode): sweep-k CG
-  /// seeds for every variant. subspace_iterations × n × eigensubspace_dim
-  /// doubles — freed with the engine.
-  std::vector<linalg::Matrix> sweep_blocks0_;
+  linalg::Matrix raw_subspace0_;      ///< baseline eigenbasis (snapshots)
   ManifoldBaseline mx_base_;          ///< input-side kNN baseline (fast)
   ManifoldBaseline my_base_;          ///< output-side kNN baseline (fast)
   /// Baseline Phase-3 pair hierarchy, captured when the multilevel path
@@ -356,8 +256,6 @@ class SweepEngine {
   /// key: reuse requires the variant manifold to share the node set
   /// (`nodes` must match; edge content may differ, that is the point).
   graphs::GraphFingerprint hier_key_;
-  linalg::Matrix warm_x_block_;       ///< baseline sketch solutions (fast)
-  linalg::Matrix warm_y_block_;
   CirStagReport baseline_;
   circuit::TimingReport baseline_timing_;
 

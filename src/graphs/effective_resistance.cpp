@@ -72,8 +72,7 @@ std::vector<double> edge_effective_resistances(
 
   // Probe vectors y_i = B^T W^{1/2} q_i, q_i Rademacher over edges, stored
   // as columns of Y. Drawn serially from the single seed stream (probe-major,
-  // the historical order) so the sketch is identical to the serial
-  // implementation at every thread count and under either solve path.
+  // the historical order) so the sketch is identical at every thread count.
   linalg::Matrix probes(n, k);
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t e = 0; e < m; ++e) {
@@ -84,30 +83,9 @@ std::vector<double> edge_effective_resistances(
     }
   }
 
-  // Z columns: z_i = L^+ y_i.
-  linalg::Matrix z(n, k);
-  std::size_t iterations = 0;
-  bool warm_started = false;
-  if (opts.use_block_cg) {
-    linalg::Matrix guess;
-    const bool have_guess =
-        cache && !opts.warm_start_tag.empty() &&
-        cache->take_warm_block(opts.warm_start_tag, n, k, guess);
-    warm_started = have_guess;
-    linalg::BlockSolveStats bstats;
-    z = solver->solve_block(probes, have_guess ? &guess : nullptr, &bstats);
-    iterations = bstats.total_iterations;
-  } else {
-    // Historical path: one CG task per probe.
-    const std::size_t before = solver->cumulative_iterations();
-    runtime::parallel_for(0, k, 1, [&](std::size_t i) {
-      std::vector<double> y(n);
-      for (std::size_t r = 0; r < n; ++r) y[r] = probes(r, i);
-      const std::vector<double> x = solver->solve(y);
-      for (std::size_t r = 0; r < n; ++r) z(r, i) = x[r];
-    });
-    iterations = solver->cumulative_iterations() - before;
-  }
+  // Z columns z_i = L^+ y_i, all probes in one block-CG call.
+  linalg::BlockSolveStats bstats;
+  const linalg::Matrix z = solver->solve_block(probes, nullptr, &bstats);
 
   std::vector<double> r(m, 0.0);
   runtime::parallel_for_chunks(0, m, kEdgeGrain,
@@ -125,21 +103,15 @@ std::vector<double> edge_effective_resistances(
     }
   });
 
-  if (cache && !opts.warm_start_tag.empty())
-    cache->store_warm_block(opts.warm_start_tag, std::move(z));
   static const obs::Counter sketch_runs("sketch.runs");
   static const obs::Counter sketch_iters("sketch.cg_iterations");
   static const obs::Counter sketch_cache_hits("sketch.cache_hits");
-  static const obs::Counter sketch_warm_starts("sketch.warm_starts");
   sketch_runs.add();
-  sketch_iters.add(iterations);
+  sketch_iters.add(bstats.total_iterations);
   if (cache_hit) sketch_cache_hits.add();
-  if (warm_started) sketch_warm_starts.add();
   if (stats) {
-    stats->cg_iterations = iterations;
+    stats->cg_iterations = bstats.total_iterations;
     stats->cache_hit = cache_hit;
-    stats->used_block_cg = opts.use_block_cg;
-    stats->warm_started = warm_started;
   }
   return r;
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "graphs/graph.hpp"
@@ -29,23 +28,12 @@ struct ResistanceSketchOptions {
   /// iterates bit-for-bit; spanning_tree typically converges in far fewer
   /// iterations but follows a different (equally valid) iterate path.
   SolverPreconditioner preconditioner = SolverPreconditioner::jacobi;
-  /// Solve all probes in one blocked CG call (one CSR traversal per
-  /// iteration serves every probe). Bit-identical to the per-probe path at
-  /// every thread count; off = the historical one-task-per-probe solves.
-  bool use_block_cg = true;
-  /// Non-empty + a cache: seed the probe solves from the solutions stored
-  /// under this tag by the previous sketch (e.g. the prior SGL pruning
-  /// iteration) and store this sketch's solutions back. Changes results at
-  /// CG-tolerance level, hence opt-in.
-  std::string warm_start_tag;
 };
 
 /// Diagnostics from one sketch run (all optional to consume).
 struct ResistanceSketchStats {
   std::size_t cg_iterations = 0;  ///< Σ iterations across probe solves
   bool cache_hit = false;         ///< solver came from the cache
-  bool used_block_cg = false;
-  bool warm_started = false;
 };
 
 /// Approximate effective resistance of every edge of `g` simultaneously

@@ -59,19 +59,13 @@ SglResult learn_pgm_sgl(const Graph& initial, const linalg::Matrix& data,
   const std::vector<double> d_data = edge_data_distances(res.graph, data);
   const double m = static_cast<double>(std::max<std::size_t>(data.cols(), 1));
 
-  // Chain probe solutions across sweeps when asked: each iteration's sketch
-  // reads the block stored by the previous one under this tag.
-  ResistanceSketchOptions sketch_opts = opts.resistance;
-  if (opts.warm_start_probes && cache && sketch_opts.warm_start_tag.empty())
-    sketch_opts.warm_start_tag = "sgl/probes";
-
   for (std::size_t it = 0; it < opts.iterations; ++it) {
     if (opts.track_objective)
       res.objective_history.push_back(
           pgm_objective(res.graph, data, opts.sigma2));
 
     const std::vector<double> r_eff =
-        edge_effective_resistances(res.graph, sketch_opts, cache);
+        edge_effective_resistances(res.graph, opts.resistance, cache);
     for (std::size_t e = 0; e < res.graph.num_edges(); ++e) {
       // ∂F/∂w = R_eff − D_data/M; scale the step by the current weight so
       // updates are relative (weights span orders of magnitude).

@@ -22,11 +22,6 @@ struct SglOptions {
   /// Track the exact objective per iteration (dense logdet, O(n³) — only
   /// sensible for graphs up to a few hundred nodes).
   bool track_objective = false;
-  /// Seed each iteration's probe solves from the previous iteration's
-  /// solutions (requires a cache). The weights move little per sweep, so the
-  /// guesses are close and CG converges in a fraction of the iterations.
-  /// Changes results at CG-tolerance level, hence opt-in.
-  bool warm_start_probes = false;
   ResistanceSketchOptions resistance;
 };
 
@@ -48,9 +43,8 @@ struct SglResult {
 /// condition w_pq = 1/D_pq^data but needs many sweeps — the superlinear
 /// behaviour the paper's Phase-2 sparsifier avoids; kept here as the
 /// reference baseline for the ablation benches.
-/// `cache` (optional) hosts the per-iteration Laplacian solvers and the
-/// warm-start solution blocks. With `warm_start_probes` off the result is
-/// bit-identical with or without a cache.
+/// `cache` (optional) hosts the per-iteration Laplacian solvers; the result
+/// is bit-identical with or without it.
 [[nodiscard]] SglResult learn_pgm_sgl(const Graph& initial,
                                       const linalg::Matrix& data,
                                       const SglOptions& opts = {},

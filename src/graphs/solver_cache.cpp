@@ -118,42 +118,6 @@ void LaplacianSolverCache::insert(
   entries_.push_back({key, std::move(prebuilt), ++clock_});
 }
 
-bool LaplacianSolverCache::take_warm_block(const std::string& tag,
-                                           std::size_t rows, std::size_t cols,
-                                           linalg::Matrix& out) {
-  static const obs::Counter warm_hits("solver_cache.warm_start_hits");
-  static const obs::Counter warm_misses("solver_cache.warm_start_misses");
-  std::lock_guard lock(mutex_);
-  for (auto it = warm_.begin(); it != warm_.end(); ++it) {
-    if (it->tag != tag) continue;
-    if (it->block.rows() != rows || it->block.cols() != cols) {
-      warm_.erase(it);  // shape changed (e.g. pruned graph) — stale
-      warm_misses.add();
-      return false;
-    }
-    out = std::move(it->block);
-    warm_.erase(it);
-    warm_hits.add();
-    return true;
-  }
-  warm_misses.add();
-  return false;
-}
-
-void LaplacianSolverCache::store_warm_block(const std::string& tag,
-                                            linalg::Matrix block) {
-  static const obs::Counter warm_stores("solver_cache.warm_start_stores");
-  warm_stores.add();
-  std::lock_guard lock(mutex_);
-  for (auto& e : warm_) {
-    if (e.tag == tag) {
-      e.block = std::move(block);
-      return;
-    }
-  }
-  warm_.push_back({tag, std::move(block)});
-}
-
 std::size_t LaplacianSolverCache::hits() const {
   std::lock_guard lock(mutex_);
   return hits_;
@@ -172,7 +136,6 @@ std::size_t LaplacianSolverCache::size() const {
 void LaplacianSolverCache::clear() {
   std::lock_guard lock(mutex_);
   entries_.clear();
-  warm_.clear();
   hits_ = misses_ = 0;
 }
 

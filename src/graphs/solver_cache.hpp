@@ -3,12 +3,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "graphs/graph.hpp"
 #include "linalg/cg.hpp"
-#include "linalg/matrix.hpp"
 
 namespace cirstag::graphs {
 
@@ -40,9 +38,7 @@ struct SolverOptions {
 ///
 /// The cache is purely an assembly cache: a cached solver is the same object
 /// `make_laplacian_solver` would build, so results are bit-identical with the
-/// cache on or off. Warm-start blocks (previous-iteration solutions, used by
-/// opt-in warm starting) live in a separate keyed store because they DO
-/// change results at tolerance level.
+/// cache on or off.
 ///
 /// Thread-safe; solvers are immutable after construction and returned as
 /// shared_ptr so entries may be evicted while still in use.
@@ -64,15 +60,6 @@ class LaplacianSolverCache {
   /// opts) would produce; an existing entry for the key is left untouched.
   void insert(const Graph& g, const SolverOptions& opts,
               std::shared_ptr<const linalg::LaplacianSolver> prebuilt);
-
-  /// Move out the warm-start block stored under `tag`, if any and if its
-  /// shape matches (rows, cols); returns false and leaves `out` untouched
-  /// otherwise.
-  bool take_warm_block(const std::string& tag, std::size_t rows,
-                       std::size_t cols, linalg::Matrix& out);
-
-  /// Store solutions under `tag` for the next take_warm_block.
-  void store_warm_block(const std::string& tag, linalg::Matrix block);
 
   [[nodiscard]] std::size_t hits() const;
   [[nodiscard]] std::size_t misses() const;
@@ -97,14 +84,9 @@ class LaplacianSolverCache {
     std::shared_ptr<const linalg::LaplacianSolver> solver;
     std::uint64_t last_used = 0;
   };
-  struct WarmEntry {
-    std::string tag;
-    linalg::Matrix block;
-  };
 
   mutable std::mutex mutex_;
   std::vector<Entry> entries_;       // small N: linear scan beats hashing
-  std::vector<WarmEntry> warm_;
   std::size_t capacity_;
   std::uint64_t clock_ = 0;
   std::size_t hits_ = 0;

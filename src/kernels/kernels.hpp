@@ -104,8 +104,6 @@ struct KernelTable {
   void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
   void (*scale)(double alpha, double* x, std::size_t n);
   void (*sub_scalar)(double m, double* x, std::size_t n);
-  //   p[i] = fma(beta, p[i], z[i]) — the CG direction update.
-  void (*xpby)(double beta, const double* z, double* p, std::size_t n);
 
   // CSR rows [lo, hi): y[r] = fma(alpha, row_dot(r), y[r]); row dots use the
   // 4-lane tree over nnz position (t - row_begin) & 3.
@@ -147,8 +145,8 @@ struct KernelTable {
                    const double* mask);
 
   // Row-scaled block copy, y[i*k+j] = d[i] * x[i*k+j] — the Jacobi block
-  // preconditioner. Unmasked and a plain multiply (not fma), matching the
-  // single-vector apply y[i] = d[i] * x[i] bit for bit. No padding needed.
+  // preconditioner. Unmasked and a plain multiply (not fma). No padding
+  // needed.
   void (*diag_scale_cols)(const double* d, const double* x, double* y,
                           std::size_t n, std::size_t k);
 };
@@ -203,9 +201,6 @@ inline void scale(double alpha, double* x, std::size_t n) {
 }
 inline void sub_scalar(double m, double* x, std::size_t n) {
   table().sub_scalar(m, x, n);
-}
-inline void xpby(double beta, const double* z, double* p, std::size_t n) {
-  table().xpby(beta, z, p, n);
 }
 
 }  // namespace cirstag::kernels

@@ -168,21 +168,6 @@ void sub_scalar_avx2(double s, double* x, std::size_t n) {
   }
 }
 
-void xpby_avx2(double beta, const double* z, double* p, std::size_t n) {
-  const __m256d bv = _mm256_set1_pd(beta);
-  const std::size_t main = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < main; i += 4)
-    _mm256_storeu_pd(
-        p + i, _mm256_fmadd_pd(bv, _mm256_loadu_pd(p + i),
-                               _mm256_loadu_pd(z + i)));
-  if (const std::size_t rem = n - main; rem != 0) {
-    const __m256i m = lane_mask(rem);
-    const __m256d t = _mm256_fmadd_pd(bv, _mm256_maskload_pd(p + main, m),
-                                      _mm256_maskload_pd(z + main, m));
-    _mm256_maskstore_pd(p + main, m, t);
-  }
-}
-
 void spmv_range_avx2(const std::size_t* row_ptr, const std::uint32_t* col_idx,
                      const double* values, const double* x, double alpha,
                      double* y, std::size_t lo, std::size_t hi) {
@@ -524,10 +509,10 @@ const KernelTable* avx2_kernel_table() {
   static const KernelTable t{
       "avx2",          dot_avx2,        dot_self_avx2,
       sum_avx2,        distance2_avx2,  axpy_avx2,
-      scale_avx2,      sub_scalar_avx2, xpby_avx2,
-      spmv_range_avx2, spmm_range_avx2, col_dots_avx2,
-      col_sums_avx2,   axpy_cols_avx2,  xpby_cols_avx2,
-      sub_cols_avx2,   diag_scale_cols_avx2,
+      scale_avx2,      sub_scalar_avx2, spmv_range_avx2,
+      spmm_range_avx2, col_dots_avx2,   col_sums_avx2,
+      axpy_cols_avx2,  xpby_cols_avx2,  sub_cols_avx2,
+      diag_scale_cols_avx2,
   };
   return &t;
 }

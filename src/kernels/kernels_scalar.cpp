@@ -56,10 +56,6 @@ void sub_scalar_scalar(double m, double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] -= m;
 }
 
-void xpby_scalar(double beta, const double* z, double* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) p[i] = std::fma(beta, p[i], z[i]);
-}
-
 void spmv_range_scalar(const std::size_t* row_ptr, const std::uint32_t* col_idx,
                        const double* values, const double* x, double alpha,
                        double* y, std::size_t lo, std::size_t hi) {
@@ -183,10 +179,10 @@ const KernelTable& scalar_kernel_table() {
   static const KernelTable t{
       "scalar",          dot_scalar,        dot_self_scalar,
       sum_scalar,        distance2_scalar,  axpy_scalar,
-      scale_scalar,      sub_scalar_scalar, xpby_scalar,
-      spmv_range_scalar, spmm_range_scalar, col_dots_scalar,
-      col_sums_scalar,   axpy_cols_scalar,  xpby_cols_scalar,
-      sub_cols_scalar,   diag_scale_cols_scalar,
+      scale_scalar,      sub_scalar_scalar, spmv_range_scalar,
+      spmm_range_scalar, col_dots_scalar,   col_sums_scalar,
+      axpy_cols_scalar,  xpby_cols_scalar,  sub_cols_scalar,
+      diag_scale_cols_scalar,
   };
   return t;
 }

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "kernels/kernels.hpp"
+#include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/parallel_for.hpp"
 #include "util/aligned.hpp"
@@ -36,8 +38,8 @@ LaneMask make_lane_mask(const Mask& active) {
 }
 
 /// out[j] = Σ_i A(i,j)·B(i,j) for active columns, reduced through the same
-/// 8-lane row tree as the single-vector `dot` kernel — bit-identical per
-/// column (serial over rows; thread-count invariant by construction).
+/// 8-lane row tree as the `dot` kernel — serial over rows, so every column
+/// is thread-count invariant and independent of its neighbours.
 void column_dots(const Matrix& a, const Matrix& b, const LaneMask& mask,
                  Coeffs& out) {
   const std::size_t n = a.rows(), k = a.cols();
@@ -49,7 +51,7 @@ void column_dots(const Matrix& a, const Matrix& b, const LaneMask& mask,
 }
 
 /// Remove the mean of every active column (two-pass — the per-column
-/// association of the single-vector deflate_constant, 8-lane sum tree).
+/// association of deflate_constant, 8-lane sum tree).
 void deflate_columns(Matrix& x, const LaneMask& mask) {
   const std::size_t n = x.rows(), k = x.cols();
   if (n == 0) return;
@@ -140,7 +142,7 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
   std::size_t num_active = 0;
   for (std::size_t j = 0; j < k; ++j) {
     if (bnorm[j] == 0.0) {
-      res.converged[j] = 1;  // x stays 0 — single CG's zero-rhs early return
+      res.converged[j] = 1;  // zero right-hand side: x stays 0
     } else {
       active[j] = 1;
       ++num_active;
@@ -185,7 +187,7 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
       rz_new(kp, 0.0), beta(kp, 0.0);
 
   // ‖r_j‖/‖b_j‖ recomputed at breakdown / max-iteration retirement — the
-  // strided mirror of the single-vector norm (8-lane tree over rows).
+  // strided mirror of the norm kernel (8-lane tree over rows).
   auto tail_residual = [&](std::size_t j) {
     double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
     for (std::size_t i = 0; i < n; ++i)
@@ -200,8 +202,7 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
     op(p, ap);
     if (opts.deflate_constant) deflate_columns(ap, amask);
     column_dots(p, ap, amask, pap);
-    // Indefinite directions retire before the α step — the single-vector
-    // early break, but per column.
+    // Indefinite directions retire before the α step, per column.
     for (std::size_t j = 0; j < k; ++j) {
       if (active[j] && pap[j] <= 0.0) {
         res.breakdown[j] = 1;
@@ -262,9 +263,40 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
   block_sweeps.add(sweeps);
   column_iterations.add(res.total_iterations);
   columns.add(k);
-  std::uint64_t broken = 0;
-  for (std::size_t j = 0; j < k; ++j) broken += res.breakdown[j];
-  if (broken > 0) breakdown_columns.add(broken);
+
+  // An indefinite direction is a property of the operator, never a budget
+  // decision, so breakdowns report even on budget-bounded solves.
+  std::size_t broken = 0, capped = 0;
+  double worst_broken = 0.0, worst_capped = 0.0;
+  for (std::size_t j = 0; j < k; ++j) {
+    if (res.breakdown[j]) {
+      ++broken;
+      worst_broken = std::max(worst_broken, res.residuals[j]);
+    } else if (!res.converged[j]) {
+      ++capped;
+      worst_capped = std::max(worst_capped, res.residuals[j]);
+    }
+  }
+  if (broken > 0) {
+    breakdown_columns.add(broken);
+    obs::record_health_event(
+        "cg.breakdown",
+        std::to_string(broken) + " of " + std::to_string(k) +
+            " CG columns hit an indefinite direction (p'Ap <= 0); worst "
+            "relative residual " +
+            std::to_string(worst_broken),
+        worst_broken, opts.tolerance, obs::HealthSeverity::warning);
+  }
+  if (capped > 0 &&
+      (!opts.budget_bounded || worst_capped > kBudgetResidualAlarm)) {
+    obs::record_health_event(
+        "cg.unconverged",
+        std::to_string(capped) + " of " + std::to_string(k) +
+            " CG columns stopped at max_iterations=" +
+            std::to_string(opts.max_iterations) +
+            "; worst relative residual " + std::to_string(worst_capped),
+        worst_capped, opts.tolerance, obs::HealthSeverity::warning);
+  }
   return res;
 }
 

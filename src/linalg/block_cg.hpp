@@ -29,21 +29,28 @@ struct BlockCgResult {
   }
 };
 
-/// Multi-RHS (blocked) preconditioned conjugate gradient.
+/// Multi-RHS (blocked) preconditioned conjugate gradient — the repo's one
+/// CG loop; a single right-hand side is the k = 1 case.
 ///
-/// Runs k standard single-vector CG recurrences in lockstep: every iteration
-/// performs ONE blocked operator application (amortizing each CSR traversal
-/// across all k right-hand sides), while all scalar recurrences (α_j, β_j,
-/// residual tests) are tracked per column. Columns that converge — or break
-/// down — retire early: their solution, residual, and iterate state freeze
-/// while the remaining columns keep iterating.
+/// Runs k standard CG recurrences in lockstep: every iteration performs ONE
+/// blocked operator application (amortizing each CSR traversal across all k
+/// right-hand sides), while all scalar recurrences (α_j, β_j, residual
+/// tests) are tracked per column. Columns that converge — or break down —
+/// retire early: their solution, residual, and iterate state freeze while
+/// the remaining columns keep iterating.
 ///
 /// Determinism / equivalence contract: column j of the result is
-/// BIT-IDENTICAL to `conjugate_gradient(op_j, b.col(j), ...)` with the same
-/// options, preconditioner, and initial guess, at every thread count. This
-/// holds because per-column reductions accumulate serially in row order
-/// (matching the single-vector kernels) and the blocked operator applies
-/// each column in the single-vector accumulation order.
+/// BIT-IDENTICAL to the same call on column j alone (k = 1, same options,
+/// preconditioner, and initial guess), at every thread count. This holds
+/// because per-column reductions accumulate serially in row order and the
+/// blocked operator applies each column in its one-column accumulation
+/// order.
+///
+/// Health: columns that hit an indefinite direction (pᵀAp ≤ 0) raise a
+/// "cg.breakdown" warning whatever `opts.budget_bounded` says; columns that
+/// exhaust `opts.max_iterations` raise "cg.unconverged" unless the budget is
+/// deliberate (CgOptions::budget_bounded) and their residual stays within
+/// kBudgetResidualAlarm.
 ///
 /// `precond` may be empty (identity). `initial_guess` (nullptr = zero start)
 /// warm-starts every column.

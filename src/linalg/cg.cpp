@@ -1,160 +1,15 @@
 #include "linalg/cg.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 #include "kernels/kernels.hpp"
 #include "linalg/block_cg.hpp"
-#include "linalg/vector_ops.hpp"
-#include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/parallel_for.hpp"
 #include "util/arena.hpp"
 
 namespace cirstag::linalg {
-
-namespace {
-
-/// One observation per finished solve; instrumentation only reads the
-/// result, so iterates are untouched.
-void record_cg_metrics(const CgResult& result, const CgOptions& opts) {
-  static const obs::Counter solves("cg.solves");
-  static const obs::Counter iterations("cg.iterations");
-  static const obs::Counter breakdowns("cg.breakdowns");
-  static const obs::Counter unconverged("cg.unconverged");
-  static const obs::Histogram iters_per_solve(
-      "cg.iterations_per_solve",
-      {1, 3, 10, 30, 100, 300, 1000, 3000, 10000});
-  solves.add();
-  iterations.add(result.iterations);
-  if (result.breakdown) breakdowns.add();
-  if (!result.converged) unconverged.add();
-  iters_per_solve.observe(static_cast<double>(result.iterations));
-  // Residual history as a distribution: where solves actually land relative
-  // to their tolerance, aggregated across the run.
-  static const obs::Histogram final_residuals(
-      "cg.final_relative_residual",
-      {1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0});
-  final_residuals.observe(result.residual);
-  if (result.breakdown) {
-    obs::record_health_event(
-        "cg.breakdown",
-        "CG hit an indefinite direction (p'Ap <= 0) after " +
-            std::to_string(result.iterations) + " iterations",
-        result.residual, opts.tolerance, obs::HealthSeverity::warning);
-  } else if (!result.converged &&
-             (!opts.budget_bounded ||
-              result.residual > kBudgetResidualAlarm)) {
-    obs::record_health_event(
-        "cg.unconverged",
-        "CG stopped at max_iterations=" +
-            std::to_string(opts.max_iterations) + " with relative residual " +
-            std::to_string(result.residual),
-        result.residual, opts.tolerance, obs::HealthSeverity::warning);
-  }
-}
-
-}  // namespace
-
-namespace {
-
-CgResult conjugate_gradient_impl(const LinearOperator& op,
-                                 std::span<const double> b, std::size_t n,
-                                 const LinearOperator& precond,
-                                 const CgOptions& opts,
-                                 std::span<const double> initial_guess) {
-  if (b.size() != n)
-    throw std::invalid_argument("conjugate_gradient: size mismatch");
-  if (!initial_guess.empty() && initial_guess.size() != n)
-    throw std::invalid_argument("conjugate_gradient: bad initial guess size");
-
-  CgResult result;
-  result.solution.assign(n, 0.0);
-
-  // Per-solve temporaries come from the thread-local arena: a solve is a
-  // strict LIFO scope, so repeated solves reuse the same cache-hot block
-  // instead of hitting the heap four times per call.
-  util::ArenaFrame frame;
-  std::span<double> r = frame.alloc<double>(n);
-  std::copy(b.begin(), b.end(), r.begin());
-  if (opts.deflate_constant) deflate_constant(r);
-  const double bnorm = norm2(r);
-  if (bnorm == 0.0) {
-    result.converged = true;
-    return result;
-  }
-  if (!initial_guess.empty()) {
-    result.solution.assign(initial_guess.begin(), initial_guess.end());
-    if (opts.deflate_constant) deflate_constant(result.solution);
-    std::span<double> ax = frame.alloc_zero<double>(n);
-    op(result.solution, ax);
-    if (opts.deflate_constant) deflate_constant(ax);
-    axpy(-1.0, ax, r);
-  }
-
-  std::span<double> z = frame.alloc_zero<double>(n);
-  auto apply_precond = [&](std::span<const double> in, std::span<double> out) {
-    if (precond) {
-      precond(in, out);
-    } else {
-      std::copy(in.begin(), in.end(), out.begin());
-    }
-    if (opts.deflate_constant) deflate_constant(out);
-  };
-
-  apply_precond(r, z);
-  std::span<double> p = frame.alloc<double>(n);
-  std::copy(z.begin(), z.end(), p.begin());
-  std::span<double> ap = frame.alloc_zero<double>(n);
-  double rz = dot(r, z);
-
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    std::fill(ap.begin(), ap.end(), 0.0);
-    op(p, ap);
-    if (opts.deflate_constant) deflate_constant(ap);
-    const double pap = dot(p, ap);
-    if (pap <= 0.0) {
-      // Operator numerically indefinite along p: stop, but report the true
-      // residual so callers never see a stale 0.0 with converged=false.
-      result.breakdown = true;
-      break;
-    }
-    const double alpha = rz / pap;
-    axpy(alpha, p, result.solution);
-    axpy(-alpha, ap, r);
-    result.iterations = it + 1;
-    const double rnorm = norm2(r);
-    if (rnorm / bnorm < opts.tolerance) {
-      result.converged = true;
-      result.residual = rnorm / bnorm;
-      if (opts.deflate_constant) deflate_constant(result.solution);
-      return result;
-    }
-    apply_precond(r, z);
-    const double rz_new = dot(r, z);
-    const double beta = rz_new / rz;
-    rz = rz_new;
-    // Contracted direction update — the scalar twin of xpby_cols, so
-    // solve_block stays bit-identical to per-column solve().
-    kernels::xpby(beta, z.data(), p.data(), n);
-  }
-
-  result.residual = norm2(r) / bnorm;
-  if (opts.deflate_constant) deflate_constant(result.solution);
-  return result;
-}
-
-}  // namespace
-
-CgResult conjugate_gradient(const LinearOperator& op, std::span<const double> b,
-                            std::size_t n, const LinearOperator& precond,
-                            const CgOptions& opts,
-                            std::span<const double> initial_guess) {
-  CgResult result =
-      conjugate_gradient_impl(op, b, n, precond, opts, initial_guess);
-  record_cg_metrics(result, opts);
-  return result;
-}
 
 LaplacianSolver::LaplacianSolver(SparseMatrix laplacian, double regularization,
                                  CgOptions opts)
@@ -182,25 +37,15 @@ LaplacianSolver::LaplacianSolver(SparseMatrix laplacian, double regularization,
 std::vector<double> LaplacianSolver::solve(
     std::span<const double> b, std::span<const double> initial_guess) const {
   const std::size_t n = dimension();
-  auto op = [this](std::span<const double> x, std::span<double> y) {
-    laplacian_.multiply_add(x, y);
-    if (regularization_ != 0.0) axpy(regularization_, x, y);
-  };
-  auto precond = [this](std::span<const double> x, std::span<double> y) {
-    if (!tree_.empty()) {
-      tree_.apply(x, y);
-    } else {
-      for (std::size_t i = 0; i < x.size(); ++i) y[i] = inv_diag_[i] * x[i];
-    }
-  };
-  CgResult res = conjugate_gradient(op, b, n, precond, opts_, initial_guess);
-  last_residual_.store(res.residual, std::memory_order_relaxed);
-  cumulative_iterations_.fetch_add(res.iterations, std::memory_order_relaxed);
-  static const obs::Counter solves("laplacian_solver.solves");
-  static const obs::Counter iterations("laplacian_solver.iterations");
-  solves.add();
-  iterations.add(res.iterations);
-  return std::move(res.solution);
+  if (b.size() != n || (!initial_guess.empty() && initial_guess.size() != n))
+    throw std::invalid_argument("LaplacianSolver::solve: size mismatch");
+  Matrix rhs(n, 1), guess;
+  rhs.set_col(0, b);
+  if (!initial_guess.empty()) {
+    guess = Matrix(n, 1);
+    guess.set_col(0, initial_guess);
+  }
+  return solve_block(rhs, guess.empty() ? nullptr : &guess).col(0);
 }
 
 Matrix LaplacianSolver::solve_block(const Matrix& rhs,
@@ -211,8 +56,8 @@ Matrix LaplacianSolver::solve_block(const Matrix& rhs,
   const std::size_t k = rhs.cols();
   auto op = [this](const Matrix& x, Matrix& y) {
     laplacian_.multiply_add(x, y);
-    // Contracted exactly like the single-vector operator's axpy — elementwise
-    // fma has no reduction shape, so one flat call covers all columns.
+    // Elementwise fma has no reduction shape, so one flat call covers all
+    // columns, each contracted exactly as it would be alone.
     if (regularization_ != 0.0)
       kernels::axpy(regularization_, x.data().data(), y.data().data(),
                     x.rows() * x.cols());
@@ -221,7 +66,7 @@ Matrix LaplacianSolver::solve_block(const Matrix& rhs,
   if (!tree_.empty()) {
     precond = [this](const Matrix& x, Matrix& y) {
       // Columns are independent O(n) tree solves — parallel across columns,
-      // each column's sweep identical to the single-vector apply.
+      // each column's sweep identical to a one-column apply.
       runtime::parallel_for(0, x.cols(), 1, [&](std::size_t j) {
         const std::size_t n = x.rows();
         util::ArenaFrame frame;  // each worker bumps its own thread-local arena
@@ -254,19 +99,6 @@ Matrix LaplacianSolver::solve_block(const Matrix& rhs,
   static const obs::Counter iterations("laplacian_solver.iterations");
   block_solves.add();
   iterations.add(res.total_iterations);
-  if (!res.all_converged() &&
-      (!opts_.budget_bounded || worst > kBudgetResidualAlarm)) {
-    std::size_t stalled = 0;
-    for (const bool c : res.converged)
-      if (!c) ++stalled;
-    obs::record_health_event(
-        "block_cg.unconverged",
-        std::to_string(stalled) + " of " + std::to_string(k) +
-            " block-CG columns stopped at max_iterations=" +
-            std::to_string(opts_.max_iterations) + "; worst relative residual " +
-            std::to_string(worst),
-        worst, opts_.tolerance, obs::HealthSeverity::warning);
-  }
   if (stats) {
     stats->total_iterations = res.total_iterations;
     stats->max_iterations = slowest;

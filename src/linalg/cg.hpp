@@ -27,7 +27,7 @@ struct CgOptions {
   /// Suppresses the "cg.unconverged" health event — hitting the cap is the
   /// design, not a numerical problem — unless the final residual exceeds
   /// kBudgetResidualAlarm, i.e. the budget assumption itself broke down.
-  /// Breakdowns still report.
+  /// Breakdowns ("cg.breakdown") still report.
   bool budget_bounded = false;
 };
 
@@ -37,26 +37,6 @@ struct CgOptions {
 /// sweeps); a residual still above 10% after the full budget means the
 /// solve made no useful progress at all.
 inline constexpr double kBudgetResidualAlarm = 1e-1;
-
-/// Convergence report from a CG run.
-struct CgResult {
-  std::vector<double> solution;
-  double residual = 0.0;          ///< final relative residual
-  std::size_t iterations = 0;
-  bool converged = false;
-  /// The iteration hit an indefinite direction (pᵀAp ≤ 0) and stopped early;
-  /// `residual` still reports the true relative residual at that point.
-  bool breakdown = false;
-};
-
-/// Preconditioned conjugate gradient for SPD (or PSD-with-deflation) systems.
-/// `precond` may be empty (identity). The operator must be symmetric.
-/// `initial_guess` (if non-empty) warm-starts the iteration — crucial for
-/// the repeated nearby solves inside subspace iteration.
-[[nodiscard]] CgResult conjugate_gradient(
-    const LinearOperator& op, std::span<const double> b, std::size_t n,
-    const LinearOperator& precond = {}, const CgOptions& opts = {},
-    std::span<const double> initial_guess = {});
 
 /// Aggregate report from a multi-RHS LaplacianSolver::solve_block call.
 struct BlockSolveStats {
@@ -101,10 +81,12 @@ class LaplacianSolver {
             other.cumulative_iterations_.load(std::memory_order_relaxed)) {}
   LaplacianSolver& operator=(LaplacianSolver&&) = delete;
 
-  /// Solve (L + regularization*I) x = b, optionally warm-started.
+  /// Solve (L + regularization*I) x = b, optionally warm-started — a
+  /// one-column solve_block. Throws std::invalid_argument when `b` or a
+  /// non-empty `initial_guess` is not dimension() long.
   /// Thread-safe: independent solves may run concurrently on one solver
-  /// (the probe-parallel resistance sketch and edge-parallel DMD ratios
-  /// rely on this); last_residual() then reports one of the recent solves.
+  /// (the edge-parallel exact resistances and DMD ratios rely on this);
+  /// last_residual() then reports one of the recent solves.
   [[nodiscard]] std::vector<double> solve(
       std::span<const double> b,
       std::span<const double> initial_guess = {}) const;

@@ -40,39 +40,6 @@ void orthonormalize_columns(Matrix& v, Rng& rng) {
   }
 }
 
-/// Per-column squared residuals ‖b_j − (L_Y + εI) x_j‖² of a candidate
-/// initial-guess block against the sweep's right-hand sides. Accumulation
-/// order (rows ascending per column) matches a per-column scalar loop, so
-/// the block and scalar sweep paths make identical seed decisions.
-std::vector<double> block_residual2(const SparseMatrix& l_y, double eps,
-                                    const Matrix& x, const Matrix& rhs) {
-  const std::size_t n = x.rows();
-  const std::size_t s = x.cols();
-  Matrix ax(n, s);
-  l_y.multiply_add(x, ax);
-  std::vector<double> r2(s, 0.0);
-  for (std::size_t j = 0; j < s; ++j) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double r = rhs(i, j) - ax(i, j) - eps * x(i, j);
-      acc += r * r;
-    }
-    r2[j] = acc;
-  }
-  return r2;
-}
-
-/// ‖b_j‖² per column — the residual of the zero (cold) initial guess.
-std::vector<double> rhs_norm2(const Matrix& rhs) {
-  std::vector<double> r2(rhs.cols(), 0.0);
-  for (std::size_t j = 0; j < rhs.cols(); ++j) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < rhs.rows(); ++i) acc += rhs(i, j) * rhs(i, j);
-    r2[j] = acc;
-  }
-  return r2;
-}
-
 /// Tracks the sorted Rayleigh quotients ρ_j = v_jᵀ(Mv)_j across sweeps and
 /// signals convergence once they stabilize (GeneralizedEigenOptions::
 /// ritz_tolerance). Sorting makes the comparison robust to column swaps
@@ -155,10 +122,10 @@ GeneralizedEigenResult generalized_eigen_sparse(
   static const obs::Counter warm_inits("eigen.warm_subspace_starts");
   Rng rng(opts.seed);
   Matrix v(n, s);
-  const bool warm = opts.initial_subspace != nullptr &&
-                    opts.initial_subspace->rows() == n &&
-                    opts.initial_subspace->cols() >= s;
-  if (warm) {
+  const bool seeded = opts.initial_subspace != nullptr &&
+                      opts.initial_subspace->rows() == n &&
+                      opts.initial_subspace->cols() >= s;
+  if (seeded) {
     // Warm start from a baseline eigenbasis: deflate + re-orthonormalize the
     // provided columns. The rng stream stays aligned with the cold path so
     // any rank-repair draws inside orthonormalize_columns are reproducible.
@@ -178,113 +145,32 @@ GeneralizedEigenResult generalized_eigen_sparse(
   }
   orthonormalize_columns(v, rng);
 
-  static const obs::Counter seeded_columns("eigen.sweep_seeded_columns");
-  // Per-sweep cross-run seed: columns of (*opts.sweep_seed)[it] replace the
-  // own-chain CG guess wherever their true residual is smaller.
-  const auto seed_block = [&](std::size_t it) -> const Matrix* {
-    if (opts.sweep_seed == nullptr || it >= opts.sweep_seed->size())
-      return nullptr;
-    const Matrix& cand = (*opts.sweep_seed)[it];
-    if (cand.rows() != n || cand.cols() != s) return nullptr;
-    return &cand;
-  };
-
   RitzStop ritz_stop(opts.ritz_tolerance, opts.min_iterations);
   std::size_t executed = 0;
 
-  // Warm starts: as the subspace converges, consecutive solves for the same
-  // column are nearby, so seeding CG with the previous solution cuts the
-  // iteration count dramatically on large manifolds.
-  if (opts.use_block_cg) {
-    // Blocked sweep: one multi-RHS SpMV + one block-CG call serve all s
-    // columns. Each column's iterate sequence — including the post-solve
-    // deflation — is bit-identical to the scalar loop below.
-    Matrix warm;
-    for (std::size_t it = 0; it < opts.iterations; ++it) {
-      Matrix rhs(n, s);
-      l_x.multiply_add(v, rhs);
-      const Matrix* guess = warm.empty() ? nullptr : &warm;
-      Matrix mixed;
-      if (const Matrix* cand = seed_block(it)) {
-        const std::vector<double> cand_r2 =
-            block_residual2(l_y, opts.ly_regularization, *cand, rhs);
-        const std::vector<double> own_r2 =
-            warm.empty() ? rhs_norm2(rhs)
-                         : block_residual2(l_y, opts.ly_regularization, warm,
-                                           rhs);
-        std::size_t adopted = 0;
-        for (std::size_t j = 0; j < s; ++j)
-          if (cand_r2[j] < own_r2[j]) ++adopted;
-        if (adopted > 0) {
-          mixed = warm.empty() ? Matrix(n, s) : warm;
-          for (std::size_t j = 0; j < s; ++j)
-            if (cand_r2[j] < own_r2[j]) mixed.set_col(j, cand->col(j));
-          guess = &mixed;
-          seeded_columns.add(adopted);
-        }
-      }
-      Matrix z = solver.solve_block(rhs, guess);
-      Matrix w(n, s);
-      for (std::size_t j = 0; j < s; ++j) {
-        std::vector<double> sol = z.col(j);
-        deflate_constant(sol);
-        w.set_col(j, sol);
-      }
-      warm = w;
-      if (opts.sweep_capture) opts.sweep_capture->push_back(warm);
-      const bool stop = ritz_stop.converged(v, warm, it);
-      orthonormalize_columns(w, rng);
-      v = std::move(w);
-      ++executed;
-      if (stop) {
-        early_stops.add();
-        break;
-      }
+  // Each sweep applies (L_Y + εI)^{-1} L_X to all s columns with one
+  // multi-RHS SpMV and one block-CG call. As the subspace converges,
+  // consecutive solves for the same column are nearby, so seeding CG with
+  // the previous sweep's solution cuts the iteration count dramatically on
+  // large manifolds.
+  Matrix warm;
+  for (std::size_t it = 0; it < opts.iterations; ++it) {
+    Matrix rhs(n, s);
+    l_x.multiply_add(v, rhs);
+    Matrix w = solver.solve_block(rhs, warm.empty() ? nullptr : &warm);
+    for (std::size_t j = 0; j < s; ++j) {
+      std::vector<double> sol = w.col(j);
+      deflate_constant(sol);
+      w.set_col(j, sol);
     }
-  } else {
-    std::vector<std::vector<double>> warm(s);
-    for (std::size_t it = 0; it < opts.iterations; ++it) {
-      Matrix w(n, s);
-      Matrix rhs(n, s);
-      l_x.multiply_add(v, rhs);
-      std::vector<double> cand_r2, own_r2;
-      const Matrix* cand = seed_block(it);
-      if (cand != nullptr) {
-        cand_r2 = block_residual2(l_y, opts.ly_regularization, *cand, rhs);
-        own_r2.resize(s);
-        for (std::size_t j = 0; j < s; ++j) {
-          const std::vector<double> b = rhs.col(j);
-          if (warm[j].empty()) {
-            own_r2[j] = dot(b, b);
-          } else {
-            Matrix wj(n, 1);
-            wj.set_col(0, warm[j]);
-            Matrix bj(n, 1);
-            bj.set_col(0, b);
-            own_r2[j] =
-                block_residual2(l_y, opts.ly_regularization, wj, bj)[0];
-          }
-        }
-      }
-      for (std::size_t j = 0; j < s; ++j) {
-        const std::vector<double> col = rhs.col(j);
-        const bool use_seed = cand != nullptr && cand_r2[j] < own_r2[j];
-        if (use_seed) seeded_columns.add();
-        std::vector<double> sol =
-            solver.solve(col, use_seed ? cand->col(j) : warm[j]);
-        deflate_constant(sol);
-        warm[j] = sol;
-        w.set_col(j, sol);
-      }
-      if (opts.sweep_capture) opts.sweep_capture->push_back(w);
-      const bool stop = ritz_stop.converged(v, w, it);
-      orthonormalize_columns(w, rng);
-      v = std::move(w);
-      ++executed;
-      if (stop) {
-        early_stops.add();
-        break;
-      }
+    warm = w;
+    const bool stop = ritz_stop.converged(v, warm, it);
+    orthonormalize_columns(w, rng);
+    v = std::move(w);
+    ++executed;
+    if (stop) {
+      early_stops.add();
+      break;
     }
   }
   subspace_iterations.add(executed);

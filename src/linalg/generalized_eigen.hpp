@@ -17,37 +17,14 @@ struct GeneralizedEigenOptions {
   double ly_regularization = 1e-6;
   double cg_tolerance = 1e-8;
   std::size_t cg_max_iterations = 1500;
-  /// Apply (L_Y + εI)^{-1} to all s subspace columns in one blocked CG call
-  /// per sweep instead of s sequential solves. Bit-identical per column at
-  /// every thread count; off = the historical column-at-a-time loop.
-  bool use_block_cg = true;
-  /// Optional warm start (perturbation sweeps): the first `num_pairs`
+  /// Optional warm start (multilevel refinement): the first `num_pairs`
   /// columns seed the subspace instead of the random init, after constant
   /// deflation and re-orthonormalization. Changes results at convergence-
   /// tolerance level — bit-exact paths must leave this null. Must outlive
   /// the call; needs >= num_pairs columns and matching row count. Note that
   /// on near-degenerate spectra a warm subspace does NOT converge in fewer
-  /// sweeps than the random init (the rate is set by the eigengap), so
-  /// reducing `iterations` alongside this moves the answer — prefer
-  /// `sweep_seed` below, which accelerates each sweep without changing the
-  /// iterate trajectory beyond cg_tolerance.
+  /// sweeps than the random init (the rate is set by the eigengap).
   const Matrix* initial_subspace = nullptr;
-  /// Cross-run per-sweep CG warm start (perturbation sweeps): sweep k's
-  /// solves may be seeded from (*sweep_seed)[k] — a nearby run's sweep-k
-  /// solution block captured via `sweep_capture` — instead of this run's
-  /// own previous-sweep chain. The seed is adopted per column only when its
-  /// true residual beats the own-chain guess (one extra blocked SpMV per
-  /// candidate per sweep), so the policy is deterministic and degrades to
-  /// the own-chain behaviour as the two runs' trajectories diverge. Every
-  /// solve still converges to cg_tolerance, so results move at tolerance
-  /// level only; bit-exact paths must leave this null. Entries past
-  /// `iterations` or with mismatched shapes are ignored. Must outlive the
-  /// call.
-  const std::vector<Matrix>* sweep_seed = nullptr;
-  /// When set, the deflated solution block of every sweep is appended —
-  /// the `sweep_seed` feed for subsequent nearby runs. Holds
-  /// iterations × n × num_pairs doubles; clear it when done.
-  std::vector<Matrix>* sweep_capture = nullptr;
   /// Adaptive early stop: after each sweep, compare the sorted Rayleigh
   /// quotients ρ_j = v_jᵀ(Mv)_j of the iterate block against the previous
   /// sweep's; stop once the largest change is ≤ ritz_tolerance·ρ_max (and at

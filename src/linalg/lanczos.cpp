@@ -21,14 +21,7 @@ EigenDecomposition lanczos_eigen(const LinearOperator& op, std::size_t n,
   basis.reserve(m);
 
   std::vector<double> v(n);
-  const bool warm = opts.start_vector != nullptr &&
-                    opts.start_vector->size() == n &&
-                    norm2(*opts.start_vector) > 1e-12;
-  if (warm) {
-    v = *opts.start_vector;
-  } else {
-    for (auto& x : v) x = rng.normal();
-  }
+  for (auto& x : v) x = rng.normal();
   scale(1.0 / norm2(v), v);
   basis.push_back(v);
 
@@ -105,8 +98,7 @@ EigenDecomposition lanczos_eigen(const LinearOperator& op, std::size_t n,
 EigenDecomposition smallest_eigenpairs(const SparseMatrix& a, std::size_t k,
                                        double spectrum_upper_bound,
                                        std::size_t max_subspace,
-                                       std::uint64_t seed,
-                                       const std::vector<double>* start_vector) {
+                                       std::uint64_t seed) {
   if (a.rows() != a.cols())
     throw std::invalid_argument("smallest_eigenpairs: matrix not square");
   const std::size_t n = a.rows();
@@ -124,7 +116,6 @@ EigenDecomposition smallest_eigenpairs(const SparseMatrix& a, std::size_t k,
   opts.max_subspace = max_subspace;
   opts.want_smallest = false;  // largest of (shift*I - A)
   opts.seed = seed;
-  opts.start_vector = start_vector;
   EigenDecomposition shifted = lanczos_eigen(op, n, opts);
 
   for (auto& v : shifted.values) v = shift - v;  // map back to eigenvalues of A

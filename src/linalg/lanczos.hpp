@@ -16,12 +16,6 @@ struct LanczosOptions {
   double tolerance = 1e-8;           ///< residual bound on Ritz pairs
   bool want_smallest = true;         ///< smallest vs largest eigenvalues
   std::uint64_t seed = 1234;         ///< start-vector seed
-  /// Optional warm start (perturbation sweeps): the initial Krylov vector,
-  /// normalized internally, replacing the random draw. A mix of baseline
-  /// eigenvectors steers the recurrence toward the wanted invariant
-  /// subspace on nearby problems. Changes results at tolerance level —
-  /// bit-exact paths must leave this null. Must be length n and nonzero.
-  const std::vector<double>* start_vector = nullptr;
 };
 
 /// Lanczos with full reorthogonalization for a symmetric operator.
@@ -44,7 +38,6 @@ struct LanczosOptions {
 /// (2.0 for normalized Laplacians).
 [[nodiscard]] EigenDecomposition smallest_eigenpairs(
     const SparseMatrix& a, std::size_t k, double spectrum_upper_bound,
-    std::size_t max_subspace = 0, std::uint64_t seed = 1234,
-    const std::vector<double>* start_vector = nullptr);
+    std::size_t max_subspace = 0, std::uint64_t seed = 1234);
 
 }  // namespace cirstag::linalg

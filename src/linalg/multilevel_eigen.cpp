@@ -170,13 +170,9 @@ GeneralizedEigenResult multilevel_generalized_eigen(
     return generalized_eigen_sparse(lx[0], ly[0], opts, finest_solver);
   }
 
-  // Coarsest level: the full subspace-iteration budget, cold start. The
-  // sweep-seed warm paths stay out of the hierarchy entirely — they belong
-  // to the nearby-run (perturbation sweep) machinery.
+  // Coarsest level: the full subspace-iteration budget, cold start.
   GeneralizedEigenOptions copts = opts;
   copts.initial_subspace = nullptr;
-  copts.sweep_seed = nullptr;
-  copts.sweep_capture = nullptr;
   GeneralizedEigenResult cur =
       generalized_eigen_sparse(lx.back(), ly.back(), copts, nullptr);
   if (stats != nullptr) {

@@ -429,8 +429,6 @@ Dispatch dispatch_sweep(Service& service, const JsonValue& body,
     obs::append_json_number(out, stats.sweep_seconds);
     out += ", \"solver_cache_hits\": ";
     out += std::to_string(stats.solver_cache_hits);
-    out += ", \"eigen_warm_starts\": ";
-    out += std::to_string(stats.eigen_warm_starts);
     out += "}}";
     return {200, std::move(out)};
   };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "linalg/block_cg.hpp"
 #include "linalg/rng.hpp"
 #include "linalg/vector_ops.hpp"
 
@@ -9,28 +10,31 @@ namespace {
 
 using namespace cirstag::linalg;
 
+/// One right-hand side as an n×1 block — the k = 1 form of the CG loop.
+Matrix column(const std::vector<double>& b) {
+  Matrix m(b.size(), 1);
+  m.set_col(0, b);
+  return m;
+}
+
 TEST(ConjugateGradient, SolvesSpdSystem) {
   // A = [[4,1],[1,3]], b = [1,2] -> x = [1/11, 7/11].
-  auto op = [](std::span<const double> x, std::span<double> y) {
-    y[0] += 4 * x[0] + 1 * x[1];
-    y[1] += 1 * x[0] + 3 * x[1];
+  auto op = [](const Matrix& x, Matrix& y) {
+    y(0, 0) += 4 * x(0, 0) + 1 * x(1, 0);
+    y(1, 0) += 1 * x(0, 0) + 3 * x(1, 0);
   };
-  const std::vector<double> b{1.0, 2.0};
-  const auto res = conjugate_gradient(op, b, 2);
-  EXPECT_TRUE(res.converged);
-  EXPECT_NEAR(res.solution[0], 1.0 / 11.0, 1e-8);
-  EXPECT_NEAR(res.solution[1], 7.0 / 11.0, 1e-8);
+  const auto res = block_conjugate_gradient(op, column({1.0, 2.0}));
+  EXPECT_TRUE(res.converged[0]);
+  EXPECT_NEAR(res.solutions(0, 0), 1.0 / 11.0, 1e-8);
+  EXPECT_NEAR(res.solutions(1, 0), 7.0 / 11.0, 1e-8);
 }
 
 TEST(ConjugateGradient, ZeroRhsReturnsZero) {
-  auto op = [](std::span<const double> x, std::span<double> y) {
-    y[0] += x[0];
-  };
-  const std::vector<double> b{0.0};
-  const auto res = conjugate_gradient(op, b, 1);
-  EXPECT_TRUE(res.converged);
-  EXPECT_DOUBLE_EQ(res.solution[0], 0.0);
-  EXPECT_EQ(res.iterations, 0u);
+  auto op = [](const Matrix& x, Matrix& y) { y(0, 0) += x(0, 0); };
+  const auto res = block_conjugate_gradient(op, column({0.0}));
+  EXPECT_TRUE(res.converged[0]);
+  EXPECT_DOUBLE_EQ(res.solutions(0, 0), 0.0);
+  EXPECT_EQ(res.iterations[0], 0u);
 }
 
 TEST(ConjugateGradient, PreconditionerReducesIterations) {
@@ -38,24 +42,26 @@ TEST(ConjugateGradient, PreconditionerReducesIterations) {
   const std::size_t n = 50;
   std::vector<double> diag(n);
   for (std::size_t i = 0; i < n; ++i) diag[i] = 1.0 + 1000.0 * i;
-  auto op = [&diag](std::span<const double> x, std::span<double> y) {
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] += diag[i] * x[i];
+  auto op = [&diag](const Matrix& x, Matrix& y) {
+    for (std::size_t i = 0; i < x.rows(); ++i) y(i, 0) += diag[i] * x(i, 0);
   };
-  auto precond = [&diag](std::span<const double> x, std::span<double> y) {
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i] / diag[i];
+  auto precond = [&diag](const Matrix& x, Matrix& y) {
+    for (std::size_t i = 0; i < x.rows(); ++i) y(i, 0) = x(i, 0) / diag[i];
   };
-  std::vector<double> b(n, 1.0);
-  const auto plain = conjugate_gradient(op, b, n);
-  const auto pc = conjugate_gradient(op, b, n, precond);
-  EXPECT_TRUE(pc.converged);
-  EXPECT_LE(pc.iterations, plain.iterations);
-  EXPECT_LE(pc.iterations, 3u);  // Jacobi is exact for diagonal systems
+  const Matrix b = column(std::vector<double>(n, 1.0));
+  const auto plain = block_conjugate_gradient(op, b);
+  const auto pc = block_conjugate_gradient(op, b, precond);
+  EXPECT_TRUE(pc.converged[0]);
+  EXPECT_LE(pc.iterations[0], plain.iterations[0]);
+  EXPECT_LE(pc.iterations[0], 3u);  // Jacobi is exact for diagonal systems
 }
 
 TEST(ConjugateGradient, SizeMismatchThrows) {
-  auto op = [](std::span<const double>, std::span<double>) {};
-  std::vector<double> b(3);
-  EXPECT_THROW(conjugate_gradient(op, b, 2), std::invalid_argument);
+  auto op = [](const Matrix&, Matrix&) {};
+  const Matrix b(3, 1, 1.0);
+  const Matrix guess(2, 1);
+  EXPECT_THROW((void)block_conjugate_gradient(op, b, {}, {}, &guess),
+               std::invalid_argument);
 }
 
 SparseMatrix path_laplacian(std::size_t n) {

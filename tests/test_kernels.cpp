@@ -151,11 +151,6 @@ TEST_P(KernelParityTest, Elementwise) {
     sc_->sub_scalar(alpha, ys.data(), n);
     vec_->sub_scalar(alpha, yv.data(), n);
     expect_same_bits(ys, yv, "sub_scalar", n);
-
-    ys = y0, yv = y0;
-    sc_->xpby(alpha, x.data(), ys.data(), n);
-    vec_->xpby(alpha, x.data(), yv.data(), n);
-    expect_same_bits(ys, yv, "xpby", n);
   }
 }
 

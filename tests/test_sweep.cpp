@@ -16,6 +16,7 @@
 #include "circuit/views.hpp"
 #include "gnn/timing_gnn.hpp"
 #include "linalg/rng.hpp"
+#include "obs/manifest.hpp"
 
 namespace {
 
@@ -103,6 +104,30 @@ std::vector<SweepVariant> case_a_variants(const Netlist& nl,
       const std::size_t idx = (v * 4 + j) % cell_inputs.size();
       variants[v].cap_scalings.push_back({cell_inputs[idx], 1.5 + 0.1 * v});
     }
+  }
+  return variants;
+}
+
+/// Case-B topology variants: rewire one incident edge around a few pins each.
+std::vector<graphs::Graph> rewired_graphs(const graphs::Graph& g0) {
+  linalg::Rng rng(2024);
+  std::vector<graphs::Graph> out;
+  for (std::size_t v = 0; v < 3; ++v) {
+    std::vector<std::size_t> nodes = {5 + 7 * v, 30 + 5 * v, 60 + 3 * v};
+    out.push_back(circuit::rewire_around_nodes(g0, nodes, rng));
+  }
+  return out;
+}
+
+/// Case-B variants over `graphs_v`, sharing the baseline features/embedding.
+std::vector<SweepVariant> case_b_variants(
+    const std::vector<graphs::Graph>& graphs_v, const linalg::Matrix& feats,
+    const linalg::Matrix& y0) {
+  std::vector<SweepVariant> variants(graphs_v.size());
+  for (std::size_t v = 0; v < graphs_v.size(); ++v) {
+    variants[v].input_graph = &graphs_v[v];
+    variants[v].node_features = &feats;
+    variants[v].output_embedding = &y0;
   }
   return variants;
 }
@@ -227,8 +252,7 @@ TEST_F(SweepEngineTest, FastModeDriftWithinToleranceCaseA) {
     // Fast-mode reuse engaged: spectral reuse, and the adaptive Ritz stop
     // kept the sweep count inside the budget. (kNN deltas are adaptive —
     // they engage only when a minority of embedding rows moved, which
-    // depends on the perturbed pins' fanout cones; eigen warm starts are
-    // opt-in and off by default.)
+    // depends on the perturbed pins' fanout cones.)
     EXPECT_TRUE(results[i].stats.spectral_reused);
     EXPECT_GE(results[i].stats.subspace_sweeps, 1u);
     EXPECT_LE(results[i].stats.subspace_sweeps,
@@ -240,7 +264,6 @@ TEST_F(SweepEngineTest, FastModeDriftWithinToleranceCaseA) {
   EXPECT_LT(stats.avg_gnn_row_fraction, 1.0);
   // The adaptive stop saved eigensolver work somewhere in the sweep.
   EXPECT_LT(stats.avg_subspace_sweep_fraction, 1.0);
-  EXPECT_EQ(stats.eigen_warm_starts, 0u);
 }
 
 TEST_F(SweepEngineTest, OutputKnnDeltaEngagesForShallowCones) {
@@ -308,19 +331,8 @@ TEST_F(SweepEngineTest, CaseBExactMatchesNaiveAndFastWithinTolerance) {
   const linalg::Matrix feats = circuit::pin_features(nl_);
   const linalg::Matrix y0 = model_->embed(feats);
 
-  // Topology variants: rewire one incident edge around a few pins each.
-  linalg::Rng rng(2024);
-  std::vector<graphs::Graph> graphs_v;
-  for (std::size_t v = 0; v < 3; ++v) {
-    std::vector<std::size_t> nodes = {5 + 7 * v, 30 + 5 * v, 60 + 3 * v};
-    graphs_v.push_back(circuit::rewire_around_nodes(g0, nodes, rng));
-  }
-  std::vector<SweepVariant> variants(graphs_v.size());
-  for (std::size_t v = 0; v < graphs_v.size(); ++v) {
-    variants[v].input_graph = &graphs_v[v];
-    variants[v].node_features = &feats;
-    variants[v].output_embedding = &y0;
-  }
+  const std::vector<graphs::Graph> graphs_v = rewired_graphs(g0);
+  const auto variants = case_b_variants(graphs_v, feats, y0);
 
   const CirStag analyzer(fast_config());
   std::vector<CirStagReport> naive;
@@ -345,6 +357,49 @@ TEST_F(SweepEngineTest, CaseBExactMatchesNaiveAndFastWithinTolerance) {
         << "variant " << i;
     EXPECT_GE(fast[i].stats.subspace_sweeps, 1u);
   }
+}
+
+TEST_F(SweepEngineTest, FastModeScoresArePinned) {
+  // Fast mode is checked against the naive loop only within the 0.08 drift
+  // bound, so a refactor could move its bytes unnoticed. The constants are
+  // FNV-1a checksums of each variant's node scores; re-record them only for
+  // an intended numerical change. The last Case-A variant perturbs a single
+  // last-level gate, so it also pins the output-side kNN delta path.
+  SweepOptions opts;
+  opts.config = fast_config();
+
+  auto variants_a = case_a_variants(nl_, 4);
+  const circuit::GateId g = nl_.gates_at_level(nl_.num_gate_levels() - 1)[0];
+  SweepVariant shallow;
+  for (circuit::PinId p = 0; p < nl_.num_pins(); ++p)
+    if (nl_.pin(p).kind == circuit::PinKind::CellInput &&
+        nl_.pin(p).gate == g)
+      shallow.cap_scalings.push_back({p, 1.5});
+  variants_a.push_back(shallow);
+  SweepEngine engine_a(nl_, *model_, opts);
+  const auto a = engine_a.run(variants_a);
+  EXPECT_GT(a.back().stats.knn_y.total_points, 0u) << "delta did not engage";
+
+  const graphs::Graph g0 = circuit::pin_graph(nl_);
+  const linalg::Matrix feats = circuit::pin_features(nl_);
+  const linalg::Matrix y0 = model_->embed(feats);
+  const std::vector<graphs::Graph> graphs_v = rewired_graphs(g0);
+  SweepEngine engine_b(g0, feats, y0, opts);
+  const auto b = engine_b.run(case_b_variants(graphs_v, feats, y0));
+
+  const std::vector<std::uint64_t> pins_a = {
+      0x7dd2d101eab075c0ULL, 0x03060a12645bd521ULL, 0x4175e8b384ab7475ULL,
+      0x880458022c0d85d0ULL, 0x83fa52a3e490b984ULL};
+  const std::vector<std::uint64_t> pins_b = {
+      0x87a3f80d26d514d6ULL, 0x467b6e39e3361f68ULL, 0x6e2537f9ccd60f29ULL};
+  ASSERT_EQ(a.size(), pins_a.size());
+  ASSERT_EQ(b.size(), pins_b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(obs::fnv1a_doubles(a[i].report.node_scores), pins_a[i])
+        << "Case-A variant " << i;
+  for (std::size_t i = 0; i < b.size(); ++i)
+    EXPECT_EQ(obs::fnv1a_doubles(b[i].report.node_scores), pins_b[i])
+        << "Case-B variant " << i;
 }
 
 TEST_F(SweepEngineTest, RejectsCaseAOnGraphModeEngine) {

@@ -16,13 +16,16 @@
 // thread count). Netlists use the plain-text "cirstag-netlist 1" format
 // (circuit/io.hpp).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -73,8 +76,7 @@ constexpr const char* kUsage =
     "  analyze <in.ckt>     train GNN surrogate + CirSTAG stability scores\n"
     "                       [--scores out.csv] [--epochs E] [--hidden H]\n"
     "                       [--top K] [--probes P]\n"
-    "                       [--solver-precond jacobi|tree] [--block-cg 0|1]\n"
-    "                       [--solver-cache 0|1] [--coarsen auto|off]\n"
+    "                       [--solver-precond jacobi|tree] [--coarsen auto|off]\n"
     "                       [--coarsen-levels L] [--coarsen-threshold N]\n"
     "                       [--perf-json out.json]\n"
     "  sweep <in.ckt>       batched Case-A perturbation sweep: analyze N\n"
@@ -111,6 +113,8 @@ constexpr const char* kUsage =
     "  help                 print this message\n"
     "  --version            print build identity (git describe, build type,\n"
     "                       compiler) and exit\n"
+    "\n"
+    "Every command rejects an option it does not read (exit 2).\n"
     "\n"
     "global flags:\n"
     "  --threads N          parallel runtime pool width (default: the\n"
@@ -153,10 +157,6 @@ constexpr const char* kUsage =
     "  --solver-precond X   'jacobi' (default, historical iterates) or\n"
     "                       'tree' (spanning-tree preconditioner, fewer CG\n"
     "                       iterations, same accuracy)\n"
-    "  --block-cg 0|1       multi-RHS blocked CG for probe/subspace solves\n"
-    "                       (default 1; bit-identical either way)\n"
-    "  --solver-cache 0|1   cross-phase Laplacian-solver cache (default 1;\n"
-    "                       bit-identical either way)\n"
     "  --coarsen auto|off   multilevel eigensolver (DESIGN.md §12): 'auto'\n"
     "                       (default) coarsens graphs at or above the\n"
     "                       engagement threshold and solves coarse-to-fine;\n"
@@ -172,15 +172,33 @@ constexpr const char* kUsage =
     "                       coarsen.coarsest_n, eigen.ritz_refine_sweeps,\n"
     "                       eigen.runs) for the CI counter gate\n";
 
+/// Options every command reads through apply_global_flags.
+constexpr std::string_view kGlobalOptions[] = {
+    "threads",    "simd",          "log-level",    "log-json",
+    "health",     "trace-json",    "metrics-json", "profile-folded",
+    "profile-hz", "manifest-json"};
+
 /// "--key value" option map for everything after the positional args.
-/// A trailing flag with no value is an error (it used to be silently
-/// dropped by the old `i + 1 < argc` loop bound).
-std::map<std::string, std::string> parse_options(int argc, char** argv,
-                                                 int start) {
+/// `accepted` lists the command's own keys; any other key that is not a
+/// global option is a usage error, so a misspelt or retired flag fails
+/// loudly instead of silently running with defaults. A trailing flag with
+/// no value is an error too.
+std::map<std::string, std::string> parse_options(
+    int argc, char** argv, int start,
+    std::initializer_list<std::string_view> accepted) {
   std::map<std::string, std::string> opts;
   for (int i = start; i < argc; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       obs::logf_error("cli", "unexpected argument '%s'", argv[i]);
+      std::exit(2);
+    }
+    const std::string_view key = argv[i] + 2;
+    const auto known = [&](std::string_view k) { return k == key; };
+    if (std::none_of(std::begin(kGlobalOptions), std::end(kGlobalOptions),
+                     known) &&
+        std::none_of(accepted.begin(), accepted.end(), known)) {
+      obs::logf_error("cli", "unknown option '%s' for command '%s'", argv[i],
+                      argv[1]);
       std::exit(2);
     }
     if (i + 1 >= argc) {
@@ -402,7 +420,11 @@ void install_signal_handlers() {
 }
 
 int cmd_serve(int argc, char** argv) {
-  const auto opts = parse_options(argc, argv, 2);
+  const auto opts = parse_options(
+      argc, argv, 2,
+      {"port", "queue-capacity", "workers", "max-batch", "deadline-ms",
+       "access-log", "slow-trace", "slow-us", "slow-budget", "preload",
+       "preload-snapshot", "preload-name", "epochs", "hidden", "exact"});
   apply_global_flags(opts);
 
   serve::ServerOptions sopts;
@@ -490,7 +512,8 @@ int cmd_generate(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli generate <out.ckt> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 3);
+  const auto opts = parse_options(
+      argc, argv, 3, {"name", "gates", "inputs", "outputs", "levels", "seed"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
 
@@ -521,7 +544,7 @@ int cmd_sta(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli sta <in.ckt> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 3);
+  const auto opts = parse_options(argc, argv, 3, {"paths", "clock"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -616,7 +639,10 @@ int cmd_analyze(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli analyze <in.ckt> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 3);
+  const auto opts = parse_options(
+      argc, argv, 3,
+      {"scores", "epochs", "hidden", "top", "probes", "solver-precond",
+       "coarsen", "coarsen-levels", "coarsen-threshold", "perf-json"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -635,10 +661,6 @@ int cmd_analyze(int argc, char** argv) {
   } else if (precond != "jacobi") {
     bad_option_value("solver-precond", precond, "'jacobi' or 'tree'");
   }
-  const bool block_cg = opt_size(opts, "block-cg", 1) != 0;
-  cfg.manifold.sparsify.resistance.use_block_cg = block_cg;
-  cfg.stability.use_block_cg = block_cg;
-  cfg.use_solver_cache = opt_size(opts, "solver-cache", 1) != 0;
   apply_coarsen_flags(opts, cfg);
 
   std::printf("training timing GNN surrogate...\n");
@@ -702,8 +724,6 @@ int cmd_analyze(int argc, char** argv) {
   mb.set_uint("config", "probes",
               cfg.manifold.sparsify.resistance.num_probes);
   mb.set_string("config", "solver_precond", precond);
-  mb.set_bool("config", "block_cg", block_cg);
-  mb.set_bool("config", "solver_cache", cfg.use_solver_cache);
   mb.set_bool("config", "coarsen",
               cfg.embedding.coarsen.mode != graphs::CoarsenMode::off);
   mb.set_uint("config", "coarsen_levels", cfg.embedding.coarsen.max_levels);
@@ -717,7 +737,10 @@ int cmd_sweep(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli sweep <in.ckt> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 3);
+  const auto opts = parse_options(
+      argc, argv, 3,
+      {"variants", "pins-per-variant", "factor", "seed", "epochs", "hidden",
+       "exact", "audit-drift", "scores"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -835,7 +858,8 @@ int cmd_snapshot(int argc, char** argv) {
                  "usage: cirstag_cli snapshot <in.ckt> <out.snap> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 4);
+  const auto opts =
+      parse_options(argc, argv, 4, {"epochs", "hidden", "exact"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -881,7 +905,7 @@ int cmd_montecarlo(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli montecarlo <in.ckt> [options]\n");
     return 2;
   }
-  const auto opts = parse_options(argc, argv, 3);
+  const auto opts = parse_options(argc, argv, 3, {"seed", "samples"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -906,7 +930,7 @@ int cmd_corners(int argc, char** argv) {
     std::fprintf(stderr, "usage: cirstag_cli corners <in.ckt>\n");
     return 2;
   }
-  apply_global_flags(parse_options(argc, argv, 3));
+  apply_global_flags(parse_options(argc, argv, 3, {}));
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
   const auto corners = standard_corners();
