@@ -13,7 +13,7 @@
 #include "common.hpp"
 #include "util/ascii.hpp"
 #include "util/csv.hpp"
-#include "obs/timer.hpp"
+#include "obs/trace.hpp"
 
 int main() {
   using namespace cirstag;
@@ -39,9 +39,13 @@ int main() {
     gopts.hidden_dim = 24;
     gnn::TimingGnn model(nl, gopts);
 
-    obs::WallTimer timer;
-    const auto embedding = model.embed(model.base_features());
-    const double embed_s = timer.elapsed_seconds();
+    double embed_s = 0.0;
+    const linalg::Matrix embedding = [&] {
+      const obs::TraceSpan span("bench.gnn_embed", "bench");
+      linalg::Matrix e = model.embed(model.base_features());
+      embed_s = span.seconds();
+      return e;
+    }();
 
     const core::CirStag analyzer(default_config());
     const auto graph = circuit::pin_graph(nl);

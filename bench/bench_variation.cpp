@@ -18,7 +18,7 @@
 #include "core/baselines.hpp"
 #include "util/ascii.hpp"
 #include "util/stats.hpp"
-#include "obs/timer.hpp"
+#include "obs/trace.hpp"
 
 int main() {
   using namespace cirstag;
@@ -37,18 +37,27 @@ int main() {
               "===\n\n");
 
   CaseAOptions opts;
-  obs::WallTimer timer;
-  CaseA c = prepare_case_a(lib, spec, opts);
-  const double cirstag_seconds = timer.elapsed_seconds();
+  double cirstag_seconds = 0.0;
+  CaseA c = [&] {
+    const obs::TraceSpan span("bench.case_a", "bench");
+    CaseA prepared = prepare_case_a(lib, spec, opts);
+    cirstag_seconds = span.seconds();
+    return prepared;
+  }();
   std::printf("[%s] pins=%zu R2=%.4f (GNN training + CirSTAG: %.1fs)\n",
               c.name.c_str(), c.netlist.num_pins(), c.r2, cirstag_seconds);
 
   circuit::VariationModel model;
   model.seed = 4242;
   const std::size_t samples = 300;
-  timer.reset();
-  const auto mc = circuit::monte_carlo_sta(c.netlist, model, samples);
-  const double mc_seconds = timer.elapsed_seconds();
+  double mc_seconds = 0.0;
+  const circuit::MonteCarloResult mc = [&] {
+    const obs::TraceSpan span("bench.monte_carlo", "bench");
+    circuit::MonteCarloResult result =
+        circuit::monte_carlo_sta(c.netlist, model, samples);
+    mc_seconds = span.seconds();
+    return result;
+  }();
   std::printf("Monte-Carlo campaign: %zu samples in %.1fs "
               "(worst arrival mean %.3f, std %.3f, p95 %.3f)\n\n",
               samples, mc_seconds, mc.worst_mean, mc.worst_std, mc.worst_p95);

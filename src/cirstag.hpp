@@ -37,7 +37,6 @@
 #include "graphs/sgl.hpp"             // IWYU pragma: export
 #include "graphs/sparsify.hpp"        // IWYU pragma: export
 #include "obs/metrics.hpp"            // IWYU pragma: export
-#include "obs/timer.hpp"              // IWYU pragma: export
 #include "obs/trace.hpp"              // IWYU pragma: export
 #include "util/ascii.hpp"             // IWYU pragma: export
 #include "util/csv.hpp"               // IWYU pragma: export

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -145,33 +144,33 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
   check_graph_finite("analyze.input_graph", input_graph);
   obs::health_check_finite("analyze.output_embedding", output_embedding.data());
   report.timings.threads = runtime::global_pool().num_threads();
-  obs::WallTimer timer;
-  runtime::TaskTimer task_timer;
+
+  // Each Fig. 5 phase is one span, whose wall and busy time are that
+  // phase's PhaseTimings fields.
 
   // Phase 1: input spectral embedding (Eq. 4), optionally augmented with
   // the standardized node features so the input manifold reflects both
   // structure and feature proximity. The GNN's own embeddings are the
   // output side; they are already low-dimensional.
-  if (config_.use_dimension_reduction) {
+  {
     const obs::TraceSpan span("phase.embedding", "pipeline");
-    const runtime::ScopedTaskTimer scope(task_timer);
-    const linalg::Matrix u =
-        spectral_embedding(input_graph, config_.embedding);
-    if (!node_features.empty() && config_.feature_weight > 0.0) {
-      const linalg::Matrix f = apply_feature_stats(
-          node_features,
-          fit_feature_stats(node_features, config_.feature_weight));
-      report.input_embedding = augment_embedding(u, f);
-    } else {
-      report.input_embedding = u;
+    if (config_.use_dimension_reduction) {
+      const linalg::Matrix u =
+          spectral_embedding(input_graph, config_.embedding);
+      if (!node_features.empty() && config_.feature_weight > 0.0) {
+        const linalg::Matrix f = apply_feature_stats(
+            node_features,
+            fit_feature_stats(node_features, config_.feature_weight));
+        report.input_embedding = augment_embedding(u, f);
+      } else {
+        report.input_embedding = u;
+      }
     }
+    report.checksums.embedding = checksum_matrix(report.input_embedding);
+    obs::health_check_finite("phase.embedding", report.input_embedding.data());
+    report.timings.embedding_seconds = span.seconds();
+    report.timings.embedding_busy_seconds = span.busy_seconds();
   }
-  report.checksums.embedding = checksum_matrix(report.input_embedding);
-  obs::health_check_finite("phase.embedding", report.input_embedding.data());
-  report.timings.embedding_seconds = timer.elapsed_seconds();
-  report.timings.embedding_busy_seconds = task_timer.busy_seconds();
-  task_timer.reset();
-  timer.reset();
 
   // Cross-phase solver cache: the resistance sketches of Phase 2 and the
   // L_Y solver of Phase 3 key their solvers here, so a manifold reused
@@ -183,9 +182,9 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
   // reduction the raw input graph itself serves as the input manifold
   // (Fig. 4 ablation).
   {
-    const runtime::ScopedTaskTimer scope(task_timer);
+    const obs::TraceSpan span("phase.manifold", "pipeline");
     {
-      const obs::TraceSpan span("phase.manifold_x", "pipeline");
+      const obs::TraceSpan side("phase.manifold_x", "pipeline");
       if (config_.use_dimension_reduction) {
         report.manifold_x = build_manifold(report.input_embedding,
                                            config_.manifold, &solver_cache);
@@ -194,33 +193,31 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
       }
     }
     {
-      const obs::TraceSpan span("phase.manifold_y", "pipeline");
+      const obs::TraceSpan side("phase.manifold_y", "pipeline");
       report.manifold_y =
           build_manifold(output_embedding, config_.manifold, &solver_cache);
     }
+    static const obs::Gauge mx_edges("pipeline.manifold_x_edges");
+    static const obs::Gauge my_edges("pipeline.manifold_y_edges");
+    mx_edges.set(static_cast<double>(report.manifold_x.num_edges()));
+    my_edges.set(static_cast<double>(report.manifold_y.num_edges()));
+    report.checksums.manifold_x = checksum_graph(report.manifold_x);
+    report.checksums.manifold_y = checksum_graph(report.manifold_y);
+    check_graph_finite("phase.manifold_x", report.manifold_x);
+    check_graph_finite("phase.manifold_y", report.manifold_y);
+    report.timings.manifold_seconds = span.seconds();
+    report.timings.manifold_busy_seconds = span.busy_seconds();
   }
-  static const obs::Gauge mx_edges("pipeline.manifold_x_edges");
-  static const obs::Gauge my_edges("pipeline.manifold_y_edges");
-  mx_edges.set(static_cast<double>(report.manifold_x.num_edges()));
-  my_edges.set(static_cast<double>(report.manifold_y.num_edges()));
-  report.checksums.manifold_x = checksum_graph(report.manifold_x);
-  report.checksums.manifold_y = checksum_graph(report.manifold_y);
-  check_graph_finite("phase.manifold_x", report.manifold_x);
-  check_graph_finite("phase.manifold_y", report.manifold_y);
-  report.timings.manifold_seconds = timer.elapsed_seconds();
-  report.timings.manifold_busy_seconds = task_timer.busy_seconds();
-  task_timer.reset();
-  timer.reset();
 
   // Phase 3: DMD spectrum + stability scores (Algorithm 1, steps 6-11).
   StabilityResult stab;
   {
-    const runtime::ScopedTaskTimer scope(task_timer);
+    const obs::TraceSpan span("phase.stability", "pipeline");
     stab = stability_scores(report.manifold_x, report.manifold_y,
                             config_.stability, &solver_cache);
+    report.timings.stability_seconds = span.seconds();
+    report.timings.stability_busy_seconds = span.busy_seconds();
   }
-  report.timings.stability_seconds = timer.elapsed_seconds();
-  report.timings.stability_busy_seconds = task_timer.busy_seconds();
 
   report.node_scores = std::move(stab.node_scores);
   report.edge_scores = std::move(stab.edge_scores);

@@ -39,6 +39,8 @@ struct CirStagConfig {
 /// Wall-clock per phase (Fig. 5 scalability series), plus the summed busy
 /// time of parallel runtime tasks inside each phase: busy/wall ≈ effective
 /// parallel speedup, so the Fig. 5 benchmarks can report per-phase scaling.
+/// Both are read from the phase's span (`phase.embedding`, `phase.manifold`,
+/// `phase.stability`; obs::TraceSpan seconds() and busy_seconds()).
 struct PhaseTimings {
   double embedding_seconds = 0.0;
   double manifold_seconds = 0.0;

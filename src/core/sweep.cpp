@@ -10,7 +10,6 @@
 #include "graphs/laplacian.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
@@ -80,7 +79,6 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   if (opts_.config.threads != 0)
     runtime::set_global_threads(opts_.config.threads);
   const obs::TraceSpan span("sweep.baseline", "sweep");
-  obs::WallTimer timer;
 
   pin_graph_ = circuit::pin_graph(netlist);
   features0_ = circuit::pin_features(netlist);
@@ -93,7 +91,7 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   build_baseline(pin_graph_, features0_,
                  snap_.layer_outputs.empty() ? snap_.std_features
                                              : snap_.layer_outputs.back());
-  stats_.baseline_seconds = timer.elapsed_seconds();
+  stats_.baseline_seconds = span.seconds();
 }
 
 SweepEngine::SweepEngine(const graphs::Graph& input_graph,
@@ -104,10 +102,9 @@ SweepEngine::SweepEngine(const graphs::Graph& input_graph,
   if (opts_.config.threads != 0)
     runtime::set_global_threads(opts_.config.threads);
   const obs::TraceSpan span("sweep.baseline", "sweep");
-  obs::WallTimer timer;
   features0_ = node_features;
   build_baseline(input_graph, node_features, output_embedding);
-  stats_.baseline_seconds = timer.elapsed_seconds();
+  stats_.baseline_seconds = span.seconds();
 }
 
 SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
@@ -120,7 +117,6 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   const obs::TraceSpan span("sweep.restore", "sweep");
   static const obs::Counter restores("sweep.baseline_restores");
   restores.add();
-  obs::WallTimer timer;
 
   // Cheap derived state — recomputed, not serialized: the pin graph and
   // feature matrix are pure functions of the netlist, the GNN snapshot is
@@ -169,7 +165,7 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
       cache_.insert(baseline_.manifold_y, vopts, std::move(solver));
     }
   }
-  stats_.baseline_seconds = timer.elapsed_seconds();
+  stats_.baseline_seconds = span.seconds();
 }
 
 graphs::SolverOptions SweepEngine::variant_solver_options() const {
@@ -233,48 +229,55 @@ void SweepEngine::build_baseline(const graphs::Graph& input_graph,
   if (input_graph.num_nodes() != output_embedding.rows())
     throw std::invalid_argument("SweepEngine: graph nodes != embedding rows");
 
-  baseline_.timings.threads = runtime::global_pool().num_threads();
-  obs::WallTimer timer;
+  PhaseTimings& timings = baseline_.timings;
+  timings.threads = runtime::global_pool().num_threads();
 
   // Phase 1 — same construction as CirStag::analyze.
   linalg::Matrix x_emb;
-  if (cfg.use_dimension_reduction) {
-    u0_ = spectral_embedding(input_graph, cfg.embedding);
-    if (!node_features.empty() && cfg.feature_weight > 0.0) {
-      const linalg::Matrix f0 = apply_feature_stats(
-          node_features, fit_feature_stats(node_features, cfg.feature_weight));
-      x_emb = augment_embedding(u0_, f0);
-    } else {
-      x_emb = u0_;
+  {
+    const obs::TraceSpan span("phase.embedding", "pipeline");
+    if (cfg.use_dimension_reduction) {
+      u0_ = spectral_embedding(input_graph, cfg.embedding);
+      if (!node_features.empty() && cfg.feature_weight > 0.0) {
+        const linalg::Matrix f0 = apply_feature_stats(
+            node_features,
+            fit_feature_stats(node_features, cfg.feature_weight));
+        x_emb = augment_embedding(u0_, f0);
+      } else {
+        x_emb = u0_;
+      }
     }
+    baseline_.input_embedding = x_emb;
+    timings.embedding_seconds = span.seconds();
+    timings.embedding_busy_seconds = span.busy_seconds();
   }
-  baseline_.input_embedding = x_emb;
-  baseline_.timings.embedding_seconds = timer.elapsed_seconds();
-  timer.reset();
 
   // Phase 2 — in fast mode capture the kNN baselines every variant's delta
   // re-query starts from.
   const bool fast = !opts_.exact;
-  if (cfg.use_dimension_reduction) {
-    if (fast) {
-      mx_base_ = capture_manifold_baseline(x_emb, cfg.manifold, &cache_);
-      baseline_.manifold_x = mx_base_.manifold;
+  {
+    const obs::TraceSpan span("phase.manifold", "pipeline");
+    if (cfg.use_dimension_reduction) {
+      if (fast) {
+        mx_base_ = capture_manifold_baseline(x_emb, cfg.manifold, &cache_);
+        baseline_.manifold_x = mx_base_.manifold;
+      } else {
+        baseline_.manifold_x = build_manifold(x_emb, cfg.manifold, &cache_);
+      }
     } else {
-      baseline_.manifold_x = build_manifold(x_emb, cfg.manifold, &cache_);
+      baseline_.manifold_x = input_graph;
     }
-  } else {
-    baseline_.manifold_x = input_graph;
+    if (fast) {
+      my_base_ =
+          capture_manifold_baseline(output_embedding, cfg.manifold, &cache_);
+      baseline_.manifold_y = my_base_.manifold;
+    } else {
+      baseline_.manifold_y =
+          build_manifold(output_embedding, cfg.manifold, &cache_);
+    }
+    timings.manifold_seconds = span.seconds();
+    timings.manifold_busy_seconds = span.busy_seconds();
   }
-  if (fast) {
-    my_base_ =
-        capture_manifold_baseline(output_embedding, cfg.manifold, &cache_);
-    baseline_.manifold_y = my_base_.manifold;
-  } else {
-    baseline_.manifold_y =
-        build_manifold(output_embedding, cfg.manifold, &cache_);
-  }
-  baseline_.timings.manifold_seconds = timer.elapsed_seconds();
-  timer.reset();
 
   // Phase 3 — the baseline runs the config's own trajectory
   // (preconditioner, tolerance, sweep count) so the captured report stays
@@ -283,10 +286,15 @@ void SweepEngine::build_baseline(const graphs::Graph& input_graph,
   // Capture the multilevel pair hierarchy (when the path engages) so fast
   // variants can reuse its prolongation maps instead of re-matching.
   so.hierarchy_capture = &hier0_;
-  StabilityResult stab = stability_scores(baseline_.manifold_x,
-                                          baseline_.manifold_y, so, &cache_);
+  StabilityResult stab;
+  {
+    const obs::TraceSpan span("phase.stability", "pipeline");
+    stab = stability_scores(baseline_.manifold_x, baseline_.manifold_y, so,
+                            &cache_);
+    timings.stability_seconds = span.seconds();
+    timings.stability_busy_seconds = span.busy_seconds();
+  }
   if (!hier0_.empty()) hier_key_ = baseline_.manifold_x.fingerprint();
-  baseline_.timings.stability_seconds = timer.elapsed_seconds();
   raw_subspace0_ = std::move(stab.raw_subspace);
   baseline_.node_scores = std::move(stab.node_scores);
   baseline_.edge_scores = std::move(stab.edge_scores);
@@ -305,7 +313,6 @@ std::vector<SweepVariantResult> SweepEngine::run(
   variant_count.add(variants.size());
   if (opts_.exact) exact_count.add(variants.size());
 
-  obs::WallTimer timer;
   const std::size_t cache_hits_before = cache_.hits();
 
   std::vector<SweepVariantResult> results(variants.size());
@@ -317,7 +324,7 @@ std::vector<SweepVariantResult> SweepEngine::run(
     results[i] = run_variant(variants[i], i);
   });
 
-  stats_.sweep_seconds = timer.elapsed_seconds();
+  stats_.sweep_seconds = span.seconds();
   stats_.variants = results.size();
   stats_.solver_cache_hits = cache_.hits() - cache_hits_before;
   double sta_sum = 0.0, gnn_sum = 0.0, knn_sum = 0.0, sweep_sum = 0.0;
@@ -511,51 +518,55 @@ void SweepEngine::finish_variant(SweepVariantResult& out,
   const bool fast = !opts_.exact;
   CirStagReport& report = out.report;
   report.timings.threads = runtime::global_pool().num_threads();
-  obs::WallTimer timer;
   report.input_embedding = std::move(input_embedding);
 
-  // Adaptive kNN delta (fast mode): each side re-queries only around the
-  // rows that moved relative to the captured baseline — worthwhile only
-  // when a minority moved, otherwise a full build is both faster and free
-  // of the delta's one-sided-neighbor approximation. GNN-output
-  // perturbations stay inside the perturbed pins' DAG cones, so on the
-  // output side the moved set is those cones, not the whole embedding.
-  std::vector<std::uint32_t> moved_x, moved_y;
-  bool delta_x = false, delta_y = false;
-  if (fast) {
-    const linalg::Matrix& x = report.input_embedding;
-    if (!x.empty() && mx_base_.knn.points.rows() == x.rows() &&
-        mx_base_.knn.points.cols() == x.cols()) {
-      moved_x = changed_rows(x, mx_base_.knn.points);
-      delta_x = moved_x.size() * 2 < x.rows();
-    }
-    if (my_base_.knn.points.rows() == output_embedding.rows() &&
-        my_base_.knn.points.cols() == output_embedding.cols()) {
-      moved_y = changed_rows(output_embedding, my_base_.knn.points);
-      delta_y = moved_y.size() * 2 < output_embedding.rows();
-    }
-  }
-
   // Phase 2.
-  if (report.input_embedding.empty()) {
-    report.manifold_x = input_graph != nullptr ? *input_graph : graphs::Graph();
-  } else if (delta_x) {
-    report.manifold_x =
-        build_manifold_delta(mx_base_, report.input_embedding, moved_x,
-                             cfg.manifold, &cache_, &out.stats.knn_x);
-  } else {
-    report.manifold_x =
-        build_manifold(report.input_embedding, cfg.manifold, &cache_);
+  {
+    const obs::TraceSpan span("phase.manifold", "pipeline");
+    // Adaptive kNN delta (fast mode): each side re-queries only around the
+    // rows that moved relative to the captured baseline — worthwhile only
+    // when a minority moved, otherwise a full build is both faster and free
+    // of the delta's one-sided-neighbor approximation. GNN-output
+    // perturbations stay inside the perturbed pins' DAG cones, so on the
+    // output side the moved set is those cones, not the whole embedding.
+    std::vector<std::uint32_t> moved_x, moved_y;
+    bool delta_x = false, delta_y = false;
+    if (fast) {
+      const linalg::Matrix& x = report.input_embedding;
+      if (!x.empty() && mx_base_.knn.points.rows() == x.rows() &&
+          mx_base_.knn.points.cols() == x.cols()) {
+        moved_x = changed_rows(x, mx_base_.knn.points);
+        delta_x = moved_x.size() * 2 < x.rows();
+      }
+      if (my_base_.knn.points.rows() == output_embedding.rows() &&
+          my_base_.knn.points.cols() == output_embedding.cols()) {
+        moved_y = changed_rows(output_embedding, my_base_.knn.points);
+        delta_y = moved_y.size() * 2 < output_embedding.rows();
+      }
+    }
+
+    if (report.input_embedding.empty()) {
+      report.manifold_x =
+          input_graph != nullptr ? *input_graph : graphs::Graph();
+    } else if (delta_x) {
+      report.manifold_x =
+          build_manifold_delta(mx_base_, report.input_embedding, moved_x,
+                               cfg.manifold, &cache_, &out.stats.knn_x);
+    } else {
+      report.manifold_x =
+          build_manifold(report.input_embedding, cfg.manifold, &cache_);
+    }
+    if (delta_y) {
+      report.manifold_y = build_manifold_delta(my_base_, output_embedding,
+                                               moved_y, cfg.manifold, &cache_,
+                                               &out.stats.knn_y);
+    } else {
+      report.manifold_y =
+          build_manifold(output_embedding, cfg.manifold, &cache_);
+    }
+    report.timings.manifold_seconds = span.seconds();
+    report.timings.manifold_busy_seconds = span.busy_seconds();
   }
-  if (delta_y) {
-    report.manifold_y = build_manifold_delta(my_base_, output_embedding,
-                                             moved_y, cfg.manifold, &cache_,
-                                             &out.stats.knn_y);
-  } else {
-    report.manifold_y = build_manifold(output_embedding, cfg.manifold, &cache_);
-  }
-  report.timings.manifold_seconds = timer.elapsed_seconds();
-  timer.reset();
 
   // Phase 3 — accelerated in fast mode by three levers that each keep the
   // cold deterministic start: the spanning-tree preconditioner for the
@@ -579,9 +590,13 @@ void SweepEngine::finish_variant(SweepVariantResult& out,
   if (fast && !hier0_.empty() &&
       report.manifold_x.fingerprint().nodes == hier_key_.nodes)
     so.hierarchy_reuse = &hier0_;
-  StabilityResult stab =
-      stability_scores(report.manifold_x, report.manifold_y, so, &cache_);
-  report.timings.stability_seconds = timer.elapsed_seconds();
+  StabilityResult stab;
+  {
+    const obs::TraceSpan span("phase.stability", "pipeline");
+    stab = stability_scores(report.manifold_x, report.manifold_y, so, &cache_);
+    report.timings.stability_seconds = span.seconds();
+    report.timings.stability_busy_seconds = span.busy_seconds();
+  }
   out.stats.subspace_sweeps = stab.subspace_sweeps;
   report.node_scores = std::move(stab.node_scores);
   report.edge_scores = std::move(stab.edge_scores);

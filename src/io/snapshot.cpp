@@ -125,6 +125,9 @@ class ByteReader {
   }
 
   void raw(void* out, std::size_t n) {
+    // An empty array (a net with no sinks) has a null data(), which
+    // memcpy must not see even for zero bytes.
+    if (n == 0) return;
     if (n > data_.size() - pos_) truncated(std::to_string(n) + " bytes");
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;

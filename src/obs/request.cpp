@@ -7,7 +7,6 @@
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace cirstag::obs {
 
@@ -20,8 +19,6 @@ std::uint64_t next_trace_id() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
 }
-
-thread_local RequestRef t_request_ref;
 
 }  // namespace
 
@@ -188,50 +185,6 @@ std::string RequestContext::access_log_line() const {
   out += std::to_string(spans().size());
   out += '}';
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Thread binding + TraceSpan hook
-
-RequestRef current_request_ref() { return t_request_ref; }
-
-ScopedRequestBinding::ScopedRequestBinding(RequestRef ref) {
-  if (ref.ctx == nullptr) return;
-  previous_ = t_request_ref;
-  t_request_ref = ref;
-  installed_ = true;
-}
-
-ScopedRequestBinding::ScopedRequestBinding(RequestContext* ctx,
-                                           std::uint32_t parent)
-    : ScopedRequestBinding(RequestRef{ctx, parent}) {}
-
-ScopedRequestBinding::~ScopedRequestBinding() {
-  if (installed_) {
-    t_request_ref = previous_;
-  }
-}
-
-std::uint32_t request_span_begin(const char* name) {
-  RequestRef& ref = t_request_ref;
-  if (ref.ctx == nullptr) return kNoRequestSpan;
-  const std::uint32_t idx =
-      ref.ctx->open_span(name, process_now_us(), ref.parent);
-  if (idx != RequestContext::kNoParent) {
-    ref.parent = idx;  // nested TraceSpans become children (RAII restores)
-    return idx;
-  }
-  return kNoRequestSpan;
-}
-
-void request_span_end(std::uint32_t token) {
-  if (token == kNoRequestSpan) return;
-  RequestRef& ref = t_request_ref;
-  if (ref.ctx == nullptr) return;
-  ref.ctx->close_span(token, process_now_us());
-  // Restore the parent to this span's parent. Spans are strictly nested per
-  // thread (RAII), so the token is always the current parent here.
-  ref.parent = ref.ctx->span_parent(token);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@ namespace cirstag::obs {
 /// two sources:
 ///   - explicit segments the scheduler opens/closes around queueing, batch
 ///     compute, and response rendering (open_span/close_span), and
-///   - every TraceSpan that fires on a thread *bound* to this request
-///     (ScopedRequestBinding below) — so the solver's internal spans nest
-///     under the request's "compute" node with zero changes to solver code.
+///   - every TraceSpan whose chain is rooted in this request (the request
+///     root TraceSpan(ctx, node) in obs/trace.hpp) — so the solver's
+///     internal spans, including those opened by pool workers, nest under
+///     the request's "compute" node with zero changes to solver code.
 ///
 /// Thread safety: span allocation is mutex-guarded (span writes happen once
-/// per TraceSpan, nowhere near inner loops); the per-thread *parent* pointer
-/// lives in the binding's TLS slot, so sibling threads attributing into the
+/// per TraceSpan, nowhere near inner loops); each TraceSpan keeps its own
+/// node index for its children, so sibling threads attributing into the
 /// same context never race on nesting state. The tree is bounded at
 /// kMaxSpans — beyond that spans are counted but not stored, so a
 /// pathological request cannot grow memory without bound.
@@ -112,34 +113,6 @@ class RequestContext {
   mutable std::mutex mutex_;  // guards spans_/spans_dropped_/render_us_
   std::vector<SpanNode> spans_;
   std::uint64_t spans_dropped_ = 0;
-};
-
-/// The calling thread's current request attribution: which context (if any)
-/// new spans should land in, and which node is the current parent.
-struct RequestRef {
-  RequestContext* ctx = nullptr;
-  std::uint32_t parent = RequestContext::kNoParent;
-};
-
-/// The calling thread's binding (ctx == nullptr when unbound).
-[[nodiscard]] RequestRef current_request_ref();
-
-/// RAII: bind the calling thread to a request (nullptr ctx = no-op) for the
-/// scope's duration, restoring the previous binding on exit. ThreadPool
-/// workers install the submitting thread's ref around each job, exactly like
-/// the span-stack prefix, so solver spans from pooled tasks attribute to the
-/// request that launched them.
-class ScopedRequestBinding {
- public:
-  explicit ScopedRequestBinding(RequestRef ref);
-  ScopedRequestBinding(RequestContext* ctx, std::uint32_t parent);
-  ~ScopedRequestBinding();
-  ScopedRequestBinding(const ScopedRequestBinding&) = delete;
-  ScopedRequestBinding& operator=(const ScopedRequestBinding&) = delete;
-
- private:
-  RequestRef previous_;
-  bool installed_ = false;
 };
 
 /// RAII: a "render" span on `ctx` (nullptr = inert) covering response

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
+#include "obs/request.hpp"
 
 namespace cirstag::obs {
 
@@ -24,125 +26,130 @@ constexpr std::size_t kTlsSlots = 4;
 thread_local std::array<TlsEntry, kTlsSlots> t_buffer_cache{};
 thread_local std::size_t t_buffer_rr = 0;
 
+thread_local TraceSpan* t_current_span = nullptr;
+
+std::uint64_t to_ns(double us) {
+  return us > 0.0 ? static_cast<std::uint64_t>(std::llround(us * 1e3)) : 0;
+}
+
+bool write_text(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Span stacks
+// TraceSpan
 
-namespace {
-
-std::atomic<bool> g_span_stacks_enabled{false};
-
-/// Registry of every thread's stack. Stacks are never destroyed (threads
-/// come and go but the process-lifetime vector keeps them valid for the
-/// profiler), mirroring the leaked global registries elsewhere in obs.
-struct SpanStackRegistry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<SpanStack>> stacks;
-};
-
-SpanStackRegistry& span_stack_registry() {
-  static SpanStackRegistry* reg = new SpanStackRegistry();
-  return *reg;
-}
-
-thread_local SpanStack* t_span_stack = nullptr;
-
-}  // namespace
-
-void set_span_stacks_enabled(bool on) {
-  g_span_stacks_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool span_stacks_enabled() {
-  return g_span_stacks_enabled.load(std::memory_order_relaxed);
-}
-
-SpanStack& current_span_stack() {
-  if (t_span_stack != nullptr) return *t_span_stack;
-  SpanStackRegistry& reg = span_stack_registry();
-  std::lock_guard lock(reg.mutex);
-  reg.stacks.push_back(std::make_unique<SpanStack>());
-  t_span_stack = reg.stacks.back().get();
-  t_span_stack->tid = Tracer::current_tid();
-  return *t_span_stack;
-}
-
-void span_stack_push(const char* name) {
-  SpanStack& st = current_span_stack();
-  const std::uint32_t d = st.depth.load(std::memory_order_relaxed);
-  if (d < SpanStack::kMaxDepth)
-    st.frames[d].store(name, std::memory_order_relaxed);
-  // The release on depth publishes the frame store above to the sampler.
-  st.depth.store(d + 1, std::memory_order_release);
-}
-
-void span_stack_pop() {
-  SpanStack& st = current_span_stack();
-  const std::uint32_t d = st.depth.load(std::memory_order_relaxed);
-  if (d > 0) st.depth.store(d - 1, std::memory_order_release);
-}
-
-void set_current_thread_parked(bool parked) {
-  current_span_stack().parked.store(parked, std::memory_order_relaxed);
-}
-
-std::vector<const char*> current_span_path() {
-  std::vector<const char*> path;
-  if (t_span_stack == nullptr) return path;
-  const SpanStack& st = *t_span_stack;
-  const std::uint32_t d = std::min<std::uint32_t>(
-      st.depth.load(std::memory_order_relaxed), SpanStack::kMaxDepth);
-  path.reserve(d);
-  for (std::uint32_t i = 0; i < d; ++i)
-    path.push_back(st.frames[i].load(std::memory_order_relaxed));
-  return path;
-}
-
-std::vector<SpanStackSample> sample_span_stacks() {
-  SpanStackRegistry& reg = span_stack_registry();
-  std::lock_guard lock(reg.mutex);
-  std::vector<SpanStackSample> samples;
-  samples.reserve(reg.stacks.size());
-  for (const auto& stack : reg.stacks) {
-    if (stack->parked.load(std::memory_order_relaxed)) continue;
-    SpanStackSample s;
-    s.tid = stack->tid;
-    const std::uint32_t before = stack->depth.load(std::memory_order_acquire);
-    const std::uint32_t copy =
-        std::min<std::uint32_t>(before, SpanStack::kMaxDepth);
-    s.truncated = before > SpanStack::kMaxDepth;
-    s.frames.reserve(copy);
-    for (std::uint32_t i = 0; i < copy; ++i)
-      s.frames.push_back(stack->frames[i].load(std::memory_order_relaxed));
-    // A depth change across the copy means the stack moved under us; the
-    // frame pointers themselves are atomic (never torn), but the *path* may
-    // mix two moments — mark the sample so the profiler can discard it.
-    const std::uint32_t after = stack->depth.load(std::memory_order_acquire);
-    s.torn = after != before;
-    for (const char* f : s.frames)
-      if (f == nullptr) s.torn = true;  // frame raced the depth publication
-    samples.push_back(std::move(s));
-  }
-  return samples;
-}
-
-SpanStackPrefix::SpanStackPrefix(const std::vector<const char*>& names) {
-  if (!span_stacks_enabled()) return;
-  for (const char* name : names) {
-    span_stack_push(name);
-    ++pushed_;
+TraceSpan::TraceSpan(Tracer& tracer, const char* name, const char* category)
+    : tracer_(&tracer),
+      name_(name),
+      category_(category),
+      parent_(t_current_span),
+      start_us_(process_now_us()) {
+  t_current_span = this;
+  if (parent_ == nullptr || parent_->request_ == nullptr) return;
+  request_ = parent_->request_;
+  request_node_ = parent_->request_node_;
+  // A full tree drops the node; children then attach to this span's parent.
+  const std::uint32_t node =
+      request_->open_span(name, start_us_, request_node_);
+  if (node != RequestContext::kNoParent) {
+    request_node_ = node;
+    owns_request_node_ = true;
   }
 }
 
-SpanStackPrefix::~SpanStackPrefix() {
-  for (std::size_t i = 0; i < pushed_; ++i) span_stack_pop();
+TraceSpan::TraceSpan(RequestContext* request, std::uint32_t node)
+    : tracer_(&Tracer::global()),
+      name_(nullptr),
+      category_(nullptr),
+      parent_(t_current_span),
+      start_us_(process_now_us()) {
+  t_current_span = this;
+  if (request != nullptr) {
+    request_ = request;
+    request_node_ = node;
+  } else if (parent_ != nullptr) {
+    request_ = parent_->request_;
+    request_node_ = parent_->request_node_;
+  }
 }
+
+TraceSpan::~TraceSpan() {
+  t_current_span = parent_;
+  const double end_us = process_now_us();
+  const double dur_us = end_us - start_us_;
+  if (owns_request_node_) request_->close_span(request_node_, end_us);
+  if (parent_ != nullptr) {
+    const std::uint64_t busy_ns = busy_ns_.load(std::memory_order_relaxed);
+    if (busy_ns != 0)
+      parent_->busy_ns_.fetch_add(busy_ns, std::memory_order_relaxed);
+    parent_->child_ns_.fetch_add(to_ns(dur_us), std::memory_order_relaxed);
+  }
+  if (name_ == nullptr) return;
+  if (tracer_->profiling()) {
+    // Self thread-time: this span's own wall time plus its jobs' task time
+    // on worker lanes, minus what its children (on any lane) covered.
+    const auto other_ns = other_lane_ns_.load(std::memory_order_relaxed);
+    const auto child_ns = child_ns_.load(std::memory_order_relaxed);
+    const double self_us =
+        dur_us + (static_cast<double>(other_ns) -
+                  static_cast<double>(child_ns)) * 1e-3;
+    tracer_->fold(path(), std::max(self_us, 0.0));
+  }
+  if (tracer_->enabled())
+    tracer_->record({name_, category_, start_us_, dur_us,
+                     Tracer::current_tid()});
+}
+
+double TraceSpan::seconds() const {
+  return (process_now_us() - start_us_) * 1e-6;
+}
+
+double TraceSpan::busy_seconds() const {
+  return static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) * 1e-9;
+}
+
+double TraceSpan::child_seconds() const {
+  return static_cast<double>(child_ns_.load(std::memory_order_relaxed)) * 1e-9;
+}
+
+void TraceSpan::credit(std::uint64_t ns, bool other_lane) {
+  busy_ns_.fetch_add(ns, std::memory_order_relaxed);
+  if (other_lane) other_lane_ns_.fetch_add(ns, std::memory_order_relaxed);
+}
+
+TraceSpan* TraceSpan::current() { return t_current_span; }
+
+TraceSpan* TraceSpan::adopt(TraceSpan* span) {
+  TraceSpan* const previous = t_current_span;
+  t_current_span = span;
+  return previous;
+}
+
+std::string TraceSpan::path() const {
+  std::vector<const char*> names;
+  for (const TraceSpan* s = this; s != nullptr; s = s->parent_)
+    if (s->name_ != nullptr) names.push_back(s->name_);
+  std::string out;
+  for (auto it = names.rbegin(); it != names.rend(); ++it) {
+    if (!out.empty()) out += ';';
+    out += *it;
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Tracer
 
 Tracer::Tracer() : tracer_id_(next_tracer_id()) {
   // Pin the shared epoch no later than the first tracer, so early spans
   // never see a negative timestamp.
-  process_epoch();
+  static_cast<void>(process_epoch());
 }
 
 Tracer::~Tracer() = default;
@@ -185,6 +192,12 @@ void Tracer::record(Event event) {
   buf.events.push_back(std::move(event));
 }
 
+void Tracer::fold(const std::string& path, double self_us) {
+  Buffer& buf = buffer();
+  std::lock_guard lock(buf.mutex);
+  buf.folded[path] += self_us;
+}
+
 std::vector<Tracer::Event> Tracer::events() const {
   std::vector<Event> all;
   {
@@ -200,11 +213,22 @@ std::vector<Tracer::Event> Tracer::events() const {
   return all;
 }
 
+std::map<std::string, double> Tracer::folded() const {
+  std::map<std::string, double> all;
+  std::lock_guard lock(mutex_);
+  for (const auto& buf : buffers_) {
+    std::lock_guard buf_lock(buf->mutex);
+    for (const auto& [path, us] : buf->folded) all[path] += us;
+  }
+  return all;
+}
+
 void Tracer::clear() {
   std::lock_guard lock(mutex_);
   for (const auto& buf : buffers_) {
     std::lock_guard buf_lock(buf->mutex);
     buf->events.clear();
+    buf->folded.clear();
   }
 }
 
@@ -231,11 +255,22 @@ std::string Tracer::to_chrome_json() const {
 }
 
 bool Tracer::write_chrome_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_chrome_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return write_text(path, to_chrome_json());
+}
+
+std::string Tracer::to_folded() const {
+  std::string out;
+  for (const auto& [path, us] : folded()) {
+    out += path;
+    out += ' ';
+    out += std::to_string(std::llround(us));
+    out += '\n';
+  }
+  return out;
+}
+
+bool Tracer::write_folded(const std::string& path) const {
+  return write_text(path, to_folded());
 }
 
 }  // namespace cirstag::obs

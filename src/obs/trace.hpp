@@ -1,8 +1,6 @@
 #pragma once
 
-#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -13,90 +11,22 @@
 
 namespace cirstag::obs {
 
-// ---------------------------------------------------------------------------
-// Span stacks — the sampling profiler's view of what each thread is doing.
-//
-// Every thread that opens a TraceSpan while span stacks are enabled keeps a
-// fixed-depth stack of the currently active span names (string literals).
-// Pushes/pops are single-writer relaxed-ish atomics on thread-local storage,
-// so the cost per span is two stores; the profiler thread reads the stacks
-// of all registered threads without stopping them (sample_span_stacks),
-// using the depth counter read before and after the frame copy to discard
-// torn samples.
+class RequestContext;
 
-/// Per-thread stack of active span names. The owning thread writes, the
-/// profiler thread reads; `depth` counts every push (including those beyond
-/// kMaxDepth, whose frames are dropped) so pops always rebalance.
-struct SpanStack {
-  static constexpr std::size_t kMaxDepth = 48;
-  std::array<std::atomic<const char*>, kMaxDepth> frames{};
-  std::atomic<std::uint32_t> depth{0};
-  /// Thread is parked (pool worker waiting for a job) — the sampler skips
-  /// it entirely, so idle workers don't dilute the attribution fraction.
-  std::atomic<bool> parked{false};
-  std::uint32_t tid = 0;  ///< Tracer::current_tid() of the owning thread
-};
-
-/// Arm/disarm span-stack maintenance process-wide. Independent of tracer
-/// enablement: the profiler needs stacks without paying for event records.
-void set_span_stacks_enabled(bool on);
-[[nodiscard]] bool span_stacks_enabled();
-
-/// The calling thread's span stack (registered on first use, lives for the
-/// process). Push/pop helpers are what TraceSpan and the thread pool's
-/// span-prefix propagation use.
-[[nodiscard]] SpanStack& current_span_stack();
-void span_stack_push(const char* name);
-void span_stack_pop();
-
-/// Mark the calling thread parked/unparked (ThreadPool workers call this
-/// around their wait-for-work block). Parked threads are invisible to
-/// sample_span_stacks: a worker blocked on the pool's condition variable is
-/// not spending wall time, and counting it as "(idle)" would make the
-/// profiler's attribution fraction meaningless on wide machines.
-void set_current_thread_parked(bool parked);
-
-/// Names currently on the calling thread's stack, outermost first
-/// (truncated at SpanStack::kMaxDepth). Used by ThreadPool::run to capture
-/// the submitting thread's context for its workers.
-[[nodiscard]] std::vector<const char*> current_span_path();
-
-/// One profiler observation of one thread's stack.
-struct SpanStackSample {
-  std::uint32_t tid = 0;
-  std::vector<const char*> frames;  ///< outermost first; empty = idle
-  bool torn = false;      ///< stack changed mid-read; frames unreliable
-  bool truncated = false; ///< depth exceeded kMaxDepth
-};
-
-/// Snapshot every registered thread's span stack (profiler thread only).
-[[nodiscard]] std::vector<SpanStackSample> sample_span_stacks();
-
-/// RAII: push a sequence of span names (a parent thread's span path) onto
-/// the calling thread's stack, so a pool worker's samples attribute to the
-/// phase that launched its tasks. Pops exactly what it pushed.
-class SpanStackPrefix {
- public:
-  explicit SpanStackPrefix(const std::vector<const char*>& names);
-  ~SpanStackPrefix();
-  SpanStackPrefix(const SpanStackPrefix&) = delete;
-  SpanStackPrefix& operator=(const SpanStackPrefix&) = delete;
-
- private:
-  std::size_t pushed_ = 0;
-};
-
-/// Collector of nested begin/end trace spans, serializable to the Chrome
-/// "Trace Event Format" (load the JSON in chrome://tracing or Perfetto).
+/// Sink of closing TraceSpans: a Chrome "Trace Event Format" event list
+/// (load the JSON in chrome://tracing or Perfetto) and an exact folded
+/// profile of self thread-time per span path. Each sink is armed
+/// separately and both are OFF by default; a span checks them when it
+/// closes.
 ///
-/// Spans are recorded into per-thread buffers (one short uncontended mutex
-/// acquisition per completed span), so instrumenting code that runs inside
-/// `parallel_for` bodies is safe and cheap. Tracing is OFF by default: an
-/// inactive `TraceSpan` costs one relaxed atomic load and stores nothing.
+/// Records go to per-thread buffers (one short uncontended mutex hold per
+/// recorded span), so spans opened inside `parallel_for` bodies are safe and
+/// cheap.
 ///
-/// Span names follow the same `subsystem.noun` scheme as metrics; the five
-/// pipeline phases are `phase.embedding`, `phase.manifold_x`,
-/// `phase.manifold_y`, `phase.dmd`, and `phase.scores` (DESIGN.md §8).
+/// Span names follow the same `subsystem.noun` scheme as metrics; the Fig. 5
+/// phases are `phase.embedding`, `phase.manifold` and `phase.stability`,
+/// with the sub-phases `phase.manifold_x`, `phase.manifold_y`, `phase.dmd`
+/// and `phase.scores` (DESIGN.md §8).
 class Tracer {
  public:
   struct Event {
@@ -116,18 +46,31 @@ class Tracer {
   /// Never destroyed, for the same reason as MetricsRegistry::global().
   [[nodiscard]] static Tracer& global();
 
+  /// Arm the Chrome-trace sink.
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
   }
+  /// Arm the folded-profile sink.
+  void set_profiling(bool on) {
+    profiling_.store(on, std::memory_order_relaxed);
+  }
+  [[nodiscard]] bool profiling() const {
+    return profiling_.load(std::memory_order_relaxed);
+  }
 
   /// Append a completed span (called by ~TraceSpan).
   void record(Event event);
+  /// Add `self_us` of thread-time to `path` (called by ~TraceSpan).
+  void fold(const std::string& path, double self_us);
 
   /// All recorded events, merged across threads and sorted by start time.
   [[nodiscard]] std::vector<Event> events() const;
+  /// Self thread-time in microseconds per "outer;inner;leaf" path, merged
+  /// across threads.
+  [[nodiscard]] std::map<std::string, double> folded() const;
 
-  /// Discard all recorded events.
+  /// Discard all recorded events and the folded profile.
   void clear();
 
   /// Serialize to Trace Event Format: {"traceEvents":[...]} with "ph":"X"
@@ -135,6 +78,11 @@ class Tracer {
   [[nodiscard]] std::string to_chrome_json() const;
   /// Write to_chrome_json() to `path`; returns false on I/O failure.
   bool write_chrome_json(const std::string& path) const;
+  /// Folded-stack text, one "path microseconds" line per path in path
+  /// order: the input of flamegraph.pl, inferno and speedscope.
+  [[nodiscard]] std::string to_folded() const;
+  /// Write to_folded() to `path`; returns false on I/O failure.
+  bool write_folded(const std::string& path) const;
 
   /// Microseconds since the shared process epoch (obs/clock.hpp) — the same
   /// time base as log "ts" fields and request span trees, so trace events
@@ -148,6 +96,7 @@ class Tracer {
   struct Buffer {
     std::mutex mutex;
     std::vector<Event> events;
+    std::map<std::string, double> folded;
   };
 
   [[nodiscard]] Buffer& buffer();
@@ -155,62 +104,73 @@ class Tracer {
 
   const std::uint64_t tracer_id_;  ///< process-unique, for the TLS cache
   std::atomic<bool> enabled_{false};
+  std::atomic<bool> profiling_{false};
 
   mutable std::mutex mutex_;  // guards the buffer list
   std::vector<std::unique_ptr<Buffer>> buffers_;
   std::map<std::thread::id, Buffer*> buffer_by_thread_;
 };
 
-// -- request-attribution hook (implemented in request.cpp) ------------------
-// When the calling thread is bound to a RequestContext (ScopedRequestBinding
-// in obs/request.hpp), every TraceSpan also lands as a node in that
-// request's span tree. Cost when unbound: one TLS load + null compare.
-inline constexpr std::uint32_t kNoRequestSpan = 0xffffffffu;
-/// Open a node in the bound request's span tree; kNoRequestSpan if unbound
-/// or the tree is full.
-[[nodiscard]] std::uint32_t request_span_begin(const char* name);
-void request_span_end(std::uint32_t token);
-
-/// RAII scope: records one complete trace event covering its lifetime, and
-/// (when span stacks are armed for the sampling profiler) maintains the
-/// calling thread's span stack. When the thread is bound to a request
-/// (ScopedRequestBinding), the span additionally lands in that request's
-/// span tree. `name` and `category` must outlive the span (string literals
-/// in practice). Inactive (and free of side effects) when tracing, span
-/// stacks, and request binding are all off at construction time.
+/// The one timing record. An RAII scope that reads its start time, links to
+/// the calling thread's innermost open span as its parent, and becomes the
+/// innermost span itself until it closes. Every span exposes its wall time
+/// (`seconds()`) and the busy time of the pool tasks run under it
+/// (`busy_seconds()`): ThreadPool hands each job the submitter's innermost
+/// span, workers adopt it as their parent while draining, and each lane
+/// credits its task time to it. A closing span rolls its busy time up to its
+/// parent and feeds whichever sinks are armed — the tracer's Chrome events
+/// and folded profile, and the span tree of the RequestContext its chain is
+/// rooted in. `name` and `category` must outlive the span (string literals
+/// in practice).
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "cirstag")
       : TraceSpan(Tracer::global(), name, category) {}
-  TraceSpan(Tracer& tracer, const char* name, const char* category = "cirstag")
-      : tracer_(tracer.enabled() ? &tracer : nullptr),
-        name_(name),
-        category_(category),
-        pushed_(span_stacks_enabled()),
-        req_token_(request_span_begin(name)),
-        start_us_(tracer_ != nullptr ? tracer.now_us() : 0.0) {
-    // pushed_ remembers whether we pushed, so a mid-span toggle of the
-    // global flag never unbalances the stack.
-    if (pushed_) span_stack_push(name);
-  }
-  ~TraceSpan() {
-    if (pushed_) span_stack_pop();
-    request_span_end(req_token_);
-    if (tracer_ == nullptr) return;
-    const double end_us = tracer_->now_us();
-    tracer_->record({name_, category_, start_us_, end_us - start_us_,
-                     Tracer::current_tid()});
-  }
+  TraceSpan(Tracer& tracer, const char* name, const char* category = "cirstag");
+  /// Root the calling thread's span chain in `request`'s tree under node
+  /// `node`: every span opened beneath this one, on this thread or on pool
+  /// workers running its jobs, lands in that tree. The root itself is
+  /// nameless and records nothing. A null `request` keeps the enclosing
+  /// chain's request.
+  TraceSpan(RequestContext* request, std::uint32_t node);
+  ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// Wall seconds since the span opened.
+  [[nodiscard]] double seconds() const;
+  /// Pool-task seconds credited to this span or to its closed descendants,
+  /// summed over lanes: busy/wall is the span's effective parallelism.
+  [[nodiscard]] double busy_seconds() const;
+  /// Wall seconds of this span's closed direct children.
+  [[nodiscard]] double child_seconds() const;
+
+  /// Credit `ns` of pool-task time run under this span (ThreadPool only);
+  /// `other_lane` marks time run by a worker thread rather than the span's
+  /// own thread.
+  void credit(std::uint64_t ns, bool other_lane);
+
+  /// The calling thread's innermost open span (nullptr when none).
+  [[nodiscard]] static TraceSpan* current();
+  /// Make `span` the calling thread's innermost span and return the one it
+  /// replaces. ThreadPool workers adopt the submitter's span while draining
+  /// its job, so spans opened by tasks link under it.
+  static TraceSpan* adopt(TraceSpan* span);
+
  private:
-  Tracer* tracer_;  // nullptr when tracing was disabled at construction
-  const char* name_;
+  [[nodiscard]] std::string path() const;
+
+  Tracer* tracer_;
+  const char* name_;  ///< nullptr for a request root
   const char* category_;
-  bool pushed_;
-  std::uint32_t req_token_;
+  TraceSpan* parent_;
+  RequestContext* request_ = nullptr;
+  std::uint32_t request_node_ = 0;
+  bool owns_request_node_ = false;
   double start_us_;
+  std::atomic<std::uint64_t> busy_ns_{0};
+  std::atomic<std::uint64_t> other_lane_ns_{0};
+  std::atomic<std::uint64_t> child_ns_{0};
 };
 
 }  // namespace cirstag::obs

@@ -13,18 +13,8 @@ namespace cirstag::runtime {
 namespace {
 
 thread_local bool t_in_parallel_region = false;
-// Per-thread, not process-wide: with the serve daemon several threads
-// orchestrate pipelines concurrently, and a shared slot lets thread A's
-// run() capture a TaskTimer living on thread B's stack — a dangling
-// pointer once B's frame unwinds. Scope save/restore needs no atomics
-// when the slot is thread-local.
-thread_local TaskTimer* t_active_timer = nullptr;
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 std::uint64_t ns_since(Clock::time_point t0) {
   return static_cast<std::uint64_t>(
@@ -33,7 +23,7 @@ std::uint64_t ns_since(Clock::time_point t0) {
 }
 
 /// Pool-wide counters; worker time spent parked waiting for work vs.
-/// executing tasks. Reads clocks already taken for TaskTimer where possible.
+/// executing tasks.
 const obs::Counter& pool_idle_ns() {
   static const obs::Counter c("runtime.pool.idle_ns");
   return c;
@@ -44,14 +34,6 @@ const obs::Counter& pool_busy_ns() {
 }
 
 }  // namespace
-
-ScopedTaskTimer::ScopedTaskTimer(TaskTimer& timer) : previous_(t_active_timer) {
-  t_active_timer = &timer;
-}
-
-ScopedTaskTimer::~ScopedTaskTimer() { t_active_timer = previous_; }
-
-TaskTimer* active_task_timer() { return t_active_timer; }
 
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("CIRSTAG_THREADS")) {
@@ -86,12 +68,7 @@ void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     const auto idle_start = Clock::now();
-    // Parked workers are invisible to the sampling profiler: waiting for a
-    // job is not wall time spent, and sampling it as "(idle)" would cap the
-    // attribution fraction at 1/num_threads on an idle pool.
-    obs::set_current_thread_parked(true);
     cv_work_.wait(lock, [&] { return stop_ || generation_ != seen; });
-    obs::set_current_thread_parked(false);
     pool_idle_ns().add(ns_since(idle_start));
     if (stop_) return;
     seen = generation_;
@@ -99,23 +76,18 @@ void ThreadPool::worker_loop() {
     if (job == nullptr) continue;  // job already finished; stay parked
     ++attached_;
     lock.unlock();
-    drain(*job, /*install_prefix=*/true);
+    drain(*job, /*worker=*/true);
     lock.lock();
     if (--attached_ == 0) cv_done_.notify_all();
   }
 }
 
-void ThreadPool::drain(Job& job, bool install_prefix) {
-  static const std::vector<const char*> kNoPrefix;
-  const obs::SpanStackPrefix prefix(install_prefix ? job.span_prefix
-                                                   : kNoPrefix);
-  // Mirror of the span-prefix handoff for request attribution: the
-  // submitting thread's own binding is already installed, only workers
-  // adopt it. A default (nullptr) ref makes this a no-op.
-  const obs::ScopedRequestBinding binding(
-      install_prefix ? job.request_ref : obs::RequestRef{});
+void ThreadPool::drain(Job& job, bool worker) {
+  // The submitting thread already has job.span innermost; workers adopt it.
+  obs::TraceSpan* const outer =
+      worker ? obs::TraceSpan::adopt(job.span) : nullptr;
   t_in_parallel_region = true;
-  double busy = 0.0;
+  std::uint64_t busy_ns = 0;
   std::size_t executed = 0;
   for (;;) {
     const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
@@ -129,7 +101,7 @@ void ThreadPool::drain(Job& job, bool install_prefix) {
         if (!job.error) job.error = std::current_exception();
         job.cancel.store(true, std::memory_order_relaxed);
       }
-      busy += seconds_since(t0);
+      busy_ns += ns_since(t0);
       ++executed;
     }
     if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
@@ -139,46 +111,44 @@ void ThreadPool::drain(Job& job, bool install_prefix) {
     }
   }
   t_in_parallel_region = false;
-  if (job.timer != nullptr && executed > 0) job.timer->add(busy, executed);
+  if (worker) obs::TraceSpan::adopt(outer);
   if (executed > 0) {
+    if (job.span != nullptr) job.span->credit(busy_ns, worker);
     static const obs::Counter claimed("runtime.pool.tasks");
     claimed.add(executed);
-    pool_busy_ns().add(static_cast<std::uint64_t>(busy * 1e9));
+    pool_busy_ns().add(busy_ns);
   }
 }
 
 void ThreadPool::run_serial(std::size_t num_tasks,
-                            const std::function<void(std::size_t)>& task,
-                            TaskTimer* timer) {
-  const bool outer = !t_in_parallel_region;
-  if (!outer) timer = nullptr;  // nested time is already inside the outer task
-  t_in_parallel_region = true;
-  double busy = 0.0;
-  try {
-    for (std::size_t i = 0; i < num_tasks; ++i) {
-      const auto t0 = Clock::now();
-      task(i);
-      busy += seconds_since(t0);
-    }
-  } catch (...) {
-    if (outer) t_in_parallel_region = false;
-    if (timer != nullptr) timer->add(busy, num_tasks);
-    throw;
+                            const std::function<void(std::size_t)>& task) {
+  // A nested region runs inside an outer task whose time is already
+  // credited, so only an outermost region credits the current span.
+  if (t_in_parallel_region) {
+    for (std::size_t i = 0; i < num_tasks; ++i) task(i);
+    return;
   }
-  if (outer) t_in_parallel_region = false;
-  if (timer != nullptr && num_tasks > 0) timer->add(busy, num_tasks);
+  struct Credit {  // also on unwind, like a drained job's failed task
+    obs::TraceSpan* span;
+    Clock::time_point t0;
+    ~Credit() {
+      t_in_parallel_region = false;
+      if (span != nullptr) span->credit(ns_since(t0), /*other_lane=*/false);
+    }
+  } credit{obs::TraceSpan::current(), Clock::now()};
+  t_in_parallel_region = true;
+  for (std::size_t i = 0; i < num_tasks; ++i) task(i);
 }
 
 void ThreadPool::run(std::size_t num_tasks,
                      const std::function<void(std::size_t)>& task) {
   if (num_tasks == 0) return;
-  TaskTimer* timer = active_task_timer();
   if (workers_.empty() || num_tasks == 1 || t_in_parallel_region) {
     static const obs::Counter serial_runs("runtime.pool.serial_runs");
     static const obs::Counter serial_tasks("runtime.pool.serial_tasks");
     serial_runs.add();
     serial_tasks.add(num_tasks);
-    run_serial(num_tasks, task, timer);
+    run_serial(num_tasks, task);
     return;
   }
   static const obs::Counter runs("runtime.pool.runs");
@@ -190,18 +160,15 @@ void ThreadPool::run(std::size_t num_tasks,
   Job job;
   job.task = &task;
   job.num_tasks = num_tasks;
-  job.timer = timer;
-  if (obs::span_stacks_enabled()) job.span_prefix = obs::current_span_path();
-  job.request_ref = obs::current_request_ref();
+  job.span = obs::TraceSpan::current();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job_ = &job;
     ++generation_;
   }
   cv_work_.notify_all();
-  // The calling thread is one of the lanes; its own span stack already
-  // carries the prefix, so only workers install it.
-  drain(job, /*install_prefix=*/false);
+  // The calling thread is one of the lanes.
+  drain(job, /*worker=*/false);
 
   std::unique_lock<std::mutex> lock(mutex_);
   cv_done_.wait(lock, [&] {

@@ -9,56 +9,11 @@
 #include <thread>
 #include <vector>
 
-#include "obs/request.hpp"
+namespace cirstag::obs {
+class TraceSpan;
+}
 
 namespace cirstag::runtime {
-
-/// Accumulates the busy time of parallel tasks (sum over all workers), so a
-/// phase can report busy/wall ≈ effective parallel speedup (Fig. 5 series).
-/// All methods are thread-safe.
-class TaskTimer {
- public:
-  void add(double seconds, std::size_t tasks) {
-    busy_ns_.fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
-                       std::memory_order_relaxed);
-    tasks_.fetch_add(tasks, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double busy_seconds() const {
-    return static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) * 1e-9;
-  }
-  [[nodiscard]] std::size_t tasks() const {
-    return tasks_.load(std::memory_order_relaxed);
-  }
-  void reset() {
-    busy_ns_.store(0, std::memory_order_relaxed);
-    tasks_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> busy_ns_{0};
-  std::atomic<std::uint64_t> tasks_{0};
-};
-
-/// Installs `timer` as this thread's active task timer for the scope;
-/// every ThreadPool::run submitted from this thread while it is installed
-/// accounts its tasks' busy time into it. The slot is thread-local on
-/// purpose: orchestration threads (CLI pipeline, serve scheduler lanes)
-/// run concurrently, and each must attribute only its own parallel
-/// regions — a shared slot would let one thread capture a timer living on
-/// another thread's stack.
-class ScopedTaskTimer {
- public:
-  explicit ScopedTaskTimer(TaskTimer& timer);
-  ~ScopedTaskTimer();
-  ScopedTaskTimer(const ScopedTaskTimer&) = delete;
-  ScopedTaskTimer& operator=(const ScopedTaskTimer&) = delete;
-
- private:
-  TaskTimer* previous_;
-};
-
-/// The calling thread's currently installed TaskTimer (nullptr when none).
-[[nodiscard]] TaskTimer* active_task_timer();
 
 /// Fixed-size thread pool (no work stealing): `num_threads` total execution
 /// lanes, of which one is the calling thread — a pool of width 1 spawns no
@@ -72,6 +27,11 @@ class ScopedTaskTimer {
 ///
 /// The first exception thrown by any task is captured, remaining unclaimed
 /// tasks are cancelled, and the exception is rethrown on the calling thread.
+///
+/// Task time is credited to the submitting thread's innermost open
+/// obs::TraceSpan (nothing is credited when none is open): each lane sums
+/// its task time and credits it once per job, and workers adopt that span
+/// while draining, so spans opened by tasks link under it.
 ///
 /// Nested run() calls issued from inside a task execute serially inline on
 /// the claiming thread (no deadlock, no oversubscription). Concurrent run()
@@ -100,17 +60,8 @@ class ThreadPool {
   struct Job {
     const std::function<void(std::size_t)>* task = nullptr;
     std::size_t num_tasks = 0;
-    TaskTimer* timer = nullptr;
-    /// Submitting thread's span path (profiler attribution): workers push
-    /// these names while draining, so their samples fold under the phase
-    /// that launched the parallel region. Empty when span stacks are off.
-    std::vector<const char*> span_prefix;
-    /// Submitting thread's request binding (request attribution): workers
-    /// install it while draining, so solver spans from pooled tasks land in
-    /// the request's span tree. ctx == nullptr when the submitter is
-    /// unbound — the common (non-serving) case, where this costs one TLS
-    /// read at submit and nothing per task.
-    obs::RequestRef request_ref;
+    /// Submitting thread's innermost open span (nullptr when none).
+    obs::TraceSpan* span = nullptr;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::atomic<bool> cancel{false};
@@ -118,12 +69,10 @@ class ThreadPool {
   };
 
   void worker_loop();
-  /// `install_prefix` is true only on the worker path — the submitting
-  /// thread's own stack already holds job.span_prefix.
-  void drain(Job& job, bool install_prefix);
+  /// `worker` is true on spawned workers, false on the submitting thread.
+  void drain(Job& job, bool worker);
   void run_serial(std::size_t num_tasks,
-                  const std::function<void(std::size_t)>& task,
-                  TaskTimer* timer);
+                  const std::function<void(std::size_t)>& task);
 
   std::vector<std::thread> workers_;
   std::mutex run_mutex_;  // serializes external run() calls

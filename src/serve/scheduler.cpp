@@ -7,6 +7,7 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request.hpp"
+#include "obs/trace.hpp"
 #include "obs/window.hpp"
 
 namespace cirstag::serve {
@@ -187,11 +188,11 @@ void Scheduler::dispatch(std::unique_lock<std::mutex>& lock) {
 
   if (!live.empty()) {
     // Each live member gets a "compute" span covering the (possibly shared)
-    // execution. The batch leader's context is bound to this thread with the
-    // leader's compute node as parent, so TraceSpans inside the solver nest
-    // under it — including from pool workers, via the Job handoff in
-    // runtime/thread_pool. compute_us excludes whatever the executor
-    // attributed to rendering (RenderScope per batch member).
+    // execution. A request root span roots this thread's span chain in the
+    // batch leader's context under its compute node, so TraceSpans inside
+    // the solver nest under it — including from pool workers, via the Job
+    // handoff in runtime/thread_pool. compute_us excludes whatever the
+    // executor attributed to rendering (RenderScope per batch member).
     const double exec_start_us = obs::process_now_us();
     std::vector<std::uint32_t> compute_spans(live.size(),
                                              obs::RequestContext::kNoParent);
@@ -216,8 +217,8 @@ void Scheduler::dispatch(std::unique_lock<std::mutex>& lock) {
         batch_size.observe(static_cast<double>(live.size()));
         std::vector<JobResponse> responses;
         {
-          const obs::ScopedRequestBinding binding(live.front()->trace.get(),
-                                                  compute_spans.front());
+          const obs::TraceSpan root(live.front()->trace.get(),
+                                    compute_spans.front());
           responses = live.front()->run_batch(live);
         }
         for (std::size_t i = 0; i < live.size(); ++i) {
@@ -231,8 +232,8 @@ void Scheduler::dispatch(std::unique_lock<std::mutex>& lock) {
       } else {
         JobResponse response;
         {
-          const obs::ScopedRequestBinding binding(live.front()->trace.get(),
-                                                  compute_spans.front());
+          const obs::TraceSpan root(live.front()->trace.get(),
+                                    compute_spans.front());
           response = live.front()->run();
         }
         close_compute(0);

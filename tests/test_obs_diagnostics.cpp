@@ -1,8 +1,8 @@
 // Second-generation diagnostics layer: histogram quantiles, registry
 // saturation behaviour, the structured logger, the numerical-health monitor
 // (including forced CG non-convergence surfacing on CirStagReport::health),
-// FNV-1a checksums + the run-provenance manifest, the sampling profiler
-// (including concurrent nested span stacks under the pool), the fast-mode
+// FNV-1a checksums + the run-provenance manifest, the folded profile derived
+// from span records (including spans opened in pool tasks), the fast-mode
 // drift audit, and the end-to-end guarantee that every sink armed at once
 // still leaves pipeline scores byte-identical at any thread count.
 
@@ -11,7 +11,6 @@
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/request.hpp"
 #include "obs/trace.hpp"
 
@@ -21,6 +20,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -331,76 +331,88 @@ TEST(ObsManifest, PhaseChecksumsAreThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Sampling profiler
+// Folded profile: self thread-time per span path, from the span records
 
-TEST(ObsProfiler, AttributesSamplesToNestedSpans) {
-  obs::SamplingProfiler profiler;
-  profiler.start(1000.0);
+TEST(ObsProfiler, NestedSpansFoldToTheirPathAndSumToTheOuterDuration) {
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  tracer.set_profiling(true);
   {
-    const obs::TraceSpan outer("obs_diag.outer", "test");
-    const obs::TraceSpan inner("obs_diag.inner", "test");
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    const obs::TraceSpan outer(tracer, "obs_diag.outer", "test");
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const obs::TraceSpan inner(tracer, "obs_diag.inner", "test");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  profiler.stop();
+  const std::map<std::string, double> folded = tracer.folded();
+  ASSERT_EQ(folded.size(), 2u);
+  ASSERT_TRUE(folded.count("obs_diag.outer"));
+  ASSERT_TRUE(folded.count("obs_diag.outer;obs_diag.inner"));
+  EXPECT_GE(folded.at("obs_diag.outer"), 5000.0);
+  EXPECT_GE(folded.at("obs_diag.outer;obs_diag.inner"), 20000.0);
 
-  const obs::ProfileSnapshot snap = profiler.snapshot();
-  EXPECT_GE(snap.total_samples, 1u);
-  EXPECT_GE(snap.attributed_samples, 1u);
-  EXPECT_GT(snap.attribution_fraction(), 0.0);
-  EXPECT_GT(snap.duration_seconds, 0.0);
-  ASSERT_FALSE(snap.folded.empty());
-  EXPECT_TRUE(snap.folded.count("obs_diag.outer;obs_diag.inner"))
-      << snap.to_folded();
-  EXPECT_GE(snap.self_samples.at("obs_diag.inner"), 1u);
+  // Folded text: one "path microseconds" line per path, whose counts sum to
+  // the outer span's duration to within a microsecond of rounding per line.
+  double outer_us = 0.0;
+  for (const auto& e : tracer.events())
+    if (e.name == "obs_diag.outer") outer_us = e.dur_us;
+  std::istringstream text(tracer.to_folded());
+  std::string path;
+  long long count = 0;
+  long long sum = 0;
+  std::size_t lines = 0;
+  while (text >> path >> count) {
+    sum += count;
+    ++lines;
+  }
+  EXPECT_EQ(lines, 2u);
+  EXPECT_NEAR(static_cast<double>(sum), outer_us, static_cast<double>(lines));
 
-  // Folded text: one "path count" line per stack, flamegraph-ready.
-  const std::string folded = snap.to_folded();
-  EXPECT_NE(folded.find("obs_diag.outer;obs_diag.inner "), std::string::npos);
-  EXPECT_TRUE(JsonChecker(snap.to_json()).valid()) << snap.to_json();
-  // Sampling stopped: spans opened now must not change the snapshot.
-  { const obs::TraceSpan late("obs_diag.late", "test"); }
-  EXPECT_EQ(profiler.snapshot().total_samples, snap.total_samples);
+  // Profiling stopped: spans closed now must not change the profile.
+  tracer.set_profiling(false);
+  { const obs::TraceSpan late(tracer, "obs_diag.late", "test"); }
+  EXPECT_EQ(tracer.folded(), folded);
 }
 
-TEST(ObsProfiler, ConcurrentNestedSpansUnderPoolAreSampledSafely) {
+TEST(ObsProfiler, SpansInPoolTasksFoldUnderTheSubmittingSpan) {
   runtime::set_global_threads(4);
-  obs::SamplingProfiler profiler;
-  profiler.start(4000.0);
+  obs::Tracer tracer;
+  tracer.set_profiling(true);
   for (int round = 0; round < 4; ++round) {
-    const obs::TraceSpan submit("obs_diag.submit", "test");
+    const obs::TraceSpan submit(tracer, "obs_diag.submit", "test");
     runtime::parallel_for(0, 256, 1, [&](std::size_t i) {
-      const obs::TraceSpan task("obs_diag.task", "test");
-      const obs::TraceSpan leaf(i % 2 ? "obs_diag.odd" : "obs_diag.even",
-                                "test");
+      const obs::TraceSpan task(tracer, "obs_diag.task", "test");
+      const obs::TraceSpan leaf(
+          tracer, i % 2 ? "obs_diag.odd" : "obs_diag.even", "test");
       volatile double acc = 0.0;
       for (int k = 0; k < 20000; ++k) acc = acc + std::sqrt(double(k));
     });
   }
-  profiler.stop();
   runtime::set_global_threads(0);
 
-  const obs::ProfileSnapshot snap = profiler.snapshot();
-  EXPECT_GE(snap.total_samples, 1u);
-  // Worker stacks inherit the submitting thread's prefix, so any sample that
-  // landed in a task leaf must carry the full path.
-  for (const auto& [path, count] : snap.folded) {
-    if (path.find("obs_diag.task") != std::string::npos)
-      EXPECT_EQ(path.find("obs_diag.submit;obs_diag.task"), 0u) << path;
-    EXPECT_GE(count, 1u);
+  // Whichever lane ran a task, its spans link under the submitting span.
+  const std::map<std::string, double> folded = tracer.folded();
+  EXPECT_TRUE(folded.count("obs_diag.submit;obs_diag.task;obs_diag.odd"));
+  EXPECT_TRUE(folded.count("obs_diag.submit;obs_diag.task;obs_diag.even"));
+  for (const auto& [path, us] : folded) {
+    EXPECT_EQ(path.rfind("obs_diag.submit", 0), 0u) << path;
+    EXPECT_GE(us, 0.0) << path;
   }
 }
 
-TEST(ObsProfiler, StartStopAreIdempotentAndRestoreSpanStacks) {
-  ASSERT_FALSE(obs::span_stacks_enabled());
-  obs::SamplingProfiler profiler;
-  profiler.start(100.0);
-  EXPECT_TRUE(profiler.running());
-  EXPECT_TRUE(obs::span_stacks_enabled());
-  profiler.start(100.0);  // no-op
-  profiler.stop();
-  EXPECT_FALSE(profiler.running());
-  EXPECT_FALSE(obs::span_stacks_enabled());
-  profiler.stop();  // no-op
+TEST(ObsProfiler, ProfileAndChromeSinksAreArmedIndependently) {
+  obs::Tracer tracer;
+  { const obs::TraceSpan span(tracer, "obs_diag.off", "test"); }
+  EXPECT_TRUE(tracer.folded().empty());
+  EXPECT_TRUE(tracer.events().empty());
+
+  tracer.set_profiling(true);
+  { const obs::TraceSpan span(tracer, "obs_diag.profiled", "test"); }
+  EXPECT_EQ(tracer.folded().size(), 1u);
+  EXPECT_TRUE(tracer.events().empty());
+
+  tracer.clear();
+  EXPECT_TRUE(tracer.folded().empty());
+  EXPECT_TRUE(tracer.to_folded().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -456,7 +468,7 @@ TEST(ObsSweepAudit, AuditPopulatesDriftAndRecordsHealthEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end identity: every sink armed at once (profiler at 200 Hz, health
+// End-to-end identity: every sink armed at once (folded profile, health
 // monitors, tracer, metrics, JSON log mirror, request tracing with the
 // access-log and slow-exemplar sinks capturing) must leave scores byte-
 // identical to a fully uninstrumented run, at 1 and N threads.
@@ -479,11 +491,10 @@ core::CirStagReport run_fully_instrumented(std::size_t threads) {
   EXPECT_TRUE(rlog.set_exemplar_path(slow_path));
   rlog.set_slow_threshold_us(0.0);  // every request is "slow": exemplar fires
 
-  obs::SamplingProfiler profiler;
-  profiler.start(200.0);
+  obs::Tracer::global().set_profiling(true);
   core::CirStagReport report;
   {
-    // Bind the run to a request context exactly like the serve scheduler
+    // Root the run in a request context exactly like the serve scheduler
     // does, so every pipeline TraceSpan lands in the request's span tree
     // while the scores are computed.
     obs::RequestContext ctx("analyze");
@@ -491,14 +502,13 @@ core::CirStagReport run_fully_instrumented(std::size_t threads) {
         ctx.open_span("compute", obs::process_now_us(),
                       obs::RequestContext::kNoParent);
     {
-      const obs::ScopedRequestBinding bind(&ctx, compute);
+      const obs::TraceSpan root(&ctx, compute);
       report = run_diag_pipeline(cfg);
     }
     ctx.close_span(compute, obs::process_now_us());
     ctx.finish(200);
     rlog.record(ctx);
   }
-  profiler.stop();
   EXPECT_GE(rlog.access_lines_written(), 1u);
   EXPECT_GE(rlog.exemplars_captured(), 1u);
 
@@ -507,6 +517,7 @@ core::CirStagReport run_fully_instrumented(std::size_t threads) {
   std::remove(slow_path.c_str());
   EXPECT_TRUE(obs::Logger::global().set_json_path(""));
   obs::Tracer::global().set_enabled(false);
+  obs::Tracer::global().set_profiling(false);
   obs::Tracer::global().clear();
   std::remove(log_path.c_str());
   return report;

@@ -1,10 +1,10 @@
 // Request-scoped tracing + rolling-window telemetry tests (suite prefixes
 // "Obs*" — the TSan CI job filters on them): the shared process clock, the
 // windowed histogram/counter ring (driven with synthetic `_at` clocks so
-// decay is asserted exactly), the RequestContext span tree and its TLS
-// binding handoff across the ThreadPool, the access-log / slow-exemplar
-// sink, and scrape-during-traffic coherence of the sharded MetricsRegistry
-// snapshot.
+// decay is asserted exactly), the RequestContext span tree and the handoff
+// of a request-rooted span chain across the ThreadPool, the access-log /
+// slow-exemplar sink, and scrape-during-traffic coherence of the sharded
+// MetricsRegistry snapshot.
 
 #include <gtest/gtest.h>
 
@@ -260,7 +260,7 @@ TEST(ObsRequest, TraceSpansOnABoundThreadJoinTheRequestTree) {
       ctx.open_span("compute", obs::process_now_us(),
                     RequestContext::kNoParent);
   {
-    const obs::ScopedRequestBinding binding(&ctx, compute);
+    const obs::TraceSpan root(&ctx, compute);
     obs::Tracer tracer;  // disabled tracer: request attribution is
     {                    // independent of the Chrome-trace sink being armed
       const obs::TraceSpan outer(tracer, "phase.outer");
@@ -284,12 +284,13 @@ TEST(ObsRequest, TraceSpansOnABoundThreadJoinTheRequestTree) {
 TEST(ObsRequest, UnboundThreadsRecordNothing) {
   obs::Tracer tracer;
   { const obs::TraceSpan span(tracer, "unattributed"); }
-  // No crash, no context to check — the TLS ref must simply stay null.
-  EXPECT_EQ(obs::current_request_ref().ctx, nullptr);
+  // No crash, no context to check — the thread must hold no span chain
+  // (and so no request) once the span closes.
+  EXPECT_EQ(obs::TraceSpan::current(), nullptr);
 }
 
 // ===========================================================================
-// ObsRequestThreadPool — binding handoff across pooled tasks
+// ObsRequestThreadPool — request-rooted span chains across pooled tasks
 // ===========================================================================
 
 TEST(ObsRequestThreadPool, PooledTasksAttributeToTheSubmittersRequest) {
@@ -300,7 +301,7 @@ TEST(ObsRequestThreadPool, PooledTasksAttributeToTheSubmittersRequest) {
   runtime::ThreadPool pool(4);
   obs::Tracer tracer;
   {
-    const obs::ScopedRequestBinding binding(&ctx, compute);
+    const obs::TraceSpan root(&ctx, compute);
     pool.run(8, [&](std::size_t) {
       const obs::TraceSpan span(tracer, "task.kernel");
     });
@@ -315,10 +316,11 @@ TEST(ObsRequestThreadPool, PooledTasksAttributeToTheSubmittersRequest) {
     EXPECT_EQ(span.parent, compute);
   }
   EXPECT_EQ(kernel_spans, 8u);
-  // The workers' bindings were scoped to the drain: nothing leaks.
+  // The workers' adopted request chain was scoped to the drain: nothing
+  // leaks into a later job.
   std::atomic<int> leaked{0};
   pool.run(8, [&](std::size_t) {
-    if (obs::current_request_ref().ctx != nullptr) leaked.fetch_add(1);
+    if (obs::TraceSpan::current() != nullptr) leaked.fetch_add(1);
   });
   EXPECT_EQ(leaked.load(), 0);
 }

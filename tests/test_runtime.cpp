@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -136,25 +140,91 @@ TEST(Runtime, NestedParallelRegionsRunInlineWithoutDeadlock) {
   EXPECT_FALSE(runtime::ThreadPool::in_parallel_region());
 }
 
-TEST(Runtime, TaskTimerAccumulatesBusyTime) {
-  runtime::TaskTimer timer;
-  runtime::ThreadPool pool(2);
-  {
-    const runtime::ScopedTaskTimer scope(timer);
-    runtime::parallel_for(pool, 0, 256, 16, [](std::size_t) {
-      volatile double x = 0.0;
-      for (int k = 0; k < 2000; ++k) x = x + 1.0;
-    });
+/// Busy-waits `us` microseconds of wall time.
+void spin_us(double us) {
+  const auto end = std::chrono::steady_clock::now() +
+                   std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       std::chrono::duration<double, std::micro>(us));
+  while (std::chrono::steady_clock::now() < end) {
   }
-  EXPECT_GT(timer.busy_seconds(), 0.0);
-  EXPECT_EQ(timer.tasks(), 256u / 16u);
-  // Outside the scope no further accounting happens.
-  const double before = timer.busy_seconds();
-  runtime::parallel_for(pool, 0, 64, 16, [](std::size_t) {});
-  EXPECT_EQ(timer.busy_seconds(), before);
-  timer.reset();
-  EXPECT_EQ(timer.tasks(), 0u);
-  EXPECT_EQ(timer.busy_seconds(), 0.0);
+}
+
+TEST(Runtime, SpansCreditPoolBusyTime) {
+  runtime::ThreadPool pool(4);
+
+  // A parallel_for under a span credits that span; a closing span rolls its
+  // busy time up to its parent.
+  {
+    const obs::TraceSpan outer("runtime_test.outer", "test");
+    double inner_busy = 0.0;
+    {
+      const obs::TraceSpan inner("runtime_test.inner", "test");
+      runtime::parallel_for(pool, 0, 8, 1, [](std::size_t) { spin_us(500); });
+      inner_busy = inner.busy_seconds();
+      EXPECT_GE(inner_busy, 8 * 500e-6 * 0.99);
+      EXPECT_EQ(outer.busy_seconds(), 0.0);
+    }
+    EXPECT_EQ(outer.busy_seconds(), inner_busy);
+  }
+
+  // Nested inline parallel regions add no extra credit: the span's busy
+  // time is the outer tasks' time, not that plus the inner regions'.
+  {
+    std::atomic<std::uint64_t> task_ns{0};
+    const obs::TraceSpan span("runtime_test.nested", "test");
+    runtime::parallel_for(pool, 0, 8, 1, [&](std::size_t) {
+      const auto t0 = std::chrono::steady_clock::now();
+      runtime::parallel_for(pool, 0, 4, 1, [](std::size_t) { spin_us(500); });
+      task_ns.fetch_add(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
+    });
+    const double tasks_s = static_cast<double>(task_ns.load()) * 1e-9;
+    EXPECT_GE(span.busy_seconds(), tasks_s);
+    EXPECT_LT(span.busy_seconds(), 1.5 * tasks_s);
+  }
+
+  // Nothing is credited outside any span: workers hold no span afterwards,
+  // and a span opened later starts at zero.
+  ASSERT_EQ(obs::TraceSpan::current(), nullptr);
+  std::atomic<int> adopted{0};
+  runtime::parallel_for(pool, 0, 16, 1, [&](std::size_t) {
+    spin_us(100);
+    if (obs::TraceSpan::current() != nullptr) adopted.fetch_add(1);
+  });
+  EXPECT_EQ(adopted.load(), 0);
+  {
+    const obs::TraceSpan later("runtime_test.later", "test");
+    EXPECT_EQ(later.busy_seconds(), 0.0);
+  }
+
+  // Two orchestration threads sharing the global pool each credit only their
+  // own span: every task sees its submitter's span, and the thread whose
+  // tasks are empty is not credited with the other's spinning.
+  runtime::set_global_threads(4);
+  std::atomic<int> crossed{0};
+  double busy_spin = 0.0, busy_empty = 0.0;
+  const auto orchestrate = [&](const char* name, double task_us,
+                               double& busy) {
+    const obs::TraceSpan span(name, "test");
+    for (int round = 0; round < 20; ++round)
+      runtime::parallel_for(0, 8, 1, [&](std::size_t) {
+        if (obs::TraceSpan::current() != &span) crossed.fetch_add(1);
+        spin_us(task_us);
+      });
+    busy = span.busy_seconds();
+  };
+  std::thread spin(
+      [&] { orchestrate("runtime_test.spin", 500.0, busy_spin); });
+  std::thread empty(
+      [&] { orchestrate("runtime_test.empty", 0.0, busy_empty); });
+  spin.join();
+  empty.join();
+  runtime::set_global_threads(0);
+  EXPECT_EQ(crossed.load(), 0);
+  EXPECT_GE(busy_spin, 20 * 8 * 500e-6 * 0.99);
+  EXPECT_LT(busy_empty, busy_spin / 2);
 }
 
 TEST(Runtime, SingleLanePoolAndEmptyRangesWork) {

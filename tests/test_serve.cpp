@@ -828,7 +828,7 @@ TEST(ServeEndpoints, EveryRequestGetsAFinishedTrace) {
   EXPECT_TRUE(saw_queue);
   EXPECT_TRUE(saw_compute);
   EXPECT_TRUE(saw_render);
-  // The solver's TraceSpans fired on the bound worker thread, so at least
+  // The solver's TraceSpans fired under the request-rooted chain, so at least
   // one span nests under the scheduler's "compute" segment.
   EXPECT_TRUE(saw_nested) << scheduled.trace->span_tree_json();
 }

@@ -189,6 +189,8 @@ TEST_F(SweepEngineTest, ExactModeMatchesNaiveAnalyzeLoop) {
                                  .analyze(circuit::pin_graph(nl_), f0,
                                           model_->embed(f0));
   expect_same_report(engine.baseline(), base, "baseline");
+  // The baseline's phase spans credit the pool work run under them.
+  EXPECT_GT(engine.baseline().timings.total_busy(), 0.0);
 
   const auto results = engine.run(variants);
   ASSERT_EQ(results.size(), variants.size());

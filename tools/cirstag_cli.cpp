@@ -46,11 +46,9 @@
 #include "obs/health.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "obs/timer.hpp"
 #include "kernels/kernels.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/request.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
@@ -129,12 +127,11 @@ constexpr const char* kUsage =
     "                       Perfetto); instrumentation never changes results\n"
     "  --metrics-json PATH  write the aggregated metrics registry (counters,\n"
     "                       gauges, histograms with p50/p95/p99) as JSON on\n"
-    "                       exit, with the run's health report and profiler\n"
+    "                       exit, with the run's health report and profile\n"
     "                       summary embedded when those are armed\n"
-    "  --profile-folded P   run the in-process sampling profiler for the\n"
-    "                       whole command and write folded stacks to P\n"
+    "  --profile-folded P   write the exact self thread-time (microseconds)\n"
+    "                       of every span path to P as folded stacks\n"
     "                       (flamegraph.pl / inferno / speedscope input)\n"
-    "  --profile-hz HZ      sampling frequency of --profile-folded (200)\n"
     "  --manifest-json P    write a run-provenance manifest (git describe,\n"
     "                       build flags, resolved config, seeds, per-phase\n"
     "                       FNV-1a checksums) to P\n"
@@ -174,9 +171,9 @@ constexpr const char* kUsage =
 
 /// Options every command reads through apply_global_flags.
 constexpr std::string_view kGlobalOptions[] = {
-    "threads",    "simd",          "log-level",    "log-json",
-    "health",     "trace-json",    "metrics-json", "profile-folded",
-    "profile-hz", "manifest-json"};
+    "threads",      "simd",           "log-level",    "log-json",
+    "health",       "trace-json",     "metrics-json", "profile-folded",
+    "manifest-json"};
 
 /// "--key value" option map for everything after the positional args.
 /// `accepted` lists the command's own keys; any other key that is not a
@@ -261,6 +258,50 @@ std::string g_profile_path;
 std::string g_manifest_path;
 std::uint64_t g_health_begin = 0;
 
+/// The command's root span (`cli.<command>`) while it is open, and its wall
+/// and child-covered seconds once captured; the "profile" section's
+/// attribution_fraction is their ratio.
+const obs::TraceSpan* g_root = nullptr;
+double g_root_seconds = 0.0;
+double g_root_covered_seconds = 0.0;
+
+void capture_root_span() {
+  if (g_root == nullptr) return;
+  g_root_seconds = g_root->seconds();
+  g_root_covered_seconds = g_root->child_seconds();
+}
+
+double root_attribution() {
+  return g_root_seconds > 0.0
+             ? std::clamp(g_root_covered_seconds / g_root_seconds, 0.0, 1.0)
+             : 0.0;
+}
+
+/// The "profile" section of --metrics-json: the root span's wall time, the
+/// share of it covered by child spans, and self thread-time per leaf span.
+std::string profile_json() {
+  std::map<std::string, double> self_us;
+  for (const auto& [path, us] : obs::Tracer::global().folded()) {
+    const std::size_t cut = path.rfind(';');
+    self_us[cut == std::string::npos ? path : path.substr(cut + 1)] += us;
+  }
+  std::string out = "{\"duration_seconds\": ";
+  obs::append_json_number(out, g_root_seconds);
+  out += ", \"attribution_fraction\": ";
+  obs::append_json_number(out, root_attribution());
+  out += ", \"self_us\": {";
+  bool first = true;
+  for (const auto& [name, us] : self_us) {
+    out += first ? "\n  " : ",\n  ";
+    first = false;
+    out += obs::json_quote(name);
+    out += ": ";
+    out += std::to_string(std::llround(us));
+  }
+  out += first ? "}}" : "\n}}";
+  return out;
+}
+
 /// Honors the global flags every command accepts: --threads sizes the pool,
 /// --trace-json / --metrics-json / --profile-folded / --manifest-json arm
 /// the observability sinks, --health gates the numerical-health monitors,
@@ -299,24 +340,17 @@ void apply_global_flags(const std::map<std::string, std::string>& opts) {
   g_profile_path = opt_str(opts, "profile-folded", "");
   g_manifest_path = opt_str(opts, "manifest-json", "");
   if (!g_trace_path.empty()) obs::Tracer::global().set_enabled(true);
-  if (!g_profile_path.empty())
-    obs::SamplingProfiler::global().start(opt_double(opts, "profile-hz", 200.0));
+  if (!g_profile_path.empty()) obs::Tracer::global().set_profiling(true);
 }
 
 /// Flush the observability sinks (no-ops when the flags were absent).
 void write_observability_outputs() {
-  auto& profiler = obs::SamplingProfiler::global();
-  if (profiler.running()) {
-    profiler.stop();
-    profiler.export_metrics();
-  }
+  capture_root_span();
   if (!g_profile_path.empty()) {
-    const auto snap = profiler.snapshot();
-    if (profiler.write_folded(g_profile_path)) {
-      std::printf("profile written to %s (%llu samples, %.0f%% attributed)\n",
-                  g_profile_path.c_str(),
-                  static_cast<unsigned long long>(snap.total_samples),
-                  100.0 * snap.attribution_fraction());
+    if (obs::Tracer::global().write_folded(g_profile_path)) {
+      std::printf("profile written to %s (%.0f%% of %.2fs in child spans)\n",
+                  g_profile_path.c_str(), 100.0 * root_attribution(),
+                  g_root_seconds);
     } else {
       obs::logf_error("cli", "cannot write profile to %s",
                       g_profile_path.c_str());
@@ -345,7 +379,7 @@ void write_observability_outputs() {
     if (obs::HealthMonitor::global().enabled())
       extra.emplace_back("health", health.to_json());
     if (!g_profile_path.empty())
-      extra.emplace_back("profile", profiler.snapshot().to_json());
+      extra.emplace_back("profile", profile_json());
     if (obs::MetricsRegistry::global().write_json(g_metrics_path, extra)) {
       std::printf("metrics written to %s\n", g_metrics_path.c_str());
     } else {
@@ -673,11 +707,10 @@ int cmd_analyze(int argc, char** argv) {
 
   std::printf("running CirSTAG...\n");
   const core::CirStag analyzer(cfg);
-  const obs::WallTimer analyze_timer;
   const auto report =
       analyzer.analyze(pin_graph(nl), model.base_features(),
                        model.embed(model.base_features()));
-  const double analyze_ms = analyze_timer.elapsed_seconds() * 1e3;
+  const double analyze_ms = report.timings.total() * 1e3;
   std::printf("  DMD spectrum head: %.4g %.4g %.4g\n", report.eigenvalues[0],
               report.eigenvalues[1], report.eigenvalues[2]);
   std::printf("  timings: embed %.2fs manifold %.2fs stability %.2fs "
@@ -942,6 +975,23 @@ int cmd_corners(int argc, char** argv) {
   return 0;
 }
 
+struct Command {
+  std::string_view name;
+  const char* span;  ///< root span the whole command runs under
+  int (*run)(int, char**);
+};
+
+constexpr Command kCommands[] = {
+    {"generate", "cli.generate", cmd_generate},
+    {"sta", "cli.sta", cmd_sta},
+    {"analyze", "cli.analyze", cmd_analyze},
+    {"sweep", "cli.sweep", cmd_sweep},
+    {"snapshot", "cli.snapshot", cmd_snapshot},
+    {"montecarlo", "cli.montecarlo", cmd_montecarlo},
+    {"corners", "cli.corners", cmd_corners},
+    {"serve", "cli.serve", cmd_serve},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -962,21 +1012,22 @@ int main(int argc, char** argv) {
   }
   install_signal_handlers();
   try {
-    int rc = -1;
-    if (cmd == "generate") rc = cmd_generate(argc, argv);
-    else if (cmd == "sta") rc = cmd_sta(argc, argv);
-    else if (cmd == "analyze") rc = cmd_analyze(argc, argv);
-    else if (cmd == "sweep") rc = cmd_sweep(argc, argv);
-    else if (cmd == "snapshot") rc = cmd_snapshot(argc, argv);
-    else if (cmd == "montecarlo") rc = cmd_montecarlo(argc, argv);
-    else if (cmd == "corners") rc = cmd_corners(argc, argv);
-    else if (cmd == "serve") rc = cmd_serve(argc, argv);
-    if (rc >= 0) {
-      // Flush after the command so the trace/metrics cover the whole run.
+    for (const Command& c : kCommands) {
+      if (cmd != c.name) continue;
+      int rc = 0;
+      {
+        const cirstag::obs::TraceSpan root(c.span, "cli");
+        g_root = &root;
+        rc = c.run(argc, argv);
+        capture_root_span();
+        g_root = nullptr;
+      }
+      // Flush after the root span closes so the outputs cover the whole run.
       write_observability_outputs();
       return rc;
     }
   } catch (const std::exception& e) {
+    g_root = nullptr;
     cirstag::obs::log_error("cli", e.what());
     return 1;
   }
