@@ -70,10 +70,12 @@ struct CirStagReport {
   graphs::Graph manifold_y;
   linalg::Matrix input_embedding;    ///< U_M (empty when reduction disabled)
   PhaseTimings timings;
-  /// Numerical-health events recorded during this analyze() call (NaN/Inf
-  /// sentinels, unconverged solves, Ritz residuals, …). health.ok() means
-  /// nothing above info severity fired. Empty when the global HealthMonitor
-  /// is disabled.
+  /// Numerical-health events (NaN/Inf sentinels, unconverged solves, Ritz
+  /// residuals, …) recorded during the call that produced this report: the
+  /// pipeline run for analyze() and sweep baselines, the whole
+  /// SweepEngine::run() call for a sweep variant. health.ok() means nothing
+  /// above info severity fired. Empty when the global HealthMonitor is
+  /// disabled.
   obs::HealthReport health;
   /// FNV-1a checksums of each phase boundary's produced doubles — the run
   /// manifest's per-phase provenance (equal checksums certify bitwise-equal

@@ -69,28 +69,197 @@ std::vector<std::uint32_t> changed_rows(const linalg::Matrix& a,
   return out;
 }
 
+/// FNV-1a over a graph's defining content (counts, endpoints, weight bits) —
+/// the manifest's phase checksum for graph-valued phase outputs.
+std::uint64_t checksum_graph(const graphs::Graph& g) {
+  std::uint64_t h = obs::kFnv1aOffset;
+  h = obs::fnv1a_u64(h, g.num_nodes());
+  h = obs::fnv1a_u64(h, g.num_edges());
+  for (const graphs::Edge& e : g.edges()) {
+    h = obs::fnv1a_u64(h, e.u);
+    h = obs::fnv1a_u64(h, e.v);
+    h = obs::fnv1a_double(h, e.weight);
+  }
+  return h;
+}
+
+std::uint64_t checksum_matrix(const linalg::Matrix& m) {
+  std::uint64_t h = obs::kFnv1aOffset;
+  h = obs::fnv1a_u64(h, m.rows());
+  h = obs::fnv1a_u64(h, m.cols());
+  return obs::fnv1a_doubles(m.data(), h);
+}
+
+/// NaN/Inf sentinel over a graph's edge weights (no allocation; skipped
+/// entirely when the health monitor is off).
+void check_graph_finite(const char* where, const graphs::Graph& g) {
+  if (!obs::HealthMonitor::global().enabled()) return;
+  std::size_t bad = 0;
+  for (const graphs::Edge& e : g.edges())
+    if (!std::isfinite(e.weight)) ++bad;
+  if (bad == 0) return;
+  obs::record_health_event(
+      "sentinel.nonfinite",
+      std::string(where) + ": " + std::to_string(bad) + " of " +
+          std::to_string(g.num_edges()) + " edge weights non-finite",
+      static_cast<double>(bad), 0.0, obs::HealthSeverity::error);
+}
+
+/// The Phase-1 input embedding: U_M, with the column-standardized node
+/// features appended when there are any and the weight is positive. The
+/// column stats are refit on every call, so each variant is standardized in
+/// its own frame, exactly as a fresh analysis of it would be.
+linalg::Matrix feature_augmented(const linalg::Matrix& u,
+                                 const linalg::Matrix& features,
+                                 double weight) {
+  if (features.empty() || weight <= 0.0) return u;
+  return augment_embedding(
+      u, apply_feature_stats(features, fit_feature_stats(features, weight)));
+}
+
+/// The step every report ends with, baseline or variant: Phase 3 (DMD
+/// spectrum + Eq. 9 scores) under its span, the design mean cached, all
+/// seven phase boundaries checksummed and the NaN/Inf sentinels run over
+/// them. Returns what the report does not keep (eigenbasis, sweep count).
+StabilityResult score_report(CirStagReport& report, const StabilityOptions& so,
+                             graphs::LaplacianSolverCache& cache,
+                             const graphs::Graph& input_graph,
+                             const linalg::Matrix& output_embedding) {
+  StabilityResult stab;
+  {
+    const obs::TraceSpan span("phase.stability", "pipeline");
+    stab = stability_scores(report.manifold_x, report.manifold_y, so, &cache);
+    report.timings.stability_seconds = span.seconds();
+    report.timings.stability_busy_seconds = span.busy_seconds();
+  }
+  report.node_scores = std::move(stab.node_scores);
+  report.edge_scores = std::move(stab.edge_scores);
+  report.eigenvalues = std::move(stab.eigenvalues);
+  report.weighted_subspace = std::move(stab.weighted_subspace);
+  report.node_score_mean = mean_node_score(report.node_scores);
+
+  obs::PhaseChecksums& sums = report.checksums;
+  sums.input_graph = checksum_graph(input_graph);
+  sums.embedding = checksum_matrix(report.input_embedding);
+  sums.manifold_x = checksum_graph(report.manifold_x);
+  sums.manifold_y = checksum_graph(report.manifold_y);
+  sums.eigenvalues = obs::fnv1a_doubles(report.eigenvalues);
+  sums.node_scores = obs::fnv1a_doubles(report.node_scores);
+  sums.edge_scores = obs::fnv1a_doubles(report.edge_scores);
+
+  check_graph_finite("input_graph", input_graph);
+  obs::health_check_finite("output_embedding", output_embedding.data());
+  obs::health_check_finite("phase.embedding", report.input_embedding.data());
+  check_graph_finite("phase.manifold_x", report.manifold_x);
+  check_graph_finite("phase.manifold_y", report.manifold_y);
+  obs::health_check_finite("phase.dmd.eigenvalues", report.eigenvalues);
+  obs::health_check_finite("phase.scores.node_scores", report.node_scores);
+  obs::health_check_finite("phase.scores.edge_scores", report.edge_scores);
+  return stab;
+}
+
 }  // namespace
+
+SweepBaselineState compute_baseline(const graphs::Graph& input_graph,
+                                    const linalg::Matrix& node_features,
+                                    const linalg::Matrix& output_embedding,
+                                    const CirStagConfig& config, bool exact,
+                                    graphs::LaplacianSolverCache& cache) {
+  if (input_graph.num_nodes() != output_embedding.rows())
+    throw std::invalid_argument("CirSTAG: graph nodes != embedding rows");
+  if (input_graph.num_nodes() == 0)
+    throw std::invalid_argument("CirSTAG: empty graph");
+  if (!node_features.empty() &&
+      node_features.rows() != input_graph.num_nodes())
+    throw std::invalid_argument("CirSTAG: graph nodes != feature rows");
+
+  static const obs::Counter analyze_runs("pipeline.analyze_runs");
+  static const obs::Gauge nodes_gauge("pipeline.nodes");
+  analyze_runs.add();
+  nodes_gauge.set(static_cast<double>(input_graph.num_nodes()));
+
+  // Health events recorded from here until the end of the call belong to
+  // this run's report.
+  const std::uint64_t health_begin = obs::HealthMonitor::global().next_index();
+
+  SweepBaselineState state;
+  CirStagReport& report = state.baseline;
+  PhaseTimings& timings = report.timings;
+  timings.threads = runtime::global_pool().num_threads();
+
+  // Each Fig. 5 phase is one span, whose wall and busy time are that
+  // phase's PhaseTimings fields.
+
+  // Phase 1: input spectral embedding (Eq. 4), optionally augmented with
+  // the standardized node features so the input manifold reflects both
+  // structure and feature proximity. The GNN's own embeddings are the
+  // output side; they are already low-dimensional.
+  {
+    const obs::TraceSpan span("phase.embedding", "pipeline");
+    if (config.use_dimension_reduction) {
+      state.u0 = spectral_embedding(input_graph, config.embedding);
+      report.input_embedding =
+          feature_augmented(state.u0, node_features, config.feature_weight);
+    }
+    timings.embedding_seconds = span.seconds();
+    timings.embedding_busy_seconds = span.busy_seconds();
+  }
+
+  // Phase 2: kNN + PGM sparsification on both sides. Without dimension
+  // reduction (empty input embedding) the raw input graph itself serves as
+  // the input manifold (Fig. 4 ablation). Fast mode also keeps the kNN
+  // baselines every variant's delta re-query starts from; the manifolds are
+  // the same bytes.
+  const auto manifold = [&](const char* side, const linalg::Matrix& emb,
+                            ManifoldBaseline& kept) {
+    const obs::TraceSpan span(side, "pipeline");
+    if (emb.empty()) return input_graph;
+    if (exact) return build_manifold(emb, config.manifold, &cache);
+    kept = capture_manifold_baseline(emb, config.manifold, &cache);
+    return kept.manifold;
+  };
+  {
+    const obs::TraceSpan span("phase.manifold", "pipeline");
+    report.manifold_x =
+        manifold("phase.manifold_x", report.input_embedding, state.mx);
+    report.manifold_y = manifold("phase.manifold_y", output_embedding, state.my);
+    static const obs::Gauge mx_edges("pipeline.manifold_x_edges");
+    static const obs::Gauge my_edges("pipeline.manifold_y_edges");
+    mx_edges.set(static_cast<double>(report.manifold_x.num_edges()));
+    my_edges.set(static_cast<double>(report.manifold_y.num_edges()));
+    timings.manifold_seconds = span.seconds();
+    timings.manifold_busy_seconds = span.busy_seconds();
+  }
+
+  // Phase 3: DMD spectrum + stability scores (Algorithm 1, steps 6-11) on
+  // the config's own trajectory in both modes. The multilevel pair
+  // hierarchy is captured (when that path engages) so fast variants can
+  // reuse its prolongation maps instead of re-matching.
+  StabilityOptions so = config.stability;
+  so.hierarchy_capture = &state.hier0;
+  state.raw_subspace0 =
+      score_report(report, so, cache, input_graph, output_embedding)
+          .raw_subspace;
+  if (!state.hier0.empty()) state.hier_key = report.manifold_x.fingerprint();
+
+  report.health = obs::HealthMonitor::global().collect_since(health_begin);
+  return state;
+}
 
 SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
                          SweepOptions opts)
     : opts_(std::move(opts)), netlist_(&netlist), model_(&model) {
-  if (!netlist.finalized())
-    throw std::invalid_argument("SweepEngine: netlist must be finalized");
   if (opts_.config.threads != 0)
     runtime::set_global_threads(opts_.config.threads);
   const obs::TraceSpan span("sweep.baseline", "sweep");
-
-  pin_graph_ = circuit::pin_graph(netlist);
-  features0_ = circuit::pin_features(netlist);
-  snap_ = model.snapshot(features0_);
-  // Incremental STA re-times each Case-A variant's fanout cone (worst
-  // arrival + cone stats).
-  sta_ = std::make_unique<circuit::IncrementalSta>(netlist);
-  baseline_timing_ = sta_->baseline_report();
-
-  build_baseline(pin_graph_, features0_,
-                 snap_.layer_outputs.empty() ? snap_.std_features
-                                             : snap_.layer_outputs.back());
+  static const obs::Counter baselines("sweep.baselines");
+  baselines.add();
+  const linalg::Matrix features = set_up_case_a();
+  adopt(compute_baseline(pin_graph_, features,
+                         snap_.layer_outputs.empty()
+                             ? snap_.std_features
+                             : snap_.layer_outputs.back(),
+                         opts_.config, opts_.exact, cache_));
   stats_.baseline_seconds = span.seconds();
 }
 
@@ -102,70 +271,69 @@ SweepEngine::SweepEngine(const graphs::Graph& input_graph,
   if (opts_.config.threads != 0)
     runtime::set_global_threads(opts_.config.threads);
   const obs::TraceSpan span("sweep.baseline", "sweep");
-  features0_ = node_features;
-  build_baseline(input_graph, node_features, output_embedding);
+  static const obs::Counter baselines("sweep.baselines");
+  baselines.add();
+  adopt(compute_baseline(input_graph, node_features, output_embedding,
+                         opts_.config, opts_.exact, cache_));
   stats_.baseline_seconds = span.seconds();
 }
 
 SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
                          SweepOptions opts, SweepBaselineState state)
     : opts_(std::move(opts)), netlist_(&netlist), model_(&model) {
-  if (!netlist.finalized())
-    throw std::invalid_argument("SweepEngine: netlist must be finalized");
   if (opts_.config.threads != 0)
     runtime::set_global_threads(opts_.config.threads);
   const obs::TraceSpan span("sweep.restore", "sweep");
   static const obs::Counter restores("sweep.baseline_restores");
   restores.add();
-
-  // Cheap derived state — recomputed, not serialized: the pin graph and
-  // feature matrix are pure functions of the netlist, the GNN snapshot is
-  // one forward pass on the already-trained model, and the incremental-STA
-  // baseline is one levelized traversal. None of them touch an eigensolver.
-  pin_graph_ = circuit::pin_graph(netlist);
-  features0_ = circuit::pin_features(netlist);
-  snap_ = model.snapshot(features0_);
-  sta_ = std::make_unique<circuit::IncrementalSta>(netlist);
-  baseline_timing_ = sta_->baseline_report();
+  (void)set_up_case_a();
 
   // Adopt the warm state after shape validation against this netlist/model.
   const std::size_t n = pin_graph_.num_nodes();
-  const CirStagConfig& cfg = opts_.config;
   if (state.baseline.node_scores.size() != n)
     throw std::invalid_argument(
         "SweepEngine: snapshot node scores do not match the netlist (" +
         std::to_string(state.baseline.node_scores.size()) + " vs " +
         std::to_string(n) + " pins)");
-  if (cfg.use_dimension_reduction && state.u0.rows() != n)
+  if (opts_.config.use_dimension_reduction && state.u0.rows() != n)
     throw std::invalid_argument(
         "SweepEngine: snapshot spectral embedding does not match the netlist");
   if (state.baseline.manifold_x.num_nodes() != n ||
       state.baseline.manifold_y.num_nodes() != n)
     throw std::invalid_argument(
         "SweepEngine: snapshot manifolds do not match the netlist");
-  baseline_.timings.threads = runtime::global_pool().num_threads();
-  u0_ = std::move(state.u0);
-  raw_subspace0_ = std::move(state.raw_subspace0);
-  mx_base_ = std::move(state.mx);
-  my_base_ = std::move(state.my);
-  hier0_ = std::move(state.hier0);
-  hier_key_ = state.hier_key;
-  baseline_ = std::move(state.baseline);
-
-  // Pre-seed the solver cache with the variant-phase (L_Y + I/σ²) solver,
-  // reattaching the snapshot's factored spanning-tree preconditioner so the
-  // first variant skips the Kruskal + BFS + LDLᵀ build too. The Laplacian
-  // assembly itself is O(m) and recomputed here.
-  if (!state.variant_tree.empty()) {
-    const graphs::SolverOptions vopts = variant_solver_options();
-    if (state.variant_tree.dimension() == n) {
-      auto solver = std::make_shared<const linalg::LaplacianSolver>(
-          graphs::laplacian(baseline_.manifold_y), vopts.regularization,
-          vopts.cg, std::move(state.variant_tree));
-      cache_.insert(baseline_.manifold_y, vopts, std::move(solver));
-    }
-  }
+  adopt(std::move(state));
   stats_.baseline_seconds = span.seconds();
+}
+
+linalg::Matrix SweepEngine::set_up_case_a() {
+  if (!netlist_->finalized())
+    throw std::invalid_argument("SweepEngine: netlist must be finalized");
+  pin_graph_ = circuit::pin_graph(*netlist_);
+  linalg::Matrix features = circuit::pin_features(*netlist_);
+  snap_ = model_->snapshot(features);
+  // Incremental STA re-times each Case-A variant's fanout cone (worst
+  // arrival + cone stats).
+  sta_ = std::make_unique<circuit::IncrementalSta>(*netlist_);
+  baseline_timing_ = sta_->baseline_report();
+  return features;
+}
+
+void SweepEngine::adopt(SweepBaselineState state) {
+  base_ = std::move(state);
+  // Pre-seed the solver cache with the variant-phase (L_Y + I/σ²) solver,
+  // reattaching a restored snapshot's factored spanning-tree preconditioner
+  // so the first variant skips the Kruskal + BFS + LDLᵀ build too. The
+  // Laplacian assembly itself is O(m) and recomputed here.
+  const graphs::Graph& my = base_.baseline.manifold_y;
+  if (!base_.variant_tree.empty() &&
+      base_.variant_tree.dimension() == my.num_nodes()) {
+    const graphs::SolverOptions vopts = variant_solver_options();
+    auto solver = std::make_shared<const linalg::LaplacianSolver>(
+        graphs::laplacian(my), vopts.regularization, vopts.cg,
+        std::move(base_.variant_tree));
+    cache_.insert(my, vopts, std::move(solver));
+  }
 }
 
 graphs::SolverOptions SweepEngine::variant_solver_options() const {
@@ -187,29 +355,15 @@ SweepBaselineState SweepEngine::export_baseline_state() {
   if (netlist_ == nullptr)
     throw std::logic_error(
         "SweepEngine: snapshot export needs a Case-A engine");
-  SweepBaselineState state;
-  state.baseline = baseline_;
-  state.u0 = u0_;
-  state.raw_subspace0 = raw_subspace0_;
-  state.mx = mx_base_;
-  state.my = my_base_;
-  state.hier0 = hier0_;
-  state.hier_key = hier_key_;
+  SweepBaselineState state = base_;
   state.baseline_seconds = stats_.baseline_seconds;
   // Export the variant-phase solver's tree factorization (builds through
   // the shared cache when no variant has demanded it yet — snapshot-write
   // time, so the one-off cost is fine).
   const graphs::SolverOptions vopts = variant_solver_options();
   if (vopts.preconditioner == graphs::SolverPreconditioner::spanning_tree) {
-    const auto solver = cache_.solver(baseline_.manifold_y, vopts);
-    if (solver->has_tree_preconditioner()) {
-      const linalg::TreeFactorization& t = solver->tree();
-      state.variant_tree = linalg::TreeFactorization::from_state(
-          {t.parent().begin(), t.parent().end()},
-          {t.order().begin(), t.order().end()},
-          {t.multipliers().begin(), t.multipliers().end()},
-          {t.inv_diag().begin(), t.inv_diag().end()});
-    }
+    const auto solver = cache_.solver(base_.baseline.manifold_y, vopts);
+    state.variant_tree = solver->tree();
   }
   return state;
 }
@@ -218,89 +372,6 @@ const circuit::TimingReport& SweepEngine::baseline_timing() const {
   if (netlist_ == nullptr)
     throw std::logic_error("SweepEngine: no netlist (graph-mode engine)");
   return baseline_timing_;
-}
-
-void SweepEngine::build_baseline(const graphs::Graph& input_graph,
-                                 const linalg::Matrix& node_features,
-                                 const linalg::Matrix& output_embedding) {
-  static const obs::Counter baselines("sweep.baselines");
-  baselines.add();
-  const CirStagConfig& cfg = opts_.config;
-  if (input_graph.num_nodes() != output_embedding.rows())
-    throw std::invalid_argument("SweepEngine: graph nodes != embedding rows");
-
-  PhaseTimings& timings = baseline_.timings;
-  timings.threads = runtime::global_pool().num_threads();
-
-  // Phase 1 — same construction as CirStag::analyze.
-  linalg::Matrix x_emb;
-  {
-    const obs::TraceSpan span("phase.embedding", "pipeline");
-    if (cfg.use_dimension_reduction) {
-      u0_ = spectral_embedding(input_graph, cfg.embedding);
-      if (!node_features.empty() && cfg.feature_weight > 0.0) {
-        const linalg::Matrix f0 = apply_feature_stats(
-            node_features,
-            fit_feature_stats(node_features, cfg.feature_weight));
-        x_emb = augment_embedding(u0_, f0);
-      } else {
-        x_emb = u0_;
-      }
-    }
-    baseline_.input_embedding = x_emb;
-    timings.embedding_seconds = span.seconds();
-    timings.embedding_busy_seconds = span.busy_seconds();
-  }
-
-  // Phase 2 — in fast mode capture the kNN baselines every variant's delta
-  // re-query starts from.
-  const bool fast = !opts_.exact;
-  {
-    const obs::TraceSpan span("phase.manifold", "pipeline");
-    if (cfg.use_dimension_reduction) {
-      if (fast) {
-        mx_base_ = capture_manifold_baseline(x_emb, cfg.manifold, &cache_);
-        baseline_.manifold_x = mx_base_.manifold;
-      } else {
-        baseline_.manifold_x = build_manifold(x_emb, cfg.manifold, &cache_);
-      }
-    } else {
-      baseline_.manifold_x = input_graph;
-    }
-    if (fast) {
-      my_base_ =
-          capture_manifold_baseline(output_embedding, cfg.manifold, &cache_);
-      baseline_.manifold_y = my_base_.manifold;
-    } else {
-      baseline_.manifold_y =
-          build_manifold(output_embedding, cfg.manifold, &cache_);
-    }
-    timings.manifold_seconds = span.seconds();
-    timings.manifold_busy_seconds = span.busy_seconds();
-  }
-
-  // Phase 3 — the baseline runs the config's own trajectory
-  // (preconditioner, tolerance, sweep count) so the captured report stays
-  // byte-identical to CirStag::analyze in both modes.
-  StabilityOptions so = cfg.stability;
-  // Capture the multilevel pair hierarchy (when the path engages) so fast
-  // variants can reuse its prolongation maps instead of re-matching.
-  so.hierarchy_capture = &hier0_;
-  StabilityResult stab;
-  {
-    const obs::TraceSpan span("phase.stability", "pipeline");
-    stab = stability_scores(baseline_.manifold_x, baseline_.manifold_y, so,
-                            &cache_);
-    timings.stability_seconds = span.seconds();
-    timings.stability_busy_seconds = span.busy_seconds();
-  }
-  if (!hier0_.empty()) hier_key_ = baseline_.manifold_x.fingerprint();
-  raw_subspace0_ = std::move(stab.raw_subspace);
-  baseline_.node_scores = std::move(stab.node_scores);
-  baseline_.edge_scores = std::move(stab.edge_scores);
-  baseline_.eigenvalues = std::move(stab.eigenvalues);
-  baseline_.weighted_subspace = std::move(stab.weighted_subspace);
-  baseline_.node_score_mean = mean_node_score(baseline_.node_scores);
 }
 
 std::vector<SweepVariantResult> SweepEngine::run(
@@ -314,6 +385,7 @@ std::vector<SweepVariantResult> SweepEngine::run(
   if (opts_.exact) exact_count.add(variants.size());
 
   const std::size_t cache_hits_before = cache_.hits();
+  const std::uint64_t health_begin = obs::HealthMonitor::global().next_index();
 
   std::vector<SweepVariantResult> results(variants.size());
   // One task per variant: inner phases' nested parallel_for calls run
@@ -323,6 +395,10 @@ std::vector<SweepVariantResult> SweepEngine::run(
   runtime::parallel_for(0, variants.size(), 1, [&](std::size_t i) {
     results[i] = run_variant(variants[i], i);
   });
+  // The tasks interleave their events, so every variant reports the call's.
+  const obs::HealthReport health =
+      obs::HealthMonitor::global().collect_since(health_begin);
+  for (SweepVariantResult& r : results) r.report.health = health;
 
   stats_.sweep_seconds = span.seconds();
   stats_.variants = results.size();
@@ -408,25 +484,19 @@ SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v,
 
   // Input side: the pin graph is untouched by capacitance edits, so the
   // baseline spectral embedding is reused verbatim in both modes; only the
-  // feature channel moves. Both modes refit the column stats on the variant
-  // (analyze()'s own behavior). The refit shifts every standardized row, so
-  // the input-side kNN graph is rebuilt in full rather than delta-re-queried.
+  // feature channel moves. The refit of its column stats shifts every
+  // standardized row, so the input-side kNN graph is rebuilt in full rather
+  // than delta-re-queried.
   linalg::Matrix x_emb;
   const CirStagConfig& cfg = opts_.config;
   if (cfg.use_dimension_reduction) {
     out.stats.spectral_reused = true;
-    if (!fv.empty() && cfg.feature_weight > 0.0) {
-      const linalg::Matrix f =
-          apply_feature_stats(fv, fit_feature_stats(fv, cfg.feature_weight));
-      x_emb = augment_embedding(u0_, f);
-    } else {
-      x_emb = u0_;
-    }
+    x_emb = feature_augmented(base_.u0, fv, cfg.feature_weight);
   }
 
-  finish_variant(out, std::move(x_emb), &pin_graph_, inc.embedding);
+  finish_variant(out, std::move(x_emb), pin_graph_, inc.embedding);
   if (!opts_.exact && opts_.audit_drift)
-    audit_variant_drift(out, pin_graph_, &fv, inc.embedding, index);
+    audit_variant_drift(out, pin_graph_, fv, inc.embedding, index);
   return out;
 }
 
@@ -443,45 +513,36 @@ SweepVariantResult SweepEngine::run_case_b(const SweepVariant& v,
     throw std::invalid_argument(
         "SweepEngine: variant graph nodes != embedding rows");
 
-  linalg::Matrix x_emb;
-  if (cfg.use_dimension_reduction) {
-    // The topology changed, so the spectrum is recomputed from the same
-    // deterministic start as analyze(). Feature stats are refit per variant
-    // (analyze()'s behavior) in both modes.
-    const linalg::Matrix u = spectral_embedding(g, cfg.embedding);
-    const linalg::Matrix* feats = v.node_features;
-    if (feats != nullptr && !feats->empty() && cfg.feature_weight > 0.0) {
-      const linalg::Matrix f = apply_feature_stats(
-          *feats, fit_feature_stats(*feats, cfg.feature_weight));
-      x_emb = augment_embedding(u, f);
-    } else {
-      x_emb = u;
-    }
-  }
+  const linalg::Matrix no_features;
+  const linalg::Matrix& feats =
+      v.node_features != nullptr ? *v.node_features : no_features;
 
-  finish_variant(out, std::move(x_emb), &g, *v.output_embedding);
+  // The topology changed, so the spectrum is recomputed from the same
+  // deterministic start as the baseline's.
+  linalg::Matrix x_emb;
+  if (cfg.use_dimension_reduction)
+    x_emb = feature_augmented(spectral_embedding(g, cfg.embedding), feats,
+                              cfg.feature_weight);
+
+  finish_variant(out, std::move(x_emb), g, *v.output_embedding);
   if (!opts_.exact && opts_.audit_drift)
-    audit_variant_drift(out, g, v.node_features, *v.output_embedding, index);
+    audit_variant_drift(out, g, feats, *v.output_embedding, index);
   return out;
 }
 
 void SweepEngine::audit_variant_drift(SweepVariantResult& out,
                                       const graphs::Graph& input_graph,
-                                      const linalg::Matrix* node_features,
+                                      const linalg::Matrix& node_features,
                                       const linalg::Matrix& output_embedding,
                                       std::size_t index) const {
-  // The reference is the naive per-variant loop: a fresh CirStag::analyze
-  // with the sweep's own config. threads is zeroed because the audit runs
-  // inside run()'s parallel region — resizing the global pool from a worker
-  // would tear down the pool mid-flight; the nested analyze simply runs
-  // serially inline like every nested parallel region.
-  CirStagConfig naive_cfg = opts_.config;
-  naive_cfg.threads = 0;
-  const CirStag naive(naive_cfg);
+  // The reference is the naive per-variant loop: CirStag::analyze's exact
+  // pipeline with its own solver cache. Inside run()'s parallel region it
+  // runs serially inline like every nested parallel region.
+  graphs::LaplacianSolverCache naive_cache;
   const CirStagReport ref =
-      node_features != nullptr && !node_features->empty()
-          ? naive.analyze(input_graph, *node_features, output_embedding)
-          : naive.analyze(input_graph, output_embedding);
+      compute_baseline(input_graph, node_features, output_embedding,
+                       opts_.config, /*exact=*/true, naive_cache)
+          .baseline;
 
   const std::vector<double>& fast_scores = out.report.node_scores;
   const std::vector<double>& ref_scores = ref.node_scores;
@@ -512,7 +573,7 @@ void SweepEngine::audit_variant_drift(SweepVariantResult& out,
 
 void SweepEngine::finish_variant(SweepVariantResult& out,
                                  linalg::Matrix input_embedding,
-                                 const graphs::Graph* input_graph,
+                                 const graphs::Graph& input_graph,
                                  const linalg::Matrix& output_embedding) {
   const CirStagConfig& cfg = opts_.config;
   const bool fast = !opts_.exact;
@@ -520,50 +581,31 @@ void SweepEngine::finish_variant(SweepVariantResult& out,
   report.timings.threads = runtime::global_pool().num_threads();
   report.input_embedding = std::move(input_embedding);
 
-  // Phase 2.
+  // Phase 2. Adaptive kNN delta (fast mode): each side re-queries only
+  // around the rows that moved relative to the captured baseline —
+  // worthwhile only when a minority moved, otherwise a full build is both
+  // faster and free of the delta's one-sided-neighbor approximation.
+  // GNN-output perturbations stay inside the perturbed pins' DAG cones, so
+  // on the output side the moved set is those cones, not the whole
+  // embedding. No input embedding: the raw graph is the input manifold.
+  const auto manifold = [&](const linalg::Matrix& emb,
+                            const ManifoldBaseline& base,
+                            graphs::KnnUpdateStats& stats) {
+    if (emb.empty()) return input_graph;
+    const linalg::Matrix& points = base.knn.points;
+    if (fast && points.rows() == emb.rows() && points.cols() == emb.cols()) {
+      const std::vector<std::uint32_t> moved = changed_rows(emb, points);
+      if (moved.size() * 2 < emb.rows())
+        return build_manifold_delta(base, emb, moved, cfg.manifold, &cache_,
+                                    &stats);
+    }
+    return build_manifold(emb, cfg.manifold, &cache_);
+  };
   {
     const obs::TraceSpan span("phase.manifold", "pipeline");
-    // Adaptive kNN delta (fast mode): each side re-queries only around the
-    // rows that moved relative to the captured baseline — worthwhile only
-    // when a minority moved, otherwise a full build is both faster and free
-    // of the delta's one-sided-neighbor approximation. GNN-output
-    // perturbations stay inside the perturbed pins' DAG cones, so on the
-    // output side the moved set is those cones, not the whole embedding.
-    std::vector<std::uint32_t> moved_x, moved_y;
-    bool delta_x = false, delta_y = false;
-    if (fast) {
-      const linalg::Matrix& x = report.input_embedding;
-      if (!x.empty() && mx_base_.knn.points.rows() == x.rows() &&
-          mx_base_.knn.points.cols() == x.cols()) {
-        moved_x = changed_rows(x, mx_base_.knn.points);
-        delta_x = moved_x.size() * 2 < x.rows();
-      }
-      if (my_base_.knn.points.rows() == output_embedding.rows() &&
-          my_base_.knn.points.cols() == output_embedding.cols()) {
-        moved_y = changed_rows(output_embedding, my_base_.knn.points);
-        delta_y = moved_y.size() * 2 < output_embedding.rows();
-      }
-    }
-
-    if (report.input_embedding.empty()) {
-      report.manifold_x =
-          input_graph != nullptr ? *input_graph : graphs::Graph();
-    } else if (delta_x) {
-      report.manifold_x =
-          build_manifold_delta(mx_base_, report.input_embedding, moved_x,
-                               cfg.manifold, &cache_, &out.stats.knn_x);
-    } else {
-      report.manifold_x =
-          build_manifold(report.input_embedding, cfg.manifold, &cache_);
-    }
-    if (delta_y) {
-      report.manifold_y = build_manifold_delta(my_base_, output_embedding,
-                                               moved_y, cfg.manifold, &cache_,
-                                               &out.stats.knn_y);
-    } else {
-      report.manifold_y =
-          build_manifold(output_embedding, cfg.manifold, &cache_);
-    }
+    report.manifold_x =
+        manifold(report.input_embedding, base_.mx, out.stats.knn_x);
+    report.manifold_y = manifold(output_embedding, base_.my, out.stats.knn_y);
     report.timings.manifold_seconds = span.seconds();
     report.timings.manifold_busy_seconds = span.busy_seconds();
   }
@@ -587,22 +629,12 @@ void SweepEngine::finish_variant(SweepVariantResult& out,
   // re-matching every level. Keyed by the capture-time fingerprint's node
   // count; exact mode stays on the fresh-matching path for byte-identity
   // with the naive loop.
-  if (fast && !hier0_.empty() &&
-      report.manifold_x.fingerprint().nodes == hier_key_.nodes)
-    so.hierarchy_reuse = &hier0_;
-  StabilityResult stab;
-  {
-    const obs::TraceSpan span("phase.stability", "pipeline");
-    stab = stability_scores(report.manifold_x, report.manifold_y, so, &cache_);
-    report.timings.stability_seconds = span.seconds();
-    report.timings.stability_busy_seconds = span.busy_seconds();
-  }
-  out.stats.subspace_sweeps = stab.subspace_sweeps;
-  report.node_scores = std::move(stab.node_scores);
-  report.edge_scores = std::move(stab.edge_scores);
-  report.eigenvalues = std::move(stab.eigenvalues);
-  report.weighted_subspace = std::move(stab.weighted_subspace);
-  report.node_score_mean = mean_node_score(report.node_scores);
+  if (fast && !base_.hier0.empty() &&
+      report.manifold_x.fingerprint().nodes == base_.hier_key.nodes)
+    so.hierarchy_reuse = &base_.hier0;
+  out.stats.subspace_sweeps =
+      score_report(report, so, cache_, input_graph, output_embedding)
+          .subspace_sweeps;
 }
 
 std::vector<double> SweepEngine::predict_case_a(

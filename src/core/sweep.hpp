@@ -113,11 +113,13 @@ struct SweepStats {
   std::size_t solver_cache_hits = 0;  ///< cross-variant cache hits in run()
 };
 
-/// The warm baseline state of a Case-A SweepEngine — everything expensive
-/// the constructor computes (spectral embedding, manifolds, Phase-3
-/// eigensolve, coarsening hierarchy, preconditioner factorization), exported
-/// for binary snapshots (io/snapshot) and re-adopted by the restoring
-/// constructor, which then skips the eigensolves entirely (eigen.runs == 0).
+/// Output of the one CirSTAG pipeline (compute_baseline): the full report
+/// plus the intermediates a sweep engine reuses across variants — the
+/// spectral embedding, the Phase-3 eigenbasis and coarsening hierarchy, and
+/// in fast mode the kNN baselines. CirStag::analyze returns its `baseline`;
+/// a SweepEngine adopts the whole state, computed by its constructor or
+/// read back from a binary snapshot (io/snapshot), in which case the
+/// restoring constructor runs no eigensolve at all (eigen.runs == 0).
 /// Cheap derived state (pin graph, feature matrix, GNN forward snapshot,
 /// incremental-STA baseline) is deliberately absent: the restore path
 /// recomputes it deterministically from the netlist and trained model.
@@ -137,6 +139,19 @@ struct SweepBaselineState {
   double baseline_seconds = 0.0;   ///< original baseline-capture wall time
 };
 
+/// The CirSTAG pipeline (Algorithm 1), each phase under its `phase.*` span:
+/// spectral embedding of `input_graph` plus the standardized `node_features`
+/// (may be empty), kNN/PGM manifolds on both sides, DMD eigensolve and Eq. 9
+/// scores. The report carries all seven phase checksums and the health
+/// events recorded during the call (NaN/Inf sentinels included). `exact` =
+/// false also keeps the kNN baselines of fast sweep variants; the report's
+/// bytes are the same in both modes. Throws std::invalid_argument when the
+/// graph is empty or its node count disagrees with the matrices' rows.
+[[nodiscard]] SweepBaselineState compute_baseline(
+    const graphs::Graph& input_graph, const linalg::Matrix& node_features,
+    const linalg::Matrix& output_embedding, const CirStagConfig& config,
+    bool exact, graphs::LaplacianSolverCache& cache);
+
 /// Batched perturbation-sweep engine: analyzes one baseline circuit plus N
 /// perturbed variants while sharing work across them — shared Laplacian
 /// solver cache, incremental STA (fanout-cone re-timing), incremental GNN
@@ -152,9 +167,8 @@ struct SweepBaselineState {
 class SweepEngine {
  public:
   /// Case-A capable engine over a netlist and its trained timing GNN (also
-  /// accepts Case-B variants over the same pin set). Runs and captures the
-  /// baseline analysis (byte-identical to CirStag::analyze on the
-  /// unperturbed circuit).
+  /// accepts Case-B variants over the same pin set). Runs compute_baseline
+  /// on the unperturbed circuit and adopts its state.
   SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
               SweepOptions opts = {});
 
@@ -181,7 +195,9 @@ class SweepEngine {
   /// through the shared cache if no variant has demanded it yet.
   [[nodiscard]] SweepBaselineState export_baseline_state();
 
-  [[nodiscard]] const CirStagReport& baseline() const { return baseline_; }
+  [[nodiscard]] const CirStagReport& baseline() const {
+    return base_.baseline;
+  }
   [[nodiscard]] const circuit::TimingReport& baseline_timing() const;
   [[nodiscard]] const SweepOptions& options() const { return opts_; }
   /// The pin-level connectivity graph (empty in graph mode) — the cone
@@ -189,7 +205,9 @@ class SweepEngine {
   [[nodiscard]] const graphs::Graph& pin_graph() const { return pin_graph_; }
 
   /// Analyze every variant (cross-variant parallel on the deterministic
-  /// runtime; results are bit-identical at any thread count).
+  /// runtime; results are bit-identical at any thread count). Each report's
+  /// `health` holds every event recorded during this call: variants run as
+  /// parallel tasks, so the variants of one call share their events.
   [[nodiscard]] std::vector<SweepVariantResult> run(
       std::span<const SweepVariant> variants);
 
@@ -204,11 +222,16 @@ class SweepEngine {
   [[nodiscard]] const SweepStats& stats() const { return stats_; }
 
  private:
-  void build_baseline(const graphs::Graph& input_graph,
-                      const linalg::Matrix& node_features,
-                      const linalg::Matrix& output_embedding);
-  /// The exact SolverOptions finish_variant's stability_scores call will key
-  /// the variant-phase (L_Y + I/σ²) solver under — shared by the snapshot
+  /// Case-A set-up shared by the fresh and restoring constructors: pin
+  /// graph, GNN forward snapshot and incremental-STA baseline, all cheap
+  /// deterministic functions of the netlist and trained model. Returns the
+  /// baseline pin features.
+  linalg::Matrix set_up_case_a();
+  /// Take ownership of a computed or restored baseline; a restored
+  /// variant-phase tree factorization pre-seeds the solver cache.
+  void adopt(SweepBaselineState state);
+  /// The exact SolverOptions finish_variant's Phase-3 solve will key the
+  /// variant-phase (L_Y + I/σ²) solver under — shared by the snapshot
   /// export (which serializes that solver's tree factorization) and the
   /// restore path (which pre-seeds the cache under the same key).
   [[nodiscard]] graphs::SolverOptions variant_solver_options() const;
@@ -220,14 +243,14 @@ class SweepEngine {
   /// record the measured node-score drift on `out` plus a health event.
   void audit_variant_drift(SweepVariantResult& out,
                            const graphs::Graph& input_graph,
-                           const linalg::Matrix* node_features,
+                           const linalg::Matrix& node_features,
                            const linalg::Matrix& output_embedding,
                            std::size_t index) const;
   /// Manifold/stability tail shared by both cases. In fast mode each side's
   /// kNN graph is delta-re-queried when only a minority of its embedding
   /// rows moved relative to the captured baseline, else fully rebuilt.
   void finish_variant(SweepVariantResult& out, linalg::Matrix input_embedding,
-                      const graphs::Graph* input_graph,
+                      const graphs::Graph& input_graph,
                       const linalg::Matrix& output_embedding);
 
   SweepOptions opts_;
@@ -236,28 +259,11 @@ class SweepEngine {
   const circuit::Netlist* netlist_ = nullptr;
   gnn::TimingGnn* model_ = nullptr;
   graphs::Graph pin_graph_;
-  linalg::Matrix features0_;
   gnn::GnnSnapshot snap_;
   std::unique_ptr<circuit::IncrementalSta> sta_;
-
-  // Baseline artifacts shared by every variant.
-  linalg::Matrix u0_;                 ///< baseline spectral embedding
-  linalg::Matrix raw_subspace0_;      ///< baseline eigenbasis (snapshots)
-  ManifoldBaseline mx_base_;          ///< input-side kNN baseline (fast)
-  ManifoldBaseline my_base_;          ///< output-side kNN baseline (fast)
-  /// Baseline Phase-3 pair hierarchy, captured when the multilevel path
-  /// engaged at baseline time; fast-mode variants whose manifolds keep the
-  /// baseline node set re-enter multilevel_eigen with these prolongation
-  /// maps and only re-aggregate edge weights (counter
-  /// coarsen.hierarchy_reuses; DESIGN.md §13). Exact mode never reuses —
-  /// its contract is byte-identity with the naive per-variant analyze().
-  graphs::CoarsenPairHierarchy hier0_;
-  /// Fingerprint of the baseline manifold_x at capture time — the cache
-  /// key: reuse requires the variant manifold to share the node set
-  /// (`nodes` must match; edge content may differ, that is the point).
-  graphs::GraphFingerprint hier_key_;
-  CirStagReport baseline_;
   circuit::TimingReport baseline_timing_;
+
+  SweepBaselineState base_;  ///< baseline artifacts shared by every variant
 
   graphs::LaplacianSolverCache cache_;
   SweepStats stats_;

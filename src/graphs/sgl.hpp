@@ -41,8 +41,9 @@ struct SglResult {
 /// O(probes) Laplacian solves) and moves every edge weight along the
 /// gradient, projecting onto w ≥ floor. This converges to the stationarity
 /// condition w_pq = 1/D_pq^data but needs many sweeps — the superlinear
-/// behaviour the paper's Phase-2 sparsifier avoids; kept here as the
-/// reference baseline for the ablation benches.
+/// behaviour the paper's Phase-2 sparsifier avoids; kept as the reference
+/// the one-shot sparsifier's PGM objective is tested against
+/// (SglLearning.ComparableObjectiveToOneShotSparsifier).
 /// `cache` (optional) hosts the per-iteration Laplacian solvers; the result
 /// is bit-identical with or without it.
 [[nodiscard]] SglResult learn_pgm_sgl(const Graph& initial,

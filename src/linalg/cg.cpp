@@ -92,9 +92,6 @@ Matrix LaplacianSolver::solve_block(const Matrix& rhs,
     worst = std::max(worst, res.residuals[j]);
     slowest = std::max(slowest, res.iterations[j]);
   }
-  last_residual_.store(worst, std::memory_order_relaxed);
-  cumulative_iterations_.fetch_add(res.total_iterations,
-                                   std::memory_order_relaxed);
   static const obs::Counter block_solves("laplacian_solver.block_solves");
   static const obs::Counter iterations("laplacian_solver.iterations");
   block_solves.add();
@@ -102,6 +99,7 @@ Matrix LaplacianSolver::solve_block(const Matrix& rhs,
   if (stats) {
     stats->total_iterations = res.total_iterations;
     stats->max_iterations = slowest;
+    stats->max_residual = worst;
     stats->all_converged = res.all_converged();
   }
   return std::move(res.solutions);

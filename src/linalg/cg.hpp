@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <span>
 #include <vector>
@@ -42,6 +41,7 @@ inline constexpr double kBudgetResidualAlarm = 1e-1;
 struct BlockSolveStats {
   std::size_t total_iterations = 0;  ///< Σ per-column CG iterations
   std::size_t max_iterations = 0;    ///< slowest column
+  double max_residual = 0.0;  ///< worst column's final relative residual
   bool all_converged = false;
 };
 
@@ -67,26 +67,11 @@ class LaplacianSolver {
   LaplacianSolver(SparseMatrix laplacian, double regularization,
                   CgOptions opts, TreeFactorization tree);
 
-  /// Movable despite the atomic diagnostics counters (move is not expected
-  /// to race with solves; counters transfer by value).
-  LaplacianSolver(LaplacianSolver&& other) noexcept
-      : laplacian_(std::move(other.laplacian_)),
-        regularization_(other.regularization_),
-        opts_(other.opts_),
-        inv_diag_(std::move(other.inv_diag_)),
-        tree_(std::move(other.tree_)),
-        last_residual_(
-            other.last_residual_.load(std::memory_order_relaxed)),
-        cumulative_iterations_(
-            other.cumulative_iterations_.load(std::memory_order_relaxed)) {}
-  LaplacianSolver& operator=(LaplacianSolver&&) = delete;
-
   /// Solve (L + regularization*I) x = b, optionally warm-started — a
   /// one-column solve_block. Throws std::invalid_argument when `b` or a
   /// non-empty `initial_guess` is not dimension() long.
   /// Thread-safe: independent solves may run concurrently on one solver
-  /// (the edge-parallel exact resistances and DMD ratios rely on this);
-  /// last_residual() then reports one of the recent solves.
+  /// (the edge-parallel exact resistances and DMD ratios rely on this).
   [[nodiscard]] std::vector<double> solve(
       std::span<const double> b,
       std::span<const double> initial_guess = {}) const;
@@ -109,25 +94,12 @@ class LaplacianSolver {
   /// exported state for binary snapshots (io/snapshot).
   [[nodiscard]] const TreeFactorization& tree() const { return tree_; }
 
-  /// Relative residual of the last solve (diagnostics).
-  [[nodiscard]] double last_residual() const {
-    return last_residual_.load(std::memory_order_relaxed);
-  }
-
-  /// Total CG iterations across every solve()/solve_block() on this solver —
-  /// the per-row iteration counts behind the bench_micro solver benches.
-  [[nodiscard]] std::size_t cumulative_iterations() const {
-    return cumulative_iterations_.load(std::memory_order_relaxed);
-  }
-
  private:
   SparseMatrix laplacian_;
   double regularization_;
   CgOptions opts_;
   std::vector<double> inv_diag_;  // Jacobi preconditioner
   TreeFactorization tree_;        // combinatorial preconditioner (optional)
-  mutable std::atomic<double> last_residual_{0.0};
-  mutable std::atomic<std::size_t> cumulative_iterations_{0};
 };
 
 }  // namespace cirstag::linalg

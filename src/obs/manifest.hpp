@@ -50,10 +50,11 @@ inline constexpr std::uint64_t kFnv1aPrime = 1099511628211ull;
 /// Fixed 16-digit lower-case hex rendering used in the manifest.
 [[nodiscard]] std::string fnv1a_hex(std::uint64_t hash);
 
-/// Checksums of every pipeline phase boundary of one analyze() run. Zero
-/// means "phase not run" (e.g. `embedding` when dimension reduction is
-/// disabled). Computed in core (which can see Graph/Matrix); obs only
-/// defines the container and its JSON form.
+/// Checksums of every pipeline phase boundary of one report (analyze(), a
+/// sweep baseline or a sweep variant). Zero means "phase not run" (e.g.
+/// `embedding` when dimension reduction is disabled). Computed in core
+/// (which can see Graph/Matrix); obs only defines the container and its
+/// JSON form.
 struct PhaseChecksums {
   std::uint64_t input_graph = 0;   ///< nodes, edges (u, v, weight bits)
   std::uint64_t embedding = 0;     ///< augmented U_M, row-major

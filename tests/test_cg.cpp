@@ -79,12 +79,11 @@ TEST(LaplacianSolver, SingularSystemWithDeflation) {
   // Path graph P4: solve L x = e0 - e3. Effective resistance between the
   // endpoints is 3 (three unit resistors in series), so x0 - x3 = 3.
   LaplacianSolver solver(path_laplacian(4));
-  std::vector<double> b(4, 0.0);
-  b[0] = 1.0;
-  b[3] = -1.0;
-  const auto x = solver.solve(b);
-  EXPECT_NEAR(x[0] - x[3], 3.0, 1e-8);
-  EXPECT_LT(solver.last_residual(), 1e-8);
+  BlockSolveStats stats;
+  const Matrix x =
+      solver.solve_block(column({1.0, 0.0, 0.0, -1.0}), nullptr, &stats);
+  EXPECT_NEAR(x(0, 0) - x(3, 0), 3.0, 1e-8);
+  EXPECT_LT(stats.max_residual, 1e-8);
 }
 
 TEST(LaplacianSolver, RegularizedSystemIsNonsingular) {
@@ -117,8 +116,9 @@ TEST(LaplacianSolver, ResidualIsSmall) {
       SparseMatrix::from_triplets(n, n, std::move(clean)), 1e-3);
   std::vector<double> b(n);
   for (auto& v : b) v = rng.normal();
-  solver.solve(b);
-  EXPECT_LT(solver.last_residual(), 1e-8);
+  BlockSolveStats stats;
+  (void)solver.solve_block(column(b), nullptr, &stats);
+  EXPECT_LT(stats.max_residual, 1e-8);
 }
 
 TEST(LaplacianSolver, NonSquareThrows) {

@@ -27,6 +27,7 @@
 #include "core/sweep.hpp"
 #include "io/snapshot.hpp"
 #include "obs/json.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request.hpp"
 #include "serve/exposition.hpp"
@@ -852,6 +853,10 @@ TEST(ServeEndpoints, AnalyzeBaselineMatchesResidentEngine) {
               0)
         << "node score " << i << " not bitwise-identical";
   }
+  const JsonValue* checksums = report->find("checksums");
+  ASSERT_NE(checksums, nullptr);
+  EXPECT_EQ(checksums->find("node_scores")->as_string(),
+            obs::fnv1a_hex(obs::fnv1a_doubles(baseline.node_scores)));
   EXPECT_TRUE(report->bool_or("health_ok", false));
 }
 

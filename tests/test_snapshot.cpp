@@ -25,6 +25,7 @@
 #include "core/sweep.hpp"
 #include "gnn/timing_gnn.hpp"
 #include "obs/health.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -124,6 +125,8 @@ TEST(Snapshot, RoundTripRestoresByteIdenticalWarmEngine) {
             original.engine->baseline().node_scores);
   EXPECT_EQ(restored.baseline().eigenvalues,
             original.engine->baseline().eigenvalues);
+  EXPECT_EQ(restored.baseline().checksums.node_scores,
+            obs::fnv1a_doubles(original.engine->baseline().node_scores));
   EXPECT_EQ(restored.baseline_timing().worst_arrival,
             original.engine->baseline_timing().worst_arrival);
 

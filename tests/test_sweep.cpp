@@ -90,6 +90,13 @@ void expect_same_report(const CirStagReport& a, const CirStagReport& b,
   expect_same_matrix(a.input_embedding, b.input_embedding, what);
   expect_same_graph(a.manifold_x, b.manifold_x, what);
   expect_same_graph(a.manifold_y, b.manifold_y, what);
+  EXPECT_EQ(a.checksums.input_graph, b.checksums.input_graph) << what;
+  EXPECT_EQ(a.checksums.embedding, b.checksums.embedding) << what;
+  EXPECT_EQ(a.checksums.manifold_x, b.checksums.manifold_x) << what;
+  EXPECT_EQ(a.checksums.manifold_y, b.checksums.manifold_y) << what;
+  EXPECT_EQ(a.checksums.eigenvalues, b.checksums.eigenvalues) << what;
+  EXPECT_EQ(a.checksums.node_scores, b.checksums.node_scores) << what;
+  EXPECT_EQ(a.checksums.edge_scores, b.checksums.edge_scores) << what;
 }
 
 /// Case-A variants: a few disjoint groups of cell-input pins, each scaled up.

@@ -362,7 +362,7 @@ def run_diff_manifests(paths):
         problems += manifest_problems(path, doc)
         if isinstance(doc, dict) and doc.get("checksums") is None:
             problems.append(f"{path}: no 'checksums' section to diff (only "
-                            f"'analyze' and 'sweep' runs record them)")
+                            f"'analyze', 'sweep' and 'snapshot' runs record them)")
     if problems:
         for p in problems:
             print(f"error: {p}", file=sys.stderr)
