@@ -388,10 +388,12 @@ std::vector<SweepVariantResult> SweepEngine::run(
   const std::uint64_t health_begin = obs::HealthMonitor::global().next_index();
 
   std::vector<SweepVariantResult> results(variants.size());
-  // One task per variant: inner phases' nested parallel_for calls run
-  // serially inline, so per-variant results are bit-identical at any pool
-  // width, and all reused data comes from the baseline only — sibling
-  // variants never feed each other.
+  // One task per variant: with two or more variants, inner phases' nested
+  // parallel_for calls run serially inline; a one-variant run is a single
+  // chunk, which parallel_for_chunks calls directly, so its inner phases
+  // run at top level on the whole pool. Per-variant results are
+  // bit-identical either way, and all reused data comes from the baseline
+  // only — sibling variants never feed each other.
   runtime::parallel_for(0, variants.size(), 1, [&](std::size_t i) {
     results[i] = run_variant(variants[i], i);
   });

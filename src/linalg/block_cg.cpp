@@ -8,6 +8,7 @@
 #include "kernels/kernels.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "runtime/parallel_for.hpp"
 #include "util/aligned.hpp"
 #include "util/arena.hpp"
@@ -16,11 +17,10 @@ namespace cirstag::linalg {
 
 namespace {
 
-/// Rows per parallel chunk for element-wise block updates; fixed grain keeps
-/// the decomposition (and hence every partial) thread-count independent.
-constexpr std::size_t kRowGrain = 2048;
-/// Below this many elements an update is cheaper than waking the pool.
-constexpr std::size_t kParallelMinElems = 16384;
+/// Columns per group task: the 4-lane width of the masked column kernels
+/// (kernels::padded_cols). Narrower groups cost as much per row, so they
+/// would only multiply the CSR traversals (DESIGN.md §7).
+constexpr std::size_t kGroupCols = 4;
 
 using Mask = std::vector<std::uint8_t>;
 /// Column mask in the kernel layer's bit-pattern form, zero-padded to the
@@ -77,60 +77,46 @@ void deflate_column(Matrix& x, std::size_t j) {
   for (std::size_t i = 0; i < n; ++i) x(i, j) -= mean;
 }
 
-/// y(i,j) += c[j]·x(i,j) on active columns (element-parallel, fixed chunks).
+/// y(i,j) += c[j]·x(i,j) on active columns.
 void axpy_columns(const Coeffs& c, const Matrix& x, Matrix& y,
                   const LaneMask& mask) {
-  const std::size_t n = x.rows(), k = x.cols();
-  const kernels::KernelTable& kt = kernels::table();
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    kt.axpy_cols(c.data(), x.data().data() + lo * k, y.data().data() + lo * k,
-                 hi - lo, k, mask.data());
-  };
-  if (n * k < kParallelMinElems) {
-    body(0, n);
-  } else {
-    runtime::parallel_for_chunks(0, n, kRowGrain, body);
-  }
+  kernels::table().axpy_cols(c.data(), x.data().data(), y.data().data(),
+                             x.rows(), x.cols(), mask.data());
 }
 
 /// p(i,j) = z(i,j) + beta[j]·p(i,j) on active columns.
 void update_directions(const Matrix& z, const Coeffs& beta, Matrix& p,
                        const LaneMask& mask) {
-  const std::size_t n = z.rows(), k = z.cols();
-  const kernels::KernelTable& kt = kernels::table();
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    kt.xpby_cols(beta.data(), z.data().data() + lo * k,
-                 p.data().data() + lo * k, hi - lo, k, mask.data());
-  };
-  if (n * k < kParallelMinElems) {
-    body(0, n);
-  } else {
-    runtime::parallel_for_chunks(0, n, kRowGrain, body);
+  kernels::table().xpby_cols(beta.data(), z.data().data(), p.data().data(),
+                             z.rows(), z.cols(), mask.data());
+}
+
+/// dst(i, j) = src(i, c0 + j) for every column of dst.
+void copy_columns(const Matrix& src, std::size_t c0, Matrix& dst) {
+  for (std::size_t i = 0; i < dst.rows(); ++i) {
+    const auto from = src.row(i).subspan(c0, dst.cols());
+    std::copy(from.begin(), from.end(), dst.row(i).begin());
   }
 }
 
-}  // namespace
+/// What one lockstep loop reports beside its per-column results.
+struct LoopStats {
+  std::size_t sweeps = 0;  ///< iterations, i.e. its slowest column's
+  bool any_active = false;  ///< some column had a nonzero right-hand side
+};
 
-BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
-                                       const Matrix& b,
-                                       const BlockLinearOperator& precond,
-                                       const CgOptions& opts,
-                                       const Matrix* initial_guess) {
-  const std::size_t n = b.rows();
-  const std::size_t k = b.cols();
-  BlockCgResult res;
-  res.solutions = Matrix(n, k);
-  res.residuals.assign(k, 0.0);
-  res.iterations.assign(k, 0);
-  res.converged.assign(k, 0);
-  res.breakdown.assign(k, 0);
-  if (k == 0 || n == 0) return res;
-  if (initial_guess &&
-      (initial_guess->rows() != n || initial_guess->cols() != k))
-    throw std::invalid_argument("block_conjugate_gradient: bad guess shape");
-
+/// Run the CG recurrences of columns [c0, c0 + x.cols()) of `b` in lockstep:
+/// iterate their solutions in `x` (zero on entry) and write each column's
+/// residual, iterations and flags into `res` at its index in `b`.
+LoopStats solve_columns(const BlockLinearOperator& op, const Matrix& b,
+                        const BlockLinearOperator& precond,
+                        const CgOptions& opts, const Matrix* initial_guess,
+                        std::size_t c0, Matrix& x, BlockCgResult& res) {
+  const std::size_t n = x.rows();
+  const std::size_t k = x.cols();
   const std::size_t kp = kernels::padded_cols(k);
-  Matrix r = b;
+  Matrix r(n, k);
+  copy_columns(b, c0, r);
   const LaneMask all_mask = make_lane_mask(Mask(k, 1));
   if (opts.deflate_constant) deflate_columns(r, all_mask);
 
@@ -138,29 +124,31 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
   column_dots(r, r, all_mask, bnorm);
   for (auto& v : bnorm) v = std::sqrt(v);
 
+  LoopStats stats;
   Mask active(k, 0);
   std::size_t num_active = 0;
   for (std::size_t j = 0; j < k; ++j) {
     if (bnorm[j] == 0.0) {
-      res.converged[j] = 1;  // zero right-hand side: x stays 0
+      res.converged[c0 + j] = 1;  // zero right-hand side: x stays 0
     } else {
       active[j] = 1;
       ++num_active;
     }
   }
-  if (num_active == 0) return res;
+  if (num_active == 0) return stats;
+  stats.any_active = true;
   LaneMask amask = make_lane_mask(active);
 
   if (initial_guess) {
     for (std::size_t i = 0; i < n; ++i) {
-      const auto g = initial_guess->row(i);
-      auto x = res.solutions.row(i);
+      const auto g = initial_guess->row(i).subspan(c0, k);
+      auto xi = x.row(i);
       for (std::size_t j = 0; j < k; ++j)
-        if (active[j]) x[j] = g[j];
+        if (active[j]) xi[j] = g[j];
     }
-    if (opts.deflate_constant) deflate_columns(res.solutions, amask);
+    if (opts.deflate_constant) deflate_columns(x, amask);
     Matrix ax(n, k);
-    op(res.solutions, ax);
+    op(x, ax);
     if (opts.deflate_constant) deflate_columns(ax, amask);
     Coeffs minus_one(kp, 0.0);
     std::fill_n(minus_one.begin(), k, -1.0);
@@ -195,9 +183,8 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
     return std::sqrt(kernels::reduce8_tree(acc)) / bnorm[j];
   };
 
-  std::size_t sweeps = 0;
   for (std::size_t it = 0; it < opts.max_iterations && num_active > 0; ++it) {
-    ++sweeps;
+    ++stats.sweeps;
     ap.fill(0.0);
     op(p, ap);
     if (opts.deflate_constant) deflate_columns(ap, amask);
@@ -205,9 +192,9 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
     // Indefinite directions retire before the α step, per column.
     for (std::size_t j = 0; j < k; ++j) {
       if (active[j] && pap[j] <= 0.0) {
-        res.breakdown[j] = 1;
-        res.residuals[j] = tail_residual(j);
-        if (opts.deflate_constant) deflate_column(res.solutions, j);
+        res.breakdown[c0 + j] = 1;
+        res.residuals[c0 + j] = tail_residual(j);
+        if (opts.deflate_constant) deflate_column(x, j);
         active[j] = 0;
         --num_active;
       }
@@ -219,17 +206,17 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
       alpha[j] = rz[j] / pap[j];
       neg_alpha[j] = -alpha[j];
     }
-    axpy_columns(alpha, p, res.solutions, amask);
+    axpy_columns(alpha, p, x, amask);
     axpy_columns(neg_alpha, ap, r, amask);
     column_dots(r, r, amask, rnorm2);
     for (std::size_t j = 0; j < k; ++j) {
       if (!active[j]) continue;
-      res.iterations[j] = it + 1;
+      res.iterations[c0 + j] = it + 1;
       const double rel = std::sqrt(rnorm2[j]) / bnorm[j];
       if (rel < opts.tolerance) {
-        res.converged[j] = 1;
-        res.residuals[j] = rel;
-        if (opts.deflate_constant) deflate_column(res.solutions, j);
+        res.converged[c0 + j] = 1;
+        res.residuals[c0 + j] = rel;
+        if (opts.deflate_constant) deflate_column(x, j);
         active[j] = 0;
         --num_active;
       }
@@ -249,9 +236,61 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
   // Columns that exhausted the iteration budget.
   for (std::size_t j = 0; j < k; ++j) {
     if (!active[j]) continue;
-    res.residuals[j] = tail_residual(j);
-    if (opts.deflate_constant) deflate_column(res.solutions, j);
+    res.residuals[c0 + j] = tail_residual(j);
+    if (opts.deflate_constant) deflate_column(x, j);
   }
+  return stats;
+}
+
+}  // namespace
+
+BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
+                                       const Matrix& b,
+                                       const BlockLinearOperator& precond,
+                                       const CgOptions& opts,
+                                       const Matrix* initial_guess) {
+  const obs::TraceSpan span("block_cg.solve", "linalg");
+  const std::size_t n = b.rows();
+  const std::size_t k = b.cols();
+  BlockCgResult res;
+  res.solutions = Matrix(n, k);
+  res.residuals.assign(k, 0.0);
+  res.iterations.assign(k, 0);
+  res.converged.assign(k, 0);
+  res.breakdown.assign(k, 0);
+  if (k == 0 || n == 0) return res;
+  if (initial_guess &&
+      (initial_guess->rows() != n || initial_guess->cols() != k))
+    throw std::invalid_argument("block_conjugate_gradient: bad guess shape");
+
+  // Column groups: each kGroupCols-wide group runs its own lockstep loop as
+  // one pool task, its SpMM and updates inline. They form only where they
+  // can run side by side; elsewhere one loop serves all k columns and reads
+  // the operator once per iteration instead of once per group.
+  const std::size_t groups = (k + kGroupCols - 1) / kGroupCols;
+  LoopStats stats;
+  if (groups > 1 && !runtime::ThreadPool::in_parallel_region() &&
+      runtime::global_pool().num_threads() > 1) {
+    std::vector<LoopStats> group_stats(groups);
+    runtime::parallel_for(0, groups, 1, [&](std::size_t g) {
+      const std::size_t c0 = g * kGroupCols;
+      Matrix x(n, std::min(kGroupCols, k - c0));
+      group_stats[g] =
+          solve_columns(op, b, precond, opts, initial_guess, c0, x, res);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto xi = x.row(i);
+        std::copy(xi.begin(), xi.end(), res.solutions.row(i).begin() + c0);
+      }
+    });
+    for (const LoopStats& g : group_stats) {
+      stats.sweeps = std::max(stats.sweeps, g.sweeps);
+      stats.any_active = stats.any_active || g.any_active;
+    }
+  } else {
+    stats = solve_columns(op, b, precond, opts, initial_guess, 0,
+                          res.solutions, res);
+  }
+  if (!stats.any_active) return res;
   for (std::size_t j = 0; j < k; ++j) res.total_iterations += res.iterations[j];
 
   static const obs::Counter solves("blockcg.solves");
@@ -260,7 +299,7 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
   static const obs::Counter breakdown_columns("blockcg.breakdown_columns");
   static const obs::Counter columns("blockcg.columns");
   solves.add();
-  block_sweeps.add(sweeps);
+  block_sweeps.add(stats.sweeps);
   column_iterations.add(res.total_iterations);
   columns.add(k);
 

@@ -39,6 +39,12 @@ struct BlockCgResult {
 /// retire early: their solution, residual, and iterate state freeze while
 /// the remaining columns keep iterating.
 ///
+/// Column groups: called outside a parallel region on a pool wider than one
+/// lane, the k columns split into contiguous groups of 4, each running its
+/// own lockstep loop as one pool task (DESIGN.md §7). `op` and `precond`
+/// are then called concurrently on the groups' disjoint n×(≤4) blocks, so
+/// they must be safe to call from several threads at once.
+///
 /// Determinism / equivalence contract: column j of the result is
 /// BIT-IDENTICAL to the same call on column j alone (k = 1, same options,
 /// preconditioner, and initial guess), at every thread count. This holds
@@ -46,10 +52,11 @@ struct BlockCgResult {
 /// blocked operator applies each column in its one-column accumulation
 /// order.
 ///
-/// Health: columns that hit an indefinite direction (pᵀAp ≤ 0) raise a
-/// "cg.breakdown" warning whatever `opts.budget_bounded` says; columns that
-/// exhaust `opts.max_iterations` raise "cg.unconverged" unless the budget is
-/// deliberate (CgOptions::budget_bounded) and their residual stays within
+/// Health, once per call over all k columns: columns that hit an indefinite
+/// direction (pᵀAp ≤ 0) raise one "cg.breakdown" warning whatever
+/// `opts.budget_bounded` says; columns that exhaust `opts.max_iterations`
+/// raise one "cg.unconverged" unless the budget is deliberate
+/// (CgOptions::budget_bounded) and their residual stays within
 /// kBudgetResidualAlarm.
 ///
 /// `precond` may be empty (identity). `initial_guess` (nullptr = zero start)

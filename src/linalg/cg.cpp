@@ -6,7 +6,6 @@
 #include "kernels/kernels.hpp"
 #include "linalg/block_cg.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/parallel_for.hpp"
 #include "util/arena.hpp"
 
 namespace cirstag::linalg {
@@ -65,17 +64,17 @@ Matrix LaplacianSolver::solve_block(const Matrix& rhs,
   BlockLinearOperator precond;
   if (!tree_.empty()) {
     precond = [this](const Matrix& x, Matrix& y) {
-      // Columns are independent O(n) tree solves — parallel across columns,
-      // each column's sweep identical to a one-column apply.
-      runtime::parallel_for(0, x.cols(), 1, [&](std::size_t j) {
-        const std::size_t n = x.rows();
-        util::ArenaFrame frame;  // each worker bumps its own thread-local arena
-        std::span<double> in = frame.alloc<double>(n);
-        std::span<double> out = frame.alloc<double>(n);
+      // Columns are independent O(n) tree solves, each column's sweep
+      // identical to a one-column apply.
+      const std::size_t n = x.rows();
+      util::ArenaFrame frame;
+      std::span<double> in = frame.alloc<double>(n);
+      std::span<double> out = frame.alloc<double>(n);
+      for (std::size_t j = 0; j < x.cols(); ++j) {
         for (std::size_t i = 0; i < n; ++i) in[i] = x(i, j);
         tree_.apply(in, out);
         for (std::size_t i = 0; i < n; ++i) y(i, j) = out[i];
-      });
+      }
     };
   } else {
     precond = [this](const Matrix& x, Matrix& y) {

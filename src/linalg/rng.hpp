@@ -21,9 +21,12 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Standard normal (optionally scaled/shifted).
+  /// Standard normal (optionally scaled/shifted). The draw is standard and
+  /// scaled here, so stddev = 0 returns `mean` (std::normal_distribution
+  /// requires σ > 0) and consumes the same engine state as any other σ.
   double normal(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    const double z = std::normal_distribution<double>(0.0, 1.0)(engine_);
+    return z * stddev + mean;
   }
 
   /// Uniform integer in [lo, hi] inclusive.

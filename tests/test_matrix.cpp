@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "linalg/rng.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace {
@@ -145,6 +146,15 @@ TEST(VectorOps, DeflateConstantRemovesMean) {
   double sum = 0.0;
   for (double v : x) sum += v;
   EXPECT_NEAR(sum, 0.0, 1e-12);
+}
+
+TEST(Rng, ZeroSigmaNormalReturnsMeanAndAdvancesLikeUnitSigma) {
+  Rng zero(42), unit(42);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(zero.normal(3.5, 0.0), 3.5);
+    (void)unit.normal(3.5, 1.0);
+    EXPECT_EQ(zero.engine(), unit.engine()) << "draw " << i;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "graphs/effective_resistance.hpp"
@@ -17,6 +18,7 @@
 #include "linalg/tree_precond.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/health.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace {
@@ -59,11 +61,14 @@ Matrix random_rhs(std::size_t n, std::size_t k, std::uint64_t seed,
 }
 
 /// Every column of a k-column solve_block must equal the corresponding
-/// k = 1 solve() bit-for-bit — the core contract of the blocked engine.
+/// k = 1 solve() bit-for-bit — the core contract of the blocked engine. The
+/// block runs on a 4-lane pool, so k > 4 splits into column groups.
 void expect_block_matches_single(const linalg::LaplacianSolver& solver,
                                  const Matrix& rhs,
                                  const Matrix* guess = nullptr) {
+  runtime::set_global_threads(4);
   const Matrix z = solver.solve_block(rhs, guess);
+  runtime::set_global_threads(0);
   for (std::size_t j = 0; j < rhs.cols(); ++j) {
     const std::vector<double> b = rhs.col(j);
     const std::vector<double> x =
@@ -76,7 +81,7 @@ void expect_block_matches_single(const linalg::LaplacianSolver& solver,
 TEST(BlockCg, BitIdenticalToSingleRhsJacobiSingular) {
   const Graph g = random_connected_graph(60, 80, 11);
   const auto solver = graphs::make_laplacian_solver(g);
-  expect_block_matches_single(solver, random_rhs(60, 5, 21, true));
+  expect_block_matches_single(solver, random_rhs(60, 10, 21, true));
 }
 
 TEST(BlockCg, BitIdenticalToSingleRhsTreeSingular) {
@@ -85,7 +90,7 @@ TEST(BlockCg, BitIdenticalToSingleRhsTreeSingular) {
   opts.preconditioner = SolverPreconditioner::spanning_tree;
   const auto solver = graphs::make_laplacian_solver(g, opts);
   ASSERT_TRUE(solver.has_tree_preconditioner());
-  expect_block_matches_single(solver, random_rhs(60, 5, 22, true));
+  expect_block_matches_single(solver, random_rhs(60, 10, 22, true));
 }
 
 TEST(BlockCg, BitIdenticalToSingleRhsRegularized) {
@@ -112,7 +117,7 @@ TEST(BlockCg, ThreadCountDoesNotChangeBits) {
   SolverOptions opts;
   opts.preconditioner = SolverPreconditioner::spanning_tree;
   const auto solver = graphs::make_laplacian_solver(g, opts);
-  const Matrix rhs = random_rhs(120, 6, 26, true);
+  const Matrix rhs = random_rhs(120, 10, 26, true);  // groups of 4, 4, 2
 
   runtime::set_global_threads(1);
   const Matrix z1 = solver.solve_block(rhs);
@@ -123,6 +128,30 @@ TEST(BlockCg, ThreadCountDoesNotChangeBits) {
   for (std::size_t i = 0; i < z1.rows(); ++i)
     for (std::size_t j = 0; j < z1.cols(); ++j)
       EXPECT_EQ(z1(i, j), z4(i, j));
+}
+
+TEST(BlockCg, ColumnGroupsDispatchOncePerSolve) {
+  // n·k = 32,000 elements: large enough that a row-parallel update would
+  // wake the pool on every iteration. Each 4-column group is one task, so
+  // the whole 50-iteration solve is a single pool run.
+  const Graph g = random_connected_graph(4000, 200, 17);
+  SolverOptions opts;
+  opts.cg.max_iterations = 50;
+  opts.cg.budget_bounded = true;
+  const auto solver = graphs::make_laplacian_solver(g, opts);
+  const Matrix rhs = random_rhs(4000, 8, 28, true);
+
+  runtime::set_global_threads(4);
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const std::uint64_t runs_before = reg.counter_value("runtime.pool.runs");
+  linalg::BlockSolveStats stats;
+  (void)solver.solve_block(rhs, nullptr, &stats);
+  const std::uint64_t runs =
+      reg.counter_value("runtime.pool.runs") - runs_before;
+  runtime::set_global_threads(0);
+
+  EXPECT_EQ(stats.max_iterations, 50u);
+  EXPECT_LE(runs, 4u);
 }
 
 TEST(BlockCg, ZeroColumnsConvergeImmediately) {
@@ -243,6 +272,28 @@ TEST(CgBreakdown, SolveBlockReportsBreakdownEvenWhenBudgeted) {
   EXPECT_EQ(health.events[0].kind, "cg.breakdown");
   EXPECT_EQ(health.events[0].severity, obs::HealthSeverity::warning);
   EXPECT_DOUBLE_EQ(health.events[0].value, 1.0);
+
+  // A budget too small for the residual to fall below kBudgetResidualAlarm,
+  // on 8 columns that a 4-lane pool splits into two groups: the call still
+  // reports one cg.unconverged event covering all of them.
+  SolverOptions capped;
+  capped.cg.max_iterations = 1;
+  capped.cg.budget_bounded = true;
+  const Graph g = random_connected_graph(200, 300, 18);
+  const auto capped_solver = graphs::make_laplacian_solver(g, capped);
+  runtime::set_global_threads(4);
+  const std::uint64_t capped_begin = obs::HealthMonitor::global().next_index();
+  linalg::BlockSolveStats stats;
+  (void)capped_solver.solve_block(random_rhs(200, 8, 29, true), nullptr,
+                                  &stats);
+  const obs::HealthReport capped_health =
+      obs::HealthMonitor::global().collect_since(capped_begin);
+  runtime::set_global_threads(0);
+  EXPECT_GT(stats.max_residual, linalg::kBudgetResidualAlarm);
+  ASSERT_EQ(capped_health.events.size(), 1u) << capped_health.to_json();
+  EXPECT_EQ(capped_health.events[0].kind, "cg.unconverged");
+  EXPECT_NE(capped_health.events[0].detail.find("8 of 8"), std::string::npos)
+      << capped_health.events[0].detail;
 }
 
 TEST(CgBreakdown, BlockReportsPerColumn) {
