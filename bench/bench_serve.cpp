@@ -121,32 +121,36 @@ struct BenchRow {
   std::vector<std::pair<std::string, double>> counters;
 };
 
+/// Set when an output file could not be written; main() then exits 1.
+bool g_write_failed = false;
+
+/// Write one requested output file through obs::write_text. A failure names
+/// the path and fails the run, but never stops the remaining outputs.
+bool write_output(const std::string& path, const std::string& text) {
+  if (obs::write_text(path, text)) return true;
+  std::fprintf(stderr, "bench_serve: cannot write %s\n", path.c_str());
+  g_write_failed = true;
+  return false;
+}
+
 void write_report(const std::string& path, const std::vector<BenchRow>& rows,
                   std::uint64_t seed) {
-  std::string out = "{\n  \"context\": {\"executable\": \"bench_serve\", "
-                    "\"seed\": " + std::to_string(seed) + "},\n"
-                    "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& row = rows[i];
-    out += "    {\"name\": " + obs::json_quote(row.name) +
-           ", \"run_type\": \"iteration\", \"iterations\": 1, "
-           "\"time_unit\": \"ms\", \"real_time\": ";
-    obs::append_json_number(out, row.real_time_ms);
-    for (const auto& [key, value] : row.counters) {
-      out += ", " + obs::json_quote(key) + ": ";
-      obs::append_json_number(out, value);
-    }
-    out += i + 1 < rows.size() ? "},\n" : "}\n";
+  obs::JsonWriter w;
+  w.begin_object().key("context").begin_object();
+  w.field("executable", "bench_serve").field("seed", seed).end_object();
+  w.key("benchmarks").begin_array();
+  for (const BenchRow& row : rows) {
+    w.begin_object()
+        .field("name", row.name)
+        .field("run_type", "iteration")
+        .field("iterations", 1)
+        .field("time_unit", "ms")
+        .field("real_time", row.real_time_ms);
+    for (const auto& [key, value] : row.counters) w.field(key, value);
+    w.end_object();
   }
-  out += "  ]\n}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_serve: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  std::printf("report written to %s\n", path.c_str());
+  if (write_output(path, w.end_array().end_object().take() + '\n'))
+    std::printf("report written to %s\n", path.c_str());
 }
 
 // -- per-request latency timeline (--latency-csv) ---------------------------
@@ -162,20 +166,18 @@ struct LatencyRow {
 
 void write_latency_csv(const std::string& path,
                        const std::vector<LatencyRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_serve: cannot write %s\n", path.c_str());
-    std::exit(1);
+  std::string csv =
+      "index,endpoint,enqueued_offset_us,latency_us,status,trace_id\n";
+  for (const LatencyRow& r : rows) {
+    char timing[64];
+    std::snprintf(timing, sizeof timing, ",%.1f,%.1f,%d,",
+                  r.enqueued_offset_us, r.latency_us, r.status);
+    csv += std::to_string(r.index) + ',' + r.endpoint + timing + r.trace_id +
+           '\n';
   }
-  std::fputs("index,endpoint,enqueued_offset_us,latency_us,status,trace_id\n",
-             f);
-  for (const LatencyRow& r : rows)
-    std::fprintf(f, "%zu,%s,%.1f,%.1f,%d,%s\n", r.index, r.endpoint.c_str(),
-                 r.enqueued_offset_us, r.latency_us, r.status,
-                 r.trace_id.c_str());
-  std::fclose(f);
-  std::printf("latency timeline written to %s (%zu rows)\n", path.c_str(),
-              rows.size());
+  if (write_output(path, csv))
+    std::printf("latency timeline written to %s (%zu rows)\n", path.c_str(),
+                rows.size());
 }
 
 /// Nearest-rank percentile over the observed latencies (ms). Returns 0 when
@@ -221,15 +223,7 @@ void check_exposition_scrape(const std::string& text,
                  text.c_str());
     std::exit(1);
   }
-  if (metrics_out.empty()) return;
-  std::FILE* f = std::fopen(metrics_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_serve: cannot write %s\n",
-                 metrics_out.c_str());
-    std::exit(1);
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  if (!metrics_out.empty()) write_output(metrics_out, text);
 }
 
 /// Sum of the rolling-window per-endpoint request counters — the gated
@@ -261,6 +255,21 @@ std::string netlist_text(std::size_t gates, std::uint64_t seed) {
   return out.str();
 }
 
+/// The /load body every in-process mode sends: `netlist` as circuit
+/// "bench", hidden width 16.
+std::string load_body(const std::string& netlist, std::size_t epochs,
+                      bool exact) {
+  return obs::JsonWriter()
+      .begin_object()
+      .field("name", "bench")
+      .field("netlist", netlist)
+      .field("epochs", epochs)
+      .field("hidden", 16)
+      .field("mode", exact ? "exact" : "fast")
+      .end_object()
+      .take();
+}
+
 struct RequestSpec {
   std::string path;
   std::string body;
@@ -274,26 +283,28 @@ std::vector<RequestSpec> make_mix(const std::string& circuit,
   std::vector<RequestSpec> mix;
   mix.reserve(requests);
   linalg::Rng rng(seed + 1000);
-  const std::string quoted = obs::json_quote(circuit);
   for (std::size_t i = 0; i < requests; ++i) {
     const std::size_t kind = i % 8;
+    obs::JsonWriter w;
+    w.begin_object().field("circuit", circuit);
     if (kind <= 5) {
-      mix.push_back({"/analyze",
-                     "{\"circuit\": " + quoted + ", \"cap_scalings\": "
-                     "[{\"pin\": " + std::to_string(rng.index(num_pins)) +
-                     ", \"factor\": 5.0}]}"});
+      w.key("cap_scalings")
+          .begin_array()
+          .begin_object()
+          .field("pin", rng.index(num_pins))
+          .field("factor", 5.0)
+          .end_object()
+          .end_array();
     } else if (kind == 6) {
-      mix.push_back({"/top-k", "{\"circuit\": " + quoted + ", \"k\": 10}"});
+      w.field("k", 10);
     } else {
-      std::string nodes;
-      for (std::size_t n = 0; n < 8; ++n) {
-        if (n != 0) nodes += ", ";
-        nodes += std::to_string(rng.index(num_pins));
-      }
-      mix.push_back({"/score-region",
-                     "{\"circuit\": " + quoted + ", \"nodes\": [" + nodes +
-                     "]}"});
+      w.key("nodes").begin_array();
+      for (std::size_t n = 0; n < 8; ++n) w.value(rng.index(num_pins));
+      w.end_array();
     }
+    const char* path =
+        kind <= 5 ? "/analyze" : kind == 6 ? "/top-k" : "/score-region";
+    mix.push_back({path, w.end_object().take()});
   }
   return mix;
 }
@@ -336,13 +347,10 @@ int run_inproc(const std::map<std::string, std::string>& opts,
   arm_request_log(opts);
 
   std::printf("inproc: loading %zu-gate circuit...\n", gates);
-  const std::string load_body =
-      "{\"name\": \"bench\", \"netlist\": " +
-      obs::json_quote(netlist_text(gates, seed)) +
-      ", \"epochs\": " + std::to_string(opt_size(opts, "epochs", 60)) +
-      ", \"hidden\": 16, \"mode\": \"exact\"}";
-  const serve::JobResponse loaded =
-      serve::handle_request(service, make_request("/load", load_body));
+  const serve::JobResponse loaded = serve::handle_request(
+      service,
+      make_request("/load", load_body(netlist_text(gates, seed),
+                                      opt_size(opts, "epochs", 60), true)));
   if (loaded.status != 200) die("/load", loaded.status, loaded.body);
   const serve::JsonValue load_info = serve::parse_json(loaded.body);
   const auto num_pins =
@@ -646,13 +654,10 @@ int run_speedup(const std::map<std::string, std::string>& opts,
   sopts.workers = 1;
   sopts.max_batch_size = std::max<std::size_t>(1, warm_requests);
   serve::Service service(sopts);
-  const std::string load_body =
-      "{\"name\": \"bench\", \"netlist\": " + obs::json_quote(text) +
-      ", \"epochs\": " + std::to_string(epochs) + ", \"hidden\": 16, " +
-      "\"mode\": " + (engine_exact ? "\"exact\"" : "\"fast\"") + "}";
+  const std::string body = load_body(text, epochs, engine_exact);
   const auto t_load = Clock::now();
   const serve::JobResponse loaded =
-      serve::handle_request(service, make_request("/load", load_body));
+      serve::handle_request(service, make_request("/load", body));
   if (loaded.status != 200) die("/load", loaded.status, loaded.body);
   const double load_seconds = seconds_since(t_load);
   const auto num_pins = static_cast<std::size_t>(
@@ -770,13 +775,10 @@ int run_snapshot(const std::map<std::string, std::string>& opts,
   const std::string text = netlist_text(gates, seed);
   std::printf("snapshot: cold /load of %zu gates (%s mode)...\n", gates,
               engine_exact ? "exact" : "fast");
-  const std::string load_body =
-      "{\"name\": \"bench\", \"netlist\": " + obs::json_quote(text) +
-      ", \"epochs\": " + std::to_string(epochs) + ", \"hidden\": 16, " +
-      "\"mode\": " + (engine_exact ? "\"exact\"" : "\"fast\"") + "}";
+  const std::string cold_body = load_body(text, epochs, engine_exact);
   const auto t_cold = Clock::now();
   const serve::JobResponse loaded =
-      serve::handle_request(service, make_request("/load", load_body));
+      serve::handle_request(service, make_request("/load", cold_body));
   if (loaded.status != 200) die("/load", loaded.status, loaded.body);
   const double cold_seconds = seconds_since(t_cold);
 
@@ -796,9 +798,12 @@ int run_snapshot(const std::map<std::string, std::string>& opts,
   // counters around it and gate the deltas at exactly zero.
   const double eigen_before = counter("eigen.runs");
   const double train_before = counter("gnn.train_epochs");
-  const std::string restore_body =
-      "{\"name\": \"restored\", \"snapshot\": " + obs::json_quote(snap_path) +
-      "}";
+  const std::string restore_body = obs::JsonWriter()
+                                       .begin_object()
+                                       .field("name", "restored")
+                                       .field("snapshot", snap_path)
+                                       .end_object()
+                                       .take();
   const auto t_restore = Clock::now();
   const serve::JobResponse restored =
       serve::handle_request(service, make_request("/load", restore_body));
@@ -811,8 +816,12 @@ int run_snapshot(const std::map<std::string, std::string>& opts,
   // Cross-check: both residents must give byte-identical /top-k answers
   // (the bodies differ only in the echoed circuit name).
   const auto top_k_nodes_json = [&](const char* name) {
-    const std::string body =
-        std::string("{\"circuit\": \"") + name + "\", \"k\": 10}";
+    const std::string body = obs::JsonWriter()
+                                 .begin_object()
+                                 .field("circuit", name)
+                                 .field("k", 10)
+                                 .end_object()
+                                 .take();
     const serve::JobResponse response =
         serve::handle_request(service, make_request("/top-k", body));
     if (response.status != 200) die("/top-k", response.status, response.body);
@@ -879,13 +888,10 @@ int run_region(const std::map<std::string, std::string>& opts,
   serve::Service service(sopts);
 
   std::printf("region: loading %zu-gate circuit...\n", gates);
-  const std::string load_body =
-      "{\"name\": \"bench\", \"netlist\": " +
-      obs::json_quote(netlist_text(gates, seed)) +
-      ", \"epochs\": " + std::to_string(opt_size(opts, "epochs", 60)) +
-      ", \"hidden\": 16, \"mode\": \"exact\"}";
-  const serve::JobResponse loaded =
-      serve::handle_request(service, make_request("/load", load_body));
+  const serve::JobResponse loaded = serve::handle_request(
+      service,
+      make_request("/load", load_body(netlist_text(gates, seed),
+                                      opt_size(opts, "epochs", 60), true)));
   if (loaded.status != 200) die("/load", loaded.status, loaded.body);
   const serve::JsonValue load_info = serve::parse_json(loaded.body);
   const auto num_pins =
@@ -896,9 +902,15 @@ int run_region(const std::map<std::string, std::string>& opts,
   linalg::Rng rng(seed + 2000);
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < requests; ++i) {
-    const std::string body =
-        "{\"circuit\": \"bench\", \"hops\": " + std::to_string(hops) +
-        ", \"nodes\": [" + std::to_string(rng.index(num_pins)) + "]}";
+    obs::JsonWriter w;
+    w.begin_object()
+        .field("circuit", "bench")
+        .field("hops", hops)
+        .key("nodes")
+        .begin_array()
+        .value(rng.index(num_pins))
+        .end_array();
+    const std::string body = w.end_object().take();
     const serve::JobResponse response =
         serve::handle_request(service, make_request("/score-region", body));
     if (response.status != 200)
@@ -952,5 +964,5 @@ int main(int argc, char** argv) {
   const std::string report = opt_str(opts, "perf-json", "");
   if (rc == 0 && !report.empty())
     write_report(report, rows, opt_size(opts, "seed", 1));
-  return rc;
+  return (rc == 0 && g_write_failed) ? 1 : rc;
 }

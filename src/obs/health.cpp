@@ -30,30 +30,22 @@ std::size_t HealthReport::count(HealthSeverity severity) const {
 }
 
 std::string HealthReport::to_json() const {
-  std::string out = "{\"ok\": ";
-  out += ok() ? "true" : "false";
-  out += ", \"dropped\": ";
-  out += std::to_string(dropped);
-  out += ", \"events\": [";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const HealthEvent& e = events[i];
-    out += i == 0 ? "\n  " : ",\n  ";
-    out += "{\"kind\": ";
-    out += json_quote(e.kind);
-    out += ", \"severity\": ";
-    out += json_quote(health_severity_name(e.severity));
-    out += ", \"value\": ";
-    append_json_number(out, e.value);
-    out += ", \"threshold\": ";
-    append_json_number(out, e.threshold);
-    out += ", \"index\": ";
-    out += std::to_string(e.index);
-    out += ", \"detail\": ";
-    out += json_quote(e.detail);
-    out += "}";
-  }
-  out += events.empty() ? "]}" : "\n]}";
-  return out;
+  JsonWriter w;
+  w.begin_object()
+      .field("ok", ok())
+      .field("dropped", dropped)
+      .key("events")
+      .begin_array();
+  for (const HealthEvent& e : events)
+    w.begin_object()
+        .field("kind", e.kind)
+        .field("severity", health_severity_name(e.severity))
+        .field("value", e.value)
+        .field("threshold", e.threshold)
+        .field("index", e.index)
+        .field("detail", e.detail)
+        .end_object();
+  return w.end_array().end_object().take();
 }
 
 HealthMonitor& HealthMonitor::global() {

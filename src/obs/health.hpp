@@ -37,8 +37,7 @@ struct HealthReport {
   /// True when no warning- or error-level event was recorded.
   [[nodiscard]] bool ok() const;
   [[nodiscard]] std::size_t count(HealthSeverity severity) const;
-  /// JSON array-of-objects plus the drop count:
-  /// {"events":[{...}],"dropped":N,"ok":bool}.
+  /// {"ok": bool, "dropped": N, "events": [{...}, ...]}.
   [[nodiscard]] std::string to_json() const;
 };
 

@@ -96,15 +96,15 @@ void Logger::log(LogLevel level, const char* subsystem,
   }
   std::lock_guard lock(mutex_);
   if (json_file_ != nullptr) {
-    std::string line = "{\"ts\": ";
-    append_json_number(line, steady_seconds() - epoch_seconds_);
-    line += ", \"level\": ";
-    line += json_quote(log_level_name(level));
-    line += ", \"subsystem\": ";
-    line += json_quote(subsystem);
-    line += ", \"message\": ";
-    line += json_quote(message);
-    line += "}\n";
+    std::string line = JsonWriter()
+                           .begin_object()
+                           .field("ts", steady_seconds() - epoch_seconds_)
+                           .field("level", log_level_name(level))
+                           .field("subsystem", subsystem)
+                           .field("message", message)
+                           .end_object()
+                           .take();
+    line += '\n';
     std::fwrite(line.data(), 1, line.size(), json_file_);
     std::fflush(json_file_);
   }

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/json.hpp"
-
 // Build provenance baked in by src/obs/CMakeLists.txt; the fallbacks keep
 // the file compilable outside the CMake build (e.g. editor tooling).
 #ifndef CIRSTAG_GIT_DESCRIBE
@@ -28,24 +26,22 @@ std::string fnv1a_hex(std::uint64_t hash) {
   return std::string(buf, 16);
 }
 
+std::array<std::pair<const char*, std::uint64_t>, 7> PhaseChecksums::fields()
+    const {
+  return {{{"input_graph", input_graph},
+           {"embedding", embedding},
+           {"manifold_x", manifold_x},
+           {"manifold_y", manifold_y},
+           {"eigenvalues", eigenvalues},
+           {"node_scores", node_scores},
+           {"edge_scores", edge_scores}}};
+}
+
 std::string PhaseChecksums::to_json() const {
-  const std::pair<const char*, std::uint64_t> fields[] = {
-      {"input_graph", input_graph}, {"embedding", embedding},
-      {"manifold_x", manifold_x},   {"manifold_y", manifold_y},
-      {"eigenvalues", eigenvalues}, {"node_scores", node_scores},
-      {"edge_scores", edge_scores},
-  };
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, value] : fields) {
-    out += first ? "" : ", ";
-    first = false;
-    out += json_quote(name);
-    out += ": ";
-    out += json_quote(fnv1a_hex(value));
-  }
-  out += "}";
-  return out;
+  JsonWriter w;
+  w.begin_object();
+  for (const auto& [name, value] : fields()) w.field(name, fnv1a_hex(value));
+  return w.end_object().take();
 }
 
 const BuildInfo& build_info() {
@@ -56,11 +52,11 @@ const BuildInfo& build_info() {
 
 ManifestBuilder::ManifestBuilder() {
   const BuildInfo& info = build_info();
-  set_uint("manifest", "schema_version", 1);
-  set_string("build", "git_describe", info.git_describe);
-  set_string("build", "build_type", info.build_type);
-  set_string("build", "compiler", info.compiler);
-  set_string("build", "cxx_flags", info.cxx_flags);
+  set("manifest", "schema_version", 1);
+  set("build", "git_describe", info.git_describe);
+  set("build", "build_type", info.build_type);
+  set("build", "compiler", info.compiler);
+  set("build", "cxx_flags", info.cxx_flags);
 }
 
 ManifestBuilder::Section& ManifestBuilder::section(const std::string& name) {
@@ -68,28 +64,6 @@ ManifestBuilder::Section& ManifestBuilder::section(const std::string& name) {
     if (s.name == name) return s;
   sections_.push_back({name, {}});
   return sections_.back();
-}
-
-void ManifestBuilder::set_string(const std::string& sec, const std::string& key,
-                                 const std::string& value) {
-  set_raw(sec, key, json_quote(value));
-}
-
-void ManifestBuilder::set_number(const std::string& sec, const std::string& key,
-                                 double value) {
-  std::string raw;
-  append_json_number(raw, value);
-  set_raw(sec, key, std::move(raw));
-}
-
-void ManifestBuilder::set_uint(const std::string& sec, const std::string& key,
-                               std::uint64_t value) {
-  set_raw(sec, key, std::to_string(value));
-}
-
-void ManifestBuilder::set_bool(const std::string& sec, const std::string& key,
-                               bool value) {
-  set_raw(sec, key, value ? "true" : "false");
 }
 
 void ManifestBuilder::set_raw(const std::string& sec, const std::string& key,
@@ -106,44 +80,19 @@ void ManifestBuilder::set_raw(const std::string& sec, const std::string& key,
 
 void ManifestBuilder::set_checksums(const std::string& sec,
                                     const PhaseChecksums& checksums) {
-  const std::pair<const char*, std::uint64_t> fields[] = {
-      {"input_graph", checksums.input_graph},
-      {"embedding", checksums.embedding},
-      {"manifold_x", checksums.manifold_x},
-      {"manifold_y", checksums.manifold_y},
-      {"eigenvalues", checksums.eigenvalues},
-      {"node_scores", checksums.node_scores},
-      {"edge_scores", checksums.edge_scores},
-  };
-  for (const auto& [name, value] : fields)
-    set_string(sec, name, fnv1a_hex(value));
+  for (const auto& [name, value] : checksums.fields())
+    set(sec, name, fnv1a_hex(value));
 }
 
 std::string ManifestBuilder::to_json() const {
-  std::string out = "{";
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    const Section& s = sections_[i];
-    out += i == 0 ? "\n  " : ",\n  ";
-    out += json_quote(s.name);
-    out += ": {";
-    for (std::size_t j = 0; j < s.entries.size(); ++j) {
-      out += j == 0 ? "\n    " : ",\n    ";
-      out += json_quote(s.entries[j].first);
-      out += ": ";
-      out += s.entries[j].second;
-    }
-    out += s.entries.empty() ? "}" : "\n  }";
+  JsonWriter w;
+  w.begin_object();
+  for (const Section& s : sections_) {
+    w.key(s.name).begin_object();
+    for (const auto& [key, raw] : s.entries) w.key(key).raw(raw);
+    w.end_object();
   }
-  out += "\n}\n";
-  return out;
-}
-
-bool ManifestBuilder::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return w.end_object().take();
 }
 
 }  // namespace cirstag::obs

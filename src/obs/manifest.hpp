@@ -1,11 +1,14 @@
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace cirstag::obs {
 
@@ -64,7 +67,11 @@ struct PhaseChecksums {
   std::uint64_t node_scores = 0;
   std::uint64_t edge_scores = 0;
 
-  /// {"input_graph":"<16 hex>",...} — keys in pipeline order.
+  /// (name, checksum) per phase in pipeline order: the one list of names
+  /// that to_json() and ManifestBuilder::set_checksums() both walk.
+  [[nodiscard]] std::array<std::pair<const char*, std::uint64_t>, 7> fields()
+      const;
+  /// {"input_graph": "<16 hex>", ...} — keys in pipeline order.
   [[nodiscard]] std::string to_json() const;
 };
 
@@ -98,14 +105,13 @@ class ManifestBuilder {
  public:
   ManifestBuilder();
 
-  void set_string(const std::string& section, const std::string& key,
-                  const std::string& value);
-  void set_number(const std::string& section, const std::string& key,
-                  double value);
-  void set_uint(const std::string& section, const std::string& key,
-                std::uint64_t value);
-  void set_bool(const std::string& section, const std::string& key,
-                bool value);
+  /// Set `section`.`key` to `value` — a string, bool, integer or double,
+  /// rendered by JsonWriter — replacing any earlier value of that key.
+  template <class T>
+  void set(const std::string& section, const std::string& key,
+           const T& value) {
+    set_raw(section, key, JsonWriter().value(value).take());
+  }
   /// `raw` must already be valid JSON (object, array, or scalar).
   void set_raw(const std::string& section, const std::string& key,
                std::string raw);
@@ -115,9 +121,8 @@ class ManifestBuilder {
   void set_checksums(const std::string& section,
                      const PhaseChecksums& checksums);
 
+  /// The whole manifest as one JSON object (one line, no trailing newline).
   [[nodiscard]] std::string to_json() const;
-  /// Write to_json() to `path`; returns false on I/O failure.
-  bool write(const std::string& path) const;
 
  private:
   struct Section {

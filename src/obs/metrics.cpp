@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -252,77 +251,32 @@ double MetricsRegistry::HistogramSnapshot::quantile(double q) const {
   return bounds.back();
 }
 
-std::string MetricsRegistry::to_json() const { return to_json({}); }
-
 std::string MetricsRegistry::to_json(
     std::span<const std::pair<std::string, std::string>> extra) const {
   // Render from the consistent snapshot — the exit-time dump and the live
   // /metrics scrape share one aggregation path by construction.
   const Snapshot full = snapshot();
-  std::string out = "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < full.counters.size(); ++i) {
-    out += i == 0 ? "\n    " : ",\n    ";
-    out += json_quote(full.counters[i].first);
-    out += ": ";
-    out += std::to_string(full.counters[i].second);
+  JsonWriter w;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, value] : full.counters) w.field(name, value);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, value] : full.gauges) w.field(name, value);
+  w.end_object().key("histograms").begin_object();
+  for (const auto& [name, snap] : full.histograms) {
+    w.key(name).begin_object().field("bounds", snap.bounds);
+    w.key("buckets").begin_array();
+    for (const std::uint64_t n : snap.buckets) w.value(n);
+    w.end_array()
+        .field("count", snap.count)
+        .field("sum", snap.sum)
+        .field("p50", snap.quantile(0.50))
+        .field("p95", snap.quantile(0.95))
+        .field("p99", snap.quantile(0.99))
+        .end_object();
   }
-  out += "\n  },\n  \"gauges\": {";
-  for (std::size_t i = 0; i < full.gauges.size(); ++i) {
-    out += i == 0 ? "\n    " : ",\n    ";
-    out += json_quote(full.gauges[i].first);
-    out += ": ";
-    append_json_number(out, full.gauges[i].second);
-  }
-  out += "\n  },\n  \"histograms\": {";
-  for (std::size_t i = 0; i < full.histograms.size(); ++i) {
-    const HistogramSnapshot& snap = full.histograms[i].second;
-    out += i == 0 ? "\n    " : ",\n    ";
-    out += json_quote(full.histograms[i].first);
-    out += ": {\"bounds\": [";
-    for (std::size_t b = 0; b < snap.bounds.size(); ++b) {
-      if (b > 0) out += ", ";
-      append_json_number(out, snap.bounds[b]);
-    }
-    out += "], \"buckets\": [";
-    for (std::size_t b = 0; b < snap.buckets.size(); ++b) {
-      if (b > 0) out += ", ";
-      out += std::to_string(snap.buckets[b]);
-    }
-    out += "], \"count\": ";
-    out += std::to_string(snap.count);
-    out += ", \"sum\": ";
-    append_json_number(out, snap.sum);
-    out += ", \"p50\": ";
-    append_json_number(out, snap.quantile(0.50));
-    out += ", \"p95\": ";
-    append_json_number(out, snap.quantile(0.95));
-    out += ", \"p99\": ";
-    append_json_number(out, snap.quantile(0.99));
-    out += "}";
-  }
-  out += "\n  }";
-  for (const auto& [name, raw] : extra) {
-    out += ",\n  ";
-    out += json_quote(name);
-    out += ": ";
-    out += raw;
-  }
-  out += "\n}\n";
-  return out;
-}
-
-bool MetricsRegistry::write_json(const std::string& path) const {
-  return write_json(path, {});
-}
-
-bool MetricsRegistry::write_json(
-    const std::string& path,
-    std::span<const std::pair<std::string, std::string>> extra) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json(extra);
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  w.end_object();
+  for (const auto& [name, json] : extra) w.key(name).raw(json);
+  return w.end_object().take();
 }
 
 void MetricsRegistry::reset() {

@@ -115,19 +115,12 @@ class MetricsRegistry {
       const std::string& name) const;
 
   /// Every metric, aggregated across shards, as a JSON object:
-  /// {"counters":{...},"gauges":{...},"histograms":{...}}. Histograms carry
-  /// interpolated "p50"/"p95"/"p99" estimates alongside bounds/buckets.
-  [[nodiscard]] std::string to_json() const;
-  /// As to_json(), with extra top-level sections appended after
-  /// "histograms": each (name, raw JSON value) pair becomes `"name": value`.
-  /// This is how the CLI embeds the health report and profiler summary into
-  /// one --metrics-json document.
+  /// {"counters": {...}, "gauges": {...}, "histograms": {...}}, then each
+  /// `extra` (name, JSON value) pair as one more top-level member. Histograms
+  /// carry interpolated "p50"/"p95"/"p99" estimates alongside bounds and
+  /// buckets. The CLI embeds the health report and the profile summary into
+  /// its --metrics-json document through `extra`.
   [[nodiscard]] std::string to_json(
-      std::span<const std::pair<std::string, std::string>> extra) const;
-  /// Write to_json() to `path`; returns false on I/O failure.
-  bool write_json(const std::string& path) const;
-  bool write_json(
-      const std::string& path,
       std::span<const std::pair<std::string, std::string>> extra) const;
 
   /// Zero every counter, gauge, and histogram. Intended for tests and for

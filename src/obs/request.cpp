@@ -96,26 +96,17 @@ double RequestContext::total_us() const {
 
 std::string RequestContext::span_tree_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "[";
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const SpanNode& n = spans_[i];
-    if (i != 0) out += ',';
-    out += "{\"name\":";
-    out += json_quote(n.name != nullptr ? n.name : "");
-    out += ",\"parent\":";
-    if (n.parent == kNoParent) {
-      out += "-1";
-    } else {
-      out += std::to_string(n.parent);
-    }
-    out += ",\"start_us\":";
-    append_json_number(out, n.start_us - start_us_);
-    out += ",\"dur_us\":";
-    append_json_number(out, n.end_us != 0.0 ? n.end_us - n.start_us : 0.0);
-    out += '}';
-  }
-  out += ']';
-  return out;
+  JsonWriter w;
+  w.begin_array();
+  for (const SpanNode& n : spans_)
+    w.begin_object()
+        .field("name", n.name != nullptr ? n.name : "")
+        .field("parent", n.parent == kNoParent ? std::int64_t{-1}
+                                               : std::int64_t{n.parent})
+        .field("start_us", n.start_us - start_us_)
+        .field("dur_us", n.end_us != 0.0 ? n.end_us - n.start_us : 0.0)
+        .end_object();
+  return w.end_array().take();
 }
 
 std::string RequestContext::folded() const {
@@ -158,33 +149,24 @@ std::string RequestContext::folded() const {
 }
 
 std::string RequestContext::access_log_line() const {
-  std::string out = "{\"trace_id\":\"";
-  out += id_hex();
-  out += "\",\"ts_us\":";
-  append_json_number(out, start_us_);
-  out += ",\"endpoint\":";
-  out += json_quote(endpoint_);
+  JsonWriter w;
+  w.begin_object()
+      .field("trace_id", id_hex())
+      .field("ts_us", start_us_)
+      .field("endpoint", endpoint_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    out += ",\"circuit\":";
-    out += json_quote(circuit_);
+    w.field("circuit", circuit_);
   }
-  out += ",\"status\":";
-  out += std::to_string(status_);
-  out += ",\"queue_us\":";
-  append_json_number(out, queue_us_);
-  out += ",\"compute_us\":";
-  append_json_number(out, compute_us_);
-  out += ",\"render_us\":";
-  append_json_number(out, render_us_);
-  out += ",\"total_us\":";
-  append_json_number(out, total_us());
-  out += ",\"deadline_slack_us\":";
-  append_json_number(out, deadline_slack_us_);
-  out += ",\"spans\":";
-  out += std::to_string(spans().size());
-  out += '}';
-  return out;
+  return w.field("status", status_)
+      .field("queue_us", queue_us_)
+      .field("compute_us", compute_us_)
+      .field("render_us", render_us_)
+      .field("total_us", total_us())
+      .field("deadline_slack_us", deadline_slack_us_)
+      .field("spans", spans().size())
+      .end_object()
+      .take();
 }
 
 // ---------------------------------------------------------------------------
@@ -288,23 +270,19 @@ void RequestLog::record(const RequestContext& ctx) {
     return;
   }
   bucket_tokens_ -= 1.0;
-  std::string doc = "{\"trace_id\":\"";
-  doc += ctx.id_hex();
-  doc += "\",\"endpoint\":";
-  doc += json_quote(ctx.endpoint());
-  doc += ",\"circuit\":";
-  doc += json_quote(ctx.circuit());
-  doc += ",\"status\":";
-  doc += std::to_string(ctx.status());
-  doc += ",\"total_us\":";
-  append_json_number(doc, total_us);
-  doc += ",\"threshold_us\":";
-  append_json_number(doc, slow_threshold_us_);
-  doc += ",\"spans\":";
-  doc += ctx.span_tree_json();
-  doc += ",\"folded\":";
-  doc += json_quote(ctx.folded());
-  doc += '}';
+  const std::string doc = JsonWriter()
+                              .begin_object()
+                              .field("trace_id", ctx.id_hex())
+                              .field("endpoint", ctx.endpoint())
+                              .field("circuit", ctx.circuit())
+                              .field("status", ctx.status())
+                              .field("total_us", total_us)
+                              .field("threshold_us", slow_threshold_us_)
+                              .key("spans")
+                              .raw(ctx.span_tree_json())
+                              .field("folded", ctx.folded())
+                              .end_object()
+                              .take();
   std::fwrite(doc.data(), 1, doc.size(), exemplar_file_);
   std::fputc('\n', exemplar_file_);
   std::fflush(exemplar_file_);

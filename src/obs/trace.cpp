@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
@@ -30,13 +29,6 @@ thread_local TraceSpan* t_current_span = nullptr;
 
 std::uint64_t to_ns(double us) {
   return us > 0.0 ? static_cast<std::uint64_t>(std::llround(us * 1e3)) : 0;
-}
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace
@@ -233,29 +225,19 @@ void Tracer::clear() {
 }
 
 std::string Tracer::to_chrome_json() const {
-  const std::vector<Event> all = events();
-  std::string out = "{\"traceEvents\": [";
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const Event& e = all[i];
-    out += i == 0 ? "\n  " : ",\n  ";
-    out += "{\"name\": ";
-    out += json_quote(e.name);
-    out += ", \"cat\": ";
-    out += json_quote(e.category);
-    out += ", \"ph\": \"X\", \"ts\": ";
-    append_json_number(out, e.ts_us);
-    out += ", \"dur\": ";
-    append_json_number(out, e.dur_us);
-    out += ", \"pid\": 1, \"tid\": ";
-    out += std::to_string(e.tid);
-    out += "}";
-  }
-  out += "\n], \"displayTimeUnit\": \"ms\"}\n";
-  return out;
-}
-
-bool Tracer::write_chrome_json(const std::string& path) const {
-  return write_text(path, to_chrome_json());
+  JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
+  for (const Event& e : events())
+    w.begin_object()
+        .field("name", e.name)
+        .field("cat", e.category)
+        .field("ph", "X")
+        .field("ts", e.ts_us)
+        .field("dur", e.dur_us)
+        .field("pid", 1)
+        .field("tid", e.tid)
+        .end_object();
+  return w.end_array().field("displayTimeUnit", "ms").end_object().take();
 }
 
 std::string Tracer::to_folded() const {
@@ -267,10 +249,6 @@ std::string Tracer::to_folded() const {
     out += '\n';
   }
   return out;
-}
-
-bool Tracer::write_folded(const std::string& path) const {
-  return write_text(path, to_folded());
 }
 
 }  // namespace cirstag::obs

@@ -73,16 +73,12 @@ class Tracer {
   /// Discard all recorded events and the folded profile.
   void clear();
 
-  /// Serialize to Trace Event Format: {"traceEvents":[...]} with "ph":"X"
-  /// complete events (ts/dur in microseconds).
+  /// Serialize to Trace Event Format: {"traceEvents": [...]} with
+  /// "ph": "X" complete events (ts/dur in microseconds).
   [[nodiscard]] std::string to_chrome_json() const;
-  /// Write to_chrome_json() to `path`; returns false on I/O failure.
-  bool write_chrome_json(const std::string& path) const;
   /// Folded-stack text, one "path microseconds" line per path in path
   /// order: the input of flamegraph.pl, inferno and speedscope.
   [[nodiscard]] std::string to_folded() const;
-  /// Write to_folded() to `path`; returns false on I/O failure.
-  bool write_folded(const std::string& path) const;
 
   /// Microseconds since the shared process epoch (obs/clock.hpp) — the same
   /// time base as log "ts" fields and request span trees, so trace events

@@ -223,34 +223,22 @@ std::string render_stats_json(Service& service) {
     return 0;
   };
 
-  std::string out = "{\"uptime_seconds\": ";
-  obs::append_json_number(
-      out, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         service.started)
-               .count());
-  out += ", \"queue_depth\": " +
-         std::to_string(service.scheduler.queue_depth());
-  out += ", \"draining\": ";
-  out += service.scheduler.draining() ? "true" : "false";
+  obs::JsonWriter w;
+  w.begin_object()
+      .field("uptime_seconds",
+             std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           service.started)
+                 .count())
+      .field("queue_depth", service.scheduler.queue_depth())
+      .field("draining", service.scheduler.draining());
 
   // Per-endpoint rolling-window latency + rate. The window total can lag
   // the matching histogram count by a scrape race; both come from the same
   // registry walk here, so within this document they agree.
-  out += ", \"window\": {\"endpoints\": {";
-  bool first = true;
+  w.key("window").begin_object().key("endpoints").begin_object();
   for (const auto& entry : window_hists) {
     if (!has_prefix(entry.name, kWindowLatencyPrefix)) continue;
     const std::string endpoint = entry.name.substr(kWindowLatencyPrefix.size());
-    if (!first) out += ", ";
-    first = false;
-    out += obs::json_quote(endpoint);
-    out += ": {\"count\": " + std::to_string(entry.snap.count);
-    out += ", \"p50_ms\": ";
-    obs::append_json_number(out, entry.snap.quantile(0.50));
-    out += ", \"p95_ms\": ";
-    obs::append_json_number(out, entry.snap.quantile(0.95));
-    out += ", \"p99_ms\": ";
-    obs::append_json_number(out, entry.snap.quantile(0.99));
     double qps = 0.0;
     for (const auto& c : window_counters) {
       if (has_prefix(c.name, kWindowRequestsPrefix) &&
@@ -259,79 +247,64 @@ std::string render_stats_json(Service& service) {
         break;
       }
     }
-    out += ", \"qps\": ";
-    obs::append_json_number(out, qps);
-    out += "}";
+    w.key(endpoint)
+        .begin_object()
+        .field("count", entry.snap.count)
+        .field("p50_ms", entry.snap.quantile(0.50))
+        .field("p95_ms", entry.snap.quantile(0.95))
+        .field("p99_ms", entry.snap.quantile(0.99))
+        .field("qps", qps)
+        .end_object();
   }
-  out += "}, \"window_seconds\": ";
-  obs::append_json_number(
-      out, window_hists.empty() ? 0.0 : window_hists.front().window_seconds);
-  out += "}";
+  w.end_object()
+      .field("window_seconds",
+             window_hists.empty() ? 0.0 : window_hists.front().window_seconds)
+      .end_object();
 
   // Batch occupancy from the cumulative batch-size histogram.
   const std::uint64_t batches = counter("serve.scheduler.batches_formed");
   const std::uint64_t batched = counter("serve.scheduler.batched_requests");
-  out += ", \"batch\": {\"batches_formed\": " + std::to_string(batches);
-  out += ", \"batched_requests\": " + std::to_string(batched);
-  out += ", \"mean_occupancy\": ";
-  obs::append_json_number(out, batches == 0
-                                   ? 0.0
-                                   : static_cast<double>(batched) /
-                                         static_cast<double>(batches));
-  out += "}";
+  w.key("batch")
+      .begin_object()
+      .field("batches_formed", batches)
+      .field("batched_requests", batched)
+      .field("mean_occupancy",
+             batches == 0 ? 0.0
+                          : static_cast<double>(batched) /
+                                static_cast<double>(batches))
+      .end_object();
 
-  out += ", \"registry\": {\"resident\": " +
-         std::to_string(service.registry.size());
-  out += ", \"hits\": " + std::to_string(counter("serve.registry.hits"));
-  out += ", \"misses\": " + std::to_string(counter("serve.registry.misses"));
-  out += ", \"circuits\": [";
-  const auto infos = service.registry.infos();
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += "{\"name\": ";
-    out += obs::json_quote(infos[i].name);
-    out += ", \"pins\": " + std::to_string(infos[i].pins);
-    out += ", \"gates\": " + std::to_string(infos[i].gates);
-    out += "}";
-  }
-  out += "]}";
+  w.key("registry")
+      .begin_object()
+      .field("resident", service.registry.size())
+      .field("hits", counter("serve.registry.hits"))
+      .field("misses", counter("serve.registry.misses"))
+      .key("circuits")
+      .begin_array();
+  for (const CircuitRegistry::CircuitInfo& info : service.registry.infos())
+    w.begin_object()
+        .field("name", info.name)
+        .field("pins", info.pins)
+        .field("gates", info.gates)
+        .end_object();
+  w.end_array().end_object();
 
   // Arena / cache / warm-state reuse counters, surfaced as one section so
   // an operator sees the memory+compute reuse story in a glance.
-  out += ", \"reuse\": {";
-  first = true;
+  w.key("reuse").begin_object();
   for (const auto& [name, value] : snap.counters) {
     if (name.find("arena") == std::string::npos &&
         name.find("cache") == std::string::npos &&
         name.find("reuse") == std::string::npos &&
         name.find("warm_start") == std::string::npos)
       continue;
-    if (!first) out += ", ";
-    first = false;
-    out += obs::json_quote(name);
-    out += ": " + std::to_string(value);
+    w.field(name, value);
   }
-  out += "}";
-
-  out += ", \"counters\": {";
-  first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (!first) out += ", ";
-    first = false;
-    out += obs::json_quote(name);
-    out += ": " + std::to_string(value);
-  }
-  out += "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    if (!first) out += ", ";
-    first = false;
-    out += obs::json_quote(name);
-    out += ": ";
-    obs::append_json_number(out, value);
-  }
-  out += "}}";
-  return out;
+  w.end_object().key("counters").begin_object();
+  for (const auto& [name, value] : snap.counters) w.field(name, value);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, value] : snap.gauges) w.field(name, value);
+  return w.end_object().end_object().take();
 }
 
 }  // namespace cirstag::serve

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -21,13 +20,6 @@ namespace cirstag::serve {
 
 namespace {
 
-JobResponse error_response(int status, const std::string& message) {
-  std::string body = "{\"error\": ";
-  body += obs::json_quote(message);
-  body += "}";
-  return {status, std::move(body)};
-}
-
 Dispatch immediate(JobResponse response) {
   Dispatch d;
   d.immediate = true;
@@ -36,36 +28,43 @@ Dispatch immediate(JobResponse response) {
 }
 
 Dispatch immediate_error(int status, const std::string& message) {
-  return immediate(error_response(status, message));
-}
-
-void append_double_array(std::string& out, std::span<const double> values) {
-  out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ", ";
-    obs::append_json_number(out, values[i]);
-  }
-  out += ']';
+  return immediate({status, error_body(message)});
 }
 
 /// Report payload shared by the analyze and sweep responses. The score
-/// arrays render through %.17g (obs::append_json_number), which round-trips
-/// IEEE doubles exactly — the socket byte-identity contract the e2e test
-/// asserts rests on this.
-void append_report(std::string& out, const core::CirStagReport& report) {
-  out += "{\"node_scores\": ";
-  append_double_array(out, report.node_scores);
-  out += ", \"edge_scores\": ";
-  append_double_array(out, report.edge_scores);
-  out += ", \"eigenvalues\": ";
-  append_double_array(out, report.eigenvalues);
-  out += ", \"checksums\": ";
-  out += report.checksums.to_json();
-  out += ", \"health_ok\": ";
-  out += report.health.ok() ? "true" : "false";
-  out += ", \"total_seconds\": ";
-  obs::append_json_number(out, report.timings.total());
-  out += '}';
+/// arrays render through %.17g (obs::JsonWriter), which round-trips IEEE
+/// doubles exactly — the socket byte-identity contract the e2e test asserts
+/// rests on this.
+void write_report(obs::JsonWriter& w, const core::CirStagReport& report) {
+  w.begin_object()
+      .field("node_scores", report.node_scores)
+      .field("edge_scores", report.edge_scores)
+      .field("eigenvalues", report.eigenvalues)
+      .key("checksums")
+      .raw(report.checksums.to_json())
+      .field("health_ok", report.health.ok())
+      .field("total_seconds", report.timings.total())
+      .end_object();
+}
+
+/// One sweep variant's result members: the report and its scalars.
+void write_variant(obs::JsonWriter& w,
+                   const core::SweepVariantResult& result) {
+  write_report(w.key("report"), result.report);
+  w.field("worst_arrival", result.worst_arrival)
+      .field("subspace_sweeps", result.stats.subspace_sweeps);
+}
+
+/// The "nodes" member of /top-k and /score-region: [{"node", "score"}, ...].
+void write_nodes(obs::JsonWriter& w,
+                 const std::vector<core::NodeScore>& nodes) {
+  w.key("nodes").begin_array();
+  for (const core::NodeScore& n : nodes)
+    w.begin_object()
+        .field("node", n.node)
+        .field("score", n.score)
+        .end_object();
+  w.end_array();
 }
 
 // -- request payloads -------------------------------------------------------
@@ -131,16 +130,10 @@ bool parse_cap_scalings(const JsonValue& array, const CircuitRecord& record,
 
 JobResponse format_variant_response(const AnalyzePayload& payload,
                                     const core::SweepVariantResult& result) {
-  std::string body = "{\"circuit\": ";
-  body += obs::json_quote(payload.circuit);
-  body += ", \"baseline\": false, \"report\": ";
-  append_report(body, result.report);
-  body += ", \"worst_arrival\": ";
-  obs::append_json_number(body, result.worst_arrival);
-  body += ", \"subspace_sweeps\": ";
-  body += std::to_string(result.stats.subspace_sweeps);
-  body += "}";
-  return {200, std::move(body)};
+  obs::JsonWriter w;
+  w.begin_object().field("circuit", payload.circuit).field("baseline", false);
+  write_variant(w, result);
+  return {200, w.end_object().take()};
 }
 
 /// Batch executor: every job shares the analyze batch key (same circuit
@@ -275,26 +268,22 @@ Dispatch dispatch_load(Service& service, const JsonValue& body,
       const int status = loaded.name_conflict        ? 409
                          : payload->is_snapshot      ? 400
                                                      : 422;
-      return error_response(status, loaded.error);
+      return {status, error_body(loaded.error)};
     }
     const CircuitRecord& record = *loaded.record;
     const obs::RenderScope render(trace.get());
-    std::string out = "{\"name\": ";
-    out += obs::json_quote(record.name);
-    out += ", \"pins\": " + std::to_string(record.netlist.num_pins());
-    out += ", \"gates\": " + std::to_string(record.netlist.num_gates());
-    out += ", \"mode\": ";
-    out += obs::json_quote(record.options.exact ? "exact" : "fast");
-    out += ", \"restored\": ";
-    out += payload->is_snapshot ? "true" : "false";
-    out += ", \"train_r2\": ";
-    obs::append_json_number(out, record.train_r2);
-    out += ", \"train_seconds\": ";
-    obs::append_json_number(out, record.train_seconds);
-    out += ", \"baseline_seconds\": ";
-    obs::append_json_number(out, record.baseline_seconds);
-    out += "}";
-    return {200, std::move(out)};
+    return {200, obs::JsonWriter()
+                     .begin_object()
+                     .field("name", record.name)
+                     .field("pins", record.netlist.num_pins())
+                     .field("gates", record.netlist.num_gates())
+                     .field("mode", record.options.exact ? "exact" : "fast")
+                     .field("restored", payload->is_snapshot)
+                     .field("train_r2", record.train_r2)
+                     .field("train_seconds", record.train_seconds)
+                     .field("baseline_seconds", record.baseline_seconds)
+                     .end_object()
+                     .take()};
   };
   return submit_or_reject(service, std::move(job));
 }
@@ -312,9 +301,13 @@ Dispatch dispatch_unload(Service& service, const JsonValue& body,
   CircuitRegistry* registry = &service.registry;
   job.run = [registry, name, trace]() -> JobResponse {
     if (!registry->unload(name))
-      return error_response(404, "circuit '" + name + "' is not loaded");
+      return {404, error_body("circuit '" + name + "' is not loaded")};
     const obs::RenderScope render(trace.get());
-    return {200, "{\"unloaded\": " + obs::json_quote(name) + "}"};
+    return {200, obs::JsonWriter()
+                     .begin_object()
+                     .field("unloaded", name)
+                     .end_object()
+                     .take()};
   };
   return submit_or_reject(service, std::move(job));
 }
@@ -349,12 +342,13 @@ Dispatch dispatch_analyze(Service& service, const JsonValue& body,
     // run_mutex, no batching.
     job.run = [payload, trace]() -> JobResponse {
       const obs::RenderScope render(trace.get());
-      std::string out = "{\"circuit\": ";
-      out += obs::json_quote(payload->circuit);
-      out += ", \"baseline\": true, \"report\": ";
-      append_report(out, payload->record->engine->baseline());
-      out += "}";
-      return {200, std::move(out)};
+      obs::JsonWriter w;
+      w.begin_object()
+          .field("circuit", payload->circuit)
+          .field("baseline", true)
+          .key("report");
+      write_report(w, payload->record->engine->baseline());
+      return {200, w.end_object().take()};
     };
   } else {
     job.batch_key = "analyze:" + payload->circuit;
@@ -410,27 +404,24 @@ Dispatch dispatch_sweep(Service& service, const JsonValue& body,
         record.engine->run(payload->variants);
     const core::SweepStats& stats = record.engine->stats();
     const obs::RenderScope render(trace.get());
-    std::string out = "{\"circuit\": ";
-    out += obs::json_quote(payload->circuit);
-    out += ", \"results\": [";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += "{\"report\": ";
-      append_report(out, results[i].report);
-      out += ", \"worst_arrival\": ";
-      obs::append_json_number(out, results[i].worst_arrival);
-      out += ", \"subspace_sweeps\": ";
-      out += std::to_string(results[i].stats.subspace_sweeps);
-      out += "}";
+    obs::JsonWriter w;
+    w.begin_object()
+        .field("circuit", payload->circuit)
+        .key("results")
+        .begin_array();
+    for (const core::SweepVariantResult& result : results) {
+      w.begin_object();
+      write_variant(w, result);
+      w.end_object();
     }
-    out += "], \"stats\": {\"variants\": ";
-    out += std::to_string(stats.variants);
-    out += ", \"sweep_seconds\": ";
-    obs::append_json_number(out, stats.sweep_seconds);
-    out += ", \"solver_cache_hits\": ";
-    out += std::to_string(stats.solver_cache_hits);
-    out += "}}";
-    return {200, std::move(out)};
+    w.end_array()
+        .key("stats")
+        .begin_object()
+        .field("variants", stats.variants)
+        .field("sweep_seconds", stats.sweep_seconds)
+        .field("solver_cache_hits", stats.solver_cache_hits)
+        .end_object();
+    return {200, w.end_object().take()};
   };
   return submit_or_reject(service, std::move(job));
 }
@@ -457,18 +448,10 @@ Dispatch dispatch_top_k(Service& service, const JsonValue& body,
     const std::vector<core::NodeScore> nodes =
         core::top_k_nodes(record->engine->baseline(), k);
     const obs::RenderScope render(trace.get());
-    std::string out = "{\"circuit\": ";
-    out += obs::json_quote(name);
-    out += ", \"k\": " + std::to_string(k);
-    out += ", \"nodes\": [";
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += "{\"node\": " + std::to_string(nodes[i].node) + ", \"score\": ";
-      obs::append_json_number(out, nodes[i].score);
-      out += "}";
-    }
-    out += "]}";
-    return {200, std::move(out)};
+    obs::JsonWriter w;
+    w.begin_object().field("circuit", name).field("k", k);
+    write_nodes(w, nodes);
+    return {200, w.end_object().take()};
   };
   return submit_or_reject(service, std::move(job));
 }
@@ -528,29 +511,19 @@ Dispatch dispatch_score_region(Service& service, const JsonValue& body,
         region = core::score_region(record->engine->baseline(), *ids);
       }
     } catch (const std::out_of_range& e) {
-      return error_response(422, e.what());
+      return {422, error_body(e.what())};
     }
     const obs::RenderScope render(trace.get());
-    std::string out = "{\"circuit\": ";
-    out += obs::json_quote(name);
-    out += ", \"count\": " + std::to_string(region.nodes.size());
-    out += ", \"mean\": ";
-    obs::append_json_number(out, region.mean);
-    out += ", \"max\": ";
-    obs::append_json_number(out, region.max);
-    out += ", \"argmax\": " + std::to_string(region.argmax);
-    out += ", \"design_mean\": ";
-    obs::append_json_number(out, region.design_mean);
-    out += ", \"nodes\": [";
-    for (std::size_t i = 0; i < region.nodes.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += "{\"node\": " + std::to_string(region.nodes[i].node) +
-             ", \"score\": ";
-      obs::append_json_number(out, region.nodes[i].score);
-      out += "}";
-    }
-    out += "]}";
-    return {200, std::move(out)};
+    obs::JsonWriter w;
+    w.begin_object()
+        .field("circuit", name)
+        .field("count", region.nodes.size())
+        .field("mean", region.mean)
+        .field("max", region.max)
+        .field("argmax", region.argmax)
+        .field("design_mean", region.design_mean);
+    write_nodes(w, region.nodes);
+    return {200, w.end_object().take()};
   };
   return submit_or_reject(service, std::move(job));
 }
@@ -560,34 +533,29 @@ JobResponse handle_health(Service& service) {
                             std::chrono::steady_clock::now() - service.started)
                             .count();
   const obs::BuildInfo& build = obs::build_info();
-  std::string out = "{\"status\": ";
-  out += obs::json_quote(service.scheduler.draining() ? "draining" : "ok");
-  out += ", \"uptime_seconds\": ";
-  obs::append_json_number(out, uptime);
-  out += ", \"queue_depth\": " +
-         std::to_string(service.scheduler.queue_depth());
-  out += ", \"circuits\": [";
-  const auto infos = service.registry.infos();
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += "{\"name\": ";
-    out += obs::json_quote(infos[i].name);
-    out += ", \"pins\": " + std::to_string(infos[i].pins);
-    out += ", \"gates\": " + std::to_string(infos[i].gates);
-    out += ", \"mode\": ";
-    out += obs::json_quote(infos[i].exact ? "exact" : "fast");
-    out += ", \"train_r2\": ";
-    obs::append_json_number(out, infos[i].train_r2);
-    out += "}";
-  }
-  out += "], \"build\": {\"git_describe\": ";
-  out += obs::json_quote(build.git_describe);
-  out += ", \"build_type\": ";
-  out += obs::json_quote(build.build_type);
-  out += ", \"compiler\": ";
-  out += obs::json_quote(build.compiler);
-  out += "}}";
-  return {200, std::move(out)};
+  obs::JsonWriter w;
+  w.begin_object()
+      .field("status", service.scheduler.draining() ? "draining" : "ok")
+      .field("uptime_seconds", uptime)
+      .field("queue_depth", service.scheduler.queue_depth())
+      .key("circuits")
+      .begin_array();
+  for (const CircuitRegistry::CircuitInfo& info : service.registry.infos())
+    w.begin_object()
+        .field("name", info.name)
+        .field("pins", info.pins)
+        .field("gates", info.gates)
+        .field("mode", info.exact ? "exact" : "fast")
+        .field("train_r2", info.train_r2)
+        .end_object();
+  w.end_array()
+      .key("build")
+      .begin_object()
+      .field("git_describe", build.git_describe)
+      .field("build_type", build.build_type)
+      .field("compiler", build.compiler)
+      .end_object();
+  return {200, w.end_object().take()};
 }
 
 }  // namespace

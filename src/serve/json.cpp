@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "obs/json.hpp"
+
 namespace cirstag::serve {
 
 namespace {
@@ -318,6 +320,13 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
 
 JsonValue parse_json(std::string_view text, std::size_t max_depth) {
   return Parser(text, max_depth).parse_document();
+}
+
+std::string error_body(std::string_view message, const char* detail) {
+  obs::JsonWriter w;
+  w.begin_object().field("error", message);
+  if (detail != nullptr) w.field("detail", detail);
+  return w.end_object().take();
 }
 
 }  // namespace cirstag::serve

@@ -11,7 +11,7 @@ namespace cirstag::serve {
 
 /// Minimal immutable JSON document tree for request bodies.
 ///
-/// The obs layer only ever *writes* JSON; the serving protocol is the first
+/// obs::JsonWriter writes every document; the serving protocol is the first
 /// consumer, so this is deliberately the smallest correct reader: objects,
 /// arrays, strings (with \uXXXX escapes decoded to UTF-8), doubles, bools,
 /// null. Parsing is recursive descent with an explicit depth limit so a
@@ -79,5 +79,11 @@ class JsonError : public std::exception {
 /// garbage is an error). Throws JsonError on malformed input.
 [[nodiscard]] JsonValue parse_json(std::string_view text,
                                    std::size_t max_depth = 64);
+
+/// The body of every error response, from the router, the HTTP reader and
+/// the scheduler alike: {"error": message}, plus "detail" when `detail` is
+/// non-null (the text of an exception a handler threw).
+[[nodiscard]] std::string error_body(std::string_view message,
+                                     const char* detail = nullptr);
 
 }  // namespace cirstag::serve

@@ -9,6 +9,7 @@
 #include "obs/request.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
+#include "serve/json.hpp"
 
 namespace cirstag::serve {
 
@@ -179,8 +180,7 @@ void Scheduler::dispatch(std::unique_lock<std::mutex>& lock) {
       job.trace->set_queue_us(dispatch_us - enqueued_us);
     }
     if (job.deadline < now) {
-      complete(job, {504, "{\"error\": \"deadline expired before "
-                          "execution\"}"});
+      complete(job, {504, error_body("deadline expired before execution")});
     } else {
       live.push_back(&job);
     }
@@ -223,11 +223,11 @@ void Scheduler::dispatch(std::unique_lock<std::mutex>& lock) {
         }
         for (std::size_t i = 0; i < live.size(); ++i) {
           close_compute(i);
-          complete(*live[i], i < responses.size()
-                                 ? std::move(responses[i])
-                                 : JobResponse{500,
-                                               "{\"error\": \"batch executor "
-                                               "returned too few responses\"}"});
+          complete(*live[i],
+                   i < responses.size()
+                       ? std::move(responses[i])
+                       : JobResponse{500, error_body("batch executor returned "
+                                                     "too few responses")});
         }
       } else {
         JobResponse response;
@@ -240,12 +240,7 @@ void Scheduler::dispatch(std::unique_lock<std::mutex>& lock) {
         complete(*live.front(), std::move(response));
       }
     } catch (const std::exception& e) {
-      std::string body = "{\"error\": \"internal error\", \"detail\": \"";
-      for (const char c : std::string(e.what())) {
-        if (c == '"' || c == '\\') body += '\\';
-        if (c >= 0x20) body += c;
-      }
-      body += "\"}";
+      const std::string body = error_body("internal error", e.what());
       for (std::size_t i = 0; i < live.size(); ++i) {
         // complete() is idempotent-unsafe (promise single-set); jobs the
         // batch path already completed cannot reach here because the

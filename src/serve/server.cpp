@@ -3,10 +3,10 @@
 #include <utility>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request.hpp"
+#include "serve/json.hpp"
 
 namespace cirstag::serve {
 
@@ -85,11 +85,9 @@ void Server::connection_loop(TcpSocket socket) {
       // Malformed / oversized: answer with the reader's suggested status
       // and close — framing may be lost, so the connection cannot continue.
       http_errors.add();
-      const std::string body =
-          "{\"error\": " + obs::json_quote(read.error_detail) + "}";
       (void)socket.write_all(format_http_response(
           read.error_code == 0 ? 400 : read.error_code, "application/json",
-          body, /*keep_alive=*/false));
+          error_body(read.error_detail), /*keep_alive=*/false));
       break;
     }
 

@@ -1,27 +1,32 @@
 // Observability layer: metrics registry semantics (including writes from
 // inside parallel_for bodies), trace span nesting, Trace Event Format
-// well-formedness, and the bit-identity guarantee that instrumentation
-// never perturbs pipeline output.
+// well-formedness, the JSON writer and checked file writer, and the
+// bit-identity guarantee that instrumentation never perturbs pipeline
+// output.
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/cirstag.hpp"
-#include "json_checker.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
+#include "serve/json.hpp"
 
 namespace {
 
 using namespace cirstag;
-using cirstag_test::JsonChecker;
 
 // ---------------------------------------------------------------------------
 // MetricsRegistry
@@ -119,8 +124,8 @@ TEST(ObsMetrics, ToJsonIsWellFormed) {
   c.add(3);
   g.set(0.125);
   h.observe(1.5);
-  const std::string json = reg.to_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  const std::string json = reg.to_json({});
+  EXPECT_NO_THROW((void)serve::parse_json(json)) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
@@ -178,13 +183,65 @@ TEST(ObsTrace, ChromeJsonIsWellFormed) {
     const obs::TraceSpan b(tracer, "span.b", "test");
   }
   const std::string json = tracer.to_chrome_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
+  const serve::JsonValue doc = serve::parse_json(json);
+  const serve::JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr) << json;
+  ASSERT_EQ(events->as_array().size(), 2u) << json;
+  for (const serve::JsonValue& e : events->as_array())
+    EXPECT_EQ(e.string_or("ph", ""), "X") << json;
   // Events survive clear() -> empty but still well-formed.
   tracer.clear();
   EXPECT_TRUE(tracer.events().empty());
-  EXPECT_TRUE(JsonChecker(tracer.to_chrome_json()).valid());
+  EXPECT_NO_THROW((void)serve::parse_json(tracer.to_chrome_json()));
+}
+
+// ---------------------------------------------------------------------------
+// JsonWriter / write_text
+
+TEST(ObsJsonWriter, SeparatorsAreFixed) {
+  EXPECT_EQ(obs::JsonWriter().begin_object().end_object().take(), "{}");
+  EXPECT_EQ(obs::JsonWriter().begin_array().end_array().take(), "[]");
+  obs::JsonWriter w;
+  w.begin_array().begin_object().end_object().begin_array().end_array();
+  for (int i = 0; i < 2; ++i) w.begin_object().field("i", i).end_object();
+  EXPECT_EQ(w.end_array().take(), "[{}, [], {\"i\": 0}, {\"i\": 1}]");
+  w.begin_object().field("a", 1).key("doc").raw("{\"x\": [1]}");
+  EXPECT_EQ(w.field("b", "s").end_object().take(),
+            "{\"a\": 1, \"doc\": {\"x\": [1]}, \"b\": \"s\"}");
+}
+
+TEST(ObsJsonWriter, ValueKinds) {
+  EXPECT_EQ(obs::JsonWriter().begin_array().value(true).value(false)
+                .value(INT64_MIN).value(UINT64_MAX).value(std::nan(""))
+                .value(-HUGE_VAL).end_array().take(),
+            "[true, false, -9223372036854775808, 18446744073709551615, 0, 0]");
+  // Doubles round-trip bit-exactly through the production reader.
+  const std::vector<double> doubles{-0.0, 5e-324, DBL_MAX};
+  const serve::JsonValue parsed =
+      serve::parse_json(obs::JsonWriter().value(doubles).take());
+  ASSERT_EQ(parsed.as_array().size(), doubles.size());
+  for (std::size_t i = 0; i < doubles.size(); ++i) {
+    const double back = parsed.as_array()[i].as_number();
+    EXPECT_EQ(std::memcmp(&back, &doubles[i], sizeof back), 0) << i;
+  }
+}
+
+TEST(ObsJsonWriter, EscapedStringsRoundTrip) {
+  std::string nasty;
+  for (int c = 0; c < 0x20; ++c) nasty += static_cast<char>(c);
+  nasty += "\"\\\x7f na\xc3\xafve \xe2\x82\xac";
+  const std::string json =
+      obs::JsonWriter().begin_object().field(nasty, nasty).end_object().take();
+  const serve::JsonValue doc = serve::parse_json(json);
+  ASSERT_EQ(doc.members().size(), 1u) << json;
+  EXPECT_EQ(doc.members()[0].first, nasty);
+  EXPECT_EQ(doc.members()[0].second.as_string(), nasty);
+}
+
+TEST(ObsWriteText, FailedWriteReturnsFalse) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(obs::write_text("/dev/full", "x"));
+  EXPECT_FALSE(obs::write_text("/nonexistent-dir/out.json", "x"));
 }
 
 // ---------------------------------------------------------------------------

@@ -32,14 +32,13 @@
 #include "core/cirstag.hpp"
 #include "core/sweep.hpp"
 #include "gnn/timing_gnn.hpp"
-#include "json_checker.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
+#include "serve/json.hpp"
 
 namespace {
 
 using namespace cirstag;
-using cirstag_test::JsonChecker;
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
@@ -87,8 +86,8 @@ TEST(ObsQuantile, JsonCarriesQuantileEstimates) {
   obs::MetricsRegistry reg;
   const obs::Histogram h(reg, "q.json", {1.0, 2.0, 4.0});
   for (int i = 0; i < 100; ++i) h.observe(0.5 + 0.03 * i);
-  const std::string json = reg.to_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  const std::string json = reg.to_json({});
+  EXPECT_NO_THROW((void)serve::parse_json(json)) << json;
   EXPECT_NE(json.find("\"p50\""), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
@@ -154,7 +153,7 @@ TEST(ObsLog, ThresholdFiltersAndJsonMirrorIsWellFormed) {
   std::size_t n = 0;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
-    EXPECT_TRUE(JsonChecker(line).valid()) << line;
+    EXPECT_NO_THROW((void)serve::parse_json(line)) << line;
     EXPECT_NE(line.find("\"level\""), std::string::npos);
     EXPECT_NE(line.find("\"subsystem\""), std::string::npos);
     ++n;
@@ -182,7 +181,8 @@ TEST(ObsHealth, RecordCollectSinceAndSeverityCounting) {
   EXPECT_EQ(scoped.events[0].kind, "b.warn");
   EXPECT_EQ(scoped.count(obs::HealthSeverity::warning), 1u);
   EXPECT_EQ(scoped.count(obs::HealthSeverity::error), 1u);
-  EXPECT_TRUE(JsonChecker(scoped.to_json()).valid()) << scoped.to_json();
+  EXPECT_NO_THROW((void)serve::parse_json(scoped.to_json()))
+      << scoped.to_json();
 
   mon.clear();
   EXPECT_TRUE(mon.collect().events.empty());
@@ -286,10 +286,10 @@ TEST(ObsManifest, HexRenderingIsFixedWidthLowercase) {
 
 TEST(ObsManifest, BuilderRendersOrderedWellFormedJson) {
   obs::ManifestBuilder mb;
-  mb.set_string("run", "command", "test \"quoted\"");
-  mb.set_uint("run", "threads", 4);
-  mb.set_bool("run", "flag", true);
-  mb.set_number("config", "factor", 2.5);
+  mb.set("run", "command", "test \"quoted\"");
+  mb.set("run", "threads", 4);
+  mb.set("run", "flag", true);
+  mb.set("config", "factor", 2.5);
   mb.set_raw("config", "list", "[1, 2, 3]");
   obs::PhaseChecksums cs;
   cs.input_graph = 1;
@@ -297,18 +297,19 @@ TEST(ObsManifest, BuilderRendersOrderedWellFormedJson) {
   mb.set_checksums("checksums", cs);
 
   const std::string json = mb.to_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  const serve::JsonValue doc = serve::parse_json(json);
   // Builder-provided provenance plus the caller's sections.
-  EXPECT_NE(json.find("\"manifest\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
-  EXPECT_NE(json.find("\"build\""), std::string::npos);
-  EXPECT_NE(json.find("\"git_describe\""), std::string::npos);
-  EXPECT_NE(json.find("\"input_graph\": \"0000000000000001\""),
-            std::string::npos);
+  ASSERT_NE(doc.find("manifest"), nullptr) << json;
+  EXPECT_EQ(doc.find("manifest")->number_or("schema_version", 0), 1.0);
+  ASSERT_NE(doc.find("build"), nullptr) << json;
+  EXPECT_NE(doc.find("build")->find("git_describe"), nullptr);
+  EXPECT_EQ(doc.find("run")->string_or("command", ""), "test \"quoted\"");
+  EXPECT_EQ(doc.find("checksums")->string_or("input_graph", ""),
+            "0000000000000001");
   // Sections render in insertion order; identical input -> identical bytes.
   EXPECT_LT(json.find("\"run\""), json.find("\"config\""));
   EXPECT_EQ(json, mb.to_json());
-  EXPECT_TRUE(JsonChecker(cs.to_json()).valid()) << cs.to_json();
+  EXPECT_NO_THROW((void)serve::parse_json(cs.to_json())) << cs.to_json();
 }
 
 TEST(ObsManifest, PhaseChecksumsAreThreadCountInvariant) {

@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
 #include "runtime/thread_pool.hpp"
+#include "serve/json.hpp"
 
 namespace {
 
@@ -241,16 +242,15 @@ TEST(ObsRequest, AccessLogLineCarriesTheRequestFacts) {
   ctx.set_deadline_slack_us(9000.0);
   ctx.finish(200);
   const std::string line = ctx.access_log_line();
-  EXPECT_NE(line.find("\"trace_id\":\"" + ctx.id_hex() + "\""),
-            std::string::npos)
-      << line;
-  EXPECT_NE(line.find("\"endpoint\":\"analyze\""), std::string::npos);
-  EXPECT_NE(line.find("\"circuit\":\"cpu_core\""), std::string::npos);
-  EXPECT_NE(line.find("\"status\":200"), std::string::npos);
-  EXPECT_NE(line.find("\"queue_us\":120"), std::string::npos);
-  EXPECT_NE(line.find("\"compute_us\":3400"), std::string::npos);
-  EXPECT_NE(line.find("\"render_us\":80"), std::string::npos);
-  EXPECT_NE(line.find("\"deadline_slack_us\":9000"), std::string::npos);
+  const serve::JsonValue doc = serve::parse_json(line);
+  EXPECT_EQ(doc.string_or("trace_id", ""), ctx.id_hex()) << line;
+  EXPECT_EQ(doc.string_or("endpoint", ""), "analyze");
+  EXPECT_EQ(doc.string_or("circuit", ""), "cpu_core");
+  EXPECT_EQ(doc.number_or("status", 0), 200.0);
+  EXPECT_EQ(doc.number_or("queue_us", 0), 120.0);
+  EXPECT_EQ(doc.number_or("compute_us", 0), 3400.0);
+  EXPECT_EQ(doc.number_or("render_us", 0), 80.0);
+  EXPECT_EQ(doc.number_or("deadline_slack_us", 0), 9000.0);
   EXPECT_EQ(line.find('\n'), std::string::npos) << "must be one JSONL line";
 }
 
@@ -363,9 +363,13 @@ TEST_F(ObsRequestLog, AccessLinesAreWrittenPerRequest) {
   log.record(b);
   EXPECT_EQ(log.access_lines_written(), 2u);
   const std::string contents = read_file(access_path);
-  EXPECT_NE(contents.find(a.id_hex()), std::string::npos);
-  EXPECT_NE(contents.find(b.id_hex()), std::string::npos);
-  EXPECT_NE(contents.find("\"status\":404"), std::string::npos);
+  const std::size_t eol = contents.find('\n');
+  ASSERT_NE(eol, std::string::npos) << contents;
+  const serve::JsonValue first = serve::parse_json(contents.substr(0, eol));
+  const serve::JsonValue second = serve::parse_json(contents.substr(eol + 1));
+  EXPECT_EQ(first.string_or("trace_id", ""), a.id_hex());
+  EXPECT_EQ(second.string_or("trace_id", ""), b.id_hex());
+  EXPECT_EQ(second.number_or("status", 0), 404.0);
 }
 
 TEST_F(ObsRequestLog, SlowRequestsCaptureExemplarsUnderATokenBudget) {

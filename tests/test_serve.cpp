@@ -518,16 +518,23 @@ TEST(ServeScheduler, HandlerExceptionBecomes500) {
   Scheduler::Options options;
   options.workers = 1;
   Scheduler scheduler(options);
-  Job job;
-  job.endpoint = "test";
-  job.run = []() -> JobResponse {
-    throw std::runtime_error("boom detail");
-  };
-  auto result = scheduler.submit(std::move(job));
-  ASSERT_TRUE(result.accepted);
-  const JobResponse response = result.future.get();
-  EXPECT_EQ(response.status, 500);
-  EXPECT_NE(response.body.find("boom detail"), std::string::npos);
+  // The exception text reaches the body's "detail" byte for byte: quotes,
+  // backslashes, control bytes and UTF-8 included.
+  for (const std::string message :
+       {"boom detail", "q\" b\\ t\t n\n na\xc3\xafve"}) {
+    Job job;
+    job.endpoint = "test";
+    job.run = [message]() -> JobResponse {
+      throw std::runtime_error(message);
+    };
+    auto result = scheduler.submit(std::move(job));
+    ASSERT_TRUE(result.accepted);
+    const JobResponse response = result.future.get();
+    EXPECT_EQ(response.status, 500);
+    const JsonValue body = parse_json(response.body);
+    EXPECT_EQ(body.string_or("error", ""), "internal error");
+    EXPECT_EQ(body.string_or("detail", ""), message) << response.body;
+  }
   scheduler.stop();
 }
 

@@ -258,6 +258,20 @@ std::string g_profile_path;
 std::string g_manifest_path;
 std::uint64_t g_health_begin = 0;
 
+/// Set when a requested artifact file could not be written; main() then
+/// exits 1 even though the command itself succeeded.
+bool g_write_failed = false;
+
+/// Write one requested artifact through obs::write_text. A failure names the
+/// path and fails the run, but never stops the remaining sinks.
+bool write_artifact(const char* what, const std::string& path,
+                    const std::string& text) {
+  if (obs::write_text(path, text)) return true;
+  obs::logf_error("cli", "cannot write %s to %s", what, path.c_str());
+  g_write_failed = true;
+  return false;
+}
+
 /// The command's root span (`cli.<command>`) while it is open, and its wall
 /// and child-covered seconds once captured; the "profile" section's
 /// attribution_fraction is their ratio.
@@ -285,21 +299,14 @@ std::string profile_json() {
     const std::size_t cut = path.rfind(';');
     self_us[cut == std::string::npos ? path : path.substr(cut + 1)] += us;
   }
-  std::string out = "{\"duration_seconds\": ";
-  obs::append_json_number(out, g_root_seconds);
-  out += ", \"attribution_fraction\": ";
-  obs::append_json_number(out, root_attribution());
-  out += ", \"self_us\": {";
-  bool first = true;
-  for (const auto& [name, us] : self_us) {
-    out += first ? "\n  " : ",\n  ";
-    first = false;
-    out += obs::json_quote(name);
-    out += ": ";
-    out += std::to_string(std::llround(us));
-  }
-  out += first ? "}}" : "\n}}";
-  return out;
+  obs::JsonWriter w;
+  w.begin_object()
+      .field("duration_seconds", g_root_seconds)
+      .field("attribution_fraction", root_attribution())
+      .key("self_us")
+      .begin_object();
+  for (const auto& [name, us] : self_us) w.field(name, std::llround(us));
+  return w.end_object().end_object().take();
 }
 
 /// Honors the global flags every command accepts: --threads sizes the pool,
@@ -346,16 +353,12 @@ void apply_global_flags(const std::map<std::string, std::string>& opts) {
 /// Flush the observability sinks (no-ops when the flags were absent).
 void write_observability_outputs() {
   capture_root_span();
-  if (!g_profile_path.empty()) {
-    if (obs::Tracer::global().write_folded(g_profile_path)) {
-      std::printf("profile written to %s (%.0f%% of %.2fs in child spans)\n",
-                  g_profile_path.c_str(), 100.0 * root_attribution(),
-                  g_root_seconds);
-    } else {
-      obs::logf_error("cli", "cannot write profile to %s",
-                      g_profile_path.c_str());
-    }
-  }
+  if (!g_profile_path.empty() &&
+      write_artifact("profile", g_profile_path,
+                     obs::Tracer::global().to_folded()))
+    std::printf("profile written to %s (%.0f%% of %.2fs in child spans)\n",
+                g_profile_path.c_str(), 100.0 * root_attribution(),
+                g_root_seconds);
   const obs::HealthReport health =
       obs::HealthMonitor::global().collect_since(g_health_begin);
   if (!health.ok()) {
@@ -367,25 +370,19 @@ void write_observability_outputs() {
             std::to_string(health.count(obs::HealthSeverity::error)) +
             " error(s); see --metrics-json \"health\" section");
   }
-  if (!g_trace_path.empty()) {
-    if (obs::Tracer::global().write_chrome_json(g_trace_path)) {
-      std::printf("trace written to %s\n", g_trace_path.c_str());
-    } else {
-      obs::logf_error("cli", "cannot write trace to %s", g_trace_path.c_str());
-    }
-  }
+  if (!g_trace_path.empty() &&
+      write_artifact("trace", g_trace_path,
+                     obs::Tracer::global().to_chrome_json() + '\n'))
+    std::printf("trace written to %s\n", g_trace_path.c_str());
   if (!g_metrics_path.empty()) {
     std::vector<std::pair<std::string, std::string>> extra;
     if (obs::HealthMonitor::global().enabled())
       extra.emplace_back("health", health.to_json());
     if (!g_profile_path.empty())
       extra.emplace_back("profile", profile_json());
-    if (obs::MetricsRegistry::global().write_json(g_metrics_path, extra)) {
+    if (write_artifact("metrics", g_metrics_path,
+                       obs::MetricsRegistry::global().to_json(extra) + '\n'))
       std::printf("metrics written to %s\n", g_metrics_path.c_str());
-    } else {
-      obs::logf_error("cli", "cannot write metrics to %s",
-                      g_metrics_path.c_str());
-    }
   }
 }
 
@@ -394,25 +391,20 @@ void write_observability_outputs() {
 obs::ManifestBuilder make_manifest(const char* command,
                                    const std::string& netlist_path) {
   obs::ManifestBuilder mb;
-  mb.set_string("run", "command", command);
-  mb.set_string("run", "netlist", netlist_path);
-  mb.set_uint("run", "threads", runtime::global_pool().num_threads());
-  mb.set_string("run", "simd", kernels::active_isa());
-  mb.set_bool("run", "health_enabled",
-              obs::HealthMonitor::global().enabled());
-  mb.set_bool("run", "profiler_enabled", !g_profile_path.empty());
+  mb.set("run", "command", command);
+  mb.set("run", "netlist", netlist_path);
+  mb.set("run", "threads", runtime::global_pool().num_threads());
+  mb.set("run", "simd", kernels::active_isa());
+  mb.set("run", "health_enabled", obs::HealthMonitor::global().enabled());
+  mb.set("run", "profiler_enabled", !g_profile_path.empty());
   return mb;
 }
 
 /// Write the manifest when --manifest-json was given (no-op otherwise).
 void write_manifest(const obs::ManifestBuilder& mb) {
-  if (g_manifest_path.empty()) return;
-  if (mb.write(g_manifest_path)) {
+  if (!g_manifest_path.empty() &&
+      write_artifact("manifest", g_manifest_path, mb.to_json() + '\n'))
     std::printf("manifest written to %s\n", g_manifest_path.c_str());
-  } else {
-    obs::logf_error("cli", "cannot write manifest to %s",
-                    g_manifest_path.c_str());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -567,8 +559,8 @@ int cmd_generate(int argc, char** argv) {
               nl.num_gates(), nl.num_pins(), nl.num_nets());
 
   obs::ManifestBuilder mb = make_manifest("generate", argv[2]);
-  mb.set_uint("config", "gates", spec.num_gates);
-  mb.set_uint("config", "seed", spec.seed);
+  mb.set("config", "gates", spec.num_gates);
+  mb.set("config", "seed", spec.seed);
   write_manifest(mb);
   return 0;
 }
@@ -636,36 +628,24 @@ void apply_coarsen_flags(const std::map<std::string, std::string>& opts,
 void write_perf_json(const std::string& path, std::size_t pins,
                      double wall_ms) {
   const obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  std::string out =
-      "{\n  \"context\": {\"executable\": \"cirstag_cli\"},\n"
-      "  \"benchmarks\": [\n    {\"name\": \"CLI_Analyze/" +
-      std::to_string(pins) +
-      "\", \"run_type\": \"iteration\", \"iterations\": 1, "
-      "\"time_unit\": \"ms\", \"real_time\": ";
-  obs::append_json_number(out, wall_ms);
-  const std::pair<const char*, double> counters[] = {
-      {"coarsen_levels", reg.gauge_value("coarsen.levels")},
-      {"coarsen_coarsest_n", reg.gauge_value("coarsen.coarsest_n")},
-      {"ritz_refine_sweeps",
-       static_cast<double>(reg.counter_value("eigen.ritz_refine_sweeps"))},
-      {"eigen_runs", static_cast<double>(reg.counter_value("eigen.runs"))},
-      {"wall_ms", wall_ms},
-  };
-  for (const auto& [key, value] : counters) {
-    out += ", \"";
-    out += key;
-    out += "\": ";
-    obs::append_json_number(out, value);
-  }
-  out += "}\n  ]\n}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    obs::logf_error("cli", "cannot write perf report %s", path.c_str());
-    std::exit(1);
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  std::printf("perf report written to %s\n", path.c_str());
+  obs::JsonWriter w;
+  w.begin_object().key("context").begin_object();
+  w.field("executable", "cirstag_cli").end_object();
+  w.key("benchmarks").begin_array().begin_object();
+  w.field("name", "CLI_Analyze/" + std::to_string(pins))
+      .field("run_type", "iteration")
+      .field("iterations", 1)
+      .field("time_unit", "ms")
+      .field("real_time", wall_ms)
+      .field("coarsen_levels", reg.gauge_value("coarsen.levels"))
+      .field("coarsen_coarsest_n", reg.gauge_value("coarsen.coarsest_n"))
+      .field("ritz_refine_sweeps",
+             reg.counter_value("eigen.ritz_refine_sweeps"))
+      .field("eigen_runs", reg.counter_value("eigen.runs"))
+      .field("wall_ms", wall_ms);
+  w.end_object().end_array().end_object();
+  if (write_artifact("perf report", path, w.take() + '\n'))
+    std::printf("perf report written to %s\n", path.c_str());
 }
 
 int cmd_analyze(int argc, char** argv) {
@@ -751,15 +731,14 @@ int cmd_analyze(int argc, char** argv) {
   if (!perf_path.empty()) write_perf_json(perf_path, nl.num_pins(), analyze_ms);
 
   obs::ManifestBuilder mb = make_manifest("analyze", argv[2]);
-  mb.set_uint("config", "epochs", gopts.epochs);
-  mb.set_uint("config", "hidden_dim", gopts.hidden_dim);
-  mb.set_uint("config", "gnn_seed", gopts.seed);
-  mb.set_uint("config", "probes",
-              cfg.manifold.sparsify.resistance.num_probes);
-  mb.set_string("config", "solver_precond", precond);
-  mb.set_bool("config", "coarsen",
-              cfg.embedding.coarsen.mode != graphs::CoarsenMode::off);
-  mb.set_uint("config", "coarsen_levels", cfg.embedding.coarsen.max_levels);
+  mb.set("config", "epochs", gopts.epochs);
+  mb.set("config", "hidden_dim", gopts.hidden_dim);
+  mb.set("config", "gnn_seed", gopts.seed);
+  mb.set("config", "probes", cfg.manifold.sparsify.resistance.num_probes);
+  mb.set("config", "solver_precond", precond);
+  mb.set("config", "coarsen",
+         cfg.embedding.coarsen.mode != graphs::CoarsenMode::off);
+  mb.set("config", "coarsen_levels", cfg.embedding.coarsen.max_levels);
   mb.set_checksums("checksums", report.checksums);
   write_manifest(mb);
   return 0;
@@ -872,14 +851,14 @@ int cmd_sweep(int argc, char** argv) {
   }
 
   obs::ManifestBuilder mb = make_manifest("sweep", argv[2]);
-  mb.set_uint("config", "variants", num_variants);
-  mb.set_uint("config", "pins_per_variant", pins_per_variant);
-  mb.set_number("config", "factor", factor);
-  mb.set_uint("config", "variant_seed", seed);
-  mb.set_bool("config", "exact", sopts.exact);
-  mb.set_bool("config", "audit_drift", sopts.audit_drift);
-  mb.set_uint("config", "epochs", gopts.epochs);
-  mb.set_uint("config", "hidden_dim", gopts.hidden_dim);
+  mb.set("config", "variants", num_variants);
+  mb.set("config", "pins_per_variant", pins_per_variant);
+  mb.set("config", "factor", factor);
+  mb.set("config", "variant_seed", seed);
+  mb.set("config", "exact", sopts.exact);
+  mb.set("config", "audit_drift", sopts.audit_drift);
+  mb.set("config", "epochs", gopts.epochs);
+  mb.set("config", "hidden_dim", gopts.hidden_dim);
   mb.set_checksums("checksums", engine.baseline().checksums);
   write_manifest(mb);
   return 0;
@@ -924,10 +903,10 @@ int cmd_snapshot(int argc, char** argv) {
               bytes / (1024.0 * 1024.0), sopts.exact ? "exact" : "fast");
 
   obs::ManifestBuilder mb = make_manifest("snapshot", argv[2]);
-  mb.set_string("config", "snapshot_path", argv[3]);
-  mb.set_uint("config", "epochs", gopts.epochs);
-  mb.set_uint("config", "hidden_dim", gopts.hidden_dim);
-  mb.set_bool("config", "exact", sopts.exact);
+  mb.set("config", "snapshot_path", argv[3]);
+  mb.set("config", "epochs", gopts.epochs);
+  mb.set("config", "hidden_dim", gopts.hidden_dim);
+  mb.set("config", "exact", sopts.exact);
   mb.set_checksums("checksums", engine.baseline().checksums);
   write_manifest(mb);
   return 0;
@@ -952,8 +931,8 @@ int cmd_montecarlo(int argc, char** argv) {
               res.worst_mean, res.worst_std, res.worst_p95);
   std::printf("  nominal: %.4f\n", run_sta(nl).worst_arrival);
   obs::ManifestBuilder mb = make_manifest("montecarlo", argv[2]);
-  mb.set_uint("config", "samples", samples);
-  mb.set_uint("config", "seed", model.seed);
+  mb.set("config", "samples", samples);
+  mb.set("config", "seed", model.seed);
   write_manifest(mb);
   return 0;
 }
@@ -1024,7 +1003,7 @@ int main(int argc, char** argv) {
       }
       // Flush after the root span closes so the outputs cover the whole run.
       write_observability_outputs();
-      return rc;
+      return (rc == 0 && g_write_failed) ? 1 : rc;
     }
   } catch (const std::exception& e) {
     g_root = nullptr;
