@@ -411,6 +411,35 @@ void BM_BlockCgSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockCgSolve)->Arg(4000);
 
+/// One row pass of a block-CG iteration over an n×4 block: P3's
+/// p = D⁻¹r + βp (the xpby_cols kernel). At n = 256 its three operands
+/// (8 KiB each) sit in L1; at n = 11400, analyze_mid's pin count, they do
+/// not. rows_per_s barely moves between the two, so a CG iteration costs
+/// in proportion to its number of passes, not the bytes they move
+/// (DESIGN.md §7).
+void BM_BlockCgPass(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t k = 4;  // one group, no padding lanes
+  linalg::Rng rng(15);
+  const linalg::Matrix r = linalg::Matrix::random_normal(n, k, rng);
+  linalg::Matrix p = linalg::Matrix::random_normal(n, k, rng);
+  const std::vector<double> inv_diag(n, 0.5);
+  const std::vector<double> beta(k, 1e-3);
+  const std::vector<double> mask(k, kernels::kMaskOn);
+  const kernels::KernelTable& kt = kernels::table();
+  WallClock wall;
+  for (auto _ : state) {
+    kt.xpby_cols(beta.data(), inv_diag.data(), r.data().data(),
+                 p.data().data(), n, k, mask.data());
+    benchmark::DoNotOptimize(p.data().data());
+  }
+  wall.finish(state);
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(n),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BlockCgPass)->Arg(256)->Arg(11400);
+
 /// Metrics-shard contention: every thread hammers the same counter. The
 /// 64-byte shard padding keeps per-thread cache lines private, so ops/s
 /// should scale near-linearly from 1 to 4 threads instead of collapsing

@@ -39,7 +39,7 @@
 // scalar seed (sequential left fold, no contraction); bench/MANIFEST_baseline
 // was re-baselined once for that change — see DESIGN.md §11.
 //
-// ## Masked column-block kernels
+// ## Fused block-CG column kernels
 //
 // The *_cols kernels operate on row-major n x k blocks (block-CG multivectors)
 // with a per-column mask. Masks are arrays of double bit patterns: kMaskOn
@@ -48,6 +48,18 @@
 // (coefficients, outputs) must be padded to a multiple of 4 doubles with
 // zero/inactive lanes, so the vector loop never reads past them; the big
 // n x k operands need no padding (tail lanes are masked off).
+//
+// Each is one row pass of a block-CG iteration, every row visited once in
+// order, 4 columns per vector block with a masked tail:
+//
+//   cg_apply_cols    P1  ap = (A + shift·I)p, + pᵀap or Σap   nnz: 4 lanes
+//   cg_step_cols     P2  x, r updates, rᵀr, Jacobi rᵀz or Σz  rows: 8 lanes
+//   center_dot_cols      a -= mean, bᵀa (deflated solves)     rows: 8 lanes
+//   xpby_cols        P3  p = z + βp, z = D⁻¹r or stored       elementwise
+//
+// P1's row dot keeps spmm_range's nnz tree; for k <= 8 its accumulators stay
+// in registers. A Jacobi iteration is P1, P2, P3; a deflated one adds a
+// center_dot_cols pass after P1 and after P2 (DESIGN.md §7).
 
 #pragma once
 
@@ -73,10 +85,12 @@ inline bool mask_on(double m) {
 /// Round k up to the 4-lane padding the masked column kernels require.
 inline std::size_t padded_cols(std::size_t k) { return (k + 3) & ~std::size_t{3}; }
 
+/// Scratch doubles per padded column the fused block-CG kernels take: two
+/// 8-lane reductions (P2), or one plus P1's SpMM row and its 4 nnz lanes.
+inline constexpr std::size_t kCgScratchPerCol = 16;
+
 /// The canonical 8-lane horizontal fold: vertical add of the two 4-wide
-/// halves, then the 4-lane tree. Exposed so strided mirrors (e.g. per-column
-/// residual tails in block-CG) can reproduce the reduction shape in plain
-/// code.
+/// halves, then the 4-lane tree — the shape the scalar table spells out.
 inline double reduce8_tree(const double acc[8]) {
   const double l0 = acc[0] + acc[4];
   const double l1 = acc[1] + acc[5];
@@ -119,36 +133,42 @@ struct KernelTable {
                      double alpha, double* y, std::size_t ldy, std::size_t k,
                      double* acc, std::size_t lo, std::size_t hi);
 
-  // Row-major n x k column-block kernels; `mask`/`out`/coefficient arrays are
-  // padded_cols(k) long (see header comment).
+  // Fused block-CG passes (linalg/block_cg.cpp) over row-major n x k
+  // blocks; `mask`, coefficient and output arrays are padded_cols(k) long
+  // (see header comment) and only masked columns are read into outputs or
+  // written. Every column reduction assigns row i to virtual lane (i & 7) —
+  // fma for dots, + for sums — and folds with the 8-lane tree: the shape of
+  // dot/sum over that column alone, so each column's result is bit-identical
+  // to the single-vector kernel on it. `scratch` is caller-provided,
+  // kCgScratchPerCol * padded_cols(k) doubles, 64-byte aligned.
   //
-  // The reductions assign row i to virtual lane (i & 7) and fold with the
-  // 8-lane tree — the same shape as dot/dot_self/sum over a contiguous
-  // vector — so each column's result is bit-identical to the single-vector
-  // kernel on that column. `scratch` is caller-provided, 8 * padded_cols(k)
-  // doubles, lane-major.
-  //   out[j] = dot-tree_i(a[i*k+j] * b[i*k+j]) for masked j (overwritten)
-  void (*col_dots)(const double* a, const double* b, std::size_t n,
-                   std::size_t k, const double* mask, double* out,
-                   double* scratch);
-  //   out[j] = sum-tree_i(a[i*k+j]) for masked j (overwritten)
-  void (*col_sums)(const double* a, std::size_t n, std::size_t k,
-                   const double* mask, double* out, double* scratch);
-  //   y[i*k+j] = fma(c[j], x[i*k+j], y[i*k+j]) for masked j
-  void (*axpy_cols)(const double* c, const double* x, double* y, std::size_t n,
-                    std::size_t k, const double* mask);
-  //   p[i*k+j] = fma(beta[j], p[i*k+j], z[i*k+j]) for masked j
-  void (*xpby_cols)(const double* beta, const double* z, double* p,
-                    std::size_t n, std::size_t k, const double* mask);
-  //   x[i*k+j] -= m[j] for masked j
-  void (*sub_cols)(const double* m, double* x, std::size_t n, std::size_t k,
-                   const double* mask);
-
-  // Row-scaled block copy, y[i*k+j] = d[i] * x[i*k+j] — the Jacobi block
-  // preconditioner. Unmasked and a plain multiply (not fma). No padding
-  // needed.
-  void (*diag_scale_cols)(const double* d, const double* x, double* y,
-                          std::size_t n, std::size_t k);
+  //   P1, CSR rows [0, n) of a square operator, p/ap with leading dim k:
+  //     ap[i*k+j] = fma(shift, p[i*k+j], fma(1, fold, +0.0)), `fold` the
+  //     spmm_range row dot and the shift fma skipped when shift == 0; then
+  //     out[j] = sum-tree(ap) when `sums`, else dot-tree(p·ap).
+  void (*cg_apply_cols)(const std::size_t* row_ptr,
+                        const std::uint32_t* col_idx, const double* values,
+                        const double* p, double shift, double* ap,
+                        std::size_t n, std::size_t k, const double* mask,
+                        bool sums, double* out, double* scratch);
+  //   P2: x = fma(alpha[j], p, x), r = fma(-alpha[j], ap, r),
+  //     rr[j] = dot-tree(r·r); with d != nullptr and zi = d[i]·r (a plain
+  //     multiply, the Jacobi preconditioner) also
+  //       z == nullptr: zr[j] = dot-tree(r·zi), z not stored;
+  //       z != nullptr: z[i*k+j] = zi and zr[j] = sum-tree(zi).
+  void (*cg_step_cols)(const double* alpha, const double* p, const double* ap,
+                       double* x, double* r, const double* d, double* z,
+                       std::size_t n, std::size_t k, const double* mask,
+                       double* rr, double* zr, double* scratch);
+  //   Center and dot: a[i*k+j] -= m[j], then out[j] = dot-tree(b·a).
+  void (*center_dot_cols)(const double* m, double* a, const double* b,
+                          std::size_t n, std::size_t k, const double* mask,
+                          double* out, double* scratch);
+  //   P3: p[i*k+j] = fma(beta[j], p[i*k+j], zi) with zi = d[i]·src[i*k+j]
+  //     when d != nullptr (Jacobi, z never stored), else src[i*k+j].
+  void (*xpby_cols)(const double* beta, const double* d, const double* src,
+                    double* p, std::size_t n, std::size_t k,
+                    const double* mask);
 };
 
 namespace detail {

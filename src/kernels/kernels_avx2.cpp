@@ -195,42 +195,128 @@ void spmv_range_avx2(const std::size_t* row_ptr, const std::uint32_t* col_idx,
   }
 }
 
-/// spmm rows for kp == 4 (k <= 4): the whole 4-lane accumulator block fits in
-/// four ymm registers, so the generic path's scratch round-trip per nnz
-/// disappears. Lane assignment — nnz position (t - b) & 3 — and the fold are
-/// unchanged, so results stay bit-identical. KFull selects plain loads/stores
-/// when k == 4; otherwise `km` masks the live columns.
+/// spmm_range's row dot for row r when kp == 4 (k <= 4): the whole 4-lane
+/// accumulator block fits in four ymm registers, so there is no scratch
+/// round-trip per nnz. Lane (t - b) & 3 and the fold (a0 + a2) + (a1 + a3)
+/// are the scalar tree's. KFull selects plain loads when k == 4; otherwise
+/// `km` masks the live columns.
+template <bool KFull>
+inline __m256d spmm_row_kp4(const std::size_t* row_ptr,
+                            const std::uint32_t* col_idx, const double* values,
+                            const double* x, std::size_t ldx, __m256i km,
+                            std::size_t r) {
+  const std::size_t b = row_ptr[r], e = row_ptr[r + 1];
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d a0 = zero, a1 = zero, a2 = zero, a3 = zero;
+  const auto xrow = [&](std::size_t t) {
+    const double* p = x + static_cast<std::size_t>(col_idx[t]) * ldx;
+    return KFull ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, km);
+  };
+  std::size_t t = b;
+  for (; t + 4 <= e; t += 4) {
+    if (t + 4 < e)
+      _mm_prefetch(reinterpret_cast<const char*>(
+                       x + static_cast<std::size_t>(col_idx[t + 4]) * ldx),
+                   _MM_HINT_T0);
+    a0 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a0);
+    a1 = _mm256_fmadd_pd(_mm256_set1_pd(values[t + 1]), xrow(t + 1), a1);
+    a2 = _mm256_fmadd_pd(_mm256_set1_pd(values[t + 2]), xrow(t + 2), a2);
+    a3 = _mm256_fmadd_pd(_mm256_set1_pd(values[t + 3]), xrow(t + 3), a3);
+  }
+  // Ragged tail continues the lane assignment: lanes 0, 1, 2.
+  if (t < e) a0 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a0), ++t;
+  if (t < e) a1 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a1), ++t;
+  if (t < e) a2 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a2);
+  return _mm256_add_pd(_mm256_add_pd(a0, a2), _mm256_add_pd(a1, a3));
+}
+
+/// The kp == 8 (5 <= k <= 8) row dot: eight register accumulators, two per
+/// lane. The low j-block is always full (k >= 5); KFull selects plain loads
+/// for the high block when k == 8, else `km` masks it.
+template <bool KFull>
+inline void spmm_row_kp8(const std::size_t* row_ptr,
+                         const std::uint32_t* col_idx, const double* values,
+                         const double* x, std::size_t ldx, __m256i km,
+                         std::size_t r, __m256d& foldl, __m256d& foldh) {
+  const std::size_t b = row_ptr[r], e = row_ptr[r + 1];
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d a0l = zero, a1l = zero, a2l = zero, a3l = zero;
+  __m256d a0h = zero, a1h = zero, a2h = zero, a3h = zero;
+  const auto step = [&](std::size_t t, __m256d& al, __m256d& ah) {
+    const double* p = x + static_cast<std::size_t>(col_idx[t]) * ldx;
+    const __m256d v = _mm256_set1_pd(values[t]);
+    al = _mm256_fmadd_pd(v, _mm256_loadu_pd(p), al);
+    ah = _mm256_fmadd_pd(
+        v, KFull ? _mm256_loadu_pd(p + 4) : _mm256_maskload_pd(p + 4, km), ah);
+  };
+  std::size_t t = b;
+  for (; t + 4 <= e; t += 4) {
+    if (t + 4 < e)
+      _mm_prefetch(reinterpret_cast<const char*>(
+                       x + static_cast<std::size_t>(col_idx[t + 4]) * ldx),
+                   _MM_HINT_T0);
+    step(t, a0l, a0h);
+    step(t + 1, a1l, a1h);
+    step(t + 2, a2l, a2h);
+    step(t + 3, a3l, a3h);
+  }
+  if (t < e) step(t, a0l, a0h), ++t;
+  if (t < e) step(t, a1l, a1h), ++t;
+  if (t < e) step(t, a2l, a2h);
+  foldl = _mm256_add_pd(_mm256_add_pd(a0l, a2l), _mm256_add_pd(a1l, a3l));
+  foldh = _mm256_add_pd(_mm256_add_pd(a0h, a2h), _mm256_add_pd(a1h, a3h));
+}
+
+/// The wide (kp > 8) row dot: the four nnz lanes live in `acc` scratch
+/// (4 * kp doubles, lane-major) — four independent fma chains per column,
+/// the same tree as spmv_range, which is also what hides the fma latency.
+inline void spmm_row_acc(const std::size_t* row_ptr,
+                         const std::uint32_t* col_idx, const double* values,
+                         const double* x, std::size_t ldx, std::size_t k,
+                         double* acc, std::size_t r) {
+  const std::size_t kp = padded_cols(k);
+  const std::size_t kmain = k & ~std::size_t{3};
+  const __m256i ktail = lane_mask(k - kmain);
+  const std::size_t b = row_ptr[r], e = row_ptr[r + 1];
+  for (std::size_t j = 0; j < 4 * kp; j += 4)
+    _mm256_store_pd(acc + j, _mm256_setzero_pd());
+  for (std::size_t t = b; t < e; ++t) {
+    if (t + 2 < e)
+      _mm_prefetch(reinterpret_cast<const char*>(
+                       x + static_cast<std::size_t>(col_idx[t + 2]) * ldx),
+                   _MM_HINT_T0);
+    const __m256d v = _mm256_set1_pd(values[t]);
+    const double* xrow = x + static_cast<std::size_t>(col_idx[t]) * ldx;
+    double* lane = acc + ((t - b) & 3) * kp;
+    for (std::size_t j = 0; j < kmain; j += 4)
+      _mm256_store_pd(lane + j, _mm256_fmadd_pd(v, _mm256_loadu_pd(xrow + j),
+                                                _mm256_load_pd(lane + j)));
+    if (kmain != k)
+      _mm256_store_pd(
+          lane + kmain,
+          _mm256_fmadd_pd(v, _mm256_maskload_pd(xrow + kmain, ktail),
+                          _mm256_load_pd(lane + kmain)));
+  }
+}
+
+/// Fold of column block j of spmm_row_acc's lanes: (a0 + a2) + (a1 + a3).
+inline __m256d spmm_acc_fold(const double* acc, std::size_t kp,
+                             std::size_t j) {
+  return _mm256_add_pd(_mm256_add_pd(_mm256_load_pd(acc + j),
+                                     _mm256_load_pd(acc + 2 * kp + j)),
+                       _mm256_add_pd(_mm256_load_pd(acc + kp + j),
+                                     _mm256_load_pd(acc + 3 * kp + j)));
+}
+
 template <bool KFull>
 void spmm_rows_kp4(const std::size_t* row_ptr, const std::uint32_t* col_idx,
                    const double* values, const double* x, std::size_t ldx,
                    double alpha, double* y, std::size_t ldy, __m256i km,
                    std::size_t lo, std::size_t hi) {
   const __m256d av = _mm256_set1_pd(alpha);
-  const __m256d zero = _mm256_setzero_pd();
   for (std::size_t r = lo; r < hi; ++r) {
-    const std::size_t b = row_ptr[r], e = row_ptr[r + 1];
-    __m256d a0 = zero, a1 = zero, a2 = zero, a3 = zero;
-    const auto xrow = [&](std::size_t t) {
-      const double* p = x + static_cast<std::size_t>(col_idx[t]) * ldx;
-      return KFull ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, km);
-    };
-    std::size_t t = b;
-    for (; t + 4 <= e; t += 4) {
-      if (t + 4 < e)
-        _mm_prefetch(reinterpret_cast<const char*>(
-                         x + static_cast<std::size_t>(col_idx[t + 4]) * ldx),
-                     _MM_HINT_T0);
-      a0 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a0);
-      a1 = _mm256_fmadd_pd(_mm256_set1_pd(values[t + 1]), xrow(t + 1), a1);
-      a2 = _mm256_fmadd_pd(_mm256_set1_pd(values[t + 2]), xrow(t + 2), a2);
-      a3 = _mm256_fmadd_pd(_mm256_set1_pd(values[t + 3]), xrow(t + 3), a3);
-    }
-    // Ragged tail continues the lane assignment: lanes 0, 1, 2.
-    if (t < e) a0 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a0), ++t;
-    if (t < e) a1 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a1), ++t;
-    if (t < e) a2 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a2);
     const __m256d fold =
-        _mm256_add_pd(_mm256_add_pd(a0, a2), _mm256_add_pd(a1, a3));
+        spmm_row_kp4<KFull>(row_ptr, col_idx, values, x, ldx, km, r);
     double* yrow = y + r * ldy;
     if (KFull) {
       _mm256_storeu_pd(yrow,
@@ -243,46 +329,16 @@ void spmm_rows_kp4(const std::size_t* row_ptr, const std::uint32_t* col_idx,
   }
 }
 
-/// spmm rows for kp == 8 (5 <= k <= 8): eight register accumulators, two per
-/// lane. The low j-block is always full (k >= 5); KFull selects plain
-/// loads/stores for the high block when k == 8, else `km` masks it.
 template <bool KFull>
 void spmm_rows_kp8(const std::size_t* row_ptr, const std::uint32_t* col_idx,
                    const double* values, const double* x, std::size_t ldx,
                    double alpha, double* y, std::size_t ldy, __m256i km,
                    std::size_t lo, std::size_t hi) {
   const __m256d av = _mm256_set1_pd(alpha);
-  const __m256d zero = _mm256_setzero_pd();
   for (std::size_t r = lo; r < hi; ++r) {
-    const std::size_t b = row_ptr[r], e = row_ptr[r + 1];
-    __m256d a0l = zero, a1l = zero, a2l = zero, a3l = zero;
-    __m256d a0h = zero, a1h = zero, a2h = zero, a3h = zero;
-    const auto step = [&](std::size_t t, __m256d& al, __m256d& ah) {
-      const double* p = x + static_cast<std::size_t>(col_idx[t]) * ldx;
-      const __m256d v = _mm256_set1_pd(values[t]);
-      al = _mm256_fmadd_pd(v, _mm256_loadu_pd(p), al);
-      ah = _mm256_fmadd_pd(
-          v, KFull ? _mm256_loadu_pd(p + 4) : _mm256_maskload_pd(p + 4, km),
-          ah);
-    };
-    std::size_t t = b;
-    for (; t + 4 <= e; t += 4) {
-      if (t + 4 < e)
-        _mm_prefetch(reinterpret_cast<const char*>(
-                         x + static_cast<std::size_t>(col_idx[t + 4]) * ldx),
-                     _MM_HINT_T0);
-      step(t, a0l, a0h);
-      step(t + 1, a1l, a1h);
-      step(t + 2, a2l, a2h);
-      step(t + 3, a3l, a3h);
-    }
-    if (t < e) step(t, a0l, a0h), ++t;
-    if (t < e) step(t, a1l, a1h), ++t;
-    if (t < e) step(t, a2l, a2h);
-    const __m256d foldl =
-        _mm256_add_pd(_mm256_add_pd(a0l, a2l), _mm256_add_pd(a1l, a3l));
-    const __m256d foldh =
-        _mm256_add_pd(_mm256_add_pd(a0h, a2h), _mm256_add_pd(a1h, a3h));
+    __m256d foldl, foldh;
+    spmm_row_kp8<KFull>(row_ptr, col_idx, values, x, ldx, km, r, foldl,
+                        foldh);
     double* yrow = y + r * ldy;
     _mm256_storeu_pd(yrow,
                      _mm256_fmadd_pd(av, foldl, _mm256_loadu_pd(yrow)));
@@ -323,196 +379,319 @@ void spmm_range_avx2(const std::size_t* row_ptr, const std::uint32_t* col_idx,
                            ktail, lo, hi);
     return;
   }
-  const __m256d zero = _mm256_setzero_pd();
+  const __m256d av = _mm256_set1_pd(alpha);
   for (std::size_t r = lo; r < hi; ++r) {
-    const std::size_t b = row_ptr[r], e = row_ptr[r + 1];
-    for (std::size_t j = 0; j < 4 * kp; j += 4) _mm256_store_pd(acc + j, zero);
-    // nnz position (t - b) & 3 selects the accumulator lane — four
-    // independent fma chains per column (same tree as spmv_range), which is
-    // also what hides the fma latency.
-    for (std::size_t t = b; t < e; ++t) {
-      if (t + 2 < e)
-        _mm_prefetch(reinterpret_cast<const char*>(
-                         x + static_cast<std::size_t>(col_idx[t + 2]) * ldx),
-                     _MM_HINT_T0);
-      const __m256d v = _mm256_set1_pd(values[t]);
-      const double* xrow = x + static_cast<std::size_t>(col_idx[t]) * ldx;
-      double* lane = acc + ((t - b) & 3) * kp;
-      for (std::size_t j = 0; j < kmain; j += 4)
-        _mm256_store_pd(
-            lane + j, _mm256_fmadd_pd(v, _mm256_loadu_pd(xrow + j),
-                                      _mm256_load_pd(lane + j)));
-      if (krem != 0)
-        _mm256_store_pd(
-            lane + kmain,
-            _mm256_fmadd_pd(v, _mm256_maskload_pd(xrow + kmain, ktail),
-                            _mm256_load_pd(lane + kmain)));
-    }
-    const __m256d av = _mm256_set1_pd(alpha);
+    spmm_row_acc(row_ptr, col_idx, values, x, ldx, k, acc, r);
     double* yrow = y + r * ldy;
-    for (std::size_t j = 0; j < kmain; j += 4) {
-      const __m256d fold = _mm256_add_pd(
-          _mm256_add_pd(_mm256_load_pd(acc + j),
-                        _mm256_load_pd(acc + 2 * kp + j)),
-          _mm256_add_pd(_mm256_load_pd(acc + kp + j),
-                        _mm256_load_pd(acc + 3 * kp + j)));
-      _mm256_storeu_pd(
-          yrow + j, _mm256_fmadd_pd(av, fold, _mm256_loadu_pd(yrow + j)));
-    }
+    for (std::size_t j = 0; j < kmain; j += 4)
+      _mm256_storeu_pd(yrow + j,
+                       _mm256_fmadd_pd(av, spmm_acc_fold(acc, kp, j),
+                                       _mm256_loadu_pd(yrow + j)));
     if (krem != 0) {
-      const __m256d fold = _mm256_add_pd(
-          _mm256_add_pd(_mm256_load_pd(acc + kmain),
-                        _mm256_load_pd(acc + 2 * kp + kmain)),
-          _mm256_add_pd(_mm256_load_pd(acc + kp + kmain),
-                        _mm256_load_pd(acc + 3 * kp + kmain)));
-      const __m256d t = _mm256_fmadd_pd(
-          av, fold, _mm256_maskload_pd(yrow + kmain, ktail));
+      const __m256d t =
+          _mm256_fmadd_pd(av, spmm_acc_fold(acc, kp, kmain),
+                          _mm256_maskload_pd(yrow + kmain, ktail));
       _mm256_maskstore_pd(yrow + kmain, ktail, t);
     }
   }
 }
 
-// Masked column-block kernels: mask arrays are zero-padded to 4 lanes, so
-// every j-block is processed uniformly — maskload suppresses out-of-range
-// and inactive lanes, maskstore leaves them untouched.
+// Fused block-CG column kernels. Mask arrays are zero-padded to 4 lanes, so
+// every j-block is processed uniformly: a block whose mask is all on uses
+// plain loads and stores, a partial one maskload (suppressed lanes read 0)
+// and maskstore (suppressed lanes untouched), an empty one is skipped.
+// Reduction lanes of suppressed columns may collect anything; the final
+// fold stores only masked columns.
 
-void col_dots_avx2(const double* a, const double* b, std::size_t n,
-                   std::size_t k, const double* mask, double* out,
-                   double* scratch) {
-  const std::size_t kp = padded_cols(k);
-  const __m256d zero = _mm256_setzero_pd();
-  for (std::size_t j = 0; j < 8 * kp; j += 4) _mm256_store_pd(scratch + j, zero);
+/// One 4-column block of the column mask.
+struct ColBlock {
+  __m256i m;
+  int bits;  ///< movemask: bit l set when lane l is active
+};
+
+inline ColBlock col_block(const double* mask) {
+  const __m256d mv = _mm256_loadu_pd(mask);
+  return {_mm256_castpd_si256(mv), _mm256_movemask_pd(mv)};
+}
+
+inline __m256d load_block(const double* p, const ColBlock& c) {
+  return c.bits == 0xF ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, c.m);
+}
+
+inline void store_block(double* p, __m256d v, const ColBlock& c) {
+  if (c.bits == 0xF)
+    _mm256_storeu_pd(p, v);
+  else
+    _mm256_maskstore_pd(p, c.m, v);
+}
+
+/// out[j] = the 8-lane tree over lanes[l * kp + j] (l = 0..7), masked j.
+inline void fold_lanes(const double* lanes, std::size_t kp,
+                       const double* mask, double* out) {
+  for (std::size_t j = 0; j < kp; j += 4) {
+    const __m256i m = _mm256_castpd_si256(_mm256_loadu_pd(mask + j));
+    const __m256d l0 = _mm256_add_pd(_mm256_load_pd(lanes + j),
+                                     _mm256_load_pd(lanes + 4 * kp + j));
+    const __m256d l1 = _mm256_add_pd(_mm256_load_pd(lanes + kp + j),
+                                     _mm256_load_pd(lanes + 5 * kp + j));
+    const __m256d l2 = _mm256_add_pd(_mm256_load_pd(lanes + 2 * kp + j),
+                                     _mm256_load_pd(lanes + 6 * kp + j));
+    const __m256d l3 = _mm256_add_pd(_mm256_load_pd(lanes + 3 * kp + j),
+                                     _mm256_load_pd(lanes + 7 * kp + j));
+    const __m256d fold =
+        _mm256_add_pd(_mm256_add_pd(l0, l2), _mm256_add_pd(l1, l3));
+    _mm256_maskstore_pd(out + j, m, fold);
+  }
+}
+
+/// P1's tail for one column block of row i: ap = fma(1, fold, +0.0), the
+/// shift fma, the store, and the row's reduction lane. A Full block (every
+/// lane active) uses plain loads and stores, any other one the mask `m`.
+template <bool Sums, bool Full>
+inline void cg_apply_block(__m256d fold, const double* pi, double shift,
+                           double* api, __m256i m, double* lane) {
+  __m256d v =
+      _mm256_fmadd_pd(_mm256_set1_pd(1.0), fold, _mm256_setzero_pd());
+  const __m256d pv = Full ? _mm256_loadu_pd(pi) : _mm256_maskload_pd(pi, m);
+  if (shift != 0.0) v = _mm256_fmadd_pd(_mm256_set1_pd(shift), pv, v);
+  if (Full)
+    _mm256_storeu_pd(api, v);
+  else
+    _mm256_maskstore_pd(api, m, v);
+  const __m256d acc = _mm256_load_pd(lane);
+  _mm256_store_pd(lane, Sums ? _mm256_add_pd(acc, v)
+                             : _mm256_fmadd_pd(pv, v, acc));
+}
+
+/// P1 rows for kp == 4 and kp == 8: register-resident SpMM (spmm_row_kp4 /
+/// spmm_row_kp8). Full means every one of the k == 4 or 8 columns is
+/// active; otherwise the activity masks also serve as the gather masks, so
+/// retired and pad lanes gather nothing.
+template <bool Sums, bool Full>
+void cg_apply_kp4(const std::size_t* row_ptr, const std::uint32_t* col_idx,
+                  const double* values, const double* p, double shift,
+                  double* ap, std::size_t n, std::size_t k, __m256i m,
+                  double* red) {
   for (std::size_t i = 0; i < n; ++i) {
-    const double* ar = a + i * k;
+    const __m256d fold =
+        spmm_row_kp4<Full>(row_ptr, col_idx, values, p, k, m, i);
+    cg_apply_block<Sums, Full>(fold, p + i * k, shift, ap + i * k, m,
+                               red + (i & 7) * 4);
+  }
+}
+
+template <bool Sums, bool Full>
+void cg_apply_kp8(const std::size_t* row_ptr, const std::uint32_t* col_idx,
+                  const double* values, const double* p, double shift,
+                  double* ap, std::size_t n, std::size_t k, __m256i m0,
+                  __m256i m1, double* red) {
+  for (std::size_t i = 0; i < n; ++i) {
+    __m256d foldl, foldh;
+    spmm_row_kp8<Full>(row_ptr, col_idx, values, p, k, m1, i, foldl, foldh);
+    double* lane = red + (i & 7) * 8;
+    cg_apply_block<Sums, Full>(foldl, p + i * k, shift, ap + i * k, m0, lane);
+    cg_apply_block<Sums, Full>(foldh, p + i * k + 4, shift, ap + i * k + 4,
+                               m1, lane + 4);
+  }
+}
+
+template <bool Sums>
+void cg_apply_rows(const std::size_t* row_ptr, const std::uint32_t* col_idx,
+                   const double* values, const double* p, double shift,
+                   double* ap, std::size_t n, std::size_t k,
+                   const double* mask, double* red, double* acc) {
+  const std::size_t kp = padded_cols(k);
+  if (kp == 4) {
+    const ColBlock c = col_block(mask);
+    if (k == 4 && c.bits == 0xF)
+      cg_apply_kp4<Sums, true>(row_ptr, col_idx, values, p, shift, ap, n, k,
+                               c.m, red);
+    else
+      cg_apply_kp4<Sums, false>(row_ptr, col_idx, values, p, shift, ap, n, k,
+                                c.m, red);
+    return;
+  }
+  if (kp == 8) {
+    const ColBlock c0 = col_block(mask), c1 = col_block(mask + 4);
+    if (k == 8 && (c0.bits & c1.bits) == 0xF)
+      cg_apply_kp8<Sums, true>(row_ptr, col_idx, values, p, shift, ap, n, k,
+                               c0.m, c1.m, red);
+    else
+      cg_apply_kp8<Sums, false>(row_ptr, col_idx, values, p, shift, ap, n, k,
+                                c0.m, c1.m, red);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    spmm_row_acc(row_ptr, col_idx, values, p, k, k, acc, i);
+    double* lane = red + (i & 7) * kp;
+    for (std::size_t j = 0; j < kp; j += 4) {
+      const ColBlock c = col_block(mask + j);
+      if (c.bits == 0xF)
+        cg_apply_block<Sums, true>(spmm_acc_fold(acc, kp, j), p + i * k + j,
+                                   shift, ap + i * k + j, c.m, lane + j);
+      else if (c.bits != 0)
+        cg_apply_block<Sums, false>(spmm_acc_fold(acc, kp, j), p + i * k + j,
+                                    shift, ap + i * k + j, c.m, lane + j);
+    }
+  }
+}
+
+void cg_apply_cols_avx2(const std::size_t* row_ptr,
+                        const std::uint32_t* col_idx, const double* values,
+                        const double* p, double shift, double* ap,
+                        std::size_t n, std::size_t k, const double* mask,
+                        bool sums, double* out, double* scratch) {
+  const std::size_t kp = padded_cols(k);
+  double* red = scratch;           // 8 row lanes
+  double* acc = scratch + 8 * kp;  // 4 nnz lanes (kp > 8 only)
+  for (std::size_t j = 0; j < 8 * kp; j += 4)
+    _mm256_store_pd(red + j, _mm256_setzero_pd());
+  if (sums)
+    cg_apply_rows<true>(row_ptr, col_idx, values, p, shift, ap, n, k, mask,
+                        red, acc);
+  else
+    cg_apply_rows<false>(row_ptr, col_idx, values, p, shift, ap, n, k, mask,
+                         red, acc);
+  fold_lanes(red, kp, mask, out);
+}
+
+/// What P2 does with z = D⁻¹r: nothing (tree preconditioner), r·z into the
+/// second reduction without storing z (Jacobi), or store z and sum it
+/// (Jacobi, deflated).
+enum class StepZ { none, dot, store_sum };
+
+template <StepZ Z>
+void cg_step_rows(const double* alpha, const double* p, const double* ap,
+                  double* x, double* r, const double* d, double* z,
+                  std::size_t n, std::size_t k, const double* mask,
+                  double* rr_lanes, double* zr_lanes) {
+  const std::size_t kp = padded_cols(k);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t row = i * k;
+    double* l1 = rr_lanes + (i & 7) * kp;
+    double* l2 = zr_lanes + (i & 7) * kp;
+    const __m256d dv = _mm256_set1_pd(Z == StepZ::none ? 0.0 : d[i]);
+    for (std::size_t j = 0; j < kp; j += 4) {
+      const ColBlock c = col_block(mask + j);
+      if (c.bits == 0) continue;
+      const __m256d a = _mm256_loadu_pd(alpha + j);
+      store_block(x + row + j,
+                  _mm256_fmadd_pd(a, load_block(p + row + j, c),
+                                  load_block(x + row + j, c)),
+                  c);
+      const __m256d rv =
+          _mm256_fmadd_pd(_mm256_xor_pd(a, sign), load_block(ap + row + j, c),
+                          load_block(r + row + j, c));
+      store_block(r + row + j, rv, c);
+      _mm256_store_pd(l1 + j,
+                      _mm256_fmadd_pd(rv, rv, _mm256_load_pd(l1 + j)));
+      if (Z == StepZ::none) continue;
+      const __m256d zv = _mm256_mul_pd(dv, rv);
+      if (Z == StepZ::dot) {
+        _mm256_store_pd(l2 + j,
+                        _mm256_fmadd_pd(rv, zv, _mm256_load_pd(l2 + j)));
+      } else {
+        store_block(z + row + j, zv, c);
+        _mm256_store_pd(l2 + j, _mm256_add_pd(_mm256_load_pd(l2 + j), zv));
+      }
+    }
+  }
+}
+
+void cg_step_cols_avx2(const double* alpha, const double* p, const double* ap,
+                       double* x, double* r, const double* d, double* z,
+                       std::size_t n, std::size_t k, const double* mask,
+                       double* rr, double* zr, double* scratch) {
+  const std::size_t kp = padded_cols(k);
+  double* rr_lanes = scratch;
+  double* zr_lanes = scratch + 8 * kp;
+  for (std::size_t j = 0; j < 16 * kp; j += 4)
+    _mm256_store_pd(scratch + j, _mm256_setzero_pd());
+  if (d == nullptr)
+    cg_step_rows<StepZ::none>(alpha, p, ap, x, r, d, z, n, k, mask, rr_lanes,
+                              zr_lanes);
+  else if (z == nullptr)
+    cg_step_rows<StepZ::dot>(alpha, p, ap, x, r, d, z, n, k, mask, rr_lanes,
+                             zr_lanes);
+  else
+    cg_step_rows<StepZ::store_sum>(alpha, p, ap, x, r, d, z, n, k, mask,
+                                   rr_lanes, zr_lanes);
+  fold_lanes(rr_lanes, kp, mask, rr);
+  if (d != nullptr) fold_lanes(zr_lanes, kp, mask, zr);
+}
+
+void center_dot_cols_avx2(const double* m, double* a, const double* b,
+                          std::size_t n, std::size_t k, const double* mask,
+                          double* out, double* scratch) {
+  const std::size_t kp = padded_cols(k);
+  for (std::size_t j = 0; j < 8 * kp; j += 4)
+    _mm256_store_pd(scratch + j, _mm256_setzero_pd());
+  for (std::size_t i = 0; i < n; ++i) {
+    double* ar = a + i * k;
     const double* br = b + i * k;
     double* lane = scratch + (i & 7) * kp;
     for (std::size_t j = 0; j < kp; j += 4) {
-      const __m256i m = _mm256_castpd_si256(_mm256_loadu_pd(mask + j));
-      // Suppressed lanes load 0 and add fma(0, 0, acc) — the lane stays +0
-      // because it starts at +0 and is only ever written back masked below.
-      _mm256_store_pd(
-          lane + j, _mm256_fmadd_pd(_mm256_maskload_pd(ar + j, m),
-                                    _mm256_maskload_pd(br + j, m),
-                                    _mm256_load_pd(lane + j)));
+      const ColBlock c = col_block(mask + j);
+      if (c.bits == 0) continue;
+      const __m256d av =
+          _mm256_sub_pd(load_block(ar + j, c), _mm256_loadu_pd(m + j));
+      store_block(ar + j, av, c);
+      _mm256_store_pd(lane + j, _mm256_fmadd_pd(load_block(br + j, c), av,
+                                                _mm256_load_pd(lane + j)));
     }
   }
-  for (std::size_t j = 0; j < kp; j += 4) {
-    const __m256i m = _mm256_castpd_si256(_mm256_loadu_pd(mask + j));
-    const __m256d l0 = _mm256_add_pd(_mm256_load_pd(scratch + j),
-                                     _mm256_load_pd(scratch + 4 * kp + j));
-    const __m256d l1 = _mm256_add_pd(_mm256_load_pd(scratch + kp + j),
-                                     _mm256_load_pd(scratch + 5 * kp + j));
-    const __m256d l2 = _mm256_add_pd(_mm256_load_pd(scratch + 2 * kp + j),
-                                     _mm256_load_pd(scratch + 6 * kp + j));
-    const __m256d l3 = _mm256_add_pd(_mm256_load_pd(scratch + 3 * kp + j),
-                                     _mm256_load_pd(scratch + 7 * kp + j));
-    const __m256d fold =
-        _mm256_add_pd(_mm256_add_pd(l0, l2), _mm256_add_pd(l1, l3));
-    _mm256_maskstore_pd(out + j, m, fold);
-  }
+  fold_lanes(scratch, kp, mask, out);
 }
 
-void col_sums_avx2(const double* a, std::size_t n, std::size_t k,
-                   const double* mask, double* out, double* scratch) {
-  const std::size_t kp = padded_cols(k);
-  const __m256d zero = _mm256_setzero_pd();
-  for (std::size_t j = 0; j < 8 * kp; j += 4) _mm256_store_pd(scratch + j, zero);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ar = a + i * k;
-    double* lane = scratch + (i & 7) * kp;
-    for (std::size_t j = 0; j < kp; j += 4) {
-      const __m256i m = _mm256_castpd_si256(_mm256_loadu_pd(mask + j));
-      _mm256_store_pd(lane + j,
-                      _mm256_add_pd(_mm256_load_pd(lane + j),
-                                    _mm256_maskload_pd(ar + j, m)));
-    }
-  }
-  for (std::size_t j = 0; j < kp; j += 4) {
-    const __m256i m = _mm256_castpd_si256(_mm256_loadu_pd(mask + j));
-    const __m256d l0 = _mm256_add_pd(_mm256_load_pd(scratch + j),
-                                     _mm256_load_pd(scratch + 4 * kp + j));
-    const __m256d l1 = _mm256_add_pd(_mm256_load_pd(scratch + kp + j),
-                                     _mm256_load_pd(scratch + 5 * kp + j));
-    const __m256d l2 = _mm256_add_pd(_mm256_load_pd(scratch + 2 * kp + j),
-                                     _mm256_load_pd(scratch + 6 * kp + j));
-    const __m256d l3 = _mm256_add_pd(_mm256_load_pd(scratch + 3 * kp + j),
-                                     _mm256_load_pd(scratch + 7 * kp + j));
-    const __m256d fold =
-        _mm256_add_pd(_mm256_add_pd(l0, l2), _mm256_add_pd(l1, l3));
-    _mm256_maskstore_pd(out + j, m, fold);
-  }
-}
-
-void axpy_cols_avx2(const double* c, const double* x, double* y, std::size_t n,
-                    std::size_t k, const double* mask) {
+template <bool Jacobi>
+void xpby_rows(const double* beta, const double* d, const double* src,
+               double* p, std::size_t n, std::size_t k, const double* mask) {
   const std::size_t kp = padded_cols(k);
   for (std::size_t i = 0; i < n; ++i) {
-    const double* xr = x + i * k;
-    double* yr = y + i * k;
-    for (std::size_t j = 0; j < kp; j += 4) {
-      const __m256i m = _mm256_castpd_si256(_mm256_loadu_pd(mask + j));
-      const __m256d t = _mm256_fmadd_pd(_mm256_loadu_pd(c + j),
-                                        _mm256_maskload_pd(xr + j, m),
-                                        _mm256_maskload_pd(yr + j, m));
-      _mm256_maskstore_pd(yr + j, m, t);
-    }
-  }
-}
-
-void xpby_cols_avx2(const double* beta, const double* z, double* p,
-                    std::size_t n, std::size_t k, const double* mask) {
-  const std::size_t kp = padded_cols(k);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* zr = z + i * k;
+    const double* sr = src + i * k;
     double* pr = p + i * k;
+    const __m256d dv = _mm256_set1_pd(Jacobi ? d[i] : 0.0);
     for (std::size_t j = 0; j < kp; j += 4) {
-      const __m256i m = _mm256_castpd_si256(_mm256_loadu_pd(mask + j));
-      const __m256d t = _mm256_fmadd_pd(_mm256_loadu_pd(beta + j),
-                                        _mm256_maskload_pd(pr + j, m),
-                                        _mm256_maskload_pd(zr + j, m));
-      _mm256_maskstore_pd(pr + j, m, t);
+      const ColBlock c = col_block(mask + j);
+      if (c.bits == 0) continue;
+      const __m256d sv = load_block(sr + j, c);
+      const __m256d zv = Jacobi ? _mm256_mul_pd(dv, sv) : sv;
+      store_block(pr + j,
+                  _mm256_fmadd_pd(_mm256_loadu_pd(beta + j),
+                                  load_block(pr + j, c), zv),
+                  c);
     }
   }
 }
 
-void sub_cols_avx2(const double* s, double* x, std::size_t n, std::size_t k,
-                   const double* mask) {
-  const std::size_t kp = padded_cols(k);
-  for (std::size_t i = 0; i < n; ++i) {
-    double* xr = x + i * k;
-    for (std::size_t j = 0; j < kp; j += 4) {
-      const __m256i m = _mm256_castpd_si256(_mm256_loadu_pd(mask + j));
-      const __m256d t = _mm256_sub_pd(_mm256_maskload_pd(xr + j, m),
-                                      _mm256_loadu_pd(s + j));
-      _mm256_maskstore_pd(xr + j, m, t);
-    }
-  }
-}
-
-void diag_scale_cols_avx2(const double* d, const double* x, double* y,
-                          std::size_t n, std::size_t k) {
-  const std::size_t kmain = k & ~std::size_t{3};
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m256d dv = _mm256_set1_pd(d[i]);
-    const double* xr = x + i * k;
-    double* yr = y + i * k;
-    std::size_t j = 0;
-    for (; j < kmain; j += 4)
-      _mm256_storeu_pd(yr + j, _mm256_mul_pd(dv, _mm256_loadu_pd(xr + j)));
-    for (; j < k; ++j) yr[j] = d[i] * xr[j];
-  }
+void xpby_cols_avx2(const double* beta, const double* d, const double* src,
+                    double* p, std::size_t n, std::size_t k,
+                    const double* mask) {
+  if (d != nullptr)
+    xpby_rows<true>(beta, d, src, p, n, k, mask);
+  else
+    xpby_rows<false>(beta, d, src, p, n, k, mask);
 }
 
 }  // namespace
 
 const KernelTable* avx2_kernel_table() {
   static const KernelTable t{
-      "avx2",          dot_avx2,        dot_self_avx2,
-      sum_avx2,        distance2_avx2,  axpy_avx2,
-      scale_avx2,      sub_scalar_avx2, spmv_range_avx2,
-      spmm_range_avx2, col_dots_avx2,   col_sums_avx2,
-      axpy_cols_avx2,  xpby_cols_avx2,  sub_cols_avx2,
-      diag_scale_cols_avx2,
+      "avx2",
+      dot_avx2,
+      dot_self_avx2,
+      sum_avx2,
+      distance2_avx2,
+      axpy_avx2,
+      scale_avx2,
+      sub_scalar_avx2,
+      spmv_range_avx2,
+      spmm_range_avx2,
+      cg_apply_cols_avx2,
+      cg_step_cols_avx2,
+      center_dot_cols_avx2,
+      xpby_cols_avx2,
   };
   return &t;
 }

@@ -92,84 +92,109 @@ void spmm_range_scalar(const std::size_t* row_ptr, const std::uint32_t* col_idx,
   }
 }
 
-void col_dots_scalar(const double* a, const double* b, std::size_t n,
-                     std::size_t k, const double* mask, double* out,
-                     double* scratch) {
+/// out[j] = the 8-lane tree over lanes[l * kp + j] (l = 0..7), masked j.
+void fold_lanes(const double* lanes, std::size_t k, const double* mask,
+                double* out) {
+  const std::size_t kp = padded_cols(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    if (!mask_on(mask[j])) continue;
+    const double acc[8] = {lanes[j],          lanes[kp + j],
+                           lanes[2 * kp + j], lanes[3 * kp + j],
+                           lanes[4 * kp + j], lanes[5 * kp + j],
+                           lanes[6 * kp + j], lanes[7 * kp + j]};
+    out[j] = reduce8_tree(acc);
+  }
+}
+
+void cg_apply_cols_scalar(const std::size_t* row_ptr,
+                          const std::uint32_t* col_idx, const double* values,
+                          const double* p, double shift, double* ap,
+                          std::size_t n, std::size_t k, const double* mask,
+                          bool sums, double* out, double* scratch) {
+  const std::size_t kp = padded_cols(k);
+  double* red = scratch;           // 8 row lanes
+  double* row = scratch + 8 * kp;  // row i of A·p, accumulated into zeros
+  double* acc = scratch + 9 * kp;  // spmm_range's 4 nnz lanes
+  for (std::size_t j = 0; j < 8 * kp; ++j) red[j] = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < k; ++j) row[j] = 0.0;
+    spmm_range_scalar(row_ptr, col_idx, values, p, k, 1.0, row, 0, k, acc, i,
+                      i + 1);
+    const double* pi = p + i * k;
+    double* lane = red + (i & 7) * kp;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (!mask_on(mask[j])) continue;
+      double v = row[j];
+      if (shift != 0.0) v = std::fma(shift, pi[j], v);
+      ap[i * k + j] = v;
+      lane[j] = sums ? lane[j] + v : std::fma(pi[j], v, lane[j]);
+    }
+  }
+  fold_lanes(red, k, mask, out);
+}
+
+void cg_step_cols_scalar(const double* alpha, const double* p,
+                         const double* ap, double* x, double* r,
+                         const double* d, double* z, std::size_t n,
+                         std::size_t k, const double* mask, double* rr,
+                         double* zr, double* scratch) {
+  const std::size_t kp = padded_cols(k);
+  double* rr_lanes = scratch;
+  double* zr_lanes = scratch + 8 * kp;
+  for (std::size_t j = 0; j < 16 * kp; ++j) scratch[j] = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t row = i * k;
+    double* l1 = rr_lanes + (i & 7) * kp;
+    double* l2 = zr_lanes + (i & 7) * kp;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (!mask_on(mask[j])) continue;
+      x[row + j] = std::fma(alpha[j], p[row + j], x[row + j]);
+      const double rv = std::fma(-alpha[j], ap[row + j], r[row + j]);
+      r[row + j] = rv;
+      l1[j] = std::fma(rv, rv, l1[j]);
+      if (d == nullptr) continue;
+      const double zv = d[i] * rv;
+      if (z == nullptr) {
+        l2[j] = std::fma(rv, zv, l2[j]);
+      } else {
+        z[row + j] = zv;
+        l2[j] += zv;
+      }
+    }
+  }
+  fold_lanes(rr_lanes, k, mask, rr);
+  if (d != nullptr) fold_lanes(zr_lanes, k, mask, zr);
+}
+
+void center_dot_cols_scalar(const double* m, double* a, const double* b,
+                            std::size_t n, std::size_t k, const double* mask,
+                            double* out, double* scratch) {
   const std::size_t kp = padded_cols(k);
   for (std::size_t j = 0; j < 8 * kp; ++j) scratch[j] = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double* ar = a + i * k;
+    double* ar = a + i * k;
     const double* br = b + i * k;
     double* lane = scratch + (i & 7) * kp;
-    for (std::size_t j = 0; j < k; ++j)
-      if (mask_on(mask[j])) lane[j] = std::fma(ar[j], br[j], lane[j]);
+    for (std::size_t j = 0; j < k; ++j) {
+      if (!mask_on(mask[j])) continue;
+      ar[j] -= m[j];
+      lane[j] = std::fma(br[j], ar[j], lane[j]);
+    }
   }
-  for (std::size_t j = 0; j < k; ++j) {
-    if (!mask_on(mask[j])) continue;
-    const double acc[8] = {scratch[j],          scratch[kp + j],
-                           scratch[2 * kp + j], scratch[3 * kp + j],
-                           scratch[4 * kp + j], scratch[5 * kp + j],
-                           scratch[6 * kp + j], scratch[7 * kp + j]};
-    out[j] = reduce8_tree(acc);
-  }
+  fold_lanes(scratch, k, mask, out);
 }
 
-void col_sums_scalar(const double* a, std::size_t n, std::size_t k,
-                     const double* mask, double* out, double* scratch) {
-  const std::size_t kp = padded_cols(k);
-  for (std::size_t j = 0; j < 8 * kp; ++j) scratch[j] = 0.0;
+void xpby_cols_scalar(const double* beta, const double* d, const double* src,
+                      double* p, std::size_t n, std::size_t k,
+                      const double* mask) {
   for (std::size_t i = 0; i < n; ++i) {
-    const double* ar = a + i * k;
-    double* lane = scratch + (i & 7) * kp;
-    for (std::size_t j = 0; j < k; ++j)
-      if (mask_on(mask[j])) lane[j] += ar[j];
-  }
-  for (std::size_t j = 0; j < k; ++j) {
-    if (!mask_on(mask[j])) continue;
-    const double acc[8] = {scratch[j],          scratch[kp + j],
-                           scratch[2 * kp + j], scratch[3 * kp + j],
-                           scratch[4 * kp + j], scratch[5 * kp + j],
-                           scratch[6 * kp + j], scratch[7 * kp + j]};
-    out[j] = reduce8_tree(acc);
-  }
-}
-
-void axpy_cols_scalar(const double* c, const double* x, double* y,
-                      std::size_t n, std::size_t k, const double* mask) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* xr = x + i * k;
-    double* yr = y + i * k;
-    for (std::size_t j = 0; j < k; ++j)
-      if (mask_on(mask[j])) yr[j] = std::fma(c[j], xr[j], yr[j]);
-  }
-}
-
-void xpby_cols_scalar(const double* beta, const double* z, double* p,
-                      std::size_t n, std::size_t k, const double* mask) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* zr = z + i * k;
+    const double* sr = src + i * k;
     double* pr = p + i * k;
-    for (std::size_t j = 0; j < k; ++j)
-      if (mask_on(mask[j])) pr[j] = std::fma(beta[j], pr[j], zr[j]);
-  }
-}
-
-void sub_cols_scalar(const double* m, double* x, std::size_t n, std::size_t k,
-                     const double* mask) {
-  for (std::size_t i = 0; i < n; ++i) {
-    double* xr = x + i * k;
-    for (std::size_t j = 0; j < k; ++j)
-      if (mask_on(mask[j])) xr[j] -= m[j];
-  }
-}
-
-void diag_scale_cols_scalar(const double* d, const double* x, double* y,
-                            std::size_t n, std::size_t k) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double di = d[i];
-    const double* xr = x + i * k;
-    double* yr = y + i * k;
-    for (std::size_t j = 0; j < k; ++j) yr[j] = di * xr[j];
+    for (std::size_t j = 0; j < k; ++j) {
+      if (!mask_on(mask[j])) continue;
+      const double zv = d != nullptr ? d[i] * sr[j] : sr[j];
+      pr[j] = std::fma(beta[j], pr[j], zv);
+    }
   }
 }
 
@@ -177,12 +202,20 @@ void diag_scale_cols_scalar(const double* d, const double* x, double* y,
 
 const KernelTable& scalar_kernel_table() {
   static const KernelTable t{
-      "scalar",          dot_scalar,        dot_self_scalar,
-      sum_scalar,        distance2_scalar,  axpy_scalar,
-      scale_scalar,      sub_scalar_scalar, spmv_range_scalar,
-      spmm_range_scalar, col_dots_scalar,   col_sums_scalar,
-      axpy_cols_scalar,  xpby_cols_scalar,  sub_cols_scalar,
-      diag_scale_cols_scalar,
+      "scalar",
+      dot_scalar,
+      dot_self_scalar,
+      sum_scalar,
+      distance2_scalar,
+      axpy_scalar,
+      scale_scalar,
+      sub_scalar_scalar,
+      spmv_range_scalar,
+      spmm_range_scalar,
+      cg_apply_cols_scalar,
+      cg_step_cols_scalar,
+      center_dot_cols_scalar,
+      xpby_cols_scalar,
   };
   return t;
 }

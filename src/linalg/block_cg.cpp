@@ -6,6 +6,7 @@
 #include <string>
 
 #include "kernels/kernels.hpp"
+#include "linalg/vector_ops.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,17 +18,17 @@ namespace cirstag::linalg {
 
 namespace {
 
-/// Columns per group task: the 4-lane width of the masked column kernels
+/// Columns per group task: the 4-lane width of the column kernels
 /// (kernels::padded_cols). Narrower groups cost as much per row, so they
 /// would only multiply the CSR traversals (DESIGN.md §7).
 constexpr std::size_t kGroupCols = 4;
 
 using Mask = std::vector<std::uint8_t>;
 /// Column mask in the kernel layer's bit-pattern form, zero-padded to the
-/// 4-lane multiple the masked kernels require (kernels.hpp).
+/// 4-lane multiple the column kernels require (kernels.hpp).
 using LaneMask = std::vector<double, util::AlignedAllocator<double>>;
-/// Padded per-column coefficient vector (fully loaded by the kernels, so the
-/// pad lanes must exist and stay finite).
+/// Padded per-column coefficient or reduction vector (fully loaded by the
+/// kernels, so the pad lanes must exist and stay finite).
 using Coeffs = std::vector<double, util::AlignedAllocator<double>>;
 
 LaneMask make_lane_mask(const Mask& active) {
@@ -37,66 +38,19 @@ LaneMask make_lane_mask(const Mask& active) {
   return m;
 }
 
-/// out[j] = Σ_i A(i,j)·B(i,j) for active columns, reduced through the same
-/// 8-lane row tree as the `dot` kernel — serial over rows, so every column
-/// is thread-count invariant and independent of its neighbours.
-void column_dots(const Matrix& a, const Matrix& b, const LaneMask& mask,
-                 Coeffs& out) {
-  const std::size_t n = a.rows(), k = a.cols();
-  std::fill(out.begin(), out.end(), 0.0);
-  util::ArenaFrame frame;
-  const auto scratch = frame.alloc<double>(8 * kernels::padded_cols(k));
-  kernels::table().col_dots(a.data().data(), b.data().data(), n, k,
-                            mask.data(), out.data(), scratch.data());
+void get_column(const Matrix& m, std::size_t j, std::vector<double>& out) {
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = m(i, j);
 }
 
-/// Remove the mean of every active column (two-pass — the per-column
-/// association of deflate_constant, 8-lane sum tree).
-void deflate_columns(Matrix& x, const LaneMask& mask) {
-  const std::size_t n = x.rows(), k = x.cols();
-  if (n == 0) return;
-  const kernels::KernelTable& kt = kernels::table();
-  util::ArenaFrame frame;
-  const std::size_t kp = kernels::padded_cols(k);
-  const auto mean = frame.alloc_zero<double>(kp);
-  const auto scratch = frame.alloc<double>(8 * kp);
-  kt.col_sums(x.data().data(), n, k, mask.data(), mean.data(), scratch.data());
-  for (std::size_t j = 0; j < k; ++j) mean[j] /= static_cast<double>(n);
-  kt.sub_cols(mean.data(), x.data().data(), n, k, mask.data());
-}
-
-/// Deflate one column — used exactly once per column, at retirement, so a
-/// column is never double-deflated (deflation is not bitwise idempotent).
-/// Strided mirror of deflate_constant: 8-lane sum tree, then subtract.
-void deflate_column(Matrix& x, std::size_t j) {
-  const std::size_t n = x.rows();
-  if (n == 0) return;
-  double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (std::size_t i = 0; i < n; ++i) acc[i & 7] += x(i, j);
-  const double mean = kernels::reduce8_tree(acc) / static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) x(i, j) -= mean;
-}
-
-/// y(i,j) += c[j]·x(i,j) on active columns.
-void axpy_columns(const Coeffs& c, const Matrix& x, Matrix& y,
-                  const LaneMask& mask) {
-  kernels::table().axpy_cols(c.data(), x.data().data(), y.data().data(),
-                             x.rows(), x.cols(), mask.data());
-}
-
-/// p(i,j) = z(i,j) + beta[j]·p(i,j) on active columns.
-void update_directions(const Matrix& z, const Coeffs& beta, Matrix& p,
-                       const LaneMask& mask) {
-  kernels::table().xpby_cols(beta.data(), z.data().data(), p.data().data(),
-                             z.rows(), z.cols(), mask.data());
-}
-
-/// dst(i, j) = src(i, c0 + j) for every column of dst.
-void copy_columns(const Matrix& src, std::size_t c0, Matrix& dst) {
-  for (std::size_t i = 0; i < dst.rows(); ++i) {
-    const auto from = src.row(i).subspan(c0, dst.cols());
-    std::copy(from.begin(), from.end(), dst.row(i).begin());
+/// z = M⁻¹r for one contiguous column, deflated when the solve is.
+void precondition(const BlockCgSystem& sys, bool deflate,
+                  std::span<const double> r, std::span<double> z) {
+  if (sys.tree != nullptr) {
+    sys.tree->apply(r, z);
+  } else {
+    for (std::size_t i = 0; i < r.size(); ++i) z[i] = sys.inv_diag[i] * r[i];
   }
+  if (deflate) deflate_constant(z);
 }
 
 /// What one lockstep loop reports beside its per-column results.
@@ -108,107 +62,124 @@ struct LoopStats {
 /// Run the CG recurrences of columns [c0, c0 + x.cols()) of `b` in lockstep:
 /// iterate their solutions in `x` (zero on entry) and write each column's
 /// residual, iterations and flags into `res` at its index in `b`.
-LoopStats solve_columns(const BlockLinearOperator& op, const Matrix& b,
-                        const BlockLinearOperator& precond,
+LoopStats solve_columns(const BlockCgSystem& sys, const Matrix& b,
                         const CgOptions& opts, const Matrix* initial_guess,
                         std::size_t c0, Matrix& x, BlockCgResult& res) {
   const std::size_t n = x.rows();
   const std::size_t k = x.cols();
   const std::size_t kp = kernels::padded_cols(k);
-  Matrix r(n, k);
-  copy_columns(b, c0, r);
-  const LaneMask all_mask = make_lane_mask(Mask(k, 1));
-  if (opts.deflate_constant) deflate_columns(r, all_mask);
+  const bool deflate = opts.deflate_constant;
+  // Jacobi's z = D⁻¹r is recomputed by the pass that needs it; z is stored
+  // only after a tree solve or to be centered in a deflated solve.
+  const double* jacobi = sys.tree == nullptr ? sys.inv_diag.data() : nullptr;
+  const bool store_z = jacobi == nullptr || deflate;
+  Matrix r(n, k), p(n, k), ap(n, k);
+  Matrix z = store_z ? Matrix(n, k) : Matrix();
+  // Contiguous copies of one column, for the set-up, the tree solve and
+  // retirement.
+  std::vector<double> col(n), aux(n);
+  Coeffs bnorm(kp, 0.0), rz(kp, 0.0), pap(kp, 0.0), alpha(kp, 0.0),
+      rnorm2(kp, 0.0), rz_new(kp, 0.0), beta(kp, 0.0), sums(kp, 0.0),
+      mean(kp, 0.0);
 
-  Coeffs bnorm(kp, 0.0);
-  column_dots(r, r, all_mask, bnorm);
-  for (auto& v : bnorm) v = std::sqrt(v);
-
+  // Set-up, a column at a time in its k = 1 arithmetic: r = b − (A +
+  // shift·I)x₀, deflated as the solve is, then z = M⁻¹r, p = z and rᵀz.
   LoopStats stats;
   Mask active(k, 0);
   std::size_t num_active = 0;
   for (std::size_t j = 0; j < k; ++j) {
+    get_column(b, c0 + j, col);
+    if (deflate) deflate_constant(col);
+    r.set_col(j, col);
+    bnorm[j] = std::sqrt(kernels::dot_self(col.data(), n));
     if (bnorm[j] == 0.0) {
       res.converged[c0 + j] = 1;  // zero right-hand side: x stays 0
-    } else {
-      active[j] = 1;
-      ++num_active;
+      continue;
+    }
+    active[j] = 1;
+    ++num_active;
+    if (initial_guess) {
+      get_column(*initial_guess, c0 + j, col);
+      if (deflate) deflate_constant(col);
+      x.set_col(j, col);
     }
   }
   if (num_active == 0) return stats;
   stats.any_active = true;
   LaneMask amask = make_lane_mask(active);
-
-  if (initial_guess) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto g = initial_guess->row(i).subspan(c0, k);
-      auto xi = x.row(i);
-      for (std::size_t j = 0; j < k; ++j)
-        if (active[j]) xi[j] = g[j];
+  if (initial_guess)
+    sys.matrix.multiply_shifted_cols(x, sys.shift, ap, amask, false, pap);
+  for (std::size_t j = 0; j < k; ++j) {
+    if (!active[j]) continue;
+    get_column(r, j, col);
+    if (initial_guess) {
+      get_column(ap, j, aux);
+      if (deflate) deflate_constant(aux);
+      kernels::axpy(-1.0, aux.data(), col.data(), n);
+      r.set_col(j, col);
     }
-    if (opts.deflate_constant) deflate_columns(x, amask);
-    Matrix ax(n, k);
-    op(x, ax);
-    if (opts.deflate_constant) deflate_columns(ax, amask);
-    Coeffs minus_one(kp, 0.0);
-    std::fill_n(minus_one.begin(), k, -1.0);
-    axpy_columns(minus_one, ax, r, amask);
+    precondition(sys, deflate, col, aux);
+    rz[j] = kernels::dot(col.data(), aux.data(), n);
+    p.set_col(j, aux);
   }
 
-  Matrix z(n, k);
-  auto apply_precond = [&](const Matrix& in, Matrix& out) {
-    if (precond) {
-      precond(in, out);
-    } else {
-      std::copy(in.data().begin(), in.data().end(), out.data().begin());
-    }
-    if (opts.deflate_constant) deflate_columns(out, amask);
+  const kernels::KernelTable& kt = kernels::table();
+  util::ArenaFrame frame;
+  const std::span<double> scratch =
+      frame.alloc<double>(kernels::kCgScratchPerCol * kp);
+  // Deflation: `sums` holds the column sums of `a`; subtract the means from
+  // a and take out[j] = Σ_i bm(i,j)·a(i,j) in one pass.
+  auto center_dot = [&](Matrix& a, const Matrix& bm, Coeffs& out) {
+    for (std::size_t j = 0; j < k; ++j)
+      mean[j] = sums[j] / static_cast<double>(n);
+    kt.center_dot_cols(mean.data(), a.data().data(), bm.data().data(), n, k,
+                       amask.data(), out.data(), scratch.data());
   };
-
-  apply_precond(r, z);
-  Matrix p = z;
-  Matrix ap(n, k);
-  Coeffs rz(kp, 0.0);
-  column_dots(r, z, amask, rz);
-
-  Coeffs pap(kp, 0.0), alpha(kp, 0.0), neg_alpha(kp, 0.0), rnorm2(kp, 0.0),
-      rz_new(kp, 0.0), beta(kp, 0.0);
-
-  // ‖r_j‖/‖b_j‖ recomputed at breakdown / max-iteration retirement — the
-  // strided mirror of the norm kernel (8-lane tree over rows).
-  auto tail_residual = [&](std::size_t j) {
-    double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (std::size_t i = 0; i < n; ++i)
-      acc[i & 7] = std::fma(r(i, j), r(i, j), acc[i & 7]);
-    return std::sqrt(kernels::reduce8_tree(acc)) / bnorm[j];
+  // ‖r_j‖/‖b_j‖, recomputed for a column that breaks down or exhausts the
+  // iteration budget.
+  auto residual = [&](std::size_t j) {
+    get_column(r, j, col);
+    return std::sqrt(kernels::dot_self(col.data(), n)) / bnorm[j];
+  };
+  // A deflated solve deflates x_j once, when column j retires, so no column
+  // is deflated twice (deflation is not bitwise idempotent).
+  auto retire = [&](std::size_t j) {
+    if (deflate) {
+      get_column(x, j, col);
+      deflate_constant(col);
+      x.set_col(j, col);
+    }
+    active[j] = 0;
+    --num_active;
   };
 
   for (std::size_t it = 0; it < opts.max_iterations && num_active > 0; ++it) {
     ++stats.sweeps;
-    ap.fill(0.0);
-    op(p, ap);
-    if (opts.deflate_constant) deflate_columns(ap, amask);
-    column_dots(p, ap, amask, pap);
+    // P1: ap = (A + shift·I)p and pᵀap in one CSR traversal; deflated, the
+    // traversal sums ap instead and one pass centers it and takes pᵀap.
+    sys.matrix.multiply_shifted_cols(p, sys.shift, ap, amask, deflate,
+                                     deflate ? sums : pap);
+    if (deflate) center_dot(ap, p, pap);
     // Indefinite directions retire before the α step, per column.
     for (std::size_t j = 0; j < k; ++j) {
       if (active[j] && pap[j] <= 0.0) {
         res.breakdown[c0 + j] = 1;
-        res.residuals[c0 + j] = tail_residual(j);
-        if (opts.deflate_constant) deflate_column(x, j);
-        active[j] = 0;
-        --num_active;
+        res.residuals[c0 + j] = residual(j);
+        retire(j);
       }
     }
     if (num_active == 0) break;
     amask = make_lane_mask(active);
-    for (std::size_t j = 0; j < k; ++j) {
-      if (!active[j]) continue;
-      alpha[j] = rz[j] / pap[j];
-      neg_alpha[j] = -alpha[j];
-    }
-    axpy_columns(alpha, p, x, amask);
-    axpy_columns(neg_alpha, ap, r, amask);
-    column_dots(r, r, amask, rnorm2);
+    for (std::size_t j = 0; j < k; ++j)
+      if (active[j]) alpha[j] = rz[j] / pap[j];
+    // P2: x += αp, r −= α·ap, rᵀr, and for Jacobi rᵀz with z = D⁻¹r — or,
+    // deflated, z stored and summed. Columns retiring below have their rᵀz
+    // taken too and never read.
+    kt.cg_step_cols(alpha.data(), p.data().data(), ap.data().data(),
+                    x.data().data(), r.data().data(), jacobi,
+                    jacobi && deflate ? z.data().data() : nullptr, n, k,
+                    amask.data(), rnorm2.data(),
+                    deflate ? sums.data() : rz_new.data(), scratch.data());
     for (std::size_t j = 0; j < k; ++j) {
       if (!active[j]) continue;
       res.iterations[c0 + j] = it + 1;
@@ -216,38 +187,46 @@ LoopStats solve_columns(const BlockLinearOperator& op, const Matrix& b,
       if (rel < opts.tolerance) {
         res.converged[c0 + j] = 1;
         res.residuals[c0 + j] = rel;
-        if (opts.deflate_constant) deflate_column(x, j);
-        active[j] = 0;
-        --num_active;
+        retire(j);
       }
     }
     if (num_active == 0) break;
     amask = make_lane_mask(active);
-    apply_precond(r, z);
-    column_dots(r, z, amask, rz_new);
+    if (jacobi == nullptr) {
+      for (std::size_t j = 0; j < k; ++j) {
+        if (!active[j]) continue;
+        get_column(r, j, col);
+        precondition(sys, deflate, col, aux);
+        rz_new[j] = kernels::dot(col.data(), aux.data(), n);
+        z.set_col(j, aux);
+      }
+    } else if (deflate) {
+      center_dot(z, r, rz_new);
+    }
     for (std::size_t j = 0; j < k; ++j) {
       if (!active[j]) continue;
       beta[j] = rz_new[j] / rz[j];
       rz[j] = rz_new[j];
     }
-    update_directions(z, beta, p, amask);
+    // P3: p = z + βp, with Jacobi's z = D⁻¹r recomputed when not stored.
+    kt.xpby_cols(beta.data(), store_z ? nullptr : jacobi,
+                 store_z ? z.data().data() : r.data().data(), p.data().data(),
+                 n, k, amask.data());
   }
 
   // Columns that exhausted the iteration budget.
   for (std::size_t j = 0; j < k; ++j) {
     if (!active[j]) continue;
-    res.residuals[c0 + j] = tail_residual(j);
-    if (opts.deflate_constant) deflate_column(x, j);
+    res.residuals[c0 + j] = residual(j);
+    retire(j);
   }
   return stats;
 }
 
 }  // namespace
 
-BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
-                                       const Matrix& b,
-                                       const BlockLinearOperator& precond,
-                                       const CgOptions& opts,
+BlockCgResult block_conjugate_gradient(const BlockCgSystem& system,
+                                       const Matrix& b, const CgOptions& opts,
                                        const Matrix* initial_guess) {
   const obs::TraceSpan span("block_cg.solve", "linalg");
   const std::size_t n = b.rows();
@@ -262,9 +241,14 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
   if (initial_guess &&
       (initial_guess->rows() != n || initial_guess->cols() != k))
     throw std::invalid_argument("block_conjugate_gradient: bad guess shape");
+  if (system.matrix.rows() != n || system.matrix.cols() != n ||
+      (system.tree != nullptr ? system.tree->dimension() != n
+                              : system.inv_diag.size() != n))
+    throw std::invalid_argument(
+        "block_conjugate_gradient: system does not match b");
 
   // Column groups: each kGroupCols-wide group runs its own lockstep loop as
-  // one pool task, its SpMM and updates inline. They form only where they
+  // one pool task, its row passes inline. They form only where they
   // can run side by side; elsewhere one loop serves all k columns and reads
   // the operator once per iteration instead of once per group.
   const std::size_t groups = (k + kGroupCols - 1) / kGroupCols;
@@ -276,7 +260,7 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
       const std::size_t c0 = g * kGroupCols;
       Matrix x(n, std::min(kGroupCols, k - c0));
       group_stats[g] =
-          solve_columns(op, b, precond, opts, initial_guess, c0, x, res);
+          solve_columns(system, b, opts, initial_guess, c0, x, res);
       for (std::size_t i = 0; i < n; ++i) {
         const auto xi = x.row(i);
         std::copy(xi.begin(), xi.end(), res.solutions.row(i).begin() + c0);
@@ -287,8 +271,8 @@ BlockCgResult block_conjugate_gradient(const BlockLinearOperator& op,
       stats.any_active = stats.any_active || g.any_active;
     }
   } else {
-    stats = solve_columns(op, b, precond, opts, initial_guess, 0,
-                          res.solutions, res);
+    stats =
+        solve_columns(system, b, opts, initial_guess, 0, res.solutions, res);
   }
   if (!stats.any_active) return res;
   for (std::size_t j = 0; j < k; ++j) res.total_iterations += res.iterations[j];

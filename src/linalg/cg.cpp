@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
-#include "kernels/kernels.hpp"
 #include "linalg/block_cg.hpp"
 #include "obs/metrics.hpp"
-#include "util/arena.hpp"
 
 namespace cirstag::linalg {
 
@@ -53,38 +52,10 @@ Matrix LaplacianSolver::solve_block(const Matrix& rhs,
   if (rhs.rows() != dimension())
     throw std::invalid_argument("LaplacianSolver::solve_block: size mismatch");
   const std::size_t k = rhs.cols();
-  auto op = [this](const Matrix& x, Matrix& y) {
-    laplacian_.multiply_add(x, y);
-    // Elementwise fma has no reduction shape, so one flat call covers all
-    // columns, each contracted exactly as it would be alone.
-    if (regularization_ != 0.0)
-      kernels::axpy(regularization_, x.data().data(), y.data().data(),
-                    x.rows() * x.cols());
-  };
-  BlockLinearOperator precond;
-  if (!tree_.empty()) {
-    precond = [this](const Matrix& x, Matrix& y) {
-      // Columns are independent O(n) tree solves, each column's sweep
-      // identical to a one-column apply.
-      const std::size_t n = x.rows();
-      util::ArenaFrame frame;
-      std::span<double> in = frame.alloc<double>(n);
-      std::span<double> out = frame.alloc<double>(n);
-      for (std::size_t j = 0; j < x.cols(); ++j) {
-        for (std::size_t i = 0; i < n; ++i) in[i] = x(i, j);
-        tree_.apply(in, out);
-        for (std::size_t i = 0; i < n; ++i) y(i, j) = out[i];
-      }
-    };
-  } else {
-    precond = [this](const Matrix& x, Matrix& y) {
-      kernels::table().diag_scale_cols(inv_diag_.data(), x.data().data(),
-                                       y.data().data(), x.rows(), x.cols());
-    };
-  }
-
-  BlockCgResult res =
-      block_conjugate_gradient(op, rhs, precond, opts_, initial_guess);
+  BlockCgResult res = block_conjugate_gradient(
+      {laplacian_, regularization_, inv_diag_,
+       tree_.empty() ? nullptr : &tree_},
+      rhs, opts_, initial_guess);
   double worst = 0.0;
   std::size_t slowest = 0;
   for (std::size_t j = 0; j < k; ++j) {

@@ -76,11 +76,11 @@ class LaplacianSolver {
       std::span<const double> b,
       std::span<const double> initial_guess = {}) const;
 
-  /// Solve all k columns of `rhs` simultaneously with blocked CG: one CSR
-  /// traversal per iteration serves every right-hand side, and converged
-  /// columns retire early. Column j of the result is bit-identical to
-  /// solve(rhs.col(j), guess.col(j)) at every thread count (see
-  /// block_conjugate_gradient). `initial_guess` may be nullptr.
+  /// Solve all k columns of `rhs` simultaneously with blocked CG: each
+  /// iteration reads the matrix once per group of up to 4 columns, and
+  /// converged columns retire early. Column j of the result is
+  /// bit-identical to solve(rhs.col(j), guess.col(j)) at every thread count
+  /// (see block_conjugate_gradient). `initial_guess` may be nullptr.
   [[nodiscard]] Matrix solve_block(const Matrix& rhs,
                                    const Matrix* initial_guess = nullptr,
                                    BlockSolveStats* stats = nullptr) const;

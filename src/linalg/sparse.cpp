@@ -108,6 +108,26 @@ void SparseMatrix::multiply_add(const Matrix& x, Matrix& y,
   }
 }
 
+void SparseMatrix::multiply_shifted_cols(const Matrix& p, double shift,
+                                         Matrix& ap,
+                                         std::span<const double> mask,
+                                         bool sums,
+                                         std::span<double> out) const {
+  const std::size_t k = p.cols();
+  const std::size_t kp = kernels::padded_cols(k);
+  if (rows_ != cols_ || p.rows() != rows_ || ap.rows() != rows_ ||
+      ap.cols() != k || mask.size() < kp || out.size() < kp)
+    throw std::invalid_argument(
+        "SparseMatrix::multiply_shifted_cols: shape mismatch");
+  if (k == 0) return;
+  util::ArenaFrame frame;
+  const auto scratch = frame.alloc<double>(kernels::kCgScratchPerCol * kp);
+  kernels::table().cg_apply_cols(row_ptr_.data(), col_idx_.data(),
+                                 values_.data(), p.data().data(), shift,
+                                 ap.data().data(), rows_, k, mask.data(), sums,
+                                 out.data(), scratch.data());
+}
+
 Matrix SparseMatrix::multiply(const Matrix& b) const {
   if (b.rows() != cols_)
     throw std::invalid_argument("SparseMatrix::multiply(Matrix): shape mismatch");

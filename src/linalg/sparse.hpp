@@ -42,12 +42,25 @@ class SparseMatrix {
   void multiply_add(std::span<const double> x, std::span<double> y,
                     double alpha = 1.0) const;
 
-  /// Y += alpha * A X — multi-vector SpMV, the block-CG workhorse. One CSR
-  /// traversal is amortized across all columns of X (contiguous row-major
-  /// blocks, row-partitioned over the parallel runtime). Each (row, column)
-  /// output accumulates in exactly the order of the single-vector kernel, so
-  /// column j of the result is bit-identical to multiply_add(X.col(j), ...).
+  /// Y += alpha * A X — multi-vector SpMV (the subspace iteration's L_X V).
+  /// One CSR traversal is amortized across all columns of X (contiguous
+  /// row-major blocks, row-partitioned over the parallel runtime). Each
+  /// (row, column) output accumulates in exactly the order of the
+  /// single-vector kernel, so column j of the result is bit-identical to
+  /// multiply_add(X.col(j), ...).
   void multiply_add(const Matrix& x, Matrix& y, double alpha = 1.0) const;
+
+  /// AP = (A + shift·I) P on the columns `mask` enables, every row in order
+  /// on the calling thread: the first row pass of a block-CG iteration
+  /// (linalg/block_cg.cpp, kernels::KernelTable::cg_apply_cols). Each
+  /// enabled entry is what multiply_add(P, AP) makes of a zeroed AP,
+  /// followed by fma(shift, P, ·) when shift != 0; the same traversal sets
+  /// out[j] = Σ_i P(i,j)·AP(i,j), or Σ_i AP(i,j) with `sums`, through the
+  /// 8-lane row tree of the dot/sum kernels. `mask` and `out` hold
+  /// kernels::padded_cols(k) lanes (kernels.hpp). Requires a square matrix.
+  void multiply_shifted_cols(const Matrix& p, double shift, Matrix& ap,
+                             std::span<const double> mask, bool sums,
+                             std::span<double> out) const;
 
   /// Dense product A * B (B dense, result dense). Used by GNN layers.
   [[nodiscard]] Matrix multiply(const Matrix& b) const;

@@ -22,14 +22,23 @@ std::uint64_t ns_since(Clock::time_point t0) {
           .count());
 }
 
-/// Pool-wide counters; worker time spent parked waiting for work vs.
-/// executing tasks.
-const obs::Counter& pool_idle_ns() {
-  static const obs::Counter c("runtime.pool.idle_ns");
-  return c;
-}
-const obs::Counter& pool_busy_ns() {
-  static const obs::Counter c("runtime.pool.busy_ns");
+/// Pool-wide counters, registered together in this order when the first
+/// pool is built, before any worker starts, so every metrics document lists
+/// them in the same place whichever lane first claims a task or parks.
+/// busy_ns / idle_ns: worker time executing tasks vs. parked waiting for
+/// work.
+struct PoolCounters {
+  obs::Counter runs{"runtime.pool.runs"};
+  obs::Counter submitted_tasks{"runtime.pool.submitted_tasks"};
+  obs::Counter serial_runs{"runtime.pool.serial_runs"};
+  obs::Counter serial_tasks{"runtime.pool.serial_tasks"};
+  obs::Counter tasks{"runtime.pool.tasks"};
+  obs::Counter busy_ns{"runtime.pool.busy_ns"};
+  obs::Counter idle_ns{"runtime.pool.idle_ns"};
+};
+
+const PoolCounters& pool_counters() {
+  static const PoolCounters c;
   return c;
 }
 
@@ -49,6 +58,7 @@ bool ThreadPool::in_parallel_region() { return t_in_parallel_region; }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = default_thread_count();
+  (void)pool_counters();
   workers_.reserve(num_threads - 1);
   for (std::size_t i = 0; i + 1 < num_threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -69,7 +79,7 @@ void ThreadPool::worker_loop() {
   for (;;) {
     const auto idle_start = Clock::now();
     cv_work_.wait(lock, [&] { return stop_ || generation_ != seen; });
-    pool_idle_ns().add(ns_since(idle_start));
+    pool_counters().idle_ns.add(ns_since(idle_start));
     if (stop_) return;
     seen = generation_;
     Job* job = job_;
@@ -114,9 +124,8 @@ void ThreadPool::drain(Job& job, bool worker) {
   if (worker) obs::TraceSpan::adopt(outer);
   if (executed > 0) {
     if (job.span != nullptr) job.span->credit(busy_ns, worker);
-    static const obs::Counter claimed("runtime.pool.tasks");
-    claimed.add(executed);
-    pool_busy_ns().add(busy_ns);
+    pool_counters().tasks.add(executed);
+    pool_counters().busy_ns.add(busy_ns);
   }
 }
 
@@ -144,17 +153,13 @@ void ThreadPool::run(std::size_t num_tasks,
                      const std::function<void(std::size_t)>& task) {
   if (num_tasks == 0) return;
   if (workers_.empty() || num_tasks == 1 || t_in_parallel_region) {
-    static const obs::Counter serial_runs("runtime.pool.serial_runs");
-    static const obs::Counter serial_tasks("runtime.pool.serial_tasks");
-    serial_runs.add();
-    serial_tasks.add(num_tasks);
+    pool_counters().serial_runs.add();
+    pool_counters().serial_tasks.add(num_tasks);
     run_serial(num_tasks, task);
     return;
   }
-  static const obs::Counter runs("runtime.pool.runs");
-  static const obs::Counter submitted("runtime.pool.submitted_tasks");
-  runs.add();
-  submitted.add(num_tasks);
+  pool_counters().runs.add();
+  pool_counters().submitted_tasks.add(num_tasks);
 
   std::lock_guard<std::mutex> run_lock(run_mutex_);
   Job job;

@@ -17,21 +17,32 @@ Matrix column(const std::vector<double>& b) {
   return m;
 }
 
+SparseMatrix diagonal_matrix(const std::vector<double>& d) {
+  std::vector<Triplet> t;
+  for (std::size_t i = 0; i < d.size(); ++i) t.push_back({i, i, d[i]});
+  return SparseMatrix::from_triplets(d.size(), d.size(), std::move(t));
+}
+
+/// Plain (unpreconditioned) CG is Jacobi with a unit inverse diagonal.
+std::vector<double> unit_diagonal(std::size_t n) {
+  return std::vector<double>(n, 1.0);
+}
+
 TEST(ConjugateGradient, SolvesSpdSystem) {
   // A = [[4,1],[1,3]], b = [1,2] -> x = [1/11, 7/11].
-  auto op = [](const Matrix& x, Matrix& y) {
-    y(0, 0) += 4 * x(0, 0) + 1 * x(1, 0);
-    y(1, 0) += 1 * x(0, 0) + 3 * x(1, 0);
-  };
-  const auto res = block_conjugate_gradient(op, column({1.0, 2.0}));
+  const SparseMatrix a = SparseMatrix::from_triplets(
+      2, 2, {{0, 0, 4.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 3.0}});
+  const auto unit = unit_diagonal(2);
+  const auto res = block_conjugate_gradient({a, 0.0, unit}, column({1.0, 2.0}));
   EXPECT_TRUE(res.converged[0]);
   EXPECT_NEAR(res.solutions(0, 0), 1.0 / 11.0, 1e-8);
   EXPECT_NEAR(res.solutions(1, 0), 7.0 / 11.0, 1e-8);
 }
 
 TEST(ConjugateGradient, ZeroRhsReturnsZero) {
-  auto op = [](const Matrix& x, Matrix& y) { y(0, 0) += x(0, 0); };
-  const auto res = block_conjugate_gradient(op, column({0.0}));
+  const SparseMatrix a = diagonal_matrix({1.0});
+  const auto unit = unit_diagonal(1);
+  const auto res = block_conjugate_gradient({a, 0.0, unit}, column({0.0}));
   EXPECT_TRUE(res.converged[0]);
   EXPECT_DOUBLE_EQ(res.solutions(0, 0), 0.0);
   EXPECT_EQ(res.iterations[0], 0u);
@@ -40,27 +51,27 @@ TEST(ConjugateGradient, ZeroRhsReturnsZero) {
 TEST(ConjugateGradient, PreconditionerReducesIterations) {
   // Badly scaled diagonal system.
   const std::size_t n = 50;
-  std::vector<double> diag(n);
-  for (std::size_t i = 0; i < n; ++i) diag[i] = 1.0 + 1000.0 * i;
-  auto op = [&diag](const Matrix& x, Matrix& y) {
-    for (std::size_t i = 0; i < x.rows(); ++i) y(i, 0) += diag[i] * x(i, 0);
-  };
-  auto precond = [&diag](const Matrix& x, Matrix& y) {
-    for (std::size_t i = 0; i < x.rows(); ++i) y(i, 0) = x(i, 0) / diag[i];
-  };
+  std::vector<double> diag(n), inv_diag(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    diag[i] = 1.0 + 1000.0 * i;
+    inv_diag[i] = 1.0 / diag[i];
+  }
+  const SparseMatrix a = diagonal_matrix(diag);
+  const auto unit = unit_diagonal(n);
   const Matrix b = column(std::vector<double>(n, 1.0));
-  const auto plain = block_conjugate_gradient(op, b);
-  const auto pc = block_conjugate_gradient(op, b, precond);
+  const auto plain = block_conjugate_gradient({a, 0.0, unit}, b);
+  const auto pc = block_conjugate_gradient({a, 0.0, inv_diag}, b);
   EXPECT_TRUE(pc.converged[0]);
   EXPECT_LE(pc.iterations[0], plain.iterations[0]);
   EXPECT_LE(pc.iterations[0], 3u);  // Jacobi is exact for diagonal systems
 }
 
 TEST(ConjugateGradient, SizeMismatchThrows) {
-  auto op = [](const Matrix&, Matrix&) {};
+  const SparseMatrix zero = SparseMatrix::from_triplets(3, 3, {});
+  const auto unit = unit_diagonal(3);
   const Matrix b(3, 1, 1.0);
   const Matrix guess(2, 1);
-  EXPECT_THROW((void)block_conjugate_gradient(op, b, {}, {}, &guess),
+  EXPECT_THROW((void)block_conjugate_gradient({zero, 0.0, unit}, b, {}, &guess),
                std::invalid_argument);
 }
 

@@ -244,90 +244,253 @@ TEST_P(KernelParityTest, SpmmRangeMatchesScalarAndPerColumnSpmv) {
   }
 }
 
-TEST_P(KernelParityTest, MaskedColumnKernels) {
-  std::uniform_real_distribution<double> coeff(-3.0, 3.0);
-  for (std::size_t k = 1; k <= 9; ++k) {
-    const std::size_t n = 131;
-    const std::size_t kp = kernels::padded_cols(k);
-    const auto a = make(n * k);
-    const auto b = make(n * k);
+// ---- Fused block-CG column kernels ---------------------------------------
+//
+// Each case runs k = 1..9 (one and two 4-column blocks, every tail width,
+// and the wide path past 8) at every row count 1..16 (each (n & 7) lane
+// remainder) plus 131, under a random column mask. Beyond scalar == AVX2,
+// every active column must equal the single-vector kernels on that column
+// alone — the block-CG bit-identity contract — and every masked column and
+// output lane must keep its sentinel bits.
 
-    // Random mask with at least one inactive column when k > 1, and padded
-    // lanes always off.
-    std::vector<double> mask(kp, kernels::kMaskOff);
-    for (std::size_t j = 0; j < k; ++j)
-      mask[j] = (rng_() & 1) != 0 ? kernels::kMaskOn : kernels::kMaskOff;
-    if (k > 1) mask[k / 2] = kernels::kMaskOff;
-    mask[0] = kernels::kMaskOn;
+std::vector<std::size_t> fused_row_counts() {
+  std::vector<std::size_t> rows;
+  for (std::size_t n = 1; n <= 16; ++n) rows.push_back(n);
+  rows.push_back(131);
+  return rows;
+}
 
-    std::vector<double> cvec(kp, 0.0);
-    for (std::size_t j = 0; j < k; ++j) cvec[j] = coeff(rng_);
+/// Column mask over k columns, padded lanes off: random, but column 0 is
+/// active and, when k > 1, column k/2 is retired.
+std::vector<double> random_mask(std::mt19937_64& rng, std::size_t k) {
+  std::vector<double> mask(kernels::padded_cols(k), kernels::kMaskOff);
+  for (std::size_t j = 0; j < k; ++j)
+    mask[j] = (rng() & 1) != 0 ? kernels::kMaskOn : kernels::kMaskOff;
+  if (k > 1) mask[k / 2] = kernels::kMaskOff;
+  mask[0] = kernels::kMaskOn;
+  return mask;
+}
 
-    util::ArenaFrame frame;
-    std::span<double> scratch = frame.alloc_zero<double>(8 * kp);
+std::vector<double> column_of(const std::vector<double>& a, std::size_t n,
+                              std::size_t k, std::size_t j) {
+  std::vector<double> c(n);
+  for (std::size_t i = 0; i < n; ++i) c[i] = a[i * k + j];
+  return c;
+}
 
-    const std::vector<double> sentinel(kp, -123.456);
-    auto outs = sentinel, outv = sentinel;
-    sc_->col_dots(a.data(), b.data(), n, k, mask.data(), outs.data(),
-                  scratch.data());
-    vec_->col_dots(a.data(), b.data(), n, k, mask.data(), outv.data(),
-                   scratch.data());
-    expect_same_bits(outs, outv, "col_dots", k);
-    // Masked-off columns are suppressed, not written.
-    for (std::size_t j = 0; j < kp; ++j)
-      if (!kernels::mask_on(mask[j])) {
-        ASSERT_EQ(bits(outs[j]), bits(sentinel[j])) << "col_dots wrote col "
-                                                    << j;
-      }
-
-    outs = sentinel, outv = sentinel;
-    sc_->col_sums(a.data(), n, k, mask.data(), outs.data(), scratch.data());
-    vec_->col_sums(a.data(), n, k, mask.data(), outv.data(), scratch.data());
-    expect_same_bits(outs, outv, "col_sums", k);
-
-    auto ys = b, yv = b;
-    sc_->axpy_cols(cvec.data(), a.data(), ys.data(), n, k, mask.data());
-    vec_->axpy_cols(cvec.data(), a.data(), yv.data(), n, k, mask.data());
-    expect_same_bits(ys, yv, "axpy_cols", k);
-    for (std::size_t j = 0; j < k; ++j)
-      if (!kernels::mask_on(mask[j])) {
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(bits(ys[i * k + j]), bits(b[i * k + j]))
-              << "axpy_cols touched masked col " << j;
-      }
-
-    ys = b, yv = b;
-    sc_->xpby_cols(cvec.data(), a.data(), ys.data(), n, k, mask.data());
-    vec_->xpby_cols(cvec.data(), a.data(), yv.data(), n, k, mask.data());
-    expect_same_bits(ys, yv, "xpby_cols", k);
-
-    ys = b, yv = b;
-    sc_->sub_cols(cvec.data(), ys.data(), n, k, mask.data());
-    vec_->sub_cols(cvec.data(), yv.data(), n, k, mask.data());
-    expect_same_bits(ys, yv, "sub_cols", k);
-    for (std::size_t j = 0; j < k; ++j)
-      if (!kernels::mask_on(mask[j])) {
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(bits(ys[i * k + j]), bits(b[i * k + j]))
-              << "sub_cols touched masked col " << j;
-      }
+/// Active columns of `got` equal `want` column for column (checked by the
+/// caller); retired ones still hold `before`'s bits.
+void expect_masked_untouched(const std::vector<double>& got,
+                             const std::vector<double>& before,
+                             const std::vector<double>& mask, std::size_t n,
+                             std::size_t k, const char* what) {
+  for (std::size_t j = 0; j < k; ++j) {
+    if (kernels::mask_on(mask[j])) continue;
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i * k + j]),
+                std::bit_cast<std::uint64_t>(before[i * k + j]))
+          << what << " touched retired column " << j << " row " << i;
   }
 }
 
-TEST_P(KernelParityTest, DiagScaleCols) {
+void expect_column(const std::vector<double>& block, std::size_t n,
+                   std::size_t k, std::size_t j,
+                   const std::vector<double>& want, const char* what) {
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(bits(block[i * k + j]), bits(want[i]))
+        << what << " k=" << k << " n=" << n << " col " << j << " row " << i;
+}
+
+constexpr double kSentinel = -123.456;
+
+TEST_P(KernelParityTest, CgApplyCols) {
+  std::uniform_real_distribution<double> coeff(-3.0, 3.0);
   for (std::size_t k = 1; k <= 9; ++k) {
-    const std::size_t n = 113;
-    const auto d = make(n);
-    const auto x = make(n * k);
-    std::vector<double> ys(n * k, 0.0), yv(n * k, 0.0);
-    sc_->diag_scale_cols(d.data(), x.data(), ys.data(), n, k);
-    vec_->diag_scale_cols(d.data(), x.data(), yv.data(), n, k);
-    expect_same_bits(ys, yv, "diag_scale_cols", k);
-    // And against the obvious reference (plain multiply, no contraction).
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < k; ++j)
-        ASSERT_EQ(bits(ys[i * k + j]), bits(d[i] * x[i * k + j]))
-            << "diag_scale_cols k=" << k << " at (" << i << "," << j << ")";
+    const std::size_t kp = kernels::padded_cols(k);
+    for (std::size_t n : fused_row_counts()) {
+      const auto m = random_csr(rng_, n, n, poisoned());
+      const auto p = make(n * k);
+      const auto ap0 = make(n * k);
+      const auto mask = random_mask(rng_, k);
+      util::ArenaFrame frame;
+      std::span<double> scratch =
+          frame.alloc_zero<double>(kernels::kCgScratchPerCol * kp);
+      for (double shift : {0.0, coeff(rng_)}) {
+        for (bool sums : {false, true}) {
+          auto aps = ap0, apv = ap0;
+          std::vector<double> outs(kp, kSentinel), outv(kp, kSentinel);
+          sc_->cg_apply_cols(m.row_ptr.data(), m.col_idx.data(),
+                             m.values.data(), p.data(), shift, aps.data(), n,
+                             k, mask.data(), sums, outs.data(),
+                             scratch.data());
+          vec_->cg_apply_cols(m.row_ptr.data(), m.col_idx.data(),
+                              m.values.data(), p.data(), shift, apv.data(), n,
+                              k, mask.data(), sums, outv.data(),
+                              scratch.data());
+          expect_same_bits(aps, apv, "cg_apply_cols ap", k);
+          expect_same_bits(outs, outv, "cg_apply_cols out", k);
+          expect_masked_untouched(aps, ap0, mask, n, k, "cg_apply_cols");
+          for (std::size_t j = 0; j < kp; ++j) {
+            if (!kernels::mask_on(mask[j])) {
+              ASSERT_EQ(bits(outs[j]), bits(kSentinel)) << "out lane " << j;
+              continue;
+            }
+            // Column j alone: spmv into zeros, the shift axpy, then dot/sum.
+            const auto pj = column_of(p, n, k, j);
+            std::vector<double> want(n, 0.0);
+            sc_->spmv_range(m.row_ptr.data(), m.col_idx.data(),
+                            m.values.data(), pj.data(), 1.0, want.data(), 0,
+                            n);
+            if (shift != 0.0) sc_->axpy(shift, pj.data(), want.data(), n);
+            expect_column(aps, n, k, j, want, "cg_apply_cols ap");
+            expect_same_bits(outs[j],
+                             sums ? sc_->sum(want.data(), n)
+                                  : sc_->dot(pj.data(), want.data(), n),
+                             "cg_apply_cols out vs dot/sum", n);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelParityTest, CgStepCols) {
+  std::uniform_real_distribution<double> coeff(-3.0, 3.0);
+  for (std::size_t k = 1; k <= 9; ++k) {
+    const std::size_t kp = kernels::padded_cols(k);
+    for (std::size_t n : fused_row_counts()) {
+      const auto p = make(n * k), ap = make(n * k);
+      const auto x0 = make(n * k), r0 = make(n * k), z0 = make(n * k);
+      const auto d = make(n);
+      const auto mask = random_mask(rng_, k);
+      std::vector<double> alpha(kp, 0.0);
+      for (std::size_t j = 0; j < k; ++j) alpha[j] = coeff(rng_);
+      util::ArenaFrame frame;
+      std::span<double> scratch =
+          frame.alloc_zero<double>(kernels::kCgScratchPerCol * kp);
+      // Tree (no z), Jacobi (r·z, z not stored), Jacobi deflated (z, Σz).
+      for (int mode = 0; mode < 3; ++mode) {
+        const double* dp = mode == 0 ? nullptr : d.data();
+        auto xs = x0, xv = x0, rs = r0, rv = r0, zs = z0, zv = z0;
+        std::vector<double> rrs(kp, kSentinel), rrv(kp, kSentinel);
+        std::vector<double> zrs(kp, kSentinel), zrv(kp, kSentinel);
+        sc_->cg_step_cols(alpha.data(), p.data(), ap.data(), xs.data(),
+                          rs.data(), dp, mode == 2 ? zs.data() : nullptr, n,
+                          k, mask.data(), rrs.data(), zrs.data(),
+                          scratch.data());
+        vec_->cg_step_cols(alpha.data(), p.data(), ap.data(), xv.data(),
+                           rv.data(), dp, mode == 2 ? zv.data() : nullptr, n,
+                           k, mask.data(), rrv.data(), zrv.data(),
+                           scratch.data());
+        expect_same_bits(xs, xv, "cg_step_cols x", k);
+        expect_same_bits(rs, rv, "cg_step_cols r", k);
+        expect_same_bits(zs, zv, "cg_step_cols z", k);
+        expect_same_bits(rrs, rrv, "cg_step_cols rr", k);
+        expect_same_bits(zrs, zrv, "cg_step_cols zr", k);
+        expect_masked_untouched(xs, x0, mask, n, k, "cg_step_cols x");
+        expect_masked_untouched(rs, r0, mask, n, k, "cg_step_cols r");
+        expect_masked_untouched(zs, z0, mask, n, k, "cg_step_cols z");
+        for (std::size_t j = 0; j < kp; ++j) {
+          if (!kernels::mask_on(mask[j])) {
+            ASSERT_EQ(bits(rrs[j]), bits(kSentinel)) << "rr lane " << j;
+            ASSERT_EQ(bits(zrs[j]), bits(kSentinel)) << "zr lane " << j;
+            continue;
+          }
+          auto xj = column_of(x0, n, k, j), rj = column_of(r0, n, k, j);
+          const auto pj = column_of(p, n, k, j), apj = column_of(ap, n, k, j);
+          sc_->axpy(alpha[j], pj.data(), xj.data(), n);
+          sc_->axpy(-alpha[j], apj.data(), rj.data(), n);
+          expect_column(xs, n, k, j, xj, "cg_step_cols x");
+          expect_column(rs, n, k, j, rj, "cg_step_cols r");
+          expect_same_bits(rrs[j], sc_->dot_self(rj.data(), n),
+                           "cg_step_cols rr vs dot_self", n);
+          if (mode == 0) {
+            ASSERT_EQ(bits(zrs[j]), bits(kSentinel)) << "zr lane " << j;
+            continue;
+          }
+          std::vector<double> zj(n);
+          for (std::size_t i = 0; i < n; ++i) zj[i] = d[i] * rj[i];
+          if (mode == 1) {
+            expect_same_bits(zrs[j], sc_->dot(rj.data(), zj.data(), n),
+                             "cg_step_cols zr vs dot", n);
+          } else {
+            expect_column(zs, n, k, j, zj, "cg_step_cols z");
+            expect_same_bits(zrs[j], sc_->sum(zj.data(), n),
+                             "cg_step_cols zr vs sum", n);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelParityTest, CenterDotCols) {
+  std::uniform_real_distribution<double> coeff(-3.0, 3.0);
+  for (std::size_t k = 1; k <= 9; ++k) {
+    const std::size_t kp = kernels::padded_cols(k);
+    for (std::size_t n : fused_row_counts()) {
+      const auto a0 = make(n * k), b = make(n * k);
+      const auto mask = random_mask(rng_, k);
+      std::vector<double> mean(kp, 0.0);
+      for (std::size_t j = 0; j < k; ++j) mean[j] = coeff(rng_);
+      util::ArenaFrame frame;
+      std::span<double> scratch =
+          frame.alloc_zero<double>(kernels::kCgScratchPerCol * kp);
+      auto as = a0, av = a0;
+      std::vector<double> outs(kp, kSentinel), outv(kp, kSentinel);
+      sc_->center_dot_cols(mean.data(), as.data(), b.data(), n, k,
+                           mask.data(), outs.data(), scratch.data());
+      vec_->center_dot_cols(mean.data(), av.data(), b.data(), n, k,
+                            mask.data(), outv.data(), scratch.data());
+      expect_same_bits(as, av, "center_dot_cols a", k);
+      expect_same_bits(outs, outv, "center_dot_cols out", k);
+      expect_masked_untouched(as, a0, mask, n, k, "center_dot_cols");
+      for (std::size_t j = 0; j < kp; ++j) {
+        if (!kernels::mask_on(mask[j])) {
+          ASSERT_EQ(bits(outs[j]), bits(kSentinel)) << "out lane " << j;
+          continue;
+        }
+        auto aj = column_of(a0, n, k, j);
+        const auto bj = column_of(b, n, k, j);
+        sc_->sub_scalar(mean[j], aj.data(), n);
+        expect_column(as, n, k, j, aj, "center_dot_cols a");
+        expect_same_bits(outs[j], sc_->dot(bj.data(), aj.data(), n),
+                         "center_dot_cols out vs dot", n);
+      }
+    }
+  }
+}
+
+TEST_P(KernelParityTest, XpbyCols) {
+  std::uniform_real_distribution<double> coeff(-3.0, 3.0);
+  for (std::size_t k = 1; k <= 9; ++k) {
+    const std::size_t kp = kernels::padded_cols(k);
+    for (std::size_t n : fused_row_counts()) {
+      const auto p0 = make(n * k), src = make(n * k), d = make(n);
+      const auto mask = random_mask(rng_, k);
+      std::vector<double> beta(kp, 0.0);
+      for (std::size_t j = 0; j < k; ++j) beta[j] = coeff(rng_);
+      for (const double* dp : {static_cast<const double*>(nullptr),
+                               d.data()}) {
+        auto ps = p0, pv = p0;
+        sc_->xpby_cols(beta.data(), dp, src.data(), ps.data(), n, k,
+                       mask.data());
+        vec_->xpby_cols(beta.data(), dp, src.data(), pv.data(), n, k,
+                        mask.data());
+        expect_same_bits(ps, pv, "xpby_cols", k);
+        expect_masked_untouched(ps, p0, mask, n, k, "xpby_cols");
+        for (std::size_t j = 0; j < k; ++j) {
+          if (!kernels::mask_on(mask[j])) continue;
+          std::vector<double> want(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            const double z = dp != nullptr ? d[i] * src[i * k + j]
+                                           : src[i * k + j];
+            want[i] = std::fma(beta[j], p0[i * k + j], z);
+          }
+          expect_column(ps, n, k, j, want, "xpby_cols");
+        }
+      }
+    }
   }
 }
 

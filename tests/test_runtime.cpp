@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -225,6 +227,23 @@ TEST(Runtime, SpansCreditPoolBusyTime) {
   EXPECT_EQ(crossed.load(), 0);
   EXPECT_GE(busy_spin, 20 * 8 * 500e-6 * 0.99);
   EXPECT_LT(busy_empty, busy_spin / 2);
+}
+
+TEST(Runtime, PoolCountersRegisterInFixedOrder) {
+  // A pool that runs nothing still registers every runtime.pool.* counter,
+  // in one fixed order, so metrics documents of identical runs list them
+  // identically.
+  runtime::ThreadPool pool(4);
+  std::vector<std::string> names;
+  const auto snap = obs::MetricsRegistry::global().snapshot();
+  for (const auto& [name, value] : snap.counters)
+    if (name.rfind("runtime.pool.", 0) == 0) names.push_back(name);
+  const std::vector<std::string> expected = {
+      "runtime.pool.runs",         "runtime.pool.submitted_tasks",
+      "runtime.pool.serial_runs",  "runtime.pool.serial_tasks",
+      "runtime.pool.tasks",        "runtime.pool.busy_ns",
+      "runtime.pool.idle_ns"};
+  EXPECT_EQ(names, expected);
 }
 
 TEST(Runtime, SingleLanePoolAndEmptyRangesWork) {

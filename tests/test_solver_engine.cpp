@@ -99,6 +99,17 @@ TEST(BlockCg, BitIdenticalToSingleRhsRegularized) {
   opts.regularization = 1e-4;
   const auto solver = graphs::make_laplacian_solver(g, opts);
   expect_block_matches_single(solver, random_rhs(50, 4, 23, false));
+
+  // The Phase-3 configuration — Jacobi, shift 1e-4 — at k = 10: groups of
+  // 4, 4 and 2, the last with a masked 2-column tail, cold and warm.
+  const Matrix rhs = random_rhs(50, 10, 29, false);
+  const Matrix guess = random_rhs(50, 10, 30, false);
+  expect_block_matches_single(solver, rhs);
+  expect_block_matches_single(solver, rhs, &guess);
+  // Columns retire mid-block: their iteration counts are not all equal.
+  linalg::BlockSolveStats stats;
+  (void)solver.solve_block(rhs, nullptr, &stats);
+  EXPECT_LT(stats.total_iterations, rhs.cols() * stats.max_iterations);
 }
 
 TEST(BlockCg, BitIdenticalToSingleRhsWithInitialGuess) {
@@ -128,6 +139,22 @@ TEST(BlockCg, ThreadCountDoesNotChangeBits) {
   for (std::size_t i = 0; i < z1.rows(); ++i)
     for (std::size_t j = 0; j < z1.cols(); ++j)
       EXPECT_EQ(z1(i, j), z4(i, j));
+
+  // Regularized Jacobi: one 10-wide loop on 1 lane, groups of 4, 4 and 2
+  // on 4 lanes.
+  SolverOptions reg;
+  reg.regularization = 1e-4;
+  const auto jacobi = graphs::make_laplacian_solver(g, reg);
+  const Matrix wide = random_rhs(120, 10, 31, false);
+  runtime::set_global_threads(1);
+  const Matrix w1 = jacobi.solve_block(wide);
+  runtime::set_global_threads(4);
+  const Matrix w4 = jacobi.solve_block(wide);
+  runtime::set_global_threads(0);
+
+  for (std::size_t i = 0; i < w1.rows(); ++i)
+    for (std::size_t j = 0; j < w1.cols(); ++j)
+      EXPECT_EQ(w1(i, j), w4(i, j));
 }
 
 TEST(BlockCg, ColumnGroupsDispatchOncePerSolve) {
@@ -234,16 +261,22 @@ TEST(TreePreconditioner, CutsIterationsOnIllConditionedGraphs) {
   EXPECT_LT(tree_stats.total_iterations, jacobi_stats.total_iterations);
 }
 
+/// -I on n rows: negative definite, so pᵀAp < 0 on the very first
+/// iteration. Solved as plain CG (unit inverse diagonal).
+linalg::SparseMatrix negative_identity(std::size_t n) {
+  std::vector<linalg::Triplet> t;
+  for (std::size_t i = 0; i < n; ++i) t.push_back({i, i, -1.0});
+  return linalg::SparseMatrix::from_triplets(n, n, std::move(t));
+}
+
 TEST(CgBreakdown, IndefiniteOperatorSetsFlagAndResidual) {
-  // op = -I is negative definite: pᵀAp < 0 on the very first iteration.
-  auto op = [](const Matrix& x, Matrix& y) {
-    for (std::size_t i = 0; i < x.rows(); ++i) y(i, 0) += -x(i, 0);
-  };
+  const linalg::SparseMatrix op = negative_identity(3);
+  const std::vector<double> unit(3, 1.0);
   Matrix b(3, 1);
   b(0, 0) = 1.0;
   b(1, 0) = 2.0;
   b(2, 0) = 3.0;
-  const auto res = linalg::block_conjugate_gradient(op, b);
+  const auto res = linalg::block_conjugate_gradient({op, 0.0, unit}, b);
   EXPECT_TRUE(res.breakdown[0]);
   EXPECT_FALSE(res.converged[0]);
   EXPECT_EQ(res.iterations[0], 0u);
@@ -297,14 +330,12 @@ TEST(CgBreakdown, SolveBlockReportsBreakdownEvenWhenBudgeted) {
 }
 
 TEST(CgBreakdown, BlockReportsPerColumn) {
-  auto op = [](const Matrix& x, Matrix& y) {
-    for (std::size_t i = 0; i < x.rows(); ++i)
-      for (std::size_t j = 0; j < x.cols(); ++j) y(i, j) += -x(i, j);
-  };
+  const linalg::SparseMatrix op = negative_identity(3);
+  const std::vector<double> unit(3, 1.0);
   Matrix b(3, 2);
   b(0, 0) = 1.0;
   b(1, 1) = 2.0;
-  const auto res = linalg::block_conjugate_gradient(op, b);
+  const auto res = linalg::block_conjugate_gradient({op, 0.0, unit}, b);
   EXPECT_FALSE(res.all_converged());
   for (std::size_t j = 0; j < 2; ++j) {
     EXPECT_TRUE(res.breakdown[j]);
