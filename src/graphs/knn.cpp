@@ -23,96 +23,104 @@ constexpr std::size_t kKnnQueryGrain = 32;
 
 /// Neighbor candidates for the selected points (all of them when `subset`
 /// is null): exact, or approximate via a KD-tree over a JL projection with
-/// exact full-dimension re-ranking. Non-selected slots stay empty.
+/// exact full-dimension re-ranking. Non-selected slots stay empty. Opens
+/// one `knn.index` span (projection and tree build) and one `knn.query`
+/// span (every query and re-rank) under the caller's span.
 std::vector<std::vector<Neighbor>> all_knn(
     const linalg::Matrix& points, std::size_t k, const KnnGraphOptions& opts,
     const std::vector<std::uint32_t>* subset = nullptr) {
   const std::size_t n = points.rows();
   const std::size_t d = points.cols();
-  std::vector<std::vector<Neighbor>> result(n);
-  const std::size_t num_queries = subset ? subset->size() : n;
-  auto query_point = [&](std::size_t q) {
-    return subset ? static_cast<std::size_t>((*subset)[q]) : q;
-  };
-
   const bool approximate = opts.search_dims > 0 && opts.search_dims < d;
-  if (!approximate) {
-    const KdTree tree(points);
-    runtime::parallel_for(0, num_queries, kKnnQueryGrain, [&](std::size_t q) {
-      const std::size_t i = query_point(q);
-      result[i] = tree.knn_of_point(i, k);
-    });
-    return result;
-  }
 
-  // JL projection: distances are approximately preserved, so the candidate
-  // pool found in the projected space almost surely contains the true
-  // neighbors, which the exact re-rank below then orders correctly.
-  linalg::Rng proj_rng(opts.projection_seed);
-  const linalg::Matrix projection = linalg::Matrix::random_normal(
-      d, opts.search_dims, proj_rng, 0.0,
-      1.0 / std::sqrt(static_cast<double>(opts.search_dims)));
-  const linalg::Matrix reduced = linalg::matmul(points, projection);
-  const KdTree tree(reduced);
-  const std::size_t pool = std::min(n - 1, k * std::max<std::size_t>(
-                                               opts.oversample, 1));
-  runtime::parallel_for(0, num_queries, kKnnQueryGrain, [&](std::size_t q) {
-    const std::size_t i = query_point(q);
-    std::vector<Neighbor> candidates = tree.knn_of_point(i, pool);
-    for (auto& c : candidates) c.distance2 = points.row_distance2(i, c.index);
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Neighbor& a, const Neighbor& b) {
-                return a.distance2 < b.distance2;
-              });
-    candidates.resize(std::min(k, candidates.size()));
-    result[i] = std::move(candidates);
-  });
+  const KdTree tree = [&] {
+    const obs::TraceSpan index_span("knn.index", "graphs");
+    if (!approximate) return KdTree(points);
+    // JL projection: distances are approximately preserved, so the candidate
+    // pool found in the projected space almost surely contains the true
+    // neighbors, which the exact re-rank below then orders.
+    linalg::Rng proj_rng(opts.projection_seed);
+    const linalg::Matrix projection = linalg::Matrix::random_normal(
+        d, opts.search_dims, proj_rng, 0.0,
+        1.0 / std::sqrt(static_cast<double>(opts.search_dims)));
+    return KdTree(linalg::matmul(points, projection));
+  }();
+
+  const obs::TraceSpan query_span("knn.query", "graphs");
+  static const obs::Counter distance_evals("knn.distance_evals");
+  std::vector<std::vector<Neighbor>> result(n);
+  const std::size_t pool =
+      approximate
+          ? std::min(n - 1, k * std::max<std::size_t>(opts.oversample, 1))
+          : k;
+  runtime::parallel_for_chunks(
+      0, subset ? subset->size() : n, kKnnQueryGrain,
+      [&](std::size_t lo, std::size_t hi) {
+        std::uint64_t evals = 0;
+        for (std::size_t q = lo; q < hi; ++q) {
+          const std::size_t i = subset ? (*subset)[q] : q;
+          std::vector<Neighbor> hits = tree.knn_of_point(i, pool, &evals);
+          if (approximate) {
+            for (auto& c : hits)
+              c.distance2 = points.row_distance2(i, c.index);
+            const auto kept = hits.begin() + static_cast<long>(
+                                                 std::min(k, hits.size()));
+            std::partial_sort(hits.begin(), kept, hits.end(), nearer);
+            hits.erase(kept, hits.end());
+          }
+          result[i] = std::move(hits);
+        }
+        distance_evals.add(evals);
+      });
   return result;
 }
 
 /// Assemble the undirected graph from per-point candidate lists: median
-/// relative floor, symmetric dedup, w = 1/(d² + floor). Shared by the full
-/// build and the delta update so both produce the same graph for the same
-/// lists.
+/// relative floor, symmetric dedup, w = 1/(d² + floor), edges in ascending
+/// (u, v) order. Shared by the full build and the delta update so both
+/// produce the same graph for the same lists.
 Graph assemble_knn_graph(const std::vector<std::vector<Neighbor>>& hits,
-                         std::size_t n, std::size_t k,
-                         const KnnGraphOptions& opts) {
+                         std::size_t n, const KnnGraphOptions& opts) {
   Graph g(n);
 
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  std::vector<double> dists;
-  pairs.reserve(n * k);
-  dists.reserve(n * k);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const Neighbor& nb : hits[i]) {
-      const auto u = static_cast<NodeId>(std::min(i, nb.index));
-      const auto v = static_cast<NodeId>(std::max(i, nb.index));
-      pairs.emplace_back(u, v);
-      dists.push_back(nb.distance2);
-    }
-  }
+  // Bucket each hit (v, d²) under its smaller endpoint u, a counting sort.
+  std::vector<std::size_t> start(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (const Neighbor& nb : hits[i]) ++start[std::min(i, nb.index) + 1];
+  for (std::size_t u = 0; u < n; ++u) start[u + 1] += start[u];
+  std::vector<std::pair<NodeId, double>> buckets(start[n]);
+  std::vector<std::size_t> next(start.begin(), start.end() - 1);
+  for (std::size_t i = 0; i < n; ++i)
+    for (const Neighbor& nb : hits[i])
+      buckets[next[std::min(i, nb.index)]++] = {
+          static_cast<NodeId>(std::max(i, nb.index)), nb.distance2};
 
   // Relative floor: a fraction of the median kNN squared distance, so the
   // weight dynamic range stays bounded even with coincident points.
   double floor = opts.distance_floor;
-  if (opts.relative_floor > 0.0 && !dists.empty()) {
-    std::vector<double> sorted = dists;
+  if (opts.relative_floor > 0.0 && !buckets.empty()) {
+    std::vector<double> sorted(buckets.size());
+    for (std::size_t t = 0; t < sorted.size(); ++t)
+      sorted[t] = buckets[t].second;
     std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
                      sorted.end());
     floor = std::max(floor, opts.relative_floor * sorted[sorted.size() / 2]);
   }
 
-  // Deduplicate symmetric hits (i->j and j->i yield the same pair).
-  std::vector<std::size_t> order(pairs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return pairs[a] < pairs[b];
-  });
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i > 0 && pairs[order[i]] == pairs[order[i - 1]]) continue;
-    const auto [u, v] = pairs[order[i]];
-    const double w = 1.0 / (dists[order[i]] + floor);
-    g.add_edge(u, v, w);
+  // Deduplicate symmetric hits: i->j and j->i yield the same pair with the
+  // same distance bits, because the distance kernels are symmetric and a
+  // delta update re-queries every list that names a moved point.
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto first = buckets.begin() + static_cast<long>(start[u]);
+    const auto last = buckets.begin() + static_cast<long>(start[u + 1]);
+    std::sort(first, last, [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    for (auto it = first; it != last; ++it) {
+      if (it != first && it->first == (it - 1)->first) continue;
+      g.add_edge(static_cast<NodeId>(u), it->first,
+                 1.0 / (it->second + floor));
+    }
   }
   static const obs::Counter builds("knn.builds");
   static const obs::Counter edges("knn.edges");
@@ -125,17 +133,19 @@ Graph assemble_knn_graph(const std::vector<std::vector<Neighbor>>& hits,
 
 Graph build_knn_graph(const linalg::Matrix& points,
                       const KnnGraphOptions& opts) {
+  require_finite_rows(points, "build_knn_graph");
   const std::size_t n = points.rows();
   if (n < 2) return Graph(n);
   const obs::TraceSpan trace_span("knn.build", "graphs");
 
   const std::size_t k = std::min(opts.k, n - 1);
   const auto hits = all_knn(points, k, opts);
-  return assemble_knn_graph(hits, n, k, opts);
+  return assemble_knn_graph(hits, n, opts);
 }
 
 KnnBaseline capture_knn_baseline(const linalg::Matrix& points,
                                  const KnnGraphOptions& opts) {
+  require_finite_rows(points, "capture_knn_baseline");
   const obs::TraceSpan trace_span("knn.capture_baseline", "graphs");
   KnnBaseline base;
   base.points = points;
@@ -147,7 +157,7 @@ KnnBaseline capture_knn_baseline(const linalg::Matrix& points,
   }
   base.k = std::min(opts.k, n - 1);
   base.hits = all_knn(points, base.k, opts);
-  base.graph = assemble_knn_graph(base.hits, n, base.k, opts);
+  base.graph = assemble_knn_graph(base.hits, n, opts);
   return base;
 }
 
@@ -158,6 +168,7 @@ Graph update_knn_graph(const KnnBaseline& baseline,
   const std::size_t n = points.rows();
   if (n != baseline.points.rows() || points.cols() != baseline.points.cols())
     throw std::invalid_argument("update_knn_graph: point-matrix shape differs");
+  require_finite_rows(points, "update_knn_graph");
   if (n < 2) return Graph(n);
   const std::size_t k = std::min(opts.k, n - 1);
   if (k != baseline.k)
@@ -193,7 +204,7 @@ Graph update_knn_graph(const KnnBaseline& baseline,
     stats->requeried_points = requery.size();
     stats->total_points = n;
   }
-  return assemble_knn_graph(hits, n, k, opts);
+  return assemble_knn_graph(hits, n, opts);
 }
 
 }  // namespace cirstag::graphs

@@ -36,6 +36,9 @@ struct KnnGraphOptions {
 /// Edge weights follow the PGM stationarity condition (Eq. 7):
 /// ∂F2/∂w_pq = D_pq^data = 1/w_pq, i.e. w_pq = 1 / ||x_p - x_q||².
 /// An undirected edge appears once even if the relation holds both ways.
+/// Every neighbor list is in (distance², index) order. Throws
+/// std::invalid_argument naming the first row that holds a NaN or ±Inf; so
+/// do capture_knn_baseline and update_knn_graph.
 [[nodiscard]] Graph build_knn_graph(const linalg::Matrix& points,
                                     const KnnGraphOptions& opts = {});
 

@@ -113,6 +113,13 @@ struct KernelTable {
   double (*sum)(const double* a, std::size_t n);
   // 4-lane reduction (small dimensions: embedding distances).
   double (*distance2)(const double* a, const double* b, std::size_t n);
+  // Squared distances from q (d doubles) to the m points of one KD-tree
+  // leaf, stored as ceil(m/4) dimension-major groups of 4 points: lane l of
+  // group g holds coordinate a at block[(g*d + a)*4 + l]. out[i] (m entries
+  // written) is bit-identical to distance2(point i, q, d): each lane runs
+  // distance2's 4-lane tree with coordinate a in virtual lane (a & 3).
+  void (*leaf_distance2)(const double* block, const double* q, std::size_t d,
+                         std::size_t m, double* out);
 
   // Elementwise.
   void (*axpy)(double alpha, const double* x, double* y, std::size_t n);

@@ -129,6 +129,36 @@ double distance2_avx2(const double* a, const double* b, std::size_t n) {
   return hfold4(acc);
 }
 
+void leaf_distance2_avx2(const double* block, const double* q, std::size_t d,
+                         std::size_t m, double* out) {
+  const std::size_t body = d & ~std::size_t{3};
+  for (std::size_t g = 0; g * 4 < m; ++g, block += d * 4) {
+    // acc<j> is distance2's virtual lane j, for the 4 points of group g.
+    const auto term = [&](std::size_t a, __m256d acc) {
+      const __m256d diff = _mm256_sub_pd(_mm256_loadu_pd(block + a * 4),
+                                         _mm256_broadcast_sd(q + a));
+      return _mm256_fmadd_pd(diff, diff, acc);
+    };
+    __m256d acc0 = _mm256_setzero_pd(), acc1 = acc0, acc2 = acc0, acc3 = acc0;
+    std::size_t a = 0;
+    for (; a < body; a += 4) {
+      acc0 = term(a, acc0);
+      acc1 = term(a + 1, acc1);
+      acc2 = term(a + 2, acc2);
+      acc3 = term(a + 3, acc3);
+    }
+    if (a < d) acc0 = term(a, acc0);
+    if (a + 1 < d) acc1 = term(a + 1, acc1);
+    if (a + 2 < d) acc2 = term(a + 2, acc2);
+    const __m256d r = _mm256_add_pd(_mm256_add_pd(acc0, acc2),
+                                    _mm256_add_pd(acc1, acc3));
+    if (const std::size_t rem = m - g * 4; rem >= 4)
+      _mm256_storeu_pd(out + g * 4, r);
+    else
+      _mm256_maskstore_pd(out + g * 4, lane_mask(rem), r);
+  }
+}
+
 void axpy_avx2(double alpha, const double* x, double* y, std::size_t n) {
   const __m256d av = _mm256_set1_pd(alpha);
   const std::size_t main = n & ~std::size_t{3};
@@ -683,6 +713,7 @@ const KernelTable* avx2_kernel_table() {
       dot_self_avx2,
       sum_avx2,
       distance2_avx2,
+      leaf_distance2_avx2,
       axpy_avx2,
       scale_avx2,
       sub_scalar_avx2,

@@ -44,6 +44,19 @@ double distance2_scalar(const double* a, const double* b, std::size_t n) {
   return reduce4_tree(acc);
 }
 
+void leaf_distance2_scalar(const double* block, const double* q,
+                           std::size_t d, std::size_t m, double* out) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* p = block + (i >> 2) * d * 4 + (i & 3);
+    double acc[4] = {0, 0, 0, 0};
+    for (std::size_t a = 0; a < d; ++a) {
+      const double diff = p[a * 4] - q[a];
+      acc[a & 3] = std::fma(diff, diff, acc[a & 3]);
+    }
+    out[i] = reduce4_tree(acc);
+  }
+}
+
 void axpy_scalar(double alpha, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
 }
@@ -207,6 +220,7 @@ const KernelTable& scalar_kernel_table() {
       dot_self_scalar,
       sum_scalar,
       distance2_scalar,
+      leaf_distance2_scalar,
       axpy_scalar,
       scale_scalar,
       sub_scalar_scalar,

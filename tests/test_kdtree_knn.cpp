@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "graphs/kdtree.hpp"
 #include "graphs/knn.hpp"
 #include "linalg/rng.hpp"
+#include "obs/metrics.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -12,7 +20,10 @@ using namespace cirstag::graphs;
 using cirstag::linalg::Matrix;
 using cirstag::linalg::Rng;
 
-/// Brute-force kNN oracle.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Brute-force kNN oracle: every other point through Matrix::row_distance2,
+/// ordered by (distance2, index), the first k kept.
 std::vector<Neighbor> brute_knn(const Matrix& pts, std::size_t q,
                                 std::size_t k) {
   std::vector<Neighbor> all;
@@ -21,24 +32,73 @@ std::vector<Neighbor> brute_knn(const Matrix& pts, std::size_t q,
     all.push_back({i, pts.row_distance2(q, i)});
   }
   std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
-    return a.distance2 < b.distance2;
+    return a.distance2 < b.distance2 ||
+           (a.distance2 == b.distance2 && a.index < b.index);
   });
   all.resize(std::min(k, all.size()));
   return all;
 }
 
-TEST(KdTree, MatchesBruteForceOnRandomPoints) {
-  Rng rng(67);
-  const Matrix pts = Matrix::random_normal(120, 5, rng);
+/// Every query of `pts` returns the oracle's list: same indices, same order,
+/// same distance bits. Returns how many (query, k) lists had a distance tie
+/// straddling rank k, which the oracle's index order had to settle.
+std::size_t expect_matches_oracle(const Matrix& pts, const std::string& what) {
+  const std::size_t n = pts.rows();
   const KdTree tree(pts);
-  for (std::size_t q : {0ul, 17ul, 63ul, 119ul}) {
-    const auto fast = tree.knn_of_point(q, 7);
-    const auto slow = brute_knn(pts, q, 7);
-    ASSERT_EQ(fast.size(), slow.size());
-    for (std::size_t i = 0; i < fast.size(); ++i)
-      EXPECT_NEAR(fast[i].distance2, slow[i].distance2, 1e-12)
-          << "query " << q << " rank " << i;
+  std::size_t straddling = 0;
+  for (std::size_t q = 0; q < n; ++q) {
+    const auto full = brute_knn(pts, q, n);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{7}, n - 1, n + 5}) {
+      const auto got = tree.knn_of_point(q, k);
+      const std::size_t want = std::min(k, full.size());
+      if (k < full.size() && full[k - 1].distance2 == full[k].distance2)
+        ++straddling;
+      EXPECT_EQ(got.size(), want) << what << " q=" << q << " k=" << k;
+      for (std::size_t r = 0; r < std::min(got.size(), want); ++r) {
+        EXPECT_EQ(got[r].index, full[r].index)
+            << what << " q=" << q << " k=" << k << " rank " << r;
+        EXPECT_EQ(bits(got[r].distance2), bits(full[r].distance2))
+            << what << " q=" << q << " k=" << k << " rank " << r;
+      }
+      if (::testing::Test::HasFailure()) return straddling;
+    }
   }
+  return straddling;
+}
+
+TEST(KdTree, MatchesBruteForceOnRandomPoints) {
+  constexpr std::size_t leaf = KdTree::kLeafSize;
+  Rng rng(67);
+  for (const std::size_t d : {1, 3, 8, 27})
+    for (const std::size_t n : {std::size_t{2}, leaf - 1, leaf, leaf + 1,
+                                std::size_t{1000}}) {
+      const Matrix pts = Matrix::random_normal(n, d, rng);
+      expect_matches_oracle(pts, "d=" + std::to_string(d) +
+                                     " n=" + std::to_string(n));
+      if (HasFailure()) return;
+    }
+}
+
+TEST(KdTree, MatchesOrderedBruteForceBitForBit) {
+  // Integer lattice: many equal distances, so rank k often splits a tie.
+  Matrix lattice(6 * 6 * 5, 3);
+  for (std::size_t i = 0; i < lattice.rows(); ++i) {
+    lattice(i, 0) = static_cast<double>(i % 6);
+    lattice(i, 1) = static_cast<double>(i / 6 % 6);
+    lattice(i, 2) = static_cast<double>(i / 36);
+  }
+  EXPECT_GT(expect_matches_oracle(lattice, "lattice"), lattice.rows());
+}
+
+TEST(KdTree, DuplicatePointsHandled) {
+  // Two coincident pairs: zero distances, ordered by index.
+  Matrix dup(4, 2);
+  dup(2, 0) = dup(2, 1) = dup(3, 0) = dup(3, 1) = 1.0;
+  expect_matches_oracle(dup, "duplicates");
+  const auto nn = KdTree(dup).knn_of_point(0, 1);
+  ASSERT_EQ(nn.size(), 1u);
+  EXPECT_EQ(nn[0].index, 1u);
+  EXPECT_EQ(bits(nn[0].distance2), bits(0.0));
 }
 
 TEST(KdTree, ExcludesQueryPoint) {
@@ -55,20 +115,6 @@ TEST(KdTree, KLargerThanPointCount) {
   const KdTree tree(pts);
   const auto nn = tree.knn_of_point(0, 100);
   EXPECT_EQ(nn.size(), 4u);
-}
-
-TEST(KdTree, DuplicatePointsHandled) {
-  Matrix pts(4, 2);
-  // Two coincident pairs.
-  pts(0, 0) = 0; pts(0, 1) = 0;
-  pts(1, 0) = 0; pts(1, 1) = 0;
-  pts(2, 0) = 1; pts(2, 1) = 1;
-  pts(3, 0) = 1; pts(3, 1) = 1;
-  const KdTree tree(pts);
-  const auto nn = tree.knn_of_point(0, 1);
-  ASSERT_EQ(nn.size(), 1u);
-  EXPECT_EQ(nn[0].index, 1u);
-  EXPECT_DOUBLE_EQ(nn[0].distance2, 0.0);
 }
 
 TEST(KdTree, EmptyOrBadInputsThrow) {
@@ -133,6 +179,81 @@ TEST(KnnGraph, NoDuplicateEdges) {
 TEST(KnnGraph, TinyInputs) {
   Matrix one(1, 2, 0.0);
   EXPECT_EQ(build_knn_graph(one).num_edges(), 0u);
+}
+
+TEST(KnnGraph, NonFiniteRowsThrowTypedError) {
+  Rng rng(97);
+  const Matrix clean = Matrix::random_normal(200, 8, rng);
+  const KnnBaseline base = capture_knn_baseline(clean);
+  const std::uint32_t moved[] = {57};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Matrix pts = clean;
+    pts(57, 3) = bad;
+    const auto expect_row_57 = [&](const auto& call, const char* who) {
+      try {
+        call();
+        ADD_FAILURE() << who << " accepted " << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("row 57"), std::string::npos)
+            << who << ": " << e.what();
+      }
+    };
+    expect_row_57([&] { (void)build_knn_graph(pts); }, "build_knn_graph");
+    expect_row_57([&] { (void)capture_knn_baseline(pts); },
+                  "capture_knn_baseline");
+    expect_row_57([&] { (void)update_knn_graph(base, pts, moved); },
+                  "update_knn_graph");
+    expect_row_57([&] { (void)KdTree(pts); }, "KdTree");
+  }
+}
+
+/// Edges and hits compared on their bits.
+void expect_same_baseline(const KnnBaseline& a, const KnnBaseline& b) {
+  ASSERT_EQ(a.hits.size(), b.hits.size());
+  for (std::size_t i = 0; i < a.hits.size(); ++i) {
+    ASSERT_EQ(a.hits[i].size(), b.hits[i].size()) << "point " << i;
+    for (std::size_t r = 0; r < a.hits[i].size(); ++r) {
+      EXPECT_EQ(a.hits[i][r].index, b.hits[i][r].index) << "point " << i;
+      EXPECT_EQ(bits(a.hits[i][r].distance2), bits(b.hits[i][r].distance2))
+          << "point " << i;
+    }
+  }
+  const auto ea = a.graph.edges(), eb = b.graph.edges();
+  ASSERT_EQ(ea.size(), eb.size());
+  for (std::size_t e = 0; e < ea.size(); ++e) {
+    EXPECT_EQ(ea[e].u, eb[e].u) << "edge " << e;
+    EXPECT_EQ(ea[e].v, eb[e].v) << "edge " << e;
+    EXPECT_EQ(bits(ea[e].weight), bits(eb[e].weight)) << "edge " << e;
+  }
+}
+
+TEST(KnnGraph, CaptureBaselineIdenticalOnOneAndFourLanes) {
+  const auto evals = [] {
+    return cirstag::obs::MetricsRegistry::global().counter_value(
+        "knn.distance_evals");
+  };
+  Rng rng(101);
+  constexpr std::size_t n = 1500;
+  // 27 dimensions take the projected search and its re-rank; 8 the exact one.
+  for (const std::size_t d : {27, 8}) {
+    const Matrix pts = Matrix::random_normal(n, d, rng);
+    cirstag::runtime::set_global_threads(1);
+    std::uint64_t before = evals();
+    const KnnBaseline serial = capture_knn_baseline(pts);
+    const std::uint64_t serial_evals = evals() - before;
+    cirstag::runtime::set_global_threads(4);
+    before = evals();
+    const KnnBaseline parallel = capture_knn_baseline(pts);
+    const std::uint64_t parallel_evals = evals() - before;
+    cirstag::runtime::set_global_threads(0);  // restore the default
+    expect_same_baseline(serial, parallel);
+    // The work counter is exact too, and pruning skipped part of the search.
+    EXPECT_EQ(serial_evals, parallel_evals) << "d=" << d;
+    EXPECT_GT(serial_evals, 0u);
+    EXPECT_LT(serial_evals, n * n) << "d=" << d;
+  }
 }
 
 }  // namespace

@@ -130,6 +130,39 @@ TEST_P(KernelParityTest, Reductions) {
   }
 }
 
+// Every output lane of a KD-tree leaf scan is distance2 on its own point, in
+// both tables, for full and partially filled 4-point groups; nothing past
+// the m outputs is written.
+TEST_P(KernelParityTest, LeafDistance2MatchesDistance2PerLane) {
+  constexpr double kGuard = 12345.0;
+  for (const std::size_t d : {1, 3, 4, 8, 27}) {
+    for (std::size_t m = 1; m <= 25; ++m) {
+      const std::size_t groups = (m + 3) / 4;
+      std::vector<std::vector<double>> points;
+      for (std::size_t i = 0; i < groups * 4; ++i) points.push_back(make(d));
+      std::vector<double> block(groups * 4 * d);
+      for (std::size_t i = 0; i < points.size(); ++i)
+        for (std::size_t a = 0; a < d; ++a)
+          block[((i / 4) * d + a) * 4 + (i % 4)] = points[i][a];
+      const auto q = make(d);
+      for (const KernelTable* t : {sc_, vec_}) {
+        std::vector<double> out(groups * 4 + 1, kGuard);
+        t->leaf_distance2(block.data(), q.data(), d, m, out.data());
+        for (std::size_t i = 0; i < m; ++i) {
+          const double* p = points[i].data();
+          expect_same_bits(out[i], t->distance2(p, q.data(), d), t->isa,
+                           d * 100 + m);
+          expect_same_bits(out[i], sc_->distance2(p, q.data(), d), t->isa,
+                           d * 100 + m);
+        }
+        for (std::size_t i = m; i < out.size(); ++i)
+          ASSERT_EQ(out[i], kGuard) << t->isa << " wrote lane " << i
+                                    << " of m=" << m;
+      }
+    }
+  }
+}
+
 TEST_P(KernelParityTest, Elementwise) {
   std::uniform_real_distribution<double> coeff(-3.0, 3.0);
   for (std::size_t n : parity_sizes()) {
