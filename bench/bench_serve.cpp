@@ -757,7 +757,8 @@ int run_speedup(const std::map<std::string, std::string>& opts,
 /// exact-zero gate) — while the wall-clock advantage rides along as wall_*
 /// fields and is optionally asserted with --require-speedup X. A /top-k
 /// cross-check proves the restored circuit answers byte-identically to the
-/// cold-loaded one.
+/// cold-loaded one. snapshot_bytes is the written file's size (the
+/// snapshot.bytes gauge), pinned so a redundant array cannot creep back.
 int run_snapshot(const std::map<std::string, std::string>& opts,
                  std::vector<BenchRow>& rows) {
   const std::size_t gates = opt_size(opts, "gates", 1500);
@@ -791,8 +792,10 @@ int run_snapshot(const std::map<std::string, std::string>& opts,
   const auto t_write = Clock::now();
   io::write_snapshot(snap_path, *record->model, *record->engine, meta);
   const double write_seconds = seconds_since(t_write);
-  std::printf("snapshot: wrote %s in %.2fs\n", snap_path.c_str(),
-              write_seconds);
+  const double snapshot_bytes =
+      obs::MetricsRegistry::global().gauge_value("snapshot.bytes");
+  std::printf("snapshot: wrote %s (%.0f bytes) in %.2fs\n", snap_path.c_str(),
+              snapshot_bytes, write_seconds);
 
   // The restore must re-solve and re-train nothing: snapshot the global
   // counters around it and gate the deltas at exactly zero.
@@ -843,6 +846,7 @@ int run_snapshot(const std::map<std::string, std::string>& opts,
       {"train_epochs_restore", train_delta},
       {"snapshot_reads", counter("snapshot.reads")},
       {"registry_snapshot_loads", counter("serve.registry.snapshot_loads")},
+      {"snapshot_bytes", snapshot_bytes},
       {"wall_cold_load_seconds", cold_seconds},
       {"wall_snapshot_write_seconds", write_seconds},
       {"wall_restore_seconds", restore_seconds},

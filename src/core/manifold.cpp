@@ -25,10 +25,6 @@ graphs::Graph normalize_median_weight(const graphs::Graph& g) {
   return out;
 }
 
-}  // namespace
-
-namespace {
-
 /// Shared tail of every manifold build: median normalization, component
 /// bridging, PGM sparsification.
 graphs::Graph finish_manifold(graphs::Graph knn, const ManifoldOptions& opts,
@@ -37,7 +33,7 @@ graphs::Graph finish_manifold(graphs::Graph knn, const ManifoldOptions& opts,
   static const obs::Counter knn_edges("manifold.knn_edges");
   static const obs::Counter final_edges("manifold.final_edges");
   builds.add();
-  if (opts.normalize_weights) knn = normalize_median_weight(knn);
+  knn = normalize_median_weight(knn);
   knn = graphs::connect_components(knn, opts.bridge_weight);
   knn_edges.add(knn.num_edges());
   if (!opts.apply_sparsification) {
@@ -54,27 +50,22 @@ graphs::Graph finish_manifold(graphs::Graph knn, const ManifoldOptions& opts,
 
 graphs::Graph build_manifold(const linalg::Matrix& embedding,
                              const ManifoldOptions& opts,
-                             graphs::LaplacianSolverCache* cache) {
-  return finish_manifold(graphs::build_knn_graph(embedding, opts.knn), opts,
-                         cache);
+                             graphs::LaplacianSolverCache* cache,
+                             graphs::KnnBaseline* capture) {
+  return finish_manifold(
+      capture != nullptr
+          ? graphs::capture_knn_baseline(embedding, *capture, opts.knn)
+          : graphs::build_knn_graph(embedding, opts.knn),
+      opts, cache);
 }
 
-ManifoldBaseline capture_manifold_baseline(const linalg::Matrix& embedding,
-                                           const ManifoldOptions& opts,
-                                           graphs::LaplacianSolverCache* cache) {
-  ManifoldBaseline base;
-  base.knn = graphs::capture_knn_baseline(embedding, opts.knn);
-  base.manifold = finish_manifold(base.knn.graph, opts, cache);
-  return base;
-}
-
-graphs::Graph build_manifold_delta(const ManifoldBaseline& baseline,
+graphs::Graph build_manifold_delta(const graphs::KnnBaseline& baseline,
                                    const linalg::Matrix& embedding,
                                    std::span<const std::uint32_t> moved_rows,
                                    const ManifoldOptions& opts,
                                    graphs::LaplacianSolverCache* cache,
                                    graphs::KnnUpdateStats* stats) {
-  return finish_manifold(graphs::update_knn_graph(baseline.knn, embedding,
+  return finish_manifold(graphs::update_knn_graph(baseline, embedding,
                                                   moved_rows, opts.knn, stats),
                          opts, cache);
 }

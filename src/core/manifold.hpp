@@ -17,36 +17,24 @@ struct ManifoldOptions {
   /// Weight used for bridges inserted to reconnect kNN components
   /// (relative to the post-normalization scale).
   double bridge_weight = 1e-3;
-  /// Rescale edge weights so the median weight is 1. Stability scores are
-  /// invariant to a global rescaling of each manifold, but the absolute
-  /// scale of 1/dist² weights varies wildly across embeddings and would
-  /// otherwise wreck the conditioning of the Laplacian solves in Phase 3.
-  bool normalize_weights = true;
 };
 
 /// Build a graph-based manifold over embedding rows: kNN graph with
-/// PGM-stationary weights w = 1/dist², reconnected if the kNN graph is
-/// disconnected (effective resistance needs a connected support), then
-/// refined by η-pruning spectral sparsification (Eq. 8).
+/// PGM-stationary weights w = 1/dist², rescaled so the median weight is 1,
+/// reconnected if the kNN graph is disconnected (effective resistance needs
+/// a connected support), then refined by η-pruning spectral sparsification
+/// (Eq. 8). Stability scores are invariant to a global rescaling of each
+/// manifold, but the absolute scale of 1/dist² weights varies wildly across
+/// embeddings and would otherwise wreck the conditioning of the Laplacian
+/// solves in Phase 3.
 ///
 /// `cache` (optional) is forwarded to the sparsifier's resistance sketch.
+/// `capture` (optional) receives the kNN baseline for later
+/// build_manifold_delta calls; the manifold is the same bytes either way.
 [[nodiscard]] graphs::Graph build_manifold(
     const linalg::Matrix& embedding, const ManifoldOptions& opts = {},
-    graphs::LaplacianSolverCache* cache = nullptr);
-
-/// Baseline of one manifold build kept for perturbation sweeps: the kNN
-/// candidate lists (pre-normalization) plus the finished manifold, which is
-/// byte-identical to build_manifold on the same inputs.
-struct ManifoldBaseline {
-  graphs::KnnBaseline knn;
-  graphs::Graph manifold;
-};
-
-/// build_manifold that additionally captures the kNN baseline for later
-/// build_manifold_delta calls.
-[[nodiscard]] ManifoldBaseline capture_manifold_baseline(
-    const linalg::Matrix& embedding, const ManifoldOptions& opts = {},
-    graphs::LaplacianSolverCache* cache = nullptr);
+    graphs::LaplacianSolverCache* cache = nullptr,
+    graphs::KnnBaseline* capture = nullptr);
 
 /// Fast-mode manifold rebuild for an embedding whose rows moved only at
 /// `moved_rows`: delta kNN re-query against the baseline lists (see
@@ -54,7 +42,7 @@ struct ManifoldBaseline {
 /// normal normalize/connect/sparsify tail. With empty `moved_rows` the kNN
 /// stage reproduces the baseline graph exactly.
 [[nodiscard]] graphs::Graph build_manifold_delta(
-    const ManifoldBaseline& baseline, const linalg::Matrix& embedding,
+    const graphs::KnnBaseline& baseline, const linalg::Matrix& embedding,
     std::span<const std::uint32_t> moved_rows, const ManifoldOptions& opts = {},
     graphs::LaplacianSolverCache* cache = nullptr,
     graphs::KnnUpdateStats* stats = nullptr);

@@ -80,54 +80,26 @@ StabilityResult stability_scores(const graphs::Graph& manifold_x,
       // the edge union of both manifolds, coarsest-level solve, then
       // warm-started refinement sweeps up the hierarchy. The finest level
       // reuses the cached (L_Y + I/σ²) solver built above.
-      const bool reuse = opts.hierarchy_reuse != nullptr &&
-                         !opts.hierarchy_reuse->empty() &&
-                         opts.hierarchy_reuse->maps[0].size() == n;
-      graphs::CoarsenPairHierarchy hier;
-      std::span<const std::vector<std::uint32_t>> maps;
+      const graphs::CoarsenPairHierarchy hier =
+          graphs::coarsen_pair(manifold_x, manifold_y, opts.coarsen);
       std::vector<linalg::SparseMatrix> lx_levels;
       std::vector<linalg::SparseMatrix> ly_levels;
+      lx_levels.reserve(hier.maps.size() + 1);
+      ly_levels.reserve(hier.maps.size() + 1);
       lx_levels.push_back(l_x);
       ly_levels.push_back(l_y);
-      if (reuse) {
-        // Hierarchy reuse (DESIGN.md §13): keep the captured baseline's
-        // prolongation maps and redo only the Galerkin edge-weight
-        // aggregation against this call's manifolds — fixed-aggregation AMG.
-        // Deterministic: the maps are frozen and aggregate_graph is a pure
-        // function of (graph, map).
-        static const obs::Counter reuses("coarsen.hierarchy_reuses");
-        reuses.add();
-        maps = opts.hierarchy_reuse->maps;
-        const graphs::Graph* px = &manifold_x;
-        const graphs::Graph* py = &manifold_y;
-        for (std::size_t l = 0; l < maps.size(); ++l) {
-          const std::size_t nc =
-              opts.hierarchy_reuse->x_levels[l].num_nodes();
-          hier.x_levels.push_back(graphs::aggregate_graph(*px, maps[l], nc));
-          hier.y_levels.push_back(graphs::aggregate_graph(*py, maps[l], nc));
-          px = &hier.x_levels.back();
-          py = &hier.y_levels.back();
-        }
-      } else {
-        hier = graphs::coarsen_pair(manifold_x, manifold_y, opts.coarsen);
-        maps = hier.maps;
-      }
-      lx_levels.reserve(maps.size() + 1);
-      ly_levels.reserve(maps.size() + 1);
-      for (std::size_t l = 0; l < maps.size(); ++l) {
+      for (std::size_t l = 0; l < hier.maps.size(); ++l) {
         lx_levels.push_back(graphs::laplacian(hier.x_levels[l]));
         ly_levels.push_back(graphs::laplacian(hier.y_levels[l]));
       }
       linalg::MultilevelStats stats;
       eig = linalg::multilevel_generalized_eigen(
-          lx_levels, ly_levels, maps, eopts, opts.coarsen.refine_sweeps,
+          lx_levels, ly_levels, hier.maps, eopts, opts.coarsen.refine_sweeps,
           ly_solver.get(), &stats);
       static const obs::Gauge levels_gauge("coarsen.levels");
       static const obs::Gauge coarsest_gauge("coarsen.coarsest_n");
       levels_gauge.set(static_cast<double>(stats.levels));
       coarsest_gauge.set(static_cast<double>(stats.coarsest_n));
-      if (opts.hierarchy_capture != nullptr && !reuse)
-        *opts.hierarchy_capture = std::move(hier);
     } else {
       eig =
           linalg::generalized_eigen_sparse(l_x, l_y, eopts, ly_solver.get());
@@ -142,7 +114,6 @@ StabilityResult stability_scores(const graphs::Graph& manifold_x,
   StabilityResult out;
   out.subspace_sweeps = eig.sweeps_executed;
   out.eigenvalues = eig.values;
-  out.raw_subspace = eig.vectors;
   const std::size_t s = eig.values.size();
   out.weighted_subspace = linalg::Matrix(n, s);
   std::vector<double> col_weight(s);

@@ -38,19 +38,6 @@ struct StabilityOptions {
   /// coarsest level, refine upward. The default `automatic` engages only at
   /// coarsen.auto_threshold nodes and above.
   graphs::CoarsenOptions coarsen;
-  /// Capture slot for the pair hierarchy the multilevel path builds: when
-  /// set and the multilevel path runs, the hierarchy is moved here after the
-  /// solve so a sweep engine can reuse it across variants (DESIGN.md §13).
-  /// Left untouched when the multilevel path does not engage.
-  graphs::CoarsenPairHierarchy* hierarchy_capture = nullptr;
-  /// Reuse a previously captured hierarchy instead of re-matching: the
-  /// baseline's prolongation maps are kept verbatim and only the Galerkin
-  /// edge-weight aggregation is recomputed for THIS call's manifolds (valid
-  /// for any edge set over the same node set — sweep variants perturb
-  /// weights/edges, never the node count). Ignored unless the multilevel
-  /// path engages and the map's fine dimension matches; each use bumps the
-  /// deterministic coarsen.hierarchy_reuses counter.
-  const graphs::CoarsenPairHierarchy* hierarchy_reuse = nullptr;
 };
 
 /// Phase-3 output: the DMD spectrum and per-edge/per-node stability scores.
@@ -60,9 +47,6 @@ struct StabilityResult {
   std::vector<double> eigenvalues;
   /// Weighted eigensubspace V_s = [v_1 √ζ_1, ..., v_s √ζ_s].
   linalg::Matrix weighted_subspace;
-  /// Unweighted converged eigenvectors (columns); sweep baselines carry
-  /// them in binary snapshots (io/snapshot).
-  linalg::Matrix raw_subspace;
   /// ‖V_sᵀ e_pq‖² for every edge of the input manifold G_X.
   std::vector<double> edge_scores;
   /// Eq. 9 node scores: neighbor-average of incident edge scores over G_X.

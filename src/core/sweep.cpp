@@ -1,5 +1,6 @@
 #include "core/sweep.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -7,7 +8,6 @@
 
 #include "circuit/perturb.hpp"
 #include "circuit/views.hpp"
-#include "graphs/laplacian.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -120,11 +120,11 @@ linalg::Matrix feature_augmented(const linalg::Matrix& u,
 /// The step every report ends with, baseline or variant: Phase 3 (DMD
 /// spectrum + Eq. 9 scores) under its span, the design mean cached, all
 /// seven phase boundaries checksummed and the NaN/Inf sentinels run over
-/// them. Returns what the report does not keep (eigenbasis, sweep count).
-StabilityResult score_report(CirStagReport& report, const StabilityOptions& so,
-                             graphs::LaplacianSolverCache& cache,
-                             const graphs::Graph& input_graph,
-                             const linalg::Matrix& output_embedding) {
+/// them. Returns the subspace sweeps Phase 3 executed.
+std::size_t score_report(CirStagReport& report, const StabilityOptions& so,
+                         graphs::LaplacianSolverCache& cache,
+                         const graphs::Graph& input_graph,
+                         const linalg::Matrix& output_embedding) {
   StabilityResult stab;
   {
     const obs::TraceSpan span("phase.stability", "pipeline");
@@ -155,7 +155,24 @@ StabilityResult score_report(CirStagReport& report, const StabilityOptions& so,
   obs::health_check_finite("phase.dmd.eigenvalues", report.eigenvalues);
   obs::health_check_finite("phase.scores.node_scores", report.node_scores);
   obs::health_check_finite("phase.scores.edge_scores", report.edge_scores);
-  return stab;
+  return stab.subspace_sweeps;
+}
+
+/// The output side of a Case-A pipeline: the GNN's last-layer embedding, or
+/// its standardized input features when it has no layers.
+const linalg::Matrix& gnn_output(const gnn::GnnSnapshot& snap) {
+  return snap.layer_outputs.empty() ? snap.std_features
+                                    : snap.layer_outputs.back();
+}
+
+/// Whether a kept kNN baseline fits an n-node engine: one list per node,
+/// every neighbor index below n and the k a fresh build would use.
+bool knn_fits(const graphs::KnnBaseline& b, std::size_t n, std::size_t k) {
+  if (b.hits.size() != n || b.k != k) return false;
+  for (const std::vector<graphs::Neighbor>& list : b.hits)
+    for (const graphs::Neighbor& nb : list)
+      if (nb.index >= n) return false;
+  return true;
 }
 
 }  // namespace
@@ -211,12 +228,11 @@ SweepBaselineState compute_baseline(const graphs::Graph& input_graph,
   // baselines every variant's delta re-query starts from; the manifolds are
   // the same bytes.
   const auto manifold = [&](const char* side, const linalg::Matrix& emb,
-                            ManifoldBaseline& kept) {
+                            graphs::KnnBaseline& kept) {
     const obs::TraceSpan span(side, "pipeline");
     if (emb.empty()) return input_graph;
-    if (exact) return build_manifold(emb, config.manifold, &cache);
-    kept = capture_manifold_baseline(emb, config.manifold, &cache);
-    return kept.manifold;
+    return build_manifold(emb, config.manifold, &cache,
+                          exact ? nullptr : &kept);
   };
   {
     const obs::TraceSpan span("phase.manifold", "pipeline");
@@ -232,15 +248,9 @@ SweepBaselineState compute_baseline(const graphs::Graph& input_graph,
   }
 
   // Phase 3: DMD spectrum + stability scores (Algorithm 1, steps 6-11) on
-  // the config's own trajectory in both modes. The multilevel pair
-  // hierarchy is captured (when that path engages) so fast variants can
-  // reuse its prolongation maps instead of re-matching.
-  StabilityOptions so = config.stability;
-  so.hierarchy_capture = &state.hier0;
-  state.raw_subspace0 =
-      score_report(report, so, cache, input_graph, output_embedding)
-          .raw_subspace;
-  if (!state.hier0.empty()) state.hier_key = report.manifold_x.fingerprint();
+  // the config's own trajectory in both modes.
+  (void)score_report(report, config.stability, cache, input_graph,
+                     output_embedding);
 
   report.health = obs::HealthMonitor::global().collect_since(health_begin);
   return state;
@@ -255,11 +265,8 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   static const obs::Counter baselines("sweep.baselines");
   baselines.add();
   const linalg::Matrix features = set_up_case_a();
-  adopt(compute_baseline(pin_graph_, features,
-                         snap_.layer_outputs.empty()
-                             ? snap_.std_features
-                             : snap_.layer_outputs.back(),
-                         opts_.config, opts_.exact, cache_));
+  base_ = compute_baseline(pin_graph_, features, gnn_output(snap_),
+                           opts_.config, opts_.exact, cache_);
   stats_.baseline_seconds = span.seconds();
 }
 
@@ -273,8 +280,8 @@ SweepEngine::SweepEngine(const graphs::Graph& input_graph,
   const obs::TraceSpan span("sweep.baseline", "sweep");
   static const obs::Counter baselines("sweep.baselines");
   baselines.add();
-  adopt(compute_baseline(input_graph, node_features, output_embedding,
-                         opts_.config, opts_.exact, cache_));
+  base_ = compute_baseline(input_graph, node_features, output_embedding,
+                           opts_.config, opts_.exact, cache_);
   stats_.baseline_seconds = span.seconds();
 }
 
@@ -302,7 +309,18 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
       state.baseline.manifold_y.num_nodes() != n)
     throw std::invalid_argument(
         "SweepEngine: snapshot manifolds do not match the netlist");
-  adopt(std::move(state));
+  // A kept kNN side must fit this netlist before a delta re-query indexes
+  // its lists by pin. Its points are not stored: they are the report's
+  // input embedding and the GNN output just recomputed.
+  const std::size_t k =
+      std::min(opts_.config.manifold.knn.k, n > 0 ? n - 1 : 0);
+  for (const graphs::KnnBaseline* side : {&state.mx, &state.my})
+    if (!side->hits.empty() && !knn_fits(*side, n, k))
+      throw std::invalid_argument(
+          "SweepEngine: snapshot kNN baseline does not match the netlist");
+  if (!state.mx.hits.empty()) state.mx.points = state.baseline.input_embedding;
+  if (!state.my.hits.empty()) state.my.points = gnn_output(snap_);
+  base_ = std::move(state);
   stats_.baseline_seconds = span.seconds();
 }
 
@@ -319,53 +337,11 @@ linalg::Matrix SweepEngine::set_up_case_a() {
   return features;
 }
 
-void SweepEngine::adopt(SweepBaselineState state) {
-  base_ = std::move(state);
-  // Pre-seed the solver cache with the variant-phase (L_Y + I/σ²) solver,
-  // reattaching a restored snapshot's factored spanning-tree preconditioner
-  // so the first variant skips the Kruskal + BFS + LDLᵀ build too. The
-  // Laplacian assembly itself is O(m) and recomputed here.
-  const graphs::Graph& my = base_.baseline.manifold_y;
-  if (!base_.variant_tree.empty() &&
-      base_.variant_tree.dimension() == my.num_nodes()) {
-    const graphs::SolverOptions vopts = variant_solver_options();
-    auto solver = std::make_shared<const linalg::LaplacianSolver>(
-        graphs::laplacian(my), vopts.regularization, vopts.cg,
-        std::move(base_.variant_tree));
-    cache_.insert(my, vopts, std::move(solver));
-  }
-}
-
-graphs::SolverOptions SweepEngine::variant_solver_options() const {
-  // Mirrors finish_variant's StabilityOptions overrides plus the
-  // SolverOptions construction inside stability_scores — one place to keep
-  // the snapshot export/restore key honest.
-  const StabilityOptions& st = opts_.config.stability;
-  const bool fast = !opts_.exact;
-  graphs::SolverOptions s;
-  s.regularization = 1.0 / st.sigma2;
-  s.preconditioner = fast ? kFastPreconditioner : st.preconditioner;
-  s.cg.tolerance = fast ? kFastCgTolerance : st.cg_tolerance;
-  s.cg.max_iterations = st.cg_max_iterations;
-  s.cg.budget_bounded = true;
-  return s;
-}
-
-SweepBaselineState SweepEngine::export_baseline_state() {
+const SweepBaselineState& SweepEngine::export_baseline_state() const {
   if (netlist_ == nullptr)
     throw std::logic_error(
         "SweepEngine: snapshot export needs a Case-A engine");
-  SweepBaselineState state = base_;
-  state.baseline_seconds = stats_.baseline_seconds;
-  // Export the variant-phase solver's tree factorization (builds through
-  // the shared cache when no variant has demanded it yet — snapshot-write
-  // time, so the one-off cost is fine).
-  const graphs::SolverOptions vopts = variant_solver_options();
-  if (vopts.preconditioner == graphs::SolverPreconditioner::spanning_tree) {
-    const auto solver = cache_.solver(base_.baseline.manifold_y, vopts);
-    state.variant_tree = solver->tree();
-  }
-  return state;
+  return base_;
 }
 
 const circuit::TimingReport& SweepEngine::baseline_timing() const {
@@ -591,10 +567,10 @@ void SweepEngine::finish_variant(SweepVariantResult& out,
   // on the output side the moved set is those cones, not the whole
   // embedding. No input embedding: the raw graph is the input manifold.
   const auto manifold = [&](const linalg::Matrix& emb,
-                            const ManifoldBaseline& base,
+                            const graphs::KnnBaseline& base,
                             graphs::KnnUpdateStats& stats) {
     if (emb.empty()) return input_graph;
-    const linalg::Matrix& points = base.knn.points;
+    const linalg::Matrix& points = base.points;
     if (fast && points.rows() == emb.rows() && points.cols() == emb.cols()) {
       const std::vector<std::uint32_t> moved = changed_rows(emb, points);
       if (moved.size() * 2 < emb.rows())
@@ -624,19 +600,8 @@ void SweepEngine::finish_variant(SweepVariantResult& out,
     so.cg_tolerance = kFastCgTolerance;
     so.ritz_tolerance = kFastRitzTolerance;
   }
-  // Hierarchy reuse (fast mode, DESIGN.md §13): variants perturb manifold
-  // weights/edges but keep the node set, so the baseline's captured
-  // prolongation maps stay valid — the multilevel path then only
-  // re-aggregates edge weights through them (Galerkin) instead of
-  // re-matching every level. Keyed by the capture-time fingerprint's node
-  // count; exact mode stays on the fresh-matching path for byte-identity
-  // with the naive loop.
-  if (fast && !base_.hier0.empty() &&
-      report.manifold_x.fingerprint().nodes == base_.hier_key.nodes)
-    so.hierarchy_reuse = &base_.hier0;
   out.stats.subspace_sweeps =
-      score_report(report, so, cache_, input_graph, output_embedding)
-          .subspace_sweeps;
+      score_report(report, so, cache_, input_graph, output_embedding);
 }
 
 std::vector<double> SweepEngine::predict_case_a(

@@ -114,29 +114,20 @@ struct SweepStats {
 };
 
 /// Output of the one CirSTAG pipeline (compute_baseline): the full report
-/// plus the intermediates a sweep engine reuses across variants — the
-/// spectral embedding, the Phase-3 eigenbasis and coarsening hierarchy, and
-/// in fast mode the kNN baselines. CirStag::analyze returns its `baseline`;
-/// a SweepEngine adopts the whole state, computed by its constructor or
-/// read back from a binary snapshot (io/snapshot), in which case the
-/// restoring constructor runs no eigensolve at all (eigen.runs == 0).
-/// Cheap derived state (pin graph, feature matrix, GNN forward snapshot,
-/// incremental-STA baseline) is deliberately absent: the restore path
-/// recomputes it deterministically from the netlist and trained model.
+/// plus what a sweep variant reads besides it — the spectral embedding U_M
+/// and, in fast mode, the kNN baselines of both sides. CirStag::analyze
+/// returns its `baseline`; a SweepEngine adopts the whole state, computed by
+/// its constructor or read back from a binary snapshot (io/snapshot), in
+/// which case the restoring constructor runs no eigensolve at all
+/// (eigen.runs == 0). Cheap derived state (pin graph, feature matrix, GNN
+/// forward snapshot, incremental-STA baseline) is deliberately absent: the
+/// restore path recomputes it deterministically from the netlist and
+/// trained model, and so does every solver the engine's cache builds.
 struct SweepBaselineState {
-  CirStagReport baseline;          ///< full baseline report (incl. manifolds)
-  linalg::Matrix u0;               ///< baseline spectral embedding
-  linalg::Matrix raw_subspace0;    ///< baseline eigenbasis
-  ManifoldBaseline mx;             ///< input-side kNN baseline (fast mode)
-  ManifoldBaseline my;             ///< output-side kNN baseline (fast mode)
-  graphs::CoarsenPairHierarchy hier0;  ///< baseline pair hierarchy (if any)
-  graphs::GraphFingerprint hier_key;   ///< capture-time manifold_x key
-  /// Factored spanning-tree preconditioner of the variant-phase
-  /// (L_Y + I/σ²) solver; empty when the options select Jacobi. Restore
-  /// pre-seeds the engine's solver cache with it so the first variant skips
-  /// the Kruskal + BFS + LDLᵀ build.
-  linalg::TreeFactorization variant_tree;
-  double baseline_seconds = 0.0;   ///< original baseline-capture wall time
+  CirStagReport baseline;  ///< full baseline report (incl. manifolds)
+  linalg::Matrix u0;       ///< baseline spectral embedding
+  graphs::KnnBaseline mx;  ///< input-side kNN baseline (fast mode)
+  graphs::KnnBaseline my;  ///< output-side kNN baseline (fast mode)
 };
 
 /// The CirSTAG pipeline (Algorithm 1), each phase under its `phase.*` span:
@@ -156,8 +147,8 @@ struct SweepBaselineState {
 /// perturbed variants while sharing work across them — shared Laplacian
 /// solver cache, incremental STA (fanout-cone re-timing), incremental GNN
 /// forward (changed-row re-propagation), spectral-embedding reuse, and (in
-/// fast mode) kNN delta re-queries and coarsening-hierarchy reuse seeded
-/// from the baseline only, so cross-variant parallelism stays deterministic.
+/// fast mode) kNN delta re-queries seeded from the baseline only, so
+/// cross-variant parallelism stays deterministic.
 ///
 /// Typical Case-A use:
 ///
@@ -183,17 +174,18 @@ class SweepEngine {
   /// Restoring Case-A constructor (io/snapshot): adopt a previously exported
   /// baseline instead of recomputing it. Rebuilds only the cheap derived
   /// state (pin graph, features, one GNN forward, one STA traversal) — no
-  /// spectral embedding, no Phase-3 eigensolve, no GNN training. `opts` must
-  /// match the exporting engine's for the adopted warm state to be valid;
-  /// shape mismatches between `state` and the netlist/model throw
-  /// std::invalid_argument.
+  /// spectral embedding, no Phase-3 eigensolve, no GNN training. The kNN
+  /// baselines' points are not read from `state`: they are the report's
+  /// input embedding and the GNN output of that one forward, and are taken
+  /// from there. `opts` must match the exporting engine's for the adopted
+  /// warm state to be valid; shape mismatches between `state` and the
+  /// netlist/model (kNN lists included: one per pin, every index below the
+  /// pin count, k = min(config k, pins − 1)) throw std::invalid_argument.
   SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
               SweepOptions opts, SweepBaselineState state);
 
-  /// Export the warm baseline for a binary snapshot. Non-const because the
-  /// variant-phase solver (whose tree factorization rides along) is built
-  /// through the shared cache if no variant has demanded it yet.
-  [[nodiscard]] SweepBaselineState export_baseline_state();
+  /// The warm baseline a binary snapshot stores.
+  [[nodiscard]] const SweepBaselineState& export_baseline_state() const;
 
   [[nodiscard]] const CirStagReport& baseline() const {
     return base_.baseline;
@@ -227,14 +219,6 @@ class SweepEngine {
   /// deterministic functions of the netlist and trained model. Returns the
   /// baseline pin features.
   linalg::Matrix set_up_case_a();
-  /// Take ownership of a computed or restored baseline; a restored
-  /// variant-phase tree factorization pre-seeds the solver cache.
-  void adopt(SweepBaselineState state);
-  /// The exact SolverOptions finish_variant's Phase-3 solve will key the
-  /// variant-phase (L_Y + I/σ²) solver under — shared by the snapshot
-  /// export (which serializes that solver's tree factorization) and the
-  /// restore path (which pre-seeds the cache under the same key).
-  [[nodiscard]] graphs::SolverOptions variant_solver_options() const;
   SweepVariantResult run_variant(const SweepVariant& v, std::size_t index);
   SweepVariantResult run_case_a(const SweepVariant& v, std::size_t index);
   SweepVariantResult run_case_b(const SweepVariant& v, std::size_t index);

@@ -20,6 +20,11 @@ constexpr std::uint32_t kUnmatched = 0xffffffffu;
 constexpr std::size_t kProposeGrain = 1024;
 constexpr std::size_t kTripletGrain = 8192;
 
+/// Stop when a matching round shrinks the graph by less than this factor
+/// (num_coarse > kMinShrink * n means matching stagnated — e.g. a star
+/// graph — and further rounds would only burn time).
+constexpr double kMinShrink = 0.9;
+
 /// Heaviest neighbor of u over ALL neighbors, ignoring match state: parallel
 /// edges sum in incidence order (the same order the serial scan accumulates
 /// them, so the per-neighbor doubles are bit-identical), and the winner is
@@ -231,11 +236,10 @@ bool another_round(const CoarsenOptions& opts, std::size_t current_n,
   return current_n > opts.coarsest_target && levels_built < opts.max_levels;
 }
 
-bool round_productive(const CoarsenOptions& opts, std::size_t fine_n,
-                      std::size_t coarse_n) {
+bool round_productive(std::size_t fine_n, std::size_t coarse_n) {
   return coarse_n < fine_n &&
          static_cast<double>(coarse_n) <
-             opts.min_shrink * static_cast<double>(fine_n);
+             kMinShrink * static_cast<double>(fine_n);
 }
 
 }  // namespace
@@ -248,7 +252,7 @@ CoarsenHierarchy coarsen_graph(const Graph& g, const CoarsenOptions& opts) {
     std::size_t num_coarse = 0;
     std::vector<std::uint32_t> map = heavy_edge_matching(*current, num_coarse);
     rounds.add();
-    if (!round_productive(opts, current->num_nodes(), num_coarse)) break;
+    if (!round_productive(current->num_nodes(), num_coarse)) break;
     CoarsenLevel level;
     level.graph = aggregate_graph(*current, map, num_coarse);
     level.map = std::move(map);
@@ -281,7 +285,7 @@ CoarsenPairHierarchy coarsen_pair(const Graph& x, const Graph& y,
     std::size_t num_coarse = 0;
     std::vector<std::uint32_t> map = heavy_edge_matching(combined, num_coarse);
     rounds.add();
-    if (!round_productive(opts, combined.num_nodes(), num_coarse)) break;
+    if (!round_productive(combined.num_nodes(), num_coarse)) break;
     out.x_levels.push_back(aggregate_graph(*cx, map, num_coarse));
     out.y_levels.push_back(aggregate_graph(*cy, map, num_coarse));
     combined = aggregate_graph(combined, map, num_coarse);

@@ -44,10 +44,6 @@ struct CoarsenOptions {
   /// Stop coarsening once a level has at most this many nodes; the coarsest
   /// eigenproblem is solved directly there.
   std::size_t coarsest_target = 1024;
-  /// Stop when a matching round shrinks the graph by less than this factor
-  /// (num_coarse > min_shrink * n means matching stagnated — e.g. a star
-  /// graph — and further rounds would only burn time).
-  double min_shrink = 0.9;
   /// Subspace-iteration sweeps spent re-converging the interpolated
   /// eigenvectors on each finer level (consumed by linalg/multilevel_eigen;
   /// housed here so one knob configures both pipeline phases). Eight sweeps

@@ -143,22 +143,21 @@ Graph build_knn_graph(const linalg::Matrix& points,
   return assemble_knn_graph(hits, n, opts);
 }
 
-KnnBaseline capture_knn_baseline(const linalg::Matrix& points,
-                                 const KnnGraphOptions& opts) {
+Graph capture_knn_baseline(const linalg::Matrix& points,
+                           KnnBaseline& baseline,
+                           const KnnGraphOptions& opts) {
   require_finite_rows(points, "capture_knn_baseline");
   const obs::TraceSpan trace_span("knn.capture_baseline", "graphs");
-  KnnBaseline base;
-  base.points = points;
+  baseline.points = points;
   const std::size_t n = points.rows();
   if (n < 2) {
-    base.graph = Graph(n);
-    base.hits.assign(n, {});
-    return base;
+    baseline.k = 0;
+    baseline.hits.assign(n, {});
+    return Graph(n);
   }
-  base.k = std::min(opts.k, n - 1);
-  base.hits = all_knn(points, base.k, opts);
-  base.graph = assemble_knn_graph(base.hits, n, opts);
-  return base;
+  baseline.k = std::min(opts.k, n - 1);
+  baseline.hits = all_knn(points, baseline.k, opts);
+  return assemble_knn_graph(baseline.hits, n, opts);
 }
 
 Graph update_knn_graph(const KnnBaseline& baseline,

@@ -43,12 +43,11 @@ struct KnnGraphOptions {
                                     const KnnGraphOptions& opts = {});
 
 /// Frozen result of one kNN build: the points, every point's candidate
-/// list, and the assembled graph. The baseline that update_knn_graph
-/// patches for perturbation-sweep variants.
+/// list and the k they were queried with. The baseline that
+/// update_knn_graph patches for perturbation-sweep variants.
 struct KnnBaseline {
   linalg::Matrix points;
   std::vector<std::vector<Neighbor>> hits;  ///< per-point nearest neighbors
-  Graph graph;                              ///< == build_knn_graph(points)
   std::size_t k = 0;
 };
 
@@ -58,10 +57,12 @@ struct KnnUpdateStats {
   std::size_t total_points = 0;
 };
 
-/// Run the full kNN build once and keep the per-point candidate lists;
-/// `baseline.graph` is byte-identical to build_knn_graph(points, opts).
-[[nodiscard]] KnnBaseline capture_knn_baseline(const linalg::Matrix& points,
-                                               const KnnGraphOptions& opts = {});
+/// build_knn_graph that also keeps the points and the per-point candidate
+/// lists in `baseline`; the returned graph is byte-identical to
+/// build_knn_graph(points, opts).
+[[nodiscard]] Graph capture_knn_baseline(const linalg::Matrix& points,
+                                         KnnBaseline& baseline,
+                                         const KnnGraphOptions& opts = {});
 
 /// Delta kNN re-query for a variant whose rows differ from the baseline
 /// only at `moved_rows`: re-queries the moved points plus every point whose

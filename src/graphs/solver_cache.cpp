@@ -96,28 +96,6 @@ std::shared_ptr<const linalg::LaplacianSolver> LaplacianSolverCache::solver(
   return built;
 }
 
-void LaplacianSolverCache::insert(
-    const Graph& g, const SolverOptions& opts,
-    std::shared_ptr<const linalg::LaplacianSolver> prebuilt) {
-  if (prebuilt == nullptr) return;
-  const Key key{g.fingerprint(),       opts.regularization,
-                std::bit_cast<std::uint64_t>(opts.cg.tolerance),
-                opts.cg.max_iterations, opts.preconditioner,
-                opts.cg.budget_bounded};
-  std::lock_guard lock(mutex_);
-  for (Entry& e : entries_)
-    if (e.key == key) return;  // keep the resident object
-  if (entries_.size() >= capacity_) {
-    auto lru = std::min_element(entries_.begin(), entries_.end(),
-                                [](const Entry& a, const Entry& b) {
-                                  return a.last_used < b.last_used;
-                                });
-    entries_.erase(lru);
-    cache_evictions().add();
-  }
-  entries_.push_back({key, std::move(prebuilt), ++clock_});
-}
-
 std::size_t LaplacianSolverCache::hits() const {
   std::lock_guard lock(mutex_);
   return hits_;

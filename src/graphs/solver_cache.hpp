@@ -53,14 +53,6 @@ class LaplacianSolverCache {
   [[nodiscard]] std::shared_ptr<const linalg::LaplacianSolver> solver(
       const Graph& g, const SolverOptions& opts = {});
 
-  /// Pre-seed the cache with an externally assembled solver for (g, opts) —
-  /// the snapshot-restore path, which carries the factored spanning-tree
-  /// preconditioner in the snapshot instead of re-running Kruskal + LDLᵀ.
-  /// The caller asserts `prebuilt` equals what make_laplacian_solver(g,
-  /// opts) would produce; an existing entry for the key is left untouched.
-  void insert(const Graph& g, const SolverOptions& opts,
-              std::shared_ptr<const linalg::LaplacianSolver> prebuilt);
-
   [[nodiscard]] std::size_t hits() const;
   [[nodiscard]] std::size_t misses() const;
   [[nodiscard]] std::size_t size() const;

@@ -45,18 +45,12 @@ SparsifyResult sparsify_pgm(const Graph& g, const SparsifyOptions& opts,
     std::erase_if(offtree, [&](EdgeId e) { return r_eff[e] > bound; });
   }
 
-  // Rank remaining off-tree edges by η descending; keep the top fraction
-  // plus anything above the absolute threshold.
+  // Rank remaining off-tree edges by η descending; keep the top fraction.
   std::sort(offtree.begin(), offtree.end(),
             [&](EdgeId a, EdgeId b) { return out.eta[a] > out.eta[b]; });
   const auto frac = std::clamp(opts.offtree_keep_fraction, 0.0, 1.0);
-  std::size_t keep_count = static_cast<std::size_t>(
+  const auto keep_count = static_cast<std::size_t>(
       frac * static_cast<double>(offtree.size()) + 0.5);
-  if (opts.eta_threshold > 0.0) {
-    while (keep_count < offtree.size() &&
-           out.eta[offtree[keep_count]] >= opts.eta_threshold)
-      ++keep_count;
-  }
 
   out.kept_edges = tree;
   out.kept_edges.insert(out.kept_edges.end(), offtree.begin(),

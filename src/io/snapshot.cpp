@@ -192,8 +192,9 @@ graphs::Graph read_graph(ByteReader& r, const std::string& path) {
   return g;
 }
 
+/// A kNN baseline's k and candidate lists. Its points are not written: the
+/// restoring engine takes them from the report and from its GNN forward.
 void write_knn_baseline(ByteWriter& w, const graphs::KnnBaseline& b) {
-  write_matrix(w, b.points);
   w.u64(b.k);
   w.u64(b.hits.size());
   for (const std::vector<graphs::Neighbor>& list : b.hits) {
@@ -203,12 +204,10 @@ void write_knn_baseline(ByteWriter& w, const graphs::KnnBaseline& b) {
       w.f64(nb.distance2);
     }
   }
-  write_graph(w, b.graph);
 }
 
 graphs::KnnBaseline read_knn_baseline(ByteReader& r, const std::string& path) {
   graphs::KnnBaseline b;
-  b.points = read_matrix(r, path);
   b.k = r.u64();
   const std::uint64_t lists = r.u64();
   if (lists > r.remaining() / 8) fail(path, "kNN list count exceeds file size");
@@ -221,11 +220,11 @@ graphs::KnnBaseline read_knn_baseline(ByteReader& r, const std::string& path) {
     for (std::uint64_t j = 0; j < count; ++j) {
       b.hits[i][j].index = r.u64();
       b.hits[i][j].distance2 = r.f64();
-      if (b.hits[i][j].index >= b.points.rows())
+      // One list per point, so an index must name one of the lists.
+      if (b.hits[i][j].index >= lists)
         fail(path, "kNN neighbor index out of range");
     }
   }
-  b.graph = read_graph(r, path);
   return b;
 }
 
@@ -346,32 +345,8 @@ std::vector<std::uint8_t> build_sweep_section(
   ByteWriter w;
   write_report(w, s.baseline);
   write_matrix(w, s.u0);
-  write_matrix(w, s.raw_subspace0);
-  const bool has_knn = s.mx.knn.points.rows() > 0 || s.my.knn.points.rows() > 0;
-  w.u8(has_knn ? 1 : 0);
-  if (has_knn) {
-    write_knn_baseline(w, s.mx.knn);
-    write_graph(w, s.mx.manifold);
-    write_knn_baseline(w, s.my.knn);
-    write_graph(w, s.my.manifold);
-  }
-  w.u64(s.hier0.maps.size());
-  for (std::size_t l = 0; l < s.hier0.maps.size(); ++l) {
-    w.array<std::uint32_t>(s.hier0.maps[l]);
-    write_graph(w, s.hier0.x_levels[l]);
-    write_graph(w, s.hier0.y_levels[l]);
-  }
-  w.u64(s.hier_key.hash);
-  w.u64(s.hier_key.nodes);
-  w.u64(s.hier_key.edges);
-  w.u8(s.variant_tree.empty() ? 0 : 1);
-  if (!s.variant_tree.empty()) {
-    w.array<std::uint32_t>(s.variant_tree.parent());
-    w.array<std::uint32_t>(s.variant_tree.order());
-    w.array<double>(s.variant_tree.multipliers());
-    w.array<double>(s.variant_tree.inv_diag());
-  }
-  w.f64(s.baseline_seconds);
+  write_knn_baseline(w, s.mx);
+  write_knn_baseline(w, s.my);
   return w.bytes();
 }
 
@@ -393,8 +368,9 @@ void put_u64(std::uint8_t* out, std::uint64_t v) {
 }  // namespace
 
 void write_snapshot(const std::string& path, gnn::TimingGnn& model,
-                    core::SweepEngine& engine, const SnapshotMeta& meta) {
-  const core::SweepBaselineState state = engine.export_baseline_state();
+                    const core::SweepEngine& engine,
+                    const SnapshotMeta& meta) {
+  const core::SweepBaselineState& state = engine.export_baseline_state();
 
   struct Section {
     std::uint64_t id;
@@ -585,39 +561,13 @@ SnapshotData read_snapshot(const std::string& path,
       core::SweepBaselineState& s = data.state;
       s.baseline = read_report(r, path);
       s.u0 = read_matrix(r, path);
-      s.raw_subspace0 = read_matrix(r, path);
-      if (r.u8() != 0) {
-        s.mx.knn = read_knn_baseline(r, path);
-        s.mx.manifold = read_graph(r, path);
-        s.my.knn = read_knn_baseline(r, path);
-        s.my.manifold = read_graph(r, path);
-      }
-      const std::uint64_t levels = r.u64();
-      if (levels > sweep_span.size() / 24)
-        fail(path, "hierarchy level count exceeds section size");
-      for (std::uint64_t l = 0; l < levels; ++l) {
-        s.hier0.maps.push_back(r.array<std::uint32_t>());
-        s.hier0.x_levels.push_back(read_graph(r, path));
-        s.hier0.y_levels.push_back(read_graph(r, path));
-      }
-      s.hier_key.hash = r.u64();
-      s.hier_key.nodes = r.u64();
-      s.hier_key.edges = r.u64();
-      if (r.u8() != 0) {
-        std::vector<std::uint32_t> parent = r.array<std::uint32_t>();
-        std::vector<std::uint32_t> order = r.array<std::uint32_t>();
-        std::vector<double> mult = r.array<double>();
-        std::vector<double> inv_diag = r.array<double>();
-        s.variant_tree = linalg::TreeFactorization::from_state(
-            std::move(parent), std::move(order), std::move(mult),
-            std::move(inv_diag));
-      }
-      s.baseline_seconds = r.f64();
+      s.mx = read_knn_baseline(r, path);
+      s.my = read_knn_baseline(r, path);
     }
   } catch (const SnapshotError&) {
     throw;
   } catch (const std::exception& e) {
-    // Structural validation inside Netlist/Graph/TreeFactorization throws
+    // Structural validation inside Netlist/Graph throws
     // std::invalid_argument & friends; surface them as snapshot corruption.
     fail(path, e.what());
   }

@@ -17,12 +17,14 @@ namespace cirstag::io {
 /// Binary circuit-snapshot format (DESIGN.md §13): one versioned,
 /// checksummed container holding everything expensive about a resident
 /// circuit — the finalized netlist, the trained GNN weights, and the sweep
-/// engine's warm baseline (spectral embedding, manifolds, Phase-3 report and
-/// eigenbasis, coarsening hierarchy, factored spanning-tree preconditioner).
-/// Restoring a snapshot re-trains nothing and re-solves nothing: the restore
-/// path runs zero eigensolves (`eigen.runs` stays 0) and zero training
-/// epochs (`gnn.train_epochs` stays 0); only the cheap derived state (pin
-/// graph, one GNN forward, one STA traversal) is recomputed.
+/// engine's warm baseline, each array once: the Phase-3 report (scores,
+/// spectrum, V_s, both manifolds, input embedding), the spectral embedding
+/// U_M and, in fast mode, both sides' kNN candidate lists. Restoring a
+/// snapshot re-trains nothing and re-solves nothing: the restore path runs
+/// zero eigensolves (`eigen.runs` stays 0) and zero training epochs
+/// (`gnn.train_epochs` stays 0); only the cheap derived state (pin graph,
+/// one GNN forward, one STA traversal, and the solvers its first variant
+/// builds) is recomputed.
 ///
 /// On-disk layout: a 64-byte header (magic, native-endianness probe, format
 /// version, FNV-1a payload checksum, file size, section count), then a
@@ -35,7 +37,9 @@ namespace cirstag::io {
 /// "snapshot.corrupt" health event; a corrupt file can never crash the
 /// reader or produce a half-restored circuit.
 
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// Files of any other version fail with SnapshotError: snapshots are
+/// derived artifacts, regenerated from the netlist rather than migrated.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// Every snapshot failure mode (I/O, corruption, shape mismatch).
 class SnapshotError : public std::runtime_error {
@@ -68,11 +72,10 @@ struct SnapshotData {
 };
 
 /// Serialize a trained model + warm sweep engine to `path`. `model` and
-/// `engine` must be built over the same netlist; non-const because the
-/// export may build the variant-phase solver through the engine's cache.
-/// Throws SnapshotError on I/O failure.
+/// `engine` must be built over the same netlist. Throws SnapshotError on
+/// I/O failure.
 void write_snapshot(const std::string& path, gnn::TimingGnn& model,
-                    core::SweepEngine& engine, const SnapshotMeta& meta);
+                    const core::SweepEngine& engine, const SnapshotMeta& meta);
 
 /// Read and validate a snapshot. `lib` must outlive the returned netlist
 /// (serve keeps a static standard library for exactly this reason).

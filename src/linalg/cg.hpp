@@ -90,9 +90,6 @@ class LaplacianSolver {
   [[nodiscard]] std::size_t dimension() const { return laplacian_.rows(); }
   [[nodiscard]] const CgOptions& options() const { return opts_; }
   [[nodiscard]] bool has_tree_preconditioner() const { return !tree_.empty(); }
-  /// The combinatorial preconditioner's factorization (empty when Jacobi) —
-  /// exported state for binary snapshots (io/snapshot).
-  [[nodiscard]] const TreeFactorization& tree() const { return tree_; }
 
  private:
   SparseMatrix laplacian_;

@@ -57,25 +57,6 @@ TreeFactorization TreeFactorization::build(
   return f;
 }
 
-TreeFactorization TreeFactorization::from_state(
-    std::vector<std::uint32_t> parent, std::vector<std::uint32_t> order,
-    std::vector<double> multipliers, std::vector<double> inv_diag) {
-  const std::size_t n = inv_diag.size();
-  if (parent.size() != n || order.size() != n || multipliers.size() != n)
-    throw std::invalid_argument(
-        "TreeFactorization::from_state: array length mismatch");
-  for (std::size_t u = 0; u < n; ++u)
-    if (parent[u] >= n || order[u] >= n)
-      throw std::invalid_argument(
-          "TreeFactorization::from_state: index out of range");
-  TreeFactorization f;
-  f.parent_ = std::move(parent);
-  f.order_ = std::move(order);
-  f.multiplier_ = std::move(multipliers);
-  f.inv_diag_ = std::move(inv_diag);
-  return f;
-}
-
 void TreeFactorization::apply(std::span<const double> r,
                               std::span<double> z) const {
   const std::size_t n = dimension();

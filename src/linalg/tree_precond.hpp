@@ -41,24 +41,6 @@ class TreeFactorization {
   /// calls may run concurrently (read-only state).
   void apply(std::span<const double> r, std::span<double> z) const;
 
-  /// --- factored-state export/restore (io/snapshot) ------------------------
-  /// The four arrays below fully determine the factorization; a binary
-  /// snapshot stores them so a restore skips the Kruskal + BFS + LDLᵀ build.
-  [[nodiscard]] std::span<const std::uint32_t> parent() const {
-    return parent_;
-  }
-  [[nodiscard]] std::span<const std::uint32_t> order() const { return order_; }
-  [[nodiscard]] std::span<const double> multipliers() const {
-    return multiplier_;
-  }
-  [[nodiscard]] std::span<const double> inv_diag() const { return inv_diag_; }
-
-  /// Reassemble a factorization from previously exported state verbatim.
-  /// Throws std::invalid_argument when the array lengths disagree.
-  [[nodiscard]] static TreeFactorization from_state(
-      std::vector<std::uint32_t> parent, std::vector<std::uint32_t> order,
-      std::vector<double> multipliers, std::vector<double> inv_diag);
-
  private:
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> order_;     // roots-first topological order

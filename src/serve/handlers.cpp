@@ -1,9 +1,11 @@
 #include "serve/handlers.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,6 +31,24 @@ Dispatch immediate(JobResponse response) {
 
 Dispatch immediate_error(int status, const std::string& message) {
   return immediate({status, error_body(message)});
+}
+
+/// Ceilings of the integer request fields that have no natural one
+/// (README, "Serving"): past them a request is refused with 422.
+constexpr double kMaxDeadlineMs = 86'400'000;  // one day
+constexpr double kMaxEpochs = 100'000;
+constexpr double kMaxHidden = 1'024;
+
+/// Whether `v` is a whole number in [lo, hi], stored in `out` when it is.
+/// The range check comes before the integer cast: casting an out-of-range
+/// double such as 1e300 is undefined. Every integer request field goes
+/// through here; a false return is the caller's 422.
+bool whole_in(const JsonValue& v, double lo, double hi, std::size_t& out) {
+  if (!v.is_number()) return false;
+  const double x = v.as_number();
+  if (!(x >= lo && x <= hi) || x != std::floor(x)) return false;
+  out = static_cast<std::size_t>(x);
+  return true;
 }
 
 /// Report payload shared by the analyze and sweep responses. The score
@@ -111,9 +131,8 @@ bool parse_cap_scalings(const JsonValue& array, const CircuitRecord& record,
       error = "each cap scaling must carry numeric 'pin' and 'factor'";
       return false;
     }
-    const double pin_value = pin->as_number();
-    if (pin_value < 0 || pin_value != std::floor(pin_value) ||
-        pin_value >= static_cast<double>(num_pins)) {
+    std::size_t pin_id = 0;
+    if (!whole_in(*pin, 0, static_cast<double>(num_pins) - 1, pin_id)) {
       error = "cap scaling pin out of range (circuit has " +
               std::to_string(num_pins) + " pins)";
       return false;
@@ -123,7 +142,7 @@ bool parse_cap_scalings(const JsonValue& array, const CircuitRecord& record,
       error = "cap scaling factor must be finite and positive";
       return false;
     }
-    out.push_back({static_cast<circuit::PinId>(pin_value), factor_value});
+    out.push_back({static_cast<circuit::PinId>(pin_id), factor_value});
   }
   return true;
 }
@@ -181,18 +200,19 @@ Dispatch submit_or_reject(Service& service, Job job) {
   return d;
 }
 
-/// Shared body-field plumbing: optional "deadline_ms" (0 < ms) applied to
-/// the job, else the scheduler default.
+/// Shared body-field plumbing: optional "deadline_ms" (whole milliseconds,
+/// at most one day) applied to the job, else the scheduler default.
 bool apply_deadline(const JsonValue& body, Job& job, std::string& error) {
   const JsonValue* deadline = body.find("deadline_ms");
   if (deadline == nullptr) return true;
-  if (!deadline->is_number() || !(deadline->as_number() > 0)) {
-    error = "'deadline_ms' must be a positive number";
+  std::size_t ms = 0;
+  if (!whole_in(*deadline, 1, kMaxDeadlineMs, ms)) {
+    error = "'deadline_ms' must be a whole number of milliseconds in [1, " +
+            std::to_string(static_cast<long>(kMaxDeadlineMs)) + "]";
     return false;
   }
   job.deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(
-                     static_cast<long>(deadline->as_number()));
+                 std::chrono::milliseconds(ms);
   return true;
 }
 
@@ -233,12 +253,17 @@ Dispatch dispatch_load(Service& service, const JsonValue& body,
     payload->source = source->as_string();
     payload->is_path = path != nullptr;
 
-    const double epochs = body.number_or("epochs", 300);
-    const double hidden = body.number_or("hidden", 24);
-    if (!(epochs >= 1) || !(hidden >= 1))
-      return immediate_error(422, "'epochs' and 'hidden' must be >= 1");
-    payload->options.gnn_epochs = static_cast<std::size_t>(epochs);
-    payload->options.gnn_hidden = static_cast<std::size_t>(hidden);
+    const JsonValue* epochs = body.find("epochs");
+    const JsonValue* hidden = body.find("hidden");
+    if ((epochs != nullptr &&
+         !whole_in(*epochs, 1, kMaxEpochs, payload->options.gnn_epochs)) ||
+        (hidden != nullptr &&
+         !whole_in(*hidden, 1, kMaxHidden, payload->options.gnn_hidden)))
+      return immediate_error(
+          422, "'epochs' and 'hidden' must be whole numbers in [1, " +
+                   std::to_string(static_cast<long>(kMaxEpochs)) +
+                   "] and [1, " +
+                   std::to_string(static_cast<long>(kMaxHidden)) + "]");
     const std::string mode = body.string_or("mode", "exact");
     if (mode != "exact" && mode != "fast")
       return immediate_error(422, "'mode' must be \"exact\" or \"fast\"");
@@ -436,7 +461,10 @@ Dispatch dispatch_top_k(Service& service, const JsonValue& body,
   const double k_value = body.number_or("k", 10);
   if (!(k_value >= 1) || k_value != std::floor(k_value))
     return immediate_error(422, "'k' must be a positive integer");
-  const auto k = static_cast<std::size_t>(k_value);
+  // top_k_nodes returns at most every pin: clamp to that before the cast.
+  const auto k = static_cast<std::size_t>(std::min(
+      k_value,
+      static_cast<double>(record->engine->baseline().node_scores.size())));
 
   Job job;
   job.endpoint = "top-k";
@@ -466,13 +494,15 @@ Dispatch dispatch_score_region(Service& service, const JsonValue& body,
   const JsonValue* nodes = body.find("nodes");
   if (nodes == nullptr || !nodes->is_array())
     return immediate_error(422, "'nodes' must be an array of node ids");
+  const std::size_t num_pins = record->engine->baseline().node_scores.size();
   auto ids = std::make_shared<std::vector<std::size_t>>();
   ids->reserve(nodes->as_array().size());
   for (const JsonValue& entry : nodes->as_array()) {
-    if (!entry.is_number() || entry.as_number() < 0 ||
-        entry.as_number() != std::floor(entry.as_number()))
-      return immediate_error(422, "'nodes' entries must be non-negative ids");
-    ids->push_back(static_cast<std::size_t>(entry.as_number()));
+    std::size_t id = 0;
+    if (!whole_in(entry, 0, static_cast<double>(num_pins) - 1, id))
+      return immediate_error(422, "'nodes' entries must be pin ids below " +
+                                      std::to_string(num_pins));
+    ids->push_back(id);
   }
 
   // Optional cone expansion: "hops": h scores the h-ring fan-in/fan-out
@@ -482,11 +512,8 @@ Dispatch dispatch_score_region(Service& service, const JsonValue& body,
   std::size_t hops = 0;
   bool cone = false;
   if (const JsonValue* h = body.find("hops"); h != nullptr) {
-    if (!h->is_number() || h->as_number() < 0 ||
-        h->as_number() != std::floor(h->as_number()) ||
-        h->as_number() > 1e6)
+    if (!whole_in(*h, 0, 1e6, hops))
       return immediate_error(422, "'hops' must be a small non-negative count");
-    hops = static_cast<std::size_t>(h->as_number());
     cone = true;
     if (record->engine->pin_graph().num_nodes() == 0)
       return immediate_error(

@@ -24,7 +24,6 @@
 #include "linalg/multilevel_eigen.hpp"
 #include "linalg/rng.hpp"
 #include "linalg/vector_ops.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace {
@@ -202,64 +201,6 @@ TEST(Coarsen, PairHierarchySharesOneMatching) {
   }
   EXPECT_THROW(graphs::coarsen_pair(x, Graph(10), force_engage()),
                std::invalid_argument);
-}
-
-TEST(Coarsen, ReusedHierarchyEigensolveAgreement) {
-  // The sweep engine's cross-variant reuse (DESIGN.md §13): capture the
-  // baseline's pair hierarchy, then re-enter Phase 3 on a weight-perturbed
-  // variant with the frozen prolongation maps. Only the Galerkin edge
-  // aggregation is recomputed, so the variant's eigensolve must agree with
-  // a from-scratch multilevel run within the documented residual bound.
-  const Graph x = random_graph(1600, 1200, 31);
-  const Graph y = random_graph(1600, 900, 37);
-  core::StabilityOptions opts;
-  opts.eigensubspace_dim = 6;
-  opts.coarsen.auto_threshold = 0;
-  opts.coarsen.coarsest_target = 64;
-
-  CoarsenPairHierarchy hier;
-  core::StabilityOptions capture = opts;
-  capture.hierarchy_capture = &hier;
-  (void)core::stability_scores(x, y, capture);
-  ASSERT_FALSE(hier.empty());
-  ASSERT_EQ(hier.maps[0].size(), x.num_nodes());
-
-  // A variant perturbs edge weights over the same node set — exactly what
-  // sweep variants do to the manifolds.
-  Graph y2(y.num_nodes());
-  {
-    linalg::Rng rng(43);
-    for (const auto& e : y.edges())
-      y2.add_edge(e.u, e.v, e.weight * rng.uniform(0.7, 1.4));
-  }
-
-  const std::uint64_t reuses_before =
-      obs::MetricsRegistry::global().counter_value("coarsen.hierarchy_reuses");
-  core::StabilityOptions reuse = opts;
-  reuse.hierarchy_reuse = &hier;
-  const core::StabilityResult reused = core::stability_scores(x, y2, reuse);
-  EXPECT_EQ(
-      obs::MetricsRegistry::global().counter_value("coarsen.hierarchy_reuses"),
-      reuses_before + 1);
-
-  const core::StabilityResult fresh = core::stability_scores(x, y2, opts);
-  ASSERT_EQ(reused.eigenvalues.size(), fresh.eigenvalues.size());
-  for (std::size_t j = 0; j < 3; ++j) {
-    const double rel = std::abs(reused.eigenvalues[j] - fresh.eigenvalues[j]) /
-                       std::max(std::abs(fresh.eigenvalues[j]), 1e-12);
-    EXPECT_LE(rel, linalg::kMultilevelResidualBound) << "pair " << j;
-  }
-
-  // A mismatched fine dimension must be ignored, not crash: the scores fall
-  // back to a fresh matching and no reuse is counted.
-  const Graph x_small = random_graph(400, 200, 47);
-  const Graph y_small = random_graph(400, 150, 53);
-  const core::StabilityResult fallback =
-      core::stability_scores(x_small, y_small, reuse);
-  EXPECT_EQ(
-      obs::MetricsRegistry::global().counter_value("coarsen.hierarchy_reuses"),
-      reuses_before + 1);
-  EXPECT_EQ(fallback.node_scores.size(), x_small.num_nodes());
 }
 
 TEST(MultilevelEigen, SmallestPairsWithinDocumentedResidualBound) {

@@ -184,7 +184,8 @@ TEST(KnnGraph, TinyInputs) {
 TEST(KnnGraph, NonFiniteRowsThrowTypedError) {
   Rng rng(97);
   const Matrix clean = Matrix::random_normal(200, 8, rng);
-  const KnnBaseline base = capture_knn_baseline(clean);
+  KnnBaseline base;
+  (void)capture_knn_baseline(clean, base);
   const std::uint32_t moved[] = {57};
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity(),
@@ -201,16 +202,34 @@ TEST(KnnGraph, NonFiniteRowsThrowTypedError) {
       }
     };
     expect_row_57([&] { (void)build_knn_graph(pts); }, "build_knn_graph");
-    expect_row_57([&] { (void)capture_knn_baseline(pts); },
-                  "capture_knn_baseline");
+    expect_row_57(
+        [&] {
+          KnnBaseline b;
+          (void)capture_knn_baseline(pts, b);
+        },
+        "capture_knn_baseline");
     expect_row_57([&] { (void)update_knn_graph(base, pts, moved); },
                   "update_knn_graph");
     expect_row_57([&] { (void)KdTree(pts); }, "KdTree");
   }
 }
 
+/// One capture_knn_baseline call: the kept baseline and the returned graph.
+struct Capture {
+  KnnBaseline base;
+  Graph graph;
+};
+
+Capture capture(const Matrix& pts) {
+  Capture c;
+  c.graph = capture_knn_baseline(pts, c.base);
+  return c;
+}
+
 /// Edges and hits compared on their bits.
-void expect_same_baseline(const KnnBaseline& a, const KnnBaseline& b) {
+void expect_same_baseline(const Capture& ca, const Capture& cb) {
+  const KnnBaseline& a = ca.base;
+  const KnnBaseline& b = cb.base;
   ASSERT_EQ(a.hits.size(), b.hits.size());
   for (std::size_t i = 0; i < a.hits.size(); ++i) {
     ASSERT_EQ(a.hits[i].size(), b.hits[i].size()) << "point " << i;
@@ -220,7 +239,7 @@ void expect_same_baseline(const KnnBaseline& a, const KnnBaseline& b) {
           << "point " << i;
     }
   }
-  const auto ea = a.graph.edges(), eb = b.graph.edges();
+  const auto ea = ca.graph.edges(), eb = cb.graph.edges();
   ASSERT_EQ(ea.size(), eb.size());
   for (std::size_t e = 0; e < ea.size(); ++e) {
     EXPECT_EQ(ea[e].u, eb[e].u) << "edge " << e;
@@ -241,11 +260,11 @@ TEST(KnnGraph, CaptureBaselineIdenticalOnOneAndFourLanes) {
     const Matrix pts = Matrix::random_normal(n, d, rng);
     cirstag::runtime::set_global_threads(1);
     std::uint64_t before = evals();
-    const KnnBaseline serial = capture_knn_baseline(pts);
+    const Capture serial = capture(pts);
     const std::uint64_t serial_evals = evals() - before;
     cirstag::runtime::set_global_threads(4);
     before = evals();
-    const KnnBaseline parallel = capture_knn_baseline(pts);
+    const Capture parallel = capture(pts);
     const std::uint64_t parallel_evals = evals() - before;
     cirstag::runtime::set_global_threads(0);  // restore the default
     expect_same_baseline(serial, parallel);

@@ -594,6 +594,19 @@ TEST(ServeEndpoints, LoadValidation) {
                              "\"epochs\": 0}"))
                 .status,
             422);
+  // Integer fields are bounded before their cast: on an otherwise valid
+  // load, 1e300 epochs, hidden units or milliseconds is a 422, not a
+  // training run of whatever the cast made of it.
+  for (const char* field : {"epochs", "hidden", "deadline_ms"}) {
+    const std::string body = "{\"name\": \"x\", \"netlist\": " +
+                             obs::json_quote(small_netlist_text()) + ", \"" +
+                             field + "\": 1e300}";
+    EXPECT_EQ(
+        handle_request(service, make_request("POST", "/load", body)).status,
+        422)
+        << field;
+  }
+  EXPECT_EQ(service.registry.lookup("x"), nullptr);
 }
 
 TEST(ServeEndpoints, SnapshotLoadRestoresAndValidates) {
@@ -703,6 +716,12 @@ TEST(ServeEndpoints, RoutingErrors) {
                            make_request("POST", "/analyze",
                                         "{\"circuit\": \"fixture\", "
                                         "\"deadline_ms\": -5}"))
+                .status,
+            422);
+  EXPECT_EQ(handle_request(service,
+                           make_request("POST", "/analyze",
+                                        "{\"circuit\": \"fixture\", "
+                                        "\"deadline_ms\": 1e300}"))
                 .status,
             422);
 }
@@ -939,6 +958,19 @@ TEST(ServeEndpoints, TopKMatchesQueryHelper) {
                                         "\"k\": 0}"))
                 .status,
             422);
+  // A k past the pin count, however large, clamps to every pin.
+  const std::size_t pins = fixture_baseline().node_scores.size();
+  for (const char* k : {"1e300", "2e19"}) {
+    const JobResponse all = handle_request(
+        shared_service(),
+        make_request("POST", "/top-k",
+                     std::string("{\"circuit\": \"fixture\", \"k\": ") + k +
+                         "}"));
+    ASSERT_EQ(all.status, 200) << k << ": " << all.body;
+    const JsonValue all_doc = parse_json(all.body);
+    EXPECT_EQ(all_doc.number_or("k", -1), static_cast<double>(pins)) << k;
+    EXPECT_EQ(all_doc.find("nodes")->as_array().size(), pins) << k;
+  }
 }
 
 TEST(ServeEndpoints, ScoreRegionMatchesQueryHelper) {
@@ -962,6 +994,13 @@ TEST(ServeEndpoints, ScoreRegionMatchesQueryHelper) {
                            make_request("POST", "/score-region",
                                         "{\"circuit\": \"fixture\", "
                                         "\"nodes\": [99999999]}"))
+                .status,
+            422);
+  // So does one no integer type holds, instead of a cast to some pin.
+  EXPECT_EQ(handle_request(shared_service(),
+                           make_request("POST", "/score-region",
+                                        "{\"circuit\": \"fixture\", "
+                                        "\"nodes\": [1e300]}"))
                 .status,
             422);
 }

@@ -7,7 +7,8 @@
 // cleanly with a SnapshotError, a snapshot.read_failures bump, and a
 // "snapshot.corrupt" health event, never a crash or a half-restored
 // circuit. Netlist::from_parts (the restore path's structural gate) is
-// exercised directly against out-of-range cross-references.
+// exercised directly against out-of-range cross-references, and the
+// restoring engine against kNN baselines that do not fit the netlist.
 
 #include "io/snapshot.hpp"
 
@@ -92,6 +93,18 @@ core::SweepVariant test_variant(const Netlist& nl) {
   return v;
 }
 
+/// Scales every cell-input pin of the first last-level gate: only that
+/// gate's GNN output rows move, so a fast variant delta-re-queries the
+/// output-side kNN baseline instead of rebuilding it.
+core::SweepVariant last_level_variant(const Netlist& nl) {
+  const circuit::GateId g = nl.gates_at_level(nl.num_gate_levels() - 1)[0];
+  core::SweepVariant v;
+  for (circuit::PinId p = 0; p < nl.num_pins(); ++p)
+    if (nl.pin(p).kind == circuit::PinKind::CellInput && nl.pin(p).gate == g)
+      v.cap_scalings.push_back({p, 1.5});
+  return v;
+}
+
 TEST(Snapshot, RoundTripRestoresByteIdenticalWarmEngine) {
   const Netlist nl = small_netlist();
   WarmCircuit original(nl, /*exact=*/true);
@@ -162,7 +175,66 @@ TEST(Snapshot, FastModeRoundTripRestoresManifoldBaselines) {
   const auto b = restored.run(variants);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a[0].report.node_scores, b[0].report.node_scores);
+
+  // The file keeps no kNN points: the restore takes the input side's from
+  // the report and the output side's from its own GNN forward. A variant
+  // that engages the output-side delta re-queries around those points, so
+  // any bit they lost would show in its re-queried set or its checksums.
+  const std::vector<core::SweepVariant> shallow{last_level_variant(nl)};
+  const auto c = original.engine->run(shallow);
+  const auto d = restored.run(shallow);
+  ASSERT_EQ(c.size(), 1u);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_GT(c[0].stats.knn_y.total_points, 0u) << "delta did not engage";
+  EXPECT_EQ(d[0].stats.knn_y.total_points, c[0].stats.knn_y.total_points);
+  EXPECT_EQ(d[0].stats.knn_y.requeried_points,
+            c[0].stats.knn_y.requeried_points);
+  const auto want = c[0].report.checksums.fields();
+  const auto got = d[0].report.checksums.fields();
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(got[i].second, want[i].second) << want[i].first;
   std::remove(path.c_str());
+}
+
+TEST(Snapshot, RestoreRejectsKnnBaselineThatDoesNotFitNetlist) {
+  // A fast-mode delta re-query indexes one kNN list per pin, so a restored
+  // state whose lists do not fit the netlist must fail up front (serve turns
+  // the throw into a failed /load), never at the first variant.
+  const Netlist nl = small_netlist(11);
+  WarmCircuit warm(nl, /*exact=*/false);
+  const core::SweepBaselineState& good = warm.engine->export_baseline_state();
+  ASSERT_EQ(good.mx.hits.size(), nl.num_pins());
+  ASSERT_EQ(good.my.hits.size(), nl.num_pins());
+  core::SweepOptions sopts;
+  sopts.exact = false;
+  const auto restore = [&](core::SweepBaselineState state) {
+    return core::SweepEngine(nl, warm.model, sopts, std::move(state));
+  };
+  EXPECT_NO_THROW((void)restore(good));
+
+  const struct {
+    const char* what;
+    void (*mutate)(core::SweepBaselineState&, std::size_t pins);
+  } corpus[] = {
+      {"output side missing its last list",
+       [](core::SweepBaselineState& s, std::size_t) { s.my.hits.pop_back(); }},
+      {"input side with one list too many",
+       [](core::SweepBaselineState& s, std::size_t) {
+         s.mx.hits.emplace_back();
+       }},
+      {"neighbor index equal to the pin count",
+       [](core::SweepBaselineState& s, std::size_t pins) {
+         s.my.hits[0][0].index = pins;
+       }},
+      {"k other than the config's",
+       [](core::SweepBaselineState& s, std::size_t) { ++s.mx.k; }},
+  };
+  for (const auto& m : corpus) {
+    core::SweepBaselineState bad = good;
+    m.mutate(bad, nl.num_pins());
+    EXPECT_THROW((void)restore(std::move(bad)), std::invalid_argument)
+        << m.what;
+  }
 }
 
 TEST(Snapshot, SerializationIsDeterministic) {
@@ -202,6 +274,8 @@ TEST(Snapshot, CorruptCorpusFailsCleanlyWithHealthEvents) {
        [](std::vector<char> b) { std::swap(b[8], b[11]); return b; }},
       {"unsupported format version",
        [](std::vector<char> b) { b[12] = 99; return b; }},
+      {"format version 1",
+       [](std::vector<char> b) { b[12] = 1; return b; }},
   };
 
   obs::HealthMonitor::global().set_enabled(true);
