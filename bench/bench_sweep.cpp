@@ -145,8 +145,7 @@ void sweep_engine_bench(benchmark::State& state, bool exact) {
     requeried = 0;
     for (const auto& r : results) {
       sweeps += r.stats.subspace_sweeps;
-      requeried +=
-          r.stats.knn_x.requeried_points + r.stats.knn_y.requeried_points;
+      requeried += r.stats.knn_y.requeried_points;
     }
     cache_hits = engine.stats().solver_cache_hits;
     baseline_seconds = engine.stats().baseline_seconds;

@@ -83,6 +83,11 @@ Netlist read_netlist(std::istream& in, const CellLibrary& lib) {
     throw std::runtime_error("netlist parse: bad header '" + header + "'");
 
   Netlist nl(lib);
+  const auto check_pin_budget = [&nl](std::size_t count) {
+    if (count > kMaxNetlistPins - nl.num_pins())
+      throw std::runtime_error("netlist parse: more than " +
+                               std::to_string(kMaxNetlistPins) + " pins");
+  };
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -92,6 +97,7 @@ Netlist read_netlist(std::istream& in, const CellLibrary& lib) {
     if (cmd == "inputs") {
       std::size_t count = 0;
       ls >> count;
+      check_pin_budget(count);
       for (std::size_t i = 0; i < count; ++i) nl.add_primary_input();
     } else if (cmd == "gate") {
       std::string cell, label;
@@ -99,7 +105,9 @@ Netlist read_netlist(std::istream& in, const CellLibrary& lib) {
       const std::uint32_t mod =
           label == "-" ? kInvalidId
                        : static_cast<std::uint32_t>(std::stoul(label));
-      nl.add_gate(lib.id_of(cell), mod);
+      const CellTypeId type = lib.id_of(cell);
+      check_pin_budget(lib.cell(type).num_inputs + std::size_t{1});
+      nl.add_gate(type, mod);
     } else if (cmd == "conn") {
       GateId g = 0;
       std::size_t slot = 0;

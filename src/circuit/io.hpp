@@ -24,8 +24,14 @@ namespace cirstag::circuit {
 void write_netlist(std::ostream& out, const Netlist& nl);
 void save_netlist(const std::string& path, const Netlist& nl);
 
+/// Largest pin count read_netlist accepts, far above the largest design the
+/// repository runs (141,744 pins): a short text cannot ask for gigabytes of
+/// pins or wrap a PinId.
+inline constexpr std::size_t kMaxNetlistPins = std::size_t{1} << 24;
+
 /// Parse a netlist written by write_netlist. The returned netlist is
-/// finalized. Throws std::runtime_error on malformed input.
+/// finalized. Throws std::runtime_error on malformed input, and before
+/// adding the pins of a line that would pass kMaxNetlistPins.
 [[nodiscard]] Netlist read_netlist(std::istream& in, const CellLibrary& lib);
 [[nodiscard]] Netlist load_netlist(const std::string& path,
                                    const CellLibrary& lib);

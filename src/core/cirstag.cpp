@@ -15,24 +15,27 @@ double mean_node_score(std::span<const double> scores) {
   return sum / static_cast<double>(scores.size());
 }
 
+// Both fits run over rows with one accumulator per column, so each column
+// still sums in row order, and the passes read memory in its layout.
 FeatureColumnStats fit_feature_stats(const linalg::Matrix& x, double weight) {
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
+  std::vector<double> mean(d, 0.0), var(d, 0.0);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < d; ++c) mean[c] += x(r, c);
+  for (double& m : mean) m /= static_cast<double>(n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < d; ++c) {
+      const double dd = x(r, c) - mean[c];
+      var[c] += dd * dd;
+    }
   FeatureColumnStats stats;
   stats.mean.assign(d, 0.0);
   stats.scale.assign(d, 0.0);
   for (std::size_t c = 0; c < d; ++c) {
-    double mean = 0.0;
-    for (std::size_t r = 0; r < n; ++r) mean += x(r, c);
-    mean /= static_cast<double>(n);
-    double var = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      const double dd = x(r, c) - mean;
-      var += dd * dd;
-    }
-    const double sd = std::sqrt(var / static_cast<double>(n));
+    const double sd = std::sqrt(var[c] / static_cast<double>(n));
     if (sd <= 1e-12) continue;  // constant column carries no information
-    stats.mean[c] = mean;
+    stats.mean[c] = mean[c];
     stats.scale[c] = weight / sd;
   }
   return stats;
@@ -44,13 +47,11 @@ linalg::Matrix apply_feature_stats(const linalg::Matrix& x,
   const std::size_t d = x.cols();
   if (stats.mean.size() != d || stats.scale.size() != d)
     throw std::invalid_argument("apply_feature_stats: dimension mismatch");
-  linalg::Matrix out(n, d);
-  for (std::size_t c = 0; c < d; ++c) {
-    const double scale = stats.scale[c];
-    if (scale == 0.0) continue;  // constant column: stays zero
-    const double mean = stats.mean[c];
-    for (std::size_t r = 0; r < n; ++r) out(r, c) = (x(r, c) - mean) * scale;
-  }
+  linalg::Matrix out(n, d);  // a constant column (scale 0) stays zero
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < d; ++c)
+      if (stats.scale[c] != 0.0)
+        out(r, c) = (x(r, c) - stats.mean[c]) * stats.scale[c];
   return out;
 }
 

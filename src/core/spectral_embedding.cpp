@@ -38,7 +38,6 @@ linalg::Matrix spectral_embedding(const graphs::Graph& g,
     linalg::MultilevelSmallestOptions mopts;
     mopts.refine_sweeps = opts.coarsen.refine_sweeps;
     mopts.spectrum_upper_bound = 2.0;
-    mopts.lanczos_subspace = opts.lanczos_subspace;
     mopts.seed = opts.seed;
     linalg::MultilevelStats stats;
     eig = linalg::multilevel_smallest_eigenpairs(l_norm, coarse, maps, m,
@@ -49,7 +48,7 @@ linalg::Matrix spectral_embedding(const graphs::Graph& g,
     coarsest_gauge.set(static_cast<double>(stats.coarsest_n));
   } else {
     eig = linalg::smallest_eigenpairs(l_norm, m, /*spectrum_upper_bound=*/2.0,
-                                      opts.lanczos_subspace, opts.seed);
+                                      /*max_subspace=*/0, opts.seed);
   }
 
   linalg::Matrix u(n, eig.values.size());

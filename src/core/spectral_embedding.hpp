@@ -8,8 +8,7 @@ namespace cirstag::core {
 
 /// Options for CirSTAG Phase 1 (input-side spectral embedding).
 struct SpectralEmbeddingOptions {
-  std::size_t dimensions = 16;     ///< M, number of eigenpairs
-  std::size_t lanczos_subspace = 0;  ///< 0 = auto
+  std::size_t dimensions = 16;  ///< M, number of eigenpairs
   std::uint64_t seed = 5;
   /// Multilevel coarsening policy (DESIGN.md §12). The default `automatic`
   /// engages only at coarsen.auto_threshold nodes and above, so small graphs

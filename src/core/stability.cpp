@@ -22,14 +22,9 @@ constexpr std::size_t kScoreGrain = 256;
 
 std::vector<double> StabilityResult::scores_for_edges(
     const graphs::Graph& g) const {
-  if (g.num_nodes() != weighted_subspace.rows())
-    throw std::invalid_argument("scores_for_edges: node-count mismatch");
-  std::vector<double> scores(g.num_edges(), 0.0);
-  runtime::parallel_for(0, g.num_edges(), kScoreGrain, [&](std::size_t e) {
-    const auto& ed = g.edge(e);
-    scores[e] = pair_score(ed.u, ed.v);
-  });
-  return scores;
+  std::vector<double> edges, nodes;
+  eq9_scores(g, weighted_subspace, edges, nodes);
+  return edges;
 }
 
 StabilityResult stability_scores(const graphs::Graph& manifold_x,
@@ -123,25 +118,36 @@ StabilityResult stability_scores(const graphs::Graph& manifold_x,
     for (std::size_t j = 0; j < s; ++j)
       out.weighted_subspace(i, j) = col_weight[j] * eig.vectors(i, j);
   });
+  eq9_scores(manifold_x, out.weighted_subspace, out.edge_scores,
+             out.node_scores);
+  return out;
+}
+
+void eq9_scores(const graphs::Graph& manifold_x,
+                const linalg::Matrix& weighted_subspace,
+                std::vector<double>& edge_scores,
+                std::vector<double>& node_scores) {
+  const std::size_t n = manifold_x.num_nodes();
+  if (weighted_subspace.rows() != n)
+    throw std::invalid_argument("eq9_scores: node-count mismatch");
 
   // Edge scores ‖V_sᵀ e_pq‖² on the input manifold.
-  out.edge_scores.resize(manifold_x.num_edges());
+  edge_scores.resize(manifold_x.num_edges());
   runtime::parallel_for(0, manifold_x.num_edges(), kScoreGrain,
                         [&](std::size_t e) {
     const auto& ed = manifold_x.edge(e);
-    out.edge_scores[e] = out.weighted_subspace.row_distance2(ed.u, ed.v);
+    edge_scores[e] = weighted_subspace.row_distance2(ed.u, ed.v);
   });
 
   // Eq. 9: node score = mean incident edge score over G_X neighbors.
-  out.node_scores.assign(n, 0.0);
+  node_scores.assign(n, 0.0);
   runtime::parallel_for(0, n, kScoreGrain, [&](std::size_t p) {
     const auto nbrs = manifold_x.neighbors(static_cast<graphs::NodeId>(p));
     if (nbrs.empty()) return;
     double acc = 0.0;
-    for (const auto& inc : nbrs) acc += out.edge_scores[inc.edge];
-    out.node_scores[p] = acc / static_cast<double>(nbrs.size());
+    for (const auto& inc : nbrs) acc += edge_scores[inc.edge];
+    node_scores[p] = acc / static_cast<double>(nbrs.size());
   });
-  return out;
 }
 
 std::vector<double> edge_dmd_ratios(const graphs::Graph& manifold_x,

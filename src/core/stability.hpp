@@ -84,6 +84,15 @@ struct StabilityResult {
     const StabilityOptions& opts = {},
     graphs::LaplacianSolverCache* cache = nullptr);
 
+/// The Eq. 9 loops stability_scores ends with: `edge_scores` ‖V_sᵀ e_pq‖²
+/// over G_X's edges and `node_scores` their neighbor average (0 when
+/// isolated). A snapshot restore derives its scores through this. Throws
+/// std::invalid_argument when V_s's rows differ from G_X's nodes.
+void eq9_scores(const graphs::Graph& manifold_x,
+                const linalg::Matrix& weighted_subspace,
+                std::vector<double>& edge_scores,
+                std::vector<double>& node_scores);
+
 /// Direct per-edge DMD ratios δ(p,q) = d_Y(p,q)/d_X(p,q) using effective-
 /// resistance distances on both manifolds (diagnostic / validation of the
 /// eigensubspace scores; O(edges) solves, use on small graphs).

@@ -117,25 +117,10 @@ linalg::Matrix feature_augmented(const linalg::Matrix& u,
       u, apply_feature_stats(features, fit_feature_stats(features, weight)));
 }
 
-/// The step every report ends with, baseline or variant: Phase 3 (DMD
-/// spectrum + Eq. 9 scores) under its span, the design mean cached, all
-/// seven phase boundaries checksummed and the NaN/Inf sentinels run over
-/// them. Returns the subspace sweeps Phase 3 executed.
-std::size_t score_report(CirStagReport& report, const StabilityOptions& so,
-                         graphs::LaplacianSolverCache& cache,
-                         const graphs::Graph& input_graph,
-                         const linalg::Matrix& output_embedding) {
-  StabilityResult stab;
-  {
-    const obs::TraceSpan span("phase.stability", "pipeline");
-    stab = stability_scores(report.manifold_x, report.manifold_y, so, &cache);
-    report.timings.stability_seconds = span.seconds();
-    report.timings.stability_busy_seconds = span.busy_seconds();
-  }
-  report.node_scores = std::move(stab.node_scores);
-  report.edge_scores = std::move(stab.edge_scores);
-  report.eigenvalues = std::move(stab.eigenvalues);
-  report.weighted_subspace = std::move(stab.weighted_subspace);
+/// The tail of every report, computed or restored: the design mean cached,
+/// all seven phase boundaries checksummed and the NaN/Inf sentinels run.
+void close_report(CirStagReport& report, const graphs::Graph& input_graph,
+                  const linalg::Matrix& output_embedding) {
   report.node_score_mean = mean_node_score(report.node_scores);
 
   obs::PhaseChecksums& sums = report.checksums;
@@ -155,6 +140,26 @@ std::size_t score_report(CirStagReport& report, const StabilityOptions& so,
   obs::health_check_finite("phase.dmd.eigenvalues", report.eigenvalues);
   obs::health_check_finite("phase.scores.node_scores", report.node_scores);
   obs::health_check_finite("phase.scores.edge_scores", report.edge_scores);
+}
+
+/// The step every computed report ends with: Phase 3 (DMD spectrum + Eq. 9
+/// scores) under its span, then close_report. Returns the sweeps it ran.
+std::size_t score_report(CirStagReport& report, const StabilityOptions& so,
+                         graphs::LaplacianSolverCache& cache,
+                         const graphs::Graph& input_graph,
+                         const linalg::Matrix& output_embedding) {
+  StabilityResult stab;
+  {
+    const obs::TraceSpan span("phase.stability", "pipeline");
+    stab = stability_scores(report.manifold_x, report.manifold_y, so, &cache);
+    report.timings.stability_seconds = span.seconds();
+    report.timings.stability_busy_seconds = span.busy_seconds();
+  }
+  report.node_scores = std::move(stab.node_scores);
+  report.edge_scores = std::move(stab.edge_scores);
+  report.eigenvalues = std::move(stab.eigenvalues);
+  report.weighted_subspace = std::move(stab.weighted_subspace);
+  close_report(report, input_graph, output_embedding);
   return stab.subspace_sweeps;
 }
 
@@ -165,14 +170,21 @@ const linalg::Matrix& gnn_output(const gnn::GnnSnapshot& snap) {
                                     : snap.layer_outputs.back();
 }
 
-/// Whether a kept kNN baseline fits an n-node engine: one list per node,
-/// every neighbor index below n and the k a fresh build would use.
+/// Whether kept kNN lists fit an n-node engine: one list per node, each of
+/// exactly k neighbors, every one below n and none the node itself.
 bool knn_fits(const graphs::KnnBaseline& b, std::size_t n, std::size_t k) {
   if (b.hits.size() != n || b.k != k) return false;
-  for (const std::vector<graphs::Neighbor>& list : b.hits)
-    for (const graphs::Neighbor& nb : list)
-      if (nb.index >= n) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (b.hits[i].size() != k) return false;
+    for (const graphs::Neighbor& nb : b.hits[i])
+      if (nb.index >= n || nb.index == i) return false;
+  }
   return true;
+}
+
+bool all_finite(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
 }
 
 }  // namespace
@@ -224,21 +236,21 @@ SweepBaselineState compute_baseline(const graphs::Graph& input_graph,
 
   // Phase 2: kNN + PGM sparsification on both sides. Without dimension
   // reduction (empty input embedding) the raw input graph itself serves as
-  // the input manifold (Fig. 4 ablation). Fast mode also keeps the kNN
-  // baselines every variant's delta re-query starts from; the manifolds are
-  // the same bytes.
+  // the input manifold (Fig. 4 ablation). Fast mode also keeps the output
+  // side's kNN baseline, which a variant's delta re-query starts from; the
+  // manifold is the same bytes.
   const auto manifold = [&](const char* side, const linalg::Matrix& emb,
-                            graphs::KnnBaseline& kept) {
+                            graphs::KnnBaseline* kept) {
     const obs::TraceSpan span(side, "pipeline");
     if (emb.empty()) return input_graph;
-    return build_manifold(emb, config.manifold, &cache,
-                          exact ? nullptr : &kept);
+    return build_manifold(emb, config.manifold, &cache, kept);
   };
   {
     const obs::TraceSpan span("phase.manifold", "pipeline");
     report.manifold_x =
-        manifold("phase.manifold_x", report.input_embedding, state.mx);
-    report.manifold_y = manifold("phase.manifold_y", output_embedding, state.my);
+        manifold("phase.manifold_x", report.input_embedding, nullptr);
+    report.manifold_y = manifold("phase.manifold_y", output_embedding,
+                                 exact ? nullptr : &state.my);
     static const obs::Gauge mx_edges("pipeline.manifold_x_edges");
     static const obs::Gauge my_edges("pipeline.manifold_y_edges");
     mx_edges.set(static_cast<double>(report.manifold_x.num_edges()));
@@ -293,34 +305,54 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   const obs::TraceSpan span("sweep.restore", "sweep");
   static const obs::Counter restores("sweep.baseline_restores");
   restores.add();
-  (void)set_up_case_a();
+  const std::uint64_t health_begin = obs::HealthMonitor::global().next_index();
+  const linalg::Matrix features = set_up_case_a();
+  const linalg::Matrix& output = gnn_output(snap_);
 
-  // Adopt the warm state after shape validation against this netlist/model.
+  // What the file carries must fit this netlist before anything indexes it.
   const std::size_t n = pin_graph_.num_nodes();
-  if (state.baseline.node_scores.size() != n)
-    throw std::invalid_argument(
-        "SweepEngine: snapshot node scores do not match the netlist (" +
-        std::to_string(state.baseline.node_scores.size()) + " vs " +
-        std::to_string(n) + " pins)");
-  if (opts_.config.use_dimension_reduction && state.u0.rows() != n)
-    throw std::invalid_argument(
-        "SweepEngine: snapshot spectral embedding does not match the netlist");
-  if (state.baseline.manifold_x.num_nodes() != n ||
-      state.baseline.manifold_y.num_nodes() != n)
-    throw std::invalid_argument(
-        "SweepEngine: snapshot manifolds do not match the netlist");
-  // A kept kNN side must fit this netlist before a delta re-query indexes
-  // its lists by pin. Its points are not stored: they are the report's
-  // input embedding and the GNN output just recomputed.
+  CirStagReport& solved = state.baseline;
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("SweepEngine: snapshot " + what);
+  };
+  if ((opts_.config.use_dimension_reduction && state.u0.rows() != n) ||
+      solved.weighted_subspace.rows() != n ||
+      solved.eigenvalues.size() != solved.weighted_subspace.cols() ||
+      solved.manifold_x.num_nodes() != n || solved.manifold_y.num_nodes() != n)
+    reject("spectrum or manifolds do not match the netlist");
+  if (!all_finite(state.u0.data()) ||
+      !all_finite(solved.weighted_subspace.data()) ||
+      !all_finite(solved.eigenvalues))
+    reject("spectrum holds a NaN or infinite value");
   const std::size_t k =
       std::min(opts_.config.manifold.knn.k, n > 0 ? n - 1 : 0);
-  for (const graphs::KnnBaseline* side : {&state.mx, &state.my})
-    if (!side->hits.empty() && !knn_fits(*side, n, k))
-      throw std::invalid_argument(
-          "SweepEngine: snapshot kNN baseline does not match the netlist");
-  if (!state.mx.hits.empty()) state.mx.points = state.baseline.input_embedding;
-  if (!state.my.hits.empty()) state.my.points = gnn_output(snap_);
-  base_ = std::move(state);
+  if (!state.my.hits.empty() && !knn_fits(state.my, n, k))
+    reject("kNN baseline does not match the netlist");
+
+  // The rest comes from the fresh pipeline's own calls: Phase 1's feature
+  // augmentation, the Eq. 9 loops, the report tail, and the distance² every
+  // kNN search stores (the JL re-rank computes row_distance2 itself and the
+  // exact tree's leaf kernel matches it bit for bit).
+  base_.u0 = std::move(state.u0);
+  CirStagReport& report = base_.baseline;
+  if (opts_.config.use_dimension_reduction)
+    report.input_embedding =
+        feature_augmented(base_.u0, features, opts_.config.feature_weight);
+  report.eigenvalues = std::move(solved.eigenvalues);
+  report.weighted_subspace = std::move(solved.weighted_subspace);
+  report.manifold_x = std::move(solved.manifold_x);
+  report.manifold_y = std::move(solved.manifold_y);
+  eq9_scores(report.manifold_x, report.weighted_subspace, report.edge_scores,
+             report.node_scores);
+  close_report(report, pin_graph_, output);
+  report.health = obs::HealthMonitor::global().collect_since(health_begin);
+  if (!state.my.hits.empty()) {
+    runtime::parallel_for(0, n, 256, [&](std::size_t i) {
+      for (graphs::Neighbor& nb : state.my.hits[i])
+        nb.distance2 = output.row_distance2(i, nb.index);
+    });
+    base_.my = {output, std::move(state.my.hits), k};
+  }
   stats_.baseline_seconds = span.seconds();
 }
 
@@ -398,12 +430,10 @@ std::vector<SweepVariantResult> SweepEngine::run(
       gnn_sum += r.stats.gnn.row_fraction();
       ++gnn_n;
     }
-    for (const graphs::KnnUpdateStats* k : {&r.stats.knn_x, &r.stats.knn_y}) {
-      if (k->total_points > 0) {
-        knn_sum += static_cast<double>(k->requeried_points) /
-                   static_cast<double>(k->total_points);
-        ++knn_n;
-      }
+    if (r.stats.knn_y.total_points > 0) {
+      knn_sum += static_cast<double>(r.stats.knn_y.requeried_points) /
+                 static_cast<double>(r.stats.knn_y.total_points);
+      ++knn_n;
     }
   }
   stats_.avg_sta_cone_fraction = sta_n ? sta_sum / sta_n : 1.0;
@@ -559,31 +589,35 @@ void SweepEngine::finish_variant(SweepVariantResult& out,
   report.timings.threads = runtime::global_pool().num_threads();
   report.input_embedding = std::move(input_embedding);
 
-  // Phase 2. Adaptive kNN delta (fast mode): each side re-queries only
-  // around the rows that moved relative to the captured baseline —
+  // Phase 2. The input side is always rebuilt: a Case-A variant refits the
+  // feature-column stats, which moves every input row, and a Case-B variant
+  // re-solves the spectrum. No input embedding: the raw graph is the input
+  // manifold. Adaptive kNN delta on the output side (fast mode): re-query
+  // only around the rows that moved relative to the captured baseline —
   // worthwhile only when a minority moved, otherwise a full build is both
   // faster and free of the delta's one-sided-neighbor approximation.
   // GNN-output perturbations stay inside the perturbed pins' DAG cones, so
-  // on the output side the moved set is those cones, not the whole
-  // embedding. No input embedding: the raw graph is the input manifold.
-  const auto manifold = [&](const linalg::Matrix& emb,
-                            const graphs::KnnBaseline& base,
-                            graphs::KnnUpdateStats& stats) {
-    if (emb.empty()) return input_graph;
-    const linalg::Matrix& points = base.points;
-    if (fast && points.rows() == emb.rows() && points.cols() == emb.cols()) {
-      const std::vector<std::uint32_t> moved = changed_rows(emb, points);
-      if (moved.size() * 2 < emb.rows())
-        return build_manifold_delta(base, emb, moved, cfg.manifold, &cache_,
-                                    &stats);
+  // the moved set is those cones, not the whole embedding.
+  const auto output_manifold = [&] {
+    if (output_embedding.empty()) return input_graph;
+    const linalg::Matrix& points = base_.my.points;
+    if (fast && points.rows() == output_embedding.rows() &&
+        points.cols() == output_embedding.cols()) {
+      const std::vector<std::uint32_t> moved =
+          changed_rows(output_embedding, points);
+      if (moved.size() * 2 < output_embedding.rows())
+        return build_manifold_delta(base_.my, output_embedding, moved,
+                                    cfg.manifold, &cache_, &out.stats.knn_y);
     }
-    return build_manifold(emb, cfg.manifold, &cache_);
+    return build_manifold(output_embedding, cfg.manifold, &cache_);
   };
   {
     const obs::TraceSpan span("phase.manifold", "pipeline");
     report.manifold_x =
-        manifold(report.input_embedding, base_.mx, out.stats.knn_x);
-    report.manifold_y = manifold(output_embedding, base_.my, out.stats.knn_y);
+        report.input_embedding.empty()
+            ? input_graph
+            : build_manifold(report.input_embedding, cfg.manifold, &cache_);
+    report.manifold_y = output_manifold();
     report.timings.manifold_seconds = span.seconds();
     report.timings.manifold_busy_seconds = span.busy_seconds();
   }

@@ -59,8 +59,8 @@ struct SweepOptions {
   /// incremental STA/GNN with equality pruning, spectral reuse on an
   /// unchanged input graph): every variant report is then byte-identical to
   /// CirStag::analyze on that variant. Fast mode (false) additionally
-  /// delta-re-queries the kNN graph of any side where only a minority of
-  /// embedding rows moved bitwise, and accelerates Phase 3 with the
+  /// delta-re-queries the output side's kNN graph when only a minority of
+  /// its rows moved bitwise, and accelerates Phase 3 with the
   /// spanning-tree preconditioner, a relaxed CG tolerance and an adaptive
   /// Ritz early stop — still deterministic at any thread count, but node
   /// scores drift from the naive loop by up to kFastScoreDriftTolerance
@@ -79,8 +79,7 @@ struct SweepOptions {
 struct SweepVariantStats {
   circuit::IncrementalStaStats sta;   ///< Case A
   gnn::GnnIncrementalStats gnn;       ///< Case A
-  graphs::KnnUpdateStats knn_x;       ///< fast Case A
-  graphs::KnnUpdateStats knn_y;       ///< fast Case A
+  graphs::KnnUpdateStats knn_y;       ///< fast mode, output side
   bool spectral_reused = false;       ///< input embedding taken from baseline
   /// Phase-3 subspace sweeps executed (< the config budget when the fast
   /// mode's adaptive Ritz stop converged early). Deterministic.
@@ -115,18 +114,16 @@ struct SweepStats {
 
 /// Output of the one CirSTAG pipeline (compute_baseline): the full report
 /// plus what a sweep variant reads besides it — the spectral embedding U_M
-/// and, in fast mode, the kNN baselines of both sides. CirStag::analyze
+/// and, in fast mode, the output side's kNN baseline. CirStag::analyze
 /// returns its `baseline`; a SweepEngine adopts the whole state, computed by
-/// its constructor or read back from a binary snapshot (io/snapshot), in
-/// which case the restoring constructor runs no eigensolve at all
-/// (eigen.runs == 0). Cheap derived state (pin graph, feature matrix, GNN
-/// forward snapshot, incremental-STA baseline) is deliberately absent: the
-/// restore path recomputes it deterministically from the netlist and
-/// trained model, and so does every solver the engine's cache builds.
+/// its constructor or restored from a binary snapshot (io/snapshot). A
+/// snapshot keeps only what a solve or a search produced (U_M, the DMD
+/// eigenvalues and V_s, both manifolds, the kNN indices); the restoring
+/// constructor derives the rest through the calls the fresh pipeline makes
+/// and runs no eigensolve at all (eigen.runs == 0).
 struct SweepBaselineState {
   CirStagReport baseline;  ///< full baseline report (incl. manifolds)
   linalg::Matrix u0;       ///< baseline spectral embedding
-  graphs::KnnBaseline mx;  ///< input-side kNN baseline (fast mode)
   graphs::KnnBaseline my;  ///< output-side kNN baseline (fast mode)
 };
 
@@ -135,9 +132,9 @@ struct SweepBaselineState {
 /// (may be empty), kNN/PGM manifolds on both sides, DMD eigensolve and Eq. 9
 /// scores. The report carries all seven phase checksums and the health
 /// events recorded during the call (NaN/Inf sentinels included). `exact` =
-/// false also keeps the kNN baselines of fast sweep variants; the report's
-/// bytes are the same in both modes. Throws std::invalid_argument when the
-/// graph is empty or its node count disagrees with the matrices' rows.
+/// false also keeps the output side's kNN baseline; the report's bytes are
+/// the same in both modes. Throws std::invalid_argument when the graph is
+/// empty or its node count disagrees with the matrices' rows.
 [[nodiscard]] SweepBaselineState compute_baseline(
     const graphs::Graph& input_graph, const linalg::Matrix& node_features,
     const linalg::Matrix& output_embedding, const CirStagConfig& config,
@@ -147,8 +144,8 @@ struct SweepBaselineState {
 /// perturbed variants while sharing work across them — shared Laplacian
 /// solver cache, incremental STA (fanout-cone re-timing), incremental GNN
 /// forward (changed-row re-propagation), spectral-embedding reuse, and (in
-/// fast mode) kNN delta re-queries seeded from the baseline only, so
-/// cross-variant parallelism stays deterministic.
+/// fast mode) output-side kNN delta re-queries seeded from the baseline
+/// only, so cross-variant parallelism stays deterministic.
 ///
 /// Typical Case-A use:
 ///
@@ -171,20 +168,19 @@ class SweepEngine {
               const linalg::Matrix& node_features,
               const linalg::Matrix& output_embedding, SweepOptions opts = {});
 
-  /// Restoring Case-A constructor (io/snapshot): adopt a previously exported
-  /// baseline instead of recomputing it. Rebuilds only the cheap derived
-  /// state (pin graph, features, one GNN forward, one STA traversal) — no
-  /// spectral embedding, no Phase-3 eigensolve, no GNN training. The kNN
-  /// baselines' points are not read from `state`: they are the report's
-  /// input embedding and the GNN output of that one forward, and are taken
-  /// from there. `opts` must match the exporting engine's for the adopted
-  /// warm state to be valid; shape mismatches between `state` and the
-  /// netlist/model (kNN lists included: one per pin, every index below the
-  /// pin count, k = min(config k, pins − 1)) throw std::invalid_argument.
+  /// Restoring Case-A constructor (io/snapshot): adopt what a baseline
+  /// solved — no spectral embedding, eigensolve or training. Reads only
+  /// `state.u0`, the report's eigenvalues, V_s and manifolds, and
+  /// `state.my`'s k and indices; derives the rest through the fresh
+  /// pipeline's own calls (set-up, feature_augmented, eq9_scores, the report
+  /// tail, row_distance2 for each kNN distance²), so it equals a computed
+  /// baseline by construction, with zero phase times. `opts` must match the
+  /// exporting engine's. Stored arrays that do not fit the netlist (DESIGN.md
+  /// §13 lists the checks) throw std::invalid_argument.
   SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
               SweepOptions opts, SweepBaselineState state);
 
-  /// The warm baseline a binary snapshot stores.
+  /// The warm baseline; a binary snapshot stores its solved arrays.
   [[nodiscard]] const SweepBaselineState& export_baseline_state() const;
 
   [[nodiscard]] const CirStagReport& baseline() const {
@@ -230,9 +226,9 @@ class SweepEngine {
                            const linalg::Matrix& node_features,
                            const linalg::Matrix& output_embedding,
                            std::size_t index) const;
-  /// Manifold/stability tail shared by both cases. In fast mode each side's
-  /// kNN graph is delta-re-queried when only a minority of its embedding
-  /// rows moved relative to the captured baseline, else fully rebuilt.
+  /// Manifold/stability tail shared by both cases. Fast mode delta-re-queries
+  /// the output side's kNN graph when only a minority of its rows moved
+  /// relative to the captured baseline; every other kNN graph is rebuilt.
   void finish_variant(SweepVariantResult& out, linalg::Matrix input_embedding,
                       const graphs::Graph& input_graph,
                       const linalg::Matrix& output_embedding);

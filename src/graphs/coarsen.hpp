@@ -39,7 +39,7 @@ struct CoarsenOptions {
   /// graph (all the repo's locked manifests and tests) keeps the exact
   /// single-level path byte for byte.
   std::size_t auto_threshold = 20000;
-  /// Hierarchy depth cap (the CLI's --coarsen-levels).
+  /// Hierarchy depth cap.
   std::size_t max_levels = 12;
   /// Stop coarsening once a level has at most this many nodes; the coarsest
   /// eigenproblem is solved directly there.

@@ -18,6 +18,9 @@ namespace {
 /// Edges per chunk for the per-edge distance loops (cheap, memory bound).
 constexpr std::size_t kEdgeGrain = 512;
 
+/// Edges per chunk of the exact solver; warm starts chain within a chunk.
+constexpr std::size_t kExactChunkGrain = 32;
+
 /// Fetch the solver from the cache (if any) or build a one-shot instance.
 std::shared_ptr<const linalg::LaplacianSolver> obtain_solver(
     const Graph& g, const SolverOptions& sopts, LaplacianSolverCache* cache,
@@ -125,8 +128,7 @@ std::vector<double> edge_effective_resistances_exact(
   const std::size_t n = g.num_nodes();
   const std::size_t m = g.num_edges();
   std::vector<double> r(m, 0.0);
-  const std::size_t grain = std::max<std::size_t>(1, opts.chunk_grain);
-  runtime::parallel_for_chunks(0, m, grain,
+  runtime::parallel_for_chunks(0, m, kExactChunkGrain,
                                [&](std::size_t lo, std::size_t hi) {
     std::vector<double> b(n, 0.0);
     std::vector<double> prev;  // previous edge's solution in this chunk

@@ -54,12 +54,11 @@ struct ResistanceSketchStats {
 struct ExactResistanceOptions {
   linalg::CgOptions cg;  ///< defaults: 1e-10 tolerance, 2000 iterations
   SolverPreconditioner preconditioner = SolverPreconditioner::jacobi;
-  /// Chain each solve from the previous edge's solution within a chunk —
-  /// consecutive edges share endpoints in kNN graphs, so the guesses are
-  /// close. Chunk boundaries are fixed by `chunk_grain` alone, keeping
-  /// results thread-count independent.
+  /// Chain each solve from the previous edge's solution within a chunk of
+  /// 32 edges — consecutive edges share endpoints in kNN graphs, so the
+  /// guesses are close. Chunk boundaries are fixed by that constant alone,
+  /// keeping results thread-count independent.
   bool warm_start = true;
-  std::size_t chunk_grain = 32;
 };
 
 /// Exact per-edge effective resistances (one solve per edge); quadratic-ish,

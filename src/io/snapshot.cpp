@@ -192,96 +192,6 @@ graphs::Graph read_graph(ByteReader& r, const std::string& path) {
   return g;
 }
 
-/// A kNN baseline's k and candidate lists. Its points are not written: the
-/// restoring engine takes them from the report and from its GNN forward.
-void write_knn_baseline(ByteWriter& w, const graphs::KnnBaseline& b) {
-  w.u64(b.k);
-  w.u64(b.hits.size());
-  for (const std::vector<graphs::Neighbor>& list : b.hits) {
-    w.u64(list.size());
-    for (const graphs::Neighbor& nb : list) {
-      w.u64(nb.index);
-      w.f64(nb.distance2);
-    }
-  }
-}
-
-graphs::KnnBaseline read_knn_baseline(ByteReader& r, const std::string& path) {
-  graphs::KnnBaseline b;
-  b.k = r.u64();
-  const std::uint64_t lists = r.u64();
-  if (lists > r.remaining() / 8) fail(path, "kNN list count exceeds file size");
-  b.hits.resize(lists);
-  for (std::uint64_t i = 0; i < lists; ++i) {
-    const std::uint64_t count = r.u64();
-    if (count > r.remaining() / 16)
-      fail(path, "kNN neighbor count exceeds file size");
-    b.hits[i].resize(count);
-    for (std::uint64_t j = 0; j < count; ++j) {
-      b.hits[i][j].index = r.u64();
-      b.hits[i][j].distance2 = r.f64();
-      // One list per point, so an index must name one of the lists.
-      if (b.hits[i][j].index >= lists)
-        fail(path, "kNN neighbor index out of range");
-    }
-  }
-  return b;
-}
-
-void write_report(ByteWriter& w, const core::CirStagReport& rep) {
-  w.array<double>(rep.node_scores);
-  w.array<double>(rep.edge_scores);
-  w.array<double>(rep.eigenvalues);
-  write_matrix(w, rep.weighted_subspace);
-  write_graph(w, rep.manifold_x);
-  write_graph(w, rep.manifold_y);
-  write_matrix(w, rep.input_embedding);
-  w.f64(rep.timings.embedding_seconds);
-  w.f64(rep.timings.manifold_seconds);
-  w.f64(rep.timings.stability_seconds);
-  w.f64(rep.timings.embedding_busy_seconds);
-  w.f64(rep.timings.manifold_busy_seconds);
-  w.f64(rep.timings.stability_busy_seconds);
-  w.u64(rep.timings.threads);
-  w.u64(rep.checksums.input_graph);
-  w.u64(rep.checksums.embedding);
-  w.u64(rep.checksums.manifold_x);
-  w.u64(rep.checksums.manifold_y);
-  w.u64(rep.checksums.eigenvalues);
-  w.u64(rep.checksums.node_scores);
-  w.u64(rep.checksums.edge_scores);
-  w.f64(rep.node_score_mean);
-  // HealthReport is deliberately not serialized: restored circuits start
-  // with a clean health ledger (events belong to the run that raised them).
-}
-
-core::CirStagReport read_report(ByteReader& r, const std::string& path) {
-  core::CirStagReport rep;
-  rep.node_scores = r.array<double>();
-  rep.edge_scores = r.array<double>();
-  rep.eigenvalues = r.array<double>();
-  rep.weighted_subspace = read_matrix(r, path);
-  rep.manifold_x = read_graph(r, path);
-  rep.manifold_y = read_graph(r, path);
-  rep.input_embedding = read_matrix(r, path);
-  rep.timings.embedding_seconds = r.f64();
-  rep.timings.manifold_seconds = r.f64();
-  rep.timings.stability_seconds = r.f64();
-  rep.timings.embedding_busy_seconds = r.f64();
-  rep.timings.manifold_busy_seconds = r.f64();
-  rep.timings.stability_busy_seconds = r.f64();
-  rep.timings.threads = r.u64();
-  rep.checksums.input_graph = r.u64();
-  rep.checksums.embedding = r.u64();
-  rep.checksums.manifold_x = r.u64();
-  rep.checksums.manifold_y = r.u64();
-  rep.checksums.eigenvalues = r.u64();
-  rep.checksums.node_scores = r.u64();
-  rep.checksums.edge_scores = r.u64();
-  rep.node_score_mean = r.f64();
-  return rep;
-}
-
 // --- section payloads -------------------------------------------------------
 
 std::vector<std::uint8_t> build_meta_section(const SnapshotMeta& meta) {
@@ -340,13 +250,25 @@ std::vector<std::uint8_t> build_gnn_section(gnn::TimingGnn& model) {
   return w.bytes();
 }
 
+/// What the baseline's solves and search produced: the DMD eigenvalues and
+/// V_s, both manifolds, U_M and, in fast mode, the output side's k plus its
+/// n·k neighbor indices. The restoring engine derives everything else.
 std::vector<std::uint8_t> build_sweep_section(
-    const core::SweepBaselineState& s) {
+    const core::SweepBaselineState& s, bool fast) {
   ByteWriter w;
-  write_report(w, s.baseline);
+  w.array<double>(s.baseline.eigenvalues);
+  write_matrix(w, s.baseline.weighted_subspace);
+  write_graph(w, s.baseline.manifold_x);
+  write_graph(w, s.baseline.manifold_y);
   write_matrix(w, s.u0);
-  write_knn_baseline(w, s.mx);
-  write_knn_baseline(w, s.my);
+  if (fast) {
+    std::vector<std::uint32_t> indices;
+    for (const std::vector<graphs::Neighbor>& list : s.my.hits)
+      for (const graphs::Neighbor& nb : list)
+        indices.push_back(static_cast<std::uint32_t>(nb.index));
+    w.u64(s.my.k);
+    w.array<std::uint32_t>(indices);
+  }
   return w.bytes();
 }
 
@@ -381,7 +303,7 @@ void write_snapshot(const std::string& path, gnn::TimingGnn& model,
   sections.push_back({kSectionMeta, build_meta_section(meta)});
   sections.push_back({kSectionNetlist, build_netlist_section(model.netlist())});
   sections.push_back({kSectionGnn, build_gnn_section(model)});
-  sections.push_back({kSectionSweep, build_sweep_section(state)});
+  sections.push_back({kSectionSweep, build_sweep_section(state, !meta.exact)});
 
   // Section table sits right after the header; payloads are 64-byte aligned.
   const std::size_t table_bytes = sections.size() * 24;
@@ -559,10 +481,24 @@ SnapshotData read_snapshot(const std::string& path,
     {
       ByteReader r(sweep_span, path, "sweep");
       core::SweepBaselineState& s = data.state;
-      s.baseline = read_report(r, path);
+      s.baseline.eigenvalues = r.array<double>();
+      s.baseline.weighted_subspace = read_matrix(r, path);
+      s.baseline.manifold_x = read_graph(r, path);
+      s.baseline.manifold_y = read_graph(r, path);
       s.u0 = read_matrix(r, path);
-      s.mx = read_knn_baseline(r, path);
-      s.my = read_knn_baseline(r, path);
+      if (!data.meta.exact) {
+        // One list of exactly k per pin; the restoring engine derives the
+        // distances.
+        const std::size_t n = data.netlist.num_pins();
+        const std::uint64_t k = s.my.k = r.u64();
+        const std::vector<std::uint32_t> ids = r.array<std::uint32_t>();
+        if (k == 0 ? !ids.empty() : ids.size() % k != 0 || ids.size() / k != n)
+          fail(path, "kNN index count is not pins x k");
+        for (std::size_t i = 0; i < n; ++i) {
+          std::vector<graphs::Neighbor>& list = s.my.hits.emplace_back(k);
+          for (std::size_t j = 0; j < k; ++j) list[j].index = ids[i * k + j];
+        }
+      }
     }
   } catch (const SnapshotError&) {
     throw;

@@ -15,16 +15,14 @@
 namespace cirstag::io {
 
 /// Binary circuit-snapshot format (DESIGN.md §13): one versioned,
-/// checksummed container holding everything expensive about a resident
-/// circuit — the finalized netlist, the trained GNN weights, and the sweep
-/// engine's warm baseline, each array once: the Phase-3 report (scores,
-/// spectrum, V_s, both manifolds, input embedding), the spectral embedding
-/// U_M and, in fast mode, both sides' kNN candidate lists. Restoring a
-/// snapshot re-trains nothing and re-solves nothing: the restore path runs
-/// zero eigensolves (`eigen.runs` stays 0) and zero training epochs
-/// (`gnn.train_epochs` stays 0); only the cheap derived state (pin graph,
-/// one GNN forward, one STA traversal, and the solvers its first variant
-/// builds) is recomputed.
+/// checksummed container holding only what training, the solves and the
+/// search produced for a resident circuit — the finalized netlist, the
+/// trained GNN weights, U_M, the DMD eigenvalues and V_s, both manifolds
+/// and, in fast mode, the output side's kNN indices. No timings or thread
+/// count: the bytes depend on the design and settings alone. Restoring
+/// re-trains and re-solves nothing (`eigen.runs` and `gnn.train_epochs`
+/// stay 0); the restoring SweepEngine derives the rest through the fresh
+/// pipeline's own calls.
 ///
 /// On-disk layout: a 64-byte header (magic, native-endianness probe, format
 /// version, FNV-1a payload checksum, file size, section count), then a
@@ -35,11 +33,12 @@ namespace cirstag::io {
 /// flipped bits, wrong magic/version/endianness, out-of-range
 /// cross-references — throws SnapshotError after recording a
 /// "snapshot.corrupt" health event; a corrupt file can never crash the
-/// reader or produce a half-restored circuit.
+/// reader or produce a half-restored circuit. Stored arrays that do not fit
+/// the netlist fail in the restoring SweepEngine (std::invalid_argument).
 
 /// Files of any other version fail with SnapshotError: snapshots are
 /// derived artifacts, regenerated from the netlist rather than migrated.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// Every snapshot failure mode (I/O, corruption, shape mismatch).
 class SnapshotError : public std::runtime_error {
@@ -49,16 +48,16 @@ class SnapshotError : public std::runtime_error {
 
 /// Snapshot-level metadata carried alongside the state sections.
 struct SnapshotMeta {
-  /// SweepOptions::exact of the exporting engine — the restore path builds
-  /// its engine in the same mode so the adopted warm state stays valid.
+  /// SweepOptions::exact of the exporting engine: only a fast-mode file
+  /// stores kNN lists, and the restore builds its engine in the same mode.
   bool exact = true;
   double train_r2 = 0.0;  ///< training diagnostic, surfaced by /health
 };
 
 /// Everything read back from a snapshot file, in address-stable-free form:
 /// the caller first moves `netlist` to its final home, then builds the model
-/// against that address with restore_model(), then hands `state` to
-/// SweepEngine's restoring constructor.
+/// against that address with restore_model(), then hands `state` (the
+/// stored arrays only) to SweepEngine's restoring constructor.
 struct SnapshotData {
   circuit::Netlist netlist;  ///< finalized
   gnn::TimingGnnOptions gnn_options;

@@ -103,12 +103,12 @@ EigenDecomposition multilevel_smallest_eigenpairs(
   // level too small to carry k directions) fall through to the exact solver.
   if (coarse.empty() || coarse.back().rows() <= k + 2) {
     return smallest_eigenpairs(fine, k, opts.spectrum_upper_bound,
-                               opts.lanczos_subspace, opts.seed);
+                               /*max_subspace=*/0, opts.seed);
   }
 
   EigenDecomposition cur =
       smallest_eigenpairs(coarse.back(), k, opts.spectrum_upper_bound,
-                          opts.lanczos_subspace, opts.seed);
+                          /*max_subspace=*/0, opts.seed);
   if (stats != nullptr) {
     stats->levels = coarse.size();
     stats->coarsest_n = coarse.back().rows();

@@ -61,8 +61,7 @@ struct MultilevelSmallestOptions {
   /// Upper bound b >= λ_max(A) of the fine spectrum (2.0 for normalized
   /// Laplacians); the refinement operator is b·I − A.
   double spectrum_upper_bound = 2.0;
-  std::size_t lanczos_subspace = 0;  ///< coarsest-level Krylov cap (0 = auto)
-  std::uint64_t seed = 5;            ///< rank-repair draws during refinement
+  std::uint64_t seed = 5;  ///< rank-repair draws during refinement
 };
 
 /// Smallest-k eigenpairs of `fine` through the hierarchy. `coarse[l]` is the

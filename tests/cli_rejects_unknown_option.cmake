@@ -16,3 +16,5 @@ endfunction()
 
 expect_rejected(--block-cg 1)
 expect_rejected(--profile-hz 100)
+expect_rejected(--coarsen-levels 12)
+expect_rejected(--coarsen-threshold 20000)

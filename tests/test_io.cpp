@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "circuit/generator.hpp"
 #include "circuit/modules.hpp"
@@ -99,6 +100,13 @@ TEST_F(IoTest, RejectsBadDriverRef) {
 TEST_F(IoTest, RejectsOutOfRangeGateRef) {
   std::stringstream buffer(
       "cirstag-netlist 1\ninputs 1\ngate INV_X1 -\nconn 0 0 g5\n");
+  EXPECT_THROW(read_netlist(buffer, lib), std::runtime_error);
+}
+
+TEST_F(IoTest, RejectsPinCountPastTheCap) {
+  // Checked before any pin is added, so the line allocates nothing.
+  std::stringstream buffer("cirstag-netlist 1\ninputs " +
+                           std::to_string(kMaxNetlistPins + 1) + "\n");
   EXPECT_THROW(read_netlist(buffer, lib), std::runtime_error);
 }
 

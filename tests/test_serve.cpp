@@ -606,6 +606,17 @@ TEST(ServeEndpoints, LoadValidation) {
         422)
         << field;
   }
+  // A 35-byte netlist asking for four billion inputs is refused by the
+  // reader before it allocates a pin.
+  EXPECT_EQ(handle_request(service,
+                           make_request("POST", "/load",
+                                        "{\"name\": \"x\", \"netlist\": " +
+                                            obs::json_quote(
+                                                "cirstag-netlist 1\n"
+                                                "inputs 4000000000") +
+                                            "}"))
+                .status,
+            422);
   EXPECT_EQ(service.registry.lookup("x"), nullptr);
 }
 

@@ -1,14 +1,15 @@
 // Binary circuit-snapshot contracts (io/snapshot, DESIGN.md §13):
-// write/read round-trip restores a warm engine whose answers are
-// byte-identical to the exporting one with zero eigensolves and zero
-// training epochs; serialization is deterministic (two writes of the same
-// state are byte-identical); and every corruption — truncation, flipped
-// payload bits, wrong magic/version, a foreign endianness probe — fails
-// cleanly with a SnapshotError, a snapshot.read_failures bump, and a
-// "snapshot.corrupt" health event, never a crash or a half-restored
-// circuit. Netlist::from_parts (the restore path's structural gate) is
-// exercised directly against out-of-range cross-references, and the
-// restoring engine against kNN baselines that do not fit the netlist.
+// write/read round-trip restores a warm engine whose baseline — the derived
+// arrays included — and answers are bit-identical to the exporting one,
+// with zero eigensolves and zero training epochs; the file depends only on
+// the design and settings (engines built at 4 and at 1 pool lanes write the
+// same bytes); and every corruption — truncation, flipped payload bits,
+// wrong magic/version, a foreign endianness probe — fails cleanly with a
+// SnapshotError, a snapshot.read_failures bump, and a "snapshot.corrupt"
+// health event, never a crash or a half-restored circuit.
+// Netlist::from_parts (the restore path's structural gate) is exercised
+// directly against out-of-range cross-references, and the restoring engine
+// against stored arrays that do not fit the netlist.
 
 #include "io/snapshot.hpp"
 
@@ -18,6 +19,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,7 @@
 #include "obs/health.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -86,6 +90,32 @@ std::uint64_t counter(const char* name) {
   return obs::MetricsRegistry::global().counter_value(name);
 }
 
+/// Bitwise equality of two double arrays (== would equate 0.0 and -0.0).
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// The restored baseline's derived arrays equal the exporter's bit for bit:
+/// the Eq. 9 scores, the design mean, the input embedding and all seven
+/// phase checksums.
+void expect_same_derived_baseline(const core::CirStagReport& got,
+                                  const core::CirStagReport& want) {
+  EXPECT_TRUE(same_bits(got.node_scores, want.node_scores));
+  EXPECT_TRUE(same_bits(got.edge_scores, want.edge_scores));
+  EXPECT_TRUE(same_bits({&got.node_score_mean, 1}, {&want.node_score_mean, 1}))
+      << got.node_score_mean << " vs " << want.node_score_mean;
+  EXPECT_EQ(got.input_embedding.rows(), want.input_embedding.rows());
+  EXPECT_EQ(got.input_embedding.cols(), want.input_embedding.cols());
+  EXPECT_TRUE(same_bits(got.input_embedding.data(), want.input_embedding.data()));
+  const auto got_sums = got.checksums.fields();
+  const auto want_sums = want.checksums.fields();
+  ASSERT_EQ(got_sums.size(), 7u);
+  for (std::size_t i = 0; i < want_sums.size(); ++i)
+    EXPECT_EQ(got_sums[i].second, want_sums[i].second) << want_sums[i].first;
+}
+
 core::SweepVariant test_variant(const Netlist& nl) {
   core::SweepVariant v;
   v.cap_scalings.push_back({static_cast<circuit::PinId>(nl.num_pins() / 2),
@@ -133,13 +163,15 @@ TEST(Snapshot, RoundTripRestoresByteIdenticalWarmEngine) {
   EXPECT_EQ(counter("eigen.runs"), eigen_before);
   EXPECT_EQ(counter("gnn.train_epochs"), train_before);
 
-  // Adopted baseline is the exporter's, byte for byte.
-  EXPECT_EQ(restored.baseline().node_scores,
-            original.engine->baseline().node_scores);
-  EXPECT_EQ(restored.baseline().eigenvalues,
-            original.engine->baseline().eigenvalues);
+  // Adopted baseline is the exporter's, byte for byte: the stored arrays
+  // and everything the restore derived from them.
+  EXPECT_TRUE(same_bits(restored.baseline().eigenvalues,
+                        original.engine->baseline().eigenvalues));
+  expect_same_derived_baseline(restored.baseline(),
+                               original.engine->baseline());
   EXPECT_EQ(restored.baseline().checksums.node_scores,
             obs::fnv1a_doubles(original.engine->baseline().node_scores));
+  EXPECT_EQ(restored.baseline().timings.total(), 0.0);
   EXPECT_EQ(restored.baseline_timing().worst_arrival,
             original.engine->baseline_timing().worst_arrival);
 
@@ -170,16 +202,39 @@ TEST(Snapshot, FastModeRoundTripRestoresManifoldBaselines) {
   core::SweepEngine restored(restored_nl, *model, sopts,
                              std::move(data.state));
 
+  // The file keeps the output side's neighbor indices only; the restore
+  // derives the rest of the baseline and every kNN distance², which must
+  // equal what the exporter's search stored.
+  expect_same_derived_baseline(restored.baseline(),
+                               original.engine->baseline());
+  const graphs::KnnBaseline& want_my =
+      original.engine->export_baseline_state().my;
+  const graphs::KnnBaseline& got_my = restored.export_baseline_state().my;
+  EXPECT_EQ(got_my.k, want_my.k);
+  ASSERT_EQ(got_my.hits.size(), nl.num_pins());
+  ASSERT_EQ(got_my.hits.size(), want_my.hits.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < want_my.hits.size(); ++i) {
+    ASSERT_EQ(got_my.hits[i].size(), want_my.hits[i].size()) << "list " << i;
+    for (std::size_t j = 0; j < want_my.hits[i].size(); ++j) {
+      const graphs::Neighbor& g = got_my.hits[i][j];
+      const graphs::Neighbor& w = want_my.hits[i][j];
+      if (g.index != w.index || !same_bits({&g.distance2, 1}, {&w.distance2, 1}))
+        ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u);
+  EXPECT_TRUE(same_bits(got_my.points.data(), want_my.points.data()));
+
   const std::vector<core::SweepVariant> variants{test_variant(nl)};
   const auto a = original.engine->run(variants);
   const auto b = restored.run(variants);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a[0].report.node_scores, b[0].report.node_scores);
 
-  // The file keeps no kNN points: the restore takes the input side's from
-  // the report and the output side's from its own GNN forward. A variant
-  // that engages the output-side delta re-queries around those points, so
-  // any bit they lost would show in its re-queried set or its checksums.
+  // A variant that engages the output-side delta re-queries around the
+  // restored lists and points, so any bit they lost would show in its
+  // re-queried set or its checksums.
   const std::vector<core::SweepVariant> shallow{last_level_variant(nl)};
   const auto c = original.engine->run(shallow);
   const auto d = restored.run(shallow);
@@ -197,13 +252,14 @@ TEST(Snapshot, FastModeRoundTripRestoresManifoldBaselines) {
 }
 
 TEST(Snapshot, RestoreRejectsKnnBaselineThatDoesNotFitNetlist) {
-  // A fast-mode delta re-query indexes one kNN list per pin, so a restored
-  // state whose lists do not fit the netlist must fail up front (serve turns
-  // the throw into a failed /load), never at the first variant.
+  // The restore derives scores from the stored V_s and the output side's
+  // kNN distances from its lists, and a fast-mode delta re-query indexes one
+  // list per pin, so stored arrays that do not fit the netlist must fail up
+  // front (serve turns the throw into a failed /load), never at the first
+  // variant.
   const Netlist nl = small_netlist(11);
   WarmCircuit warm(nl, /*exact=*/false);
   const core::SweepBaselineState& good = warm.engine->export_baseline_state();
-  ASSERT_EQ(good.mx.hits.size(), nl.num_pins());
   ASSERT_EQ(good.my.hits.size(), nl.num_pins());
   core::SweepOptions sopts;
   sopts.exact = false;
@@ -212,22 +268,53 @@ TEST(Snapshot, RestoreRejectsKnnBaselineThatDoesNotFitNetlist) {
   };
   EXPECT_NO_THROW((void)restore(good));
 
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const struct {
     const char* what;
     void (*mutate)(core::SweepBaselineState&, std::size_t pins);
   } corpus[] = {
-      {"output side missing its last list",
+      {"kNN side missing its last list",
        [](core::SweepBaselineState& s, std::size_t) { s.my.hits.pop_back(); }},
-      {"input side with one list too many",
+      {"kNN side with one list too many",
        [](core::SweepBaselineState& s, std::size_t) {
-         s.mx.hits.emplace_back();
+         s.my.hits.emplace_back(s.my.hits.back());
        }},
       {"neighbor index equal to the pin count",
        [](core::SweepBaselineState& s, std::size_t pins) {
          s.my.hits[0][0].index = pins;
        }},
       {"k other than the config's",
-       [](core::SweepBaselineState& s, std::size_t) { ++s.mx.k; }},
+       [](core::SweepBaselineState& s, std::size_t) { ++s.my.k; }},
+      {"a list that names its own pin",
+       [](core::SweepBaselineState& s, std::size_t) {
+         s.my.hits[5][2].index = 5;
+       }},
+      {"a list one neighbor short",
+       [](core::SweepBaselineState& s, std::size_t) {
+         s.my.hits[3].pop_back();
+       }},
+      {"V_s with a row too few",
+       [](core::SweepBaselineState& s, std::size_t pins) {
+         s.baseline.weighted_subspace = linalg::Matrix(
+             pins - 1, s.baseline.weighted_subspace.cols());
+       }},
+      {"eigenvalue count other than V_s's columns",
+       [](core::SweepBaselineState& s, std::size_t) {
+         s.baseline.eigenvalues.pop_back();
+       }},
+      {"NaN in U_M",
+       [](core::SweepBaselineState& s, std::size_t) { s.u0(7, 1) = kNaN; }},
+      {"+Inf in U_M",
+       [](core::SweepBaselineState& s, std::size_t) { s.u0(0, 0) = kInf; }},
+      {"NaN in V_s",
+       [](core::SweepBaselineState& s, std::size_t) {
+         s.baseline.weighted_subspace(9, 0) = kNaN;
+       }},
+      {"-Inf in V_s",
+       [](core::SweepBaselineState& s, std::size_t pins) {
+         s.baseline.weighted_subspace(pins - 1, 2) = -kInf;
+       }},
   };
   for (const auto& m : corpus) {
     core::SweepBaselineState bad = good;
@@ -238,13 +325,27 @@ TEST(Snapshot, RestoreRejectsKnnBaselineThatDoesNotFitNetlist) {
 }
 
 TEST(Snapshot, SerializationIsDeterministic) {
+  // The file is a function of the design and settings alone: engines built
+  // over one trained model at 4 pool lanes and at 1 write the same bytes,
+  // in both modes.
   const Netlist nl = small_netlist();
-  WarmCircuit warm(nl, /*exact=*/true);
+  gnn::TimingGnn model(nl, WarmCircuit::gopts());
+  io::SnapshotMeta meta;
+  meta.train_r2 = model.train().r2;
   const std::string a = testing::TempDir() + "cirstag_snapshot_a.bin";
   const std::string b = testing::TempDir() + "cirstag_snapshot_b.bin";
-  io::write_snapshot(a, warm.model, *warm.engine, warm.meta);
-  io::write_snapshot(b, warm.model, *warm.engine, warm.meta);
-  EXPECT_EQ(read_file(a), read_file(b));
+  for (const bool exact : {true, false}) {
+    meta.exact = exact;
+    for (const auto& [threads, path] : {std::pair{4, a}, std::pair{1, b}}) {
+      core::SweepOptions sopts;
+      sopts.exact = exact;
+      sopts.config.threads = threads;
+      const core::SweepEngine engine(nl, model, sopts);
+      io::write_snapshot(path, model, engine, meta);
+    }
+    EXPECT_EQ(read_file(a), read_file(b)) << (exact ? "exact" : "fast");
+  }
+  runtime::set_global_threads(0);  // back to the environment default
   std::remove(a.c_str());
   std::remove(b.c_str());
 }
@@ -276,6 +377,8 @@ TEST(Snapshot, CorruptCorpusFailsCleanlyWithHealthEvents) {
        [](std::vector<char> b) { b[12] = 99; return b; }},
       {"format version 1",
        [](std::vector<char> b) { b[12] = 1; return b; }},
+      {"format version 2",
+       [](std::vector<char> b) { b[12] = 2; return b; }},
   };
 
   obs::HealthMonitor::global().set_enabled(true);

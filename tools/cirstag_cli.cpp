@@ -75,7 +75,6 @@ constexpr const char* kUsage =
     "                       [--scores out.csv] [--epochs E] [--hidden H]\n"
     "                       [--top K] [--probes P]\n"
     "                       [--solver-precond jacobi|tree] [--coarsen auto|off]\n"
-    "                       [--coarsen-levels L] [--coarsen-threshold N]\n"
     "                       [--perf-json out.json]\n"
     "  sweep <in.ckt>       batched Case-A perturbation sweep: analyze N\n"
     "                       capacitance-scaled variants through the sweep\n"
@@ -160,10 +159,6 @@ constexpr const char* kUsage =
     "                       'off' always runs the exact single-level path\n"
     "                       (byte-identical to historical results; small\n"
     "                       graphs are byte-identical under both settings)\n"
-    "  --coarsen-levels L   hierarchy depth cap of --coarsen auto (12;\n"
-    "                       must be >= 1)\n"
-    "  --coarsen-threshold N  node count at which 'auto' engages (20000;\n"
-    "                       must be >= 1 — use --coarsen off to disable)\n"
     "  --perf-json PATH     write a benchmark-shaped JSON report with the\n"
     "                       run's deterministic counters (coarsen.levels,\n"
     "                       coarsen.coarsest_n, eigen.ritz_refine_sweeps,\n"
@@ -596,30 +591,17 @@ int cmd_sta(int argc, char** argv) {
   return 0;
 }
 
-/// --coarsen / --coarsen-levels / --coarsen-threshold -> one policy applied
-/// to both eigensolver phases (Phase-1 embedding, Phase-3 generalized).
-void apply_coarsen_flags(const std::map<std::string, std::string>& opts,
-                         core::CirStagConfig& cfg) {
-  graphs::CoarsenOptions c;
+/// --coarsen -> the policy of both eigensolver phases (Phase-1 embedding,
+/// Phase-3 generalized).
+void apply_coarsen_flag(const std::map<std::string, std::string>& opts,
+                        core::CirStagConfig& cfg) {
   const std::string mode = opt_str(opts, "coarsen", "auto");
   if (mode == "off") {
-    c.mode = graphs::CoarsenMode::off;
+    cfg.embedding.coarsen.mode = graphs::CoarsenMode::off;
+    cfg.stability.coarsen.mode = graphs::CoarsenMode::off;
   } else if (mode != "auto") {
     bad_option_value("coarsen", mode, "'auto' or 'off'");
   }
-  // Zero would silently produce a depth-0 "hierarchy" / an always-on
-  // engagement rule; both are almost certainly typos, so reject them
-  // loudly instead of guessing (--coarsen off is the explicit disable).
-  c.max_levels = opt_size(opts, "coarsen-levels", c.max_levels);
-  if (c.max_levels == 0)
-    bad_option_value("coarsen-levels", opts.at("coarsen-levels"),
-                     "an integer >= 1 (use --coarsen off to disable)");
-  c.auto_threshold = opt_size(opts, "coarsen-threshold", c.auto_threshold);
-  if (c.auto_threshold == 0)
-    bad_option_value("coarsen-threshold", opts.at("coarsen-threshold"),
-                     "an integer >= 1 (use --coarsen off to disable)");
-  cfg.embedding.coarsen = c;
-  cfg.stability.coarsen = c;
 }
 
 /// One benchmark-shaped row of the run's deterministic counters, consumed by
@@ -656,7 +638,7 @@ int cmd_analyze(int argc, char** argv) {
   const auto opts = parse_options(
       argc, argv, 3,
       {"scores", "epochs", "hidden", "top", "probes", "solver-precond",
-       "coarsen", "coarsen-levels", "coarsen-threshold", "perf-json"});
+       "coarsen", "perf-json"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -675,7 +657,7 @@ int cmd_analyze(int argc, char** argv) {
   } else if (precond != "jacobi") {
     bad_option_value("solver-precond", precond, "'jacobi' or 'tree'");
   }
-  apply_coarsen_flags(opts, cfg);
+  apply_coarsen_flag(opts, cfg);
 
   std::printf("training timing GNN surrogate...\n");
   gnn::TimingGnnOptions gopts;
