@@ -5,7 +5,7 @@
 //                  GNN forward, CirStag::analyze from scratch),
 //   BM_SweepExact  SweepEngine in exact mode (byte-identical reports,
 //                  bit-identical reuse only),
-//   BM_SweepFast   SweepEngine in fast mode (kNN delta, tree-preconditioned
+//   BM_SweepFast   SweepEngine in fast mode (tree-preconditioned
 //                  relaxed-tolerance Phase 3, adaptive Ritz early stop).
 //
 // Each timed iteration includes the engine's baseline capture, so the
@@ -132,7 +132,7 @@ void sweep_engine_bench(benchmark::State& state, bool exact) {
   Fixture& f = fixture(static_cast<std::size_t>(state.range(0)));
   const auto variants =
       make_variants(f.netlist, static_cast<std::size_t>(state.range(1)));
-  std::size_t sweeps = 0, requeried = 0, cache_hits = 0;
+  std::size_t sweeps = 0, cache_hits = 0;
   double baseline_seconds = 0.0, sweep_seconds = 0.0;
   for (auto _ : state) {
     core::SweepOptions opts;
@@ -142,11 +142,7 @@ void sweep_engine_bench(benchmark::State& state, bool exact) {
     const auto results = engine.run(variants);
     benchmark::DoNotOptimize(results.data());
     sweeps = 0;
-    requeried = 0;
-    for (const auto& r : results) {
-      sweeps += r.stats.subspace_sweeps;
-      requeried += r.stats.knn_y.requeried_points;
-    }
+    for (const auto& r : results) sweeps += r.stats.subspace_sweeps;
     cache_hits = engine.stats().solver_cache_hits;
     baseline_seconds = engine.stats().baseline_seconds;
     sweep_seconds = engine.stats().sweep_seconds;
@@ -156,7 +152,6 @@ void sweep_engine_bench(benchmark::State& state, bool exact) {
   // Deterministic (pure functions of the inputs): the regression gate pins
   // subspace_sweeps, the others are diagnostics.
   state.counters["subspace_sweeps"] = static_cast<double>(sweeps);
-  state.counters["knn_requeried"] = static_cast<double>(requeried);
   state.counters["solver_cache_hits"] = static_cast<double>(cache_hits);
   // Per-phase wall clock of the last iteration — informational only, never
   // gated (see check_bench_regression.py's wall-time section).

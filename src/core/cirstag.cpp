@@ -85,7 +85,7 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
   // bit-identical to uncached solves.
   graphs::LaplacianSolverCache solver_cache;
   return compute_baseline(input_graph, node_features, output_embedding,
-                          config_, /*exact=*/true, solver_cache)
+                          config_, solver_cache)
       .baseline;
 }
 

@@ -25,10 +25,12 @@ graphs::Graph normalize_median_weight(const graphs::Graph& g) {
   return out;
 }
 
-/// Shared tail of every manifold build: median normalization, component
-/// bridging, PGM sparsification.
-graphs::Graph finish_manifold(graphs::Graph knn, const ManifoldOptions& opts,
-                              graphs::LaplacianSolverCache* cache) {
+}  // namespace
+
+graphs::Graph build_manifold(const linalg::Matrix& embedding,
+                             const ManifoldOptions& opts,
+                             graphs::LaplacianSolverCache* cache) {
+  graphs::Graph knn = graphs::build_knn_graph(embedding, opts.knn);
   static const obs::Counter builds("manifold.builds");
   static const obs::Counter knn_edges("manifold.knn_edges");
   static const obs::Counter final_edges("manifold.final_edges");
@@ -44,30 +46,6 @@ graphs::Graph finish_manifold(graphs::Graph knn, const ManifoldOptions& opts,
       graphs::sparsify_pgm(knn, opts.sparsify, cache);
   final_edges.add(sparse.graph.num_edges());
   return std::move(sparse.graph);
-}
-
-}  // namespace
-
-graphs::Graph build_manifold(const linalg::Matrix& embedding,
-                             const ManifoldOptions& opts,
-                             graphs::LaplacianSolverCache* cache,
-                             graphs::KnnBaseline* capture) {
-  return finish_manifold(
-      capture != nullptr
-          ? graphs::capture_knn_baseline(embedding, *capture, opts.knn)
-          : graphs::build_knn_graph(embedding, opts.knn),
-      opts, cache);
-}
-
-graphs::Graph build_manifold_delta(const graphs::KnnBaseline& baseline,
-                                   const linalg::Matrix& embedding,
-                                   std::span<const std::uint32_t> moved_rows,
-                                   const ManifoldOptions& opts,
-                                   graphs::LaplacianSolverCache* cache,
-                                   graphs::KnnUpdateStats* stats) {
-  return finish_manifold(graphs::update_knn_graph(baseline, embedding,
-                                                  moved_rows, opts.knn, stats),
-                         opts, cache);
 }
 
 }  // namespace cirstag::core

@@ -29,22 +29,8 @@ struct ManifoldOptions {
 /// solves in Phase 3.
 ///
 /// `cache` (optional) is forwarded to the sparsifier's resistance sketch.
-/// `capture` (optional) receives the kNN baseline for later
-/// build_manifold_delta calls; the manifold is the same bytes either way.
 [[nodiscard]] graphs::Graph build_manifold(
     const linalg::Matrix& embedding, const ManifoldOptions& opts = {},
-    graphs::LaplacianSolverCache* cache = nullptr,
-    graphs::KnnBaseline* capture = nullptr);
-
-/// Fast-mode manifold rebuild for an embedding whose rows moved only at
-/// `moved_rows`: delta kNN re-query against the baseline lists (see
-/// graphs::update_knn_graph for the documented approximation), then the
-/// normal normalize/connect/sparsify tail. With empty `moved_rows` the kNN
-/// stage reproduces the baseline graph exactly.
-[[nodiscard]] graphs::Graph build_manifold_delta(
-    const graphs::KnnBaseline& baseline, const linalg::Matrix& embedding,
-    std::span<const std::uint32_t> moved_rows, const ManifoldOptions& opts = {},
-    graphs::LaplacianSolverCache* cache = nullptr,
-    graphs::KnnUpdateStats* stats = nullptr);
+    graphs::LaplacianSolverCache* cache = nullptr);
 
 }  // namespace cirstag::core

@@ -52,23 +52,6 @@ constexpr double kFastRitzTolerance = 1e-3;
 constexpr graphs::SolverPreconditioner kFastPreconditioner =
     graphs::SolverPreconditioner::spanning_tree;
 
-/// Rows of `a` that differ from the same row of `b` (same shape assumed).
-std::vector<std::uint32_t> changed_rows(const linalg::Matrix& a,
-                                        const linalg::Matrix& b) {
-  std::vector<std::uint32_t> out;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const auto ra = a.row(r);
-    const auto rb = b.row(r);
-    double d2 = 0.0;
-    for (std::size_t c = 0; c < ra.size(); ++c) {
-      const double d = ra[c] - rb[c];
-      d2 += d * d;
-    }
-    if (d2 > 0.0) out.push_back(static_cast<std::uint32_t>(r));
-  }
-  return out;
-}
-
 /// FNV-1a over a graph's defining content (counts, endpoints, weight bits) —
 /// the manifest's phase checksum for graph-valued phase outputs.
 std::uint64_t checksum_graph(const graphs::Graph& g) {
@@ -142,6 +125,26 @@ void close_report(CirStagReport& report, const graphs::Graph& input_graph,
   obs::health_check_finite("phase.scores.edge_scores", report.edge_scores);
 }
 
+/// Phase 2 of every computed report, baseline or variant, under its span:
+/// kNN + PGM manifolds on both sides, each built from its embedding. An
+/// empty embedding (no dimension reduction) makes the raw input graph that
+/// side's manifold (Fig. 4 ablation).
+void manifold_phase(CirStagReport& report, const graphs::Graph& input_graph,
+                    const linalg::Matrix& output_embedding,
+                    const ManifoldOptions& opts,
+                    graphs::LaplacianSolverCache& cache) {
+  const auto manifold = [&](const char* side, const linalg::Matrix& emb) {
+    const obs::TraceSpan span(side, "pipeline");
+    if (emb.empty()) return input_graph;
+    return build_manifold(emb, opts, &cache);
+  };
+  const obs::TraceSpan span("phase.manifold", "pipeline");
+  report.manifold_x = manifold("phase.manifold_x", report.input_embedding);
+  report.manifold_y = manifold("phase.manifold_y", output_embedding);
+  report.timings.manifold_seconds = span.seconds();
+  report.timings.manifold_busy_seconds = span.busy_seconds();
+}
+
 /// The step every computed report ends with: Phase 3 (DMD spectrum + Eq. 9
 /// scores) under its span, then close_report. Returns the sweeps it ran.
 std::size_t score_report(CirStagReport& report, const StabilityOptions& so,
@@ -170,18 +173,6 @@ const linalg::Matrix& gnn_output(const gnn::GnnSnapshot& snap) {
                                     : snap.layer_outputs.back();
 }
 
-/// Whether kept kNN lists fit an n-node engine: one list per node, each of
-/// exactly k neighbors, every one below n and none the node itself.
-bool knn_fits(const graphs::KnnBaseline& b, std::size_t n, std::size_t k) {
-  if (b.hits.size() != n || b.k != k) return false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (b.hits[i].size() != k) return false;
-    for (const graphs::Neighbor& nb : b.hits[i])
-      if (nb.index >= n || nb.index == i) return false;
-  }
-  return true;
-}
-
 bool all_finite(std::span<const double> values) {
   return std::all_of(values.begin(), values.end(),
                      [](double v) { return std::isfinite(v); });
@@ -192,7 +183,7 @@ bool all_finite(std::span<const double> values) {
 SweepBaselineState compute_baseline(const graphs::Graph& input_graph,
                                     const linalg::Matrix& node_features,
                                     const linalg::Matrix& output_embedding,
-                                    const CirStagConfig& config, bool exact,
+                                    const CirStagConfig& config,
                                     graphs::LaplacianSolverCache& cache) {
   if (input_graph.num_nodes() != output_embedding.rows())
     throw std::invalid_argument("CirSTAG: graph nodes != embedding rows");
@@ -234,33 +225,16 @@ SweepBaselineState compute_baseline(const graphs::Graph& input_graph,
     timings.embedding_busy_seconds = span.busy_seconds();
   }
 
-  // Phase 2: kNN + PGM sparsification on both sides. Without dimension
-  // reduction (empty input embedding) the raw input graph itself serves as
-  // the input manifold (Fig. 4 ablation). Fast mode also keeps the output
-  // side's kNN baseline, which a variant's delta re-query starts from; the
-  // manifold is the same bytes.
-  const auto manifold = [&](const char* side, const linalg::Matrix& emb,
-                            graphs::KnnBaseline* kept) {
-    const obs::TraceSpan span(side, "pipeline");
-    if (emb.empty()) return input_graph;
-    return build_manifold(emb, config.manifold, &cache, kept);
-  };
-  {
-    const obs::TraceSpan span("phase.manifold", "pipeline");
-    report.manifold_x =
-        manifold("phase.manifold_x", report.input_embedding, nullptr);
-    report.manifold_y = manifold("phase.manifold_y", output_embedding,
-                                 exact ? nullptr : &state.my);
-    static const obs::Gauge mx_edges("pipeline.manifold_x_edges");
-    static const obs::Gauge my_edges("pipeline.manifold_y_edges");
-    mx_edges.set(static_cast<double>(report.manifold_x.num_edges()));
-    my_edges.set(static_cast<double>(report.manifold_y.num_edges()));
-    timings.manifold_seconds = span.seconds();
-    timings.manifold_busy_seconds = span.busy_seconds();
-  }
+  // Phase 2: kNN + PGM sparsification on both sides.
+  manifold_phase(report, input_graph, output_embedding, config.manifold,
+                 cache);
+  static const obs::Gauge mx_edges("pipeline.manifold_x_edges");
+  static const obs::Gauge my_edges("pipeline.manifold_y_edges");
+  mx_edges.set(static_cast<double>(report.manifold_x.num_edges()));
+  my_edges.set(static_cast<double>(report.manifold_y.num_edges()));
 
   // Phase 3: DMD spectrum + stability scores (Algorithm 1, steps 6-11) on
-  // the config's own trajectory in both modes.
+  // the config's own trajectory; the fast-mode levers apply to variants.
   (void)score_report(report, config.stability, cache, input_graph,
                      output_embedding);
 
@@ -278,7 +252,7 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   baselines.add();
   const linalg::Matrix features = set_up_case_a();
   base_ = compute_baseline(pin_graph_, features, gnn_output(snap_),
-                           opts_.config, opts_.exact, cache_);
+                           opts_.config, cache_);
   stats_.baseline_seconds = span.seconds();
 }
 
@@ -293,7 +267,7 @@ SweepEngine::SweepEngine(const graphs::Graph& input_graph,
   static const obs::Counter baselines("sweep.baselines");
   baselines.add();
   base_ = compute_baseline(input_graph, node_features, output_embedding,
-                           opts_.config, opts_.exact, cache_);
+                           opts_.config, cache_);
   stats_.baseline_seconds = span.seconds();
 }
 
@@ -307,7 +281,6 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   restores.add();
   const std::uint64_t health_begin = obs::HealthMonitor::global().next_index();
   const linalg::Matrix features = set_up_case_a();
-  const linalg::Matrix& output = gnn_output(snap_);
 
   // What the file carries must fit this netlist before anything indexes it.
   const std::size_t n = pin_graph_.num_nodes();
@@ -324,15 +297,9 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
       !all_finite(solved.weighted_subspace.data()) ||
       !all_finite(solved.eigenvalues))
     reject("spectrum holds a NaN or infinite value");
-  const std::size_t k =
-      std::min(opts_.config.manifold.knn.k, n > 0 ? n - 1 : 0);
-  if (!state.my.hits.empty() && !knn_fits(state.my, n, k))
-    reject("kNN baseline does not match the netlist");
 
   // The rest comes from the fresh pipeline's own calls: Phase 1's feature
-  // augmentation, the Eq. 9 loops, the report tail, and the distance² every
-  // kNN search stores (the JL re-rank computes row_distance2 itself and the
-  // exact tree's leaf kernel matches it bit for bit).
+  // augmentation, the Eq. 9 loops and the report tail.
   base_.u0 = std::move(state.u0);
   CirStagReport& report = base_.baseline;
   if (opts_.config.use_dimension_reduction)
@@ -344,15 +311,8 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   report.manifold_y = std::move(solved.manifold_y);
   eq9_scores(report.manifold_x, report.weighted_subspace, report.edge_scores,
              report.node_scores);
-  close_report(report, pin_graph_, output);
+  close_report(report, pin_graph_, gnn_output(snap_));
   report.health = obs::HealthMonitor::global().collect_since(health_begin);
-  if (!state.my.hits.empty()) {
-    runtime::parallel_for(0, n, 256, [&](std::size_t i) {
-      for (graphs::Neighbor& nb : state.my.hits[i])
-        nb.distance2 = output.row_distance2(i, nb.index);
-    });
-    base_.my = {output, std::move(state.my.hits), k};
-  }
   stats_.baseline_seconds = span.seconds();
 }
 
@@ -413,8 +373,8 @@ std::vector<SweepVariantResult> SweepEngine::run(
   stats_.sweep_seconds = span.seconds();
   stats_.variants = results.size();
   stats_.solver_cache_hits = cache_.hits() - cache_hits_before;
-  double sta_sum = 0.0, gnn_sum = 0.0, knn_sum = 0.0, sweep_sum = 0.0;
-  std::size_t sta_n = 0, gnn_n = 0, knn_n = 0, sweep_n = 0;
+  double sta_sum = 0.0, gnn_sum = 0.0, sweep_sum = 0.0;
+  std::size_t sta_n = 0, gnn_n = 0, sweep_n = 0;
   const double sweep_budget =
       static_cast<double>(opts_.config.stability.subspace_iterations);
   for (const SweepVariantResult& r : results) {
@@ -430,25 +390,17 @@ std::vector<SweepVariantResult> SweepEngine::run(
       gnn_sum += r.stats.gnn.row_fraction();
       ++gnn_n;
     }
-    if (r.stats.knn_y.total_points > 0) {
-      knn_sum += static_cast<double>(r.stats.knn_y.requeried_points) /
-                 static_cast<double>(r.stats.knn_y.total_points);
-      ++knn_n;
-    }
   }
   stats_.avg_sta_cone_fraction = sta_n ? sta_sum / sta_n : 1.0;
   stats_.avg_gnn_row_fraction = gnn_n ? gnn_sum / gnn_n : 1.0;
-  stats_.avg_knn_requery_fraction = knn_n ? knn_sum / knn_n : 1.0;
   stats_.avg_subspace_sweep_fraction = sweep_n ? sweep_sum / sweep_n : 1.0;
 
   static const obs::Gauge g_sta("sweep.sta_cone_fraction");
   static const obs::Gauge g_gnn("sweep.gnn_row_fraction");
-  static const obs::Gauge g_knn("sweep.knn_requery_fraction");
   static const obs::Gauge g_sweeps("sweep.subspace_sweep_fraction");
   static const obs::Gauge g_hits("sweep.solver_cache_hits");
   g_sta.set(stats_.avg_sta_cone_fraction);
   g_gnn.set(stats_.avg_gnn_row_fraction);
-  g_knn.set(stats_.avg_knn_requery_fraction);
   g_sweeps.set(stats_.avg_subspace_sweep_fraction);
   g_hits.set(static_cast<double>(stats_.solver_cache_hits));
   return results;
@@ -492,9 +444,7 @@ SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v,
 
   // Input side: the pin graph is untouched by capacitance edits, so the
   // baseline spectral embedding is reused verbatim in both modes; only the
-  // feature channel moves. The refit of its column stats shifts every
-  // standardized row, so the input-side kNN graph is rebuilt in full rather
-  // than delta-re-queried.
+  // feature channel moves.
   linalg::Matrix x_emb;
   const CirStagConfig& cfg = opts_.config;
   if (cfg.use_dimension_reduction) {
@@ -549,7 +499,7 @@ void SweepEngine::audit_variant_drift(SweepVariantResult& out,
   graphs::LaplacianSolverCache naive_cache;
   const CirStagReport ref =
       compute_baseline(input_graph, node_features, output_embedding,
-                       opts_.config, /*exact=*/true, naive_cache)
+                       opts_.config, naive_cache)
           .baseline;
 
   const std::vector<double>& fast_scores = out.report.node_scores;
@@ -584,43 +534,13 @@ void SweepEngine::finish_variant(SweepVariantResult& out,
                                  const graphs::Graph& input_graph,
                                  const linalg::Matrix& output_embedding) {
   const CirStagConfig& cfg = opts_.config;
-  const bool fast = !opts_.exact;
   CirStagReport& report = out.report;
   report.timings.threads = runtime::global_pool().num_threads();
   report.input_embedding = std::move(input_embedding);
 
-  // Phase 2. The input side is always rebuilt: a Case-A variant refits the
-  // feature-column stats, which moves every input row, and a Case-B variant
-  // re-solves the spectrum. No input embedding: the raw graph is the input
-  // manifold. Adaptive kNN delta on the output side (fast mode): re-query
-  // only around the rows that moved relative to the captured baseline —
-  // worthwhile only when a minority moved, otherwise a full build is both
-  // faster and free of the delta's one-sided-neighbor approximation.
-  // GNN-output perturbations stay inside the perturbed pins' DAG cones, so
-  // the moved set is those cones, not the whole embedding.
-  const auto output_manifold = [&] {
-    if (output_embedding.empty()) return input_graph;
-    const linalg::Matrix& points = base_.my.points;
-    if (fast && points.rows() == output_embedding.rows() &&
-        points.cols() == output_embedding.cols()) {
-      const std::vector<std::uint32_t> moved =
-          changed_rows(output_embedding, points);
-      if (moved.size() * 2 < output_embedding.rows())
-        return build_manifold_delta(base_.my, output_embedding, moved,
-                                    cfg.manifold, &cache_, &out.stats.knn_y);
-    }
-    return build_manifold(output_embedding, cfg.manifold, &cache_);
-  };
-  {
-    const obs::TraceSpan span("phase.manifold", "pipeline");
-    report.manifold_x =
-        report.input_embedding.empty()
-            ? input_graph
-            : build_manifold(report.input_embedding, cfg.manifold, &cache_);
-    report.manifold_y = output_manifold();
-    report.timings.manifold_seconds = span.seconds();
-    report.timings.manifold_busy_seconds = span.busy_seconds();
-  }
+  // Phase 2 in both modes, as the baseline ran it.
+  manifold_phase(report, input_graph, output_embedding, cfg.manifold,
+                 cache_);
 
   // Phase 3 — accelerated in fast mode by three levers that each keep the
   // cold deterministic start: the spanning-tree preconditioner for the
@@ -629,7 +549,7 @@ void SweepEngine::finish_variant(SweepVariantResult& out,
   // tolerance level), plus the adaptive Ritz early stop (the whole drift
   // budget; see kFastRitzTolerance).
   StabilityOptions so = cfg.stability;
-  if (fast) {
+  if (!opts_.exact) {
     so.preconditioner = kFastPreconditioner;
     so.cg_tolerance = kFastCgTolerance;
     so.ritz_tolerance = kFastRitzTolerance;

@@ -8,7 +8,6 @@
 #include "circuit/sta.hpp"
 #include "core/cirstag.hpp"
 #include "gnn/timing_gnn.hpp"
-#include "graphs/knn.hpp"
 #include "graphs/solver_cache.hpp"
 
 namespace cirstag::core {
@@ -58,13 +57,12 @@ struct SweepOptions {
   /// Restrict reuse to provably bit-identical caches (shared solver cache,
   /// incremental STA/GNN with equality pruning, spectral reuse on an
   /// unchanged input graph): every variant report is then byte-identical to
-  /// CirStag::analyze on that variant. Fast mode (false) additionally
-  /// delta-re-queries the output side's kNN graph when only a minority of
-  /// its rows moved bitwise, and accelerates Phase 3 with the
-  /// spanning-tree preconditioner, a relaxed CG tolerance and an adaptive
-  /// Ritz early stop — still deterministic at any thread count, but node
-  /// scores drift from the naive loop by up to kFastScoreDriftTolerance
-  /// (relative L2), all of it from the early stop.
+  /// CirStag::analyze on that variant. Fast mode (false) builds the same
+  /// manifolds and accelerates Phase 3 only, with the spanning-tree
+  /// preconditioner, a relaxed CG tolerance and an adaptive Ritz early
+  /// stop — still deterministic at any thread count, but node scores drift
+  /// from the naive loop by up to kFastScoreDriftTolerance (relative L2),
+  /// all of it from the early stop.
   bool exact = false;
   /// Fast mode: after each variant, re-run the naive per-variant analyze()
   /// and record the measured relative-L2 node-score drift in
@@ -79,7 +77,6 @@ struct SweepOptions {
 struct SweepVariantStats {
   circuit::IncrementalStaStats sta;   ///< Case A
   gnn::GnnIncrementalStats gnn;       ///< Case A
-  graphs::KnnUpdateStats knn_y;       ///< fast mode, output side
   bool spectral_reused = false;       ///< input embedding taken from baseline
   /// Phase-3 subspace sweeps executed (< the config budget when the fast
   /// mode's adaptive Ritz stop converged early). Deterministic.
@@ -105,7 +102,6 @@ struct SweepStats {
   double sweep_seconds = 0.0;     ///< last run() wall-clock
   double avg_sta_cone_fraction = 1.0;
   double avg_gnn_row_fraction = 1.0;
-  double avg_knn_requery_fraction = 1.0;
   /// Mean executed / budgeted Phase-3 sweeps — the fraction of eigensolver
   /// work the adaptive Ritz stop left standing (1.0 in exact mode).
   double avg_subspace_sweep_fraction = 1.0;
@@ -113,39 +109,36 @@ struct SweepStats {
 };
 
 /// Output of the one CirSTAG pipeline (compute_baseline): the full report
-/// plus what a sweep variant reads besides it — the spectral embedding U_M
-/// and, in fast mode, the output side's kNN baseline. CirStag::analyze
-/// returns its `baseline`; a SweepEngine adopts the whole state, computed by
-/// its constructor or restored from a binary snapshot (io/snapshot). A
-/// snapshot keeps only what a solve or a search produced (U_M, the DMD
-/// eigenvalues and V_s, both manifolds, the kNN indices); the restoring
-/// constructor derives the rest through the calls the fresh pipeline makes
-/// and runs no eigensolve at all (eigen.runs == 0).
+/// plus what a sweep variant reads besides it, the spectral embedding U_M.
+/// CirStag::analyze returns its `baseline`; a SweepEngine adopts the whole
+/// state, computed by its constructor or restored from a binary snapshot
+/// (io/snapshot). A snapshot keeps only what a solve produced (U_M, the DMD
+/// eigenvalues and V_s, both manifolds); the restoring constructor derives
+/// the rest through the calls the fresh pipeline makes and runs no
+/// eigensolve at all (eigen.runs == 0).
 struct SweepBaselineState {
   CirStagReport baseline;  ///< full baseline report (incl. manifolds)
   linalg::Matrix u0;       ///< baseline spectral embedding
-  graphs::KnnBaseline my;  ///< output-side kNN baseline (fast mode)
 };
 
 /// The CirSTAG pipeline (Algorithm 1), each phase under its `phase.*` span:
 /// spectral embedding of `input_graph` plus the standardized `node_features`
 /// (may be empty), kNN/PGM manifolds on both sides, DMD eigensolve and Eq. 9
 /// scores. The report carries all seven phase checksums and the health
-/// events recorded during the call (NaN/Inf sentinels included). `exact` =
-/// false also keeps the output side's kNN baseline; the report's bytes are
-/// the same in both modes. Throws std::invalid_argument when the graph is
-/// empty or its node count disagrees with the matrices' rows.
+/// events recorded during the call (NaN/Inf sentinels included). Throws
+/// std::invalid_argument when the graph is empty or its node count disagrees
+/// with the matrices' rows.
 [[nodiscard]] SweepBaselineState compute_baseline(
     const graphs::Graph& input_graph, const linalg::Matrix& node_features,
     const linalg::Matrix& output_embedding, const CirStagConfig& config,
-    bool exact, graphs::LaplacianSolverCache& cache);
+    graphs::LaplacianSolverCache& cache);
 
 /// Batched perturbation-sweep engine: analyzes one baseline circuit plus N
 /// perturbed variants while sharing work across them — shared Laplacian
 /// solver cache, incremental STA (fanout-cone re-timing), incremental GNN
-/// forward (changed-row re-propagation), spectral-embedding reuse, and (in
-/// fast mode) output-side kNN delta re-queries seeded from the baseline
-/// only, so cross-variant parallelism stays deterministic.
+/// forward (changed-row re-propagation) and spectral-embedding reuse, all
+/// seeded from the baseline only, so cross-variant parallelism stays
+/// deterministic. Every manifold is built from its embedding.
 ///
 /// Typical Case-A use:
 ///
@@ -170,11 +163,10 @@ class SweepEngine {
 
   /// Restoring Case-A constructor (io/snapshot): adopt what a baseline
   /// solved — no spectral embedding, eigensolve or training. Reads only
-  /// `state.u0`, the report's eigenvalues, V_s and manifolds, and
-  /// `state.my`'s k and indices; derives the rest through the fresh
-  /// pipeline's own calls (set-up, feature_augmented, eq9_scores, the report
-  /// tail, row_distance2 for each kNN distance²), so it equals a computed
-  /// baseline by construction, with zero phase times. `opts` must match the
+  /// `state.u0` and the report's eigenvalues, V_s and manifolds; derives the
+  /// rest through the fresh pipeline's own calls (set-up, feature_augmented,
+  /// eq9_scores, the report tail), so it equals a computed baseline by
+  /// construction, with zero phase times. `opts` must match the
   /// exporting engine's. Stored arrays that do not fit the netlist (DESIGN.md
   /// §13 lists the checks) throw std::invalid_argument.
   SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
@@ -226,9 +218,8 @@ class SweepEngine {
                            const linalg::Matrix& node_features,
                            const linalg::Matrix& output_embedding,
                            std::size_t index) const;
-  /// Manifold/stability tail shared by both cases. Fast mode delta-re-queries
-  /// the output side's kNN graph when only a minority of its rows moved
-  /// relative to the captured baseline; every other kNN graph is rebuilt.
+  /// Manifold/stability tail shared by both cases: both manifolds built
+  /// from their embeddings, then Phase 3 (with the fast-mode levers).
   void finish_variant(SweepVariantResult& out, linalg::Matrix input_embedding,
                       const graphs::Graph& input_graph,
                       const linalg::Matrix& output_embedding);

@@ -170,7 +170,6 @@ GnnIncrementalResult TimingGnn::forward_incremental(
   }
 
   GnnIncrementalResult out;
-  out.changed_rows = dirty;
 
   // Head: de-normalize only the rows whose hidden state moved.
   Matrix head = snap.head_output;

@@ -58,12 +58,11 @@ struct GnnIncrementalStats {
   }
 };
 
-/// Output of an incremental forward: full variant embedding/prediction plus
-/// the embedding rows that actually moved (the kNN delta set).
+/// Output of an incremental forward: the full variant embedding and
+/// prediction.
 struct GnnIncrementalResult {
-  linalg::Matrix embedding;                ///< variant hidden states (n x d)
-  std::vector<double> prediction;          ///< variant de-normalized arrivals
-  std::vector<std::uint32_t> changed_rows; ///< embedding rows that moved
+  linalg::Matrix embedding;        ///< variant hidden states (n x d)
+  std::vector<double> prediction;  ///< variant de-normalized arrivals
 };
 
 /// Pre-routing timing predictor standing in for the GNN of [17]

@@ -21,14 +21,13 @@ namespace {
 /// the serial loop at any thread count.
 constexpr std::size_t kKnnQueryGrain = 32;
 
-/// Neighbor candidates for the selected points (all of them when `subset`
-/// is null): exact, or approximate via a KD-tree over a JL projection with
-/// exact full-dimension re-ranking. Non-selected slots stay empty. Opens
-/// one `knn.index` span (projection and tree build) and one `knn.query`
-/// span (every query and re-rank) under the caller's span.
-std::vector<std::vector<Neighbor>> all_knn(
-    const linalg::Matrix& points, std::size_t k, const KnnGraphOptions& opts,
-    const std::vector<std::uint32_t>* subset = nullptr) {
+/// Neighbor candidates of every point: exact, or approximate via a KD-tree
+/// over a JL projection with exact full-dimension re-ranking. Opens one
+/// `knn.index` span (projection and tree build) and one `knn.query` span
+/// (every query and re-rank) under the caller's span.
+std::vector<std::vector<Neighbor>> all_knn(const linalg::Matrix& points,
+                                           std::size_t k,
+                                           const KnnGraphOptions& opts) {
   const std::size_t n = points.rows();
   const std::size_t d = points.cols();
   const bool approximate = opts.search_dims > 0 && opts.search_dims < d;
@@ -54,11 +53,9 @@ std::vector<std::vector<Neighbor>> all_knn(
           ? std::min(n - 1, k * std::max<std::size_t>(opts.oversample, 1))
           : k;
   runtime::parallel_for_chunks(
-      0, subset ? subset->size() : n, kKnnQueryGrain,
-      [&](std::size_t lo, std::size_t hi) {
+      0, n, kKnnQueryGrain, [&](std::size_t lo, std::size_t hi) {
         std::uint64_t evals = 0;
-        for (std::size_t q = lo; q < hi; ++q) {
-          const std::size_t i = subset ? (*subset)[q] : q;
+        for (std::size_t i = lo; i < hi; ++i) {
           std::vector<Neighbor> hits = tree.knn_of_point(i, pool, &evals);
           if (approximate) {
             for (auto& c : hits)
@@ -77,8 +74,7 @@ std::vector<std::vector<Neighbor>> all_knn(
 
 /// Assemble the undirected graph from per-point candidate lists: median
 /// relative floor, symmetric dedup, w = 1/(d² + floor), edges in ascending
-/// (u, v) order. Shared by the full build and the delta update so both
-/// produce the same graph for the same lists.
+/// (u, v) order.
 Graph assemble_knn_graph(const std::vector<std::vector<Neighbor>>& hits,
                          std::size_t n, const KnnGraphOptions& opts) {
   Graph g(n);
@@ -108,8 +104,7 @@ Graph assemble_knn_graph(const std::vector<std::vector<Neighbor>>& hits,
   }
 
   // Deduplicate symmetric hits: i->j and j->i yield the same pair with the
-  // same distance bits, because the distance kernels are symmetric and a
-  // delta update re-queries every list that names a moved point.
+  // same distance bits, because the distance kernels are symmetric.
   for (std::size_t u = 0; u < n; ++u) {
     const auto first = buckets.begin() + static_cast<long>(start[u]);
     const auto last = buckets.begin() + static_cast<long>(start[u + 1]);
@@ -140,69 +135,6 @@ Graph build_knn_graph(const linalg::Matrix& points,
 
   const std::size_t k = std::min(opts.k, n - 1);
   const auto hits = all_knn(points, k, opts);
-  return assemble_knn_graph(hits, n, opts);
-}
-
-Graph capture_knn_baseline(const linalg::Matrix& points,
-                           KnnBaseline& baseline,
-                           const KnnGraphOptions& opts) {
-  require_finite_rows(points, "capture_knn_baseline");
-  const obs::TraceSpan trace_span("knn.capture_baseline", "graphs");
-  baseline.points = points;
-  const std::size_t n = points.rows();
-  if (n < 2) {
-    baseline.k = 0;
-    baseline.hits.assign(n, {});
-    return Graph(n);
-  }
-  baseline.k = std::min(opts.k, n - 1);
-  baseline.hits = all_knn(points, baseline.k, opts);
-  return assemble_knn_graph(baseline.hits, n, opts);
-}
-
-Graph update_knn_graph(const KnnBaseline& baseline,
-                       const linalg::Matrix& points,
-                       std::span<const std::uint32_t> moved_rows,
-                       const KnnGraphOptions& opts, KnnUpdateStats* stats) {
-  const std::size_t n = points.rows();
-  if (n != baseline.points.rows() || points.cols() != baseline.points.cols())
-    throw std::invalid_argument("update_knn_graph: point-matrix shape differs");
-  require_finite_rows(points, "update_knn_graph");
-  if (n < 2) return Graph(n);
-  const std::size_t k = std::min(opts.k, n - 1);
-  if (k != baseline.k)
-    throw std::invalid_argument("update_knn_graph: k differs from baseline");
-
-  const obs::TraceSpan trace_span("knn.delta_update", "graphs");
-  static const obs::Counter updates("knn.delta_updates");
-  static const obs::Counter requeries("knn.requeried_points");
-  updates.add();
-
-  // Re-query set: the moved points plus every point whose baseline list
-  // references a moved point (its distances — possibly its membership —
-  // changed).
-  std::vector<char> moved(n, 0);
-  for (const std::uint32_t r : moved_rows) moved[r] = 1;
-  std::vector<std::uint32_t> requery;
-  for (std::size_t i = 0; i < n; ++i) {
-    bool affected = moved[i] != 0;
-    if (!affected)
-      for (const Neighbor& nb : baseline.hits[i])
-        if (moved[nb.index]) { affected = true; break; }
-    if (affected) requery.push_back(static_cast<std::uint32_t>(i));
-  }
-
-  std::vector<std::vector<Neighbor>> hits = baseline.hits;
-  if (!requery.empty()) {
-    auto fresh = all_knn(points, k, opts, &requery);
-    for (const std::uint32_t i : requery) hits[i] = std::move(fresh[i]);
-  }
-
-  requeries.add(requery.size());
-  if (stats) {
-    stats->requeried_points = requery.size();
-    stats->total_points = n;
-  }
   return assemble_knn_graph(hits, n, opts);
 }
 

@@ -250,25 +250,16 @@ std::vector<std::uint8_t> build_gnn_section(gnn::TimingGnn& model) {
   return w.bytes();
 }
 
-/// What the baseline's solves and search produced: the DMD eigenvalues and
-/// V_s, both manifolds, U_M and, in fast mode, the output side's k plus its
-/// n·k neighbor indices. The restoring engine derives everything else.
+/// What the baseline's solves produced: the DMD eigenvalues and V_s, both
+/// manifolds and U_M. The restoring engine derives everything else.
 std::vector<std::uint8_t> build_sweep_section(
-    const core::SweepBaselineState& s, bool fast) {
+    const core::SweepBaselineState& s) {
   ByteWriter w;
   w.array<double>(s.baseline.eigenvalues);
   write_matrix(w, s.baseline.weighted_subspace);
   write_graph(w, s.baseline.manifold_x);
   write_graph(w, s.baseline.manifold_y);
   write_matrix(w, s.u0);
-  if (fast) {
-    std::vector<std::uint32_t> indices;
-    for (const std::vector<graphs::Neighbor>& list : s.my.hits)
-      for (const graphs::Neighbor& nb : list)
-        indices.push_back(static_cast<std::uint32_t>(nb.index));
-    w.u64(s.my.k);
-    w.array<std::uint32_t>(indices);
-  }
   return w.bytes();
 }
 
@@ -303,7 +294,7 @@ void write_snapshot(const std::string& path, gnn::TimingGnn& model,
   sections.push_back({kSectionMeta, build_meta_section(meta)});
   sections.push_back({kSectionNetlist, build_netlist_section(model.netlist())});
   sections.push_back({kSectionGnn, build_gnn_section(model)});
-  sections.push_back({kSectionSweep, build_sweep_section(state, !meta.exact)});
+  sections.push_back({kSectionSweep, build_sweep_section(state)});
 
   // Section table sits right after the header; payloads are 64-byte aligned.
   const std::size_t table_bytes = sections.size() * 24;
@@ -486,19 +477,6 @@ SnapshotData read_snapshot(const std::string& path,
       s.baseline.manifold_x = read_graph(r, path);
       s.baseline.manifold_y = read_graph(r, path);
       s.u0 = read_matrix(r, path);
-      if (!data.meta.exact) {
-        // One list of exactly k per pin; the restoring engine derives the
-        // distances.
-        const std::size_t n = data.netlist.num_pins();
-        const std::uint64_t k = s.my.k = r.u64();
-        const std::vector<std::uint32_t> ids = r.array<std::uint32_t>();
-        if (k == 0 ? !ids.empty() : ids.size() % k != 0 || ids.size() / k != n)
-          fail(path, "kNN index count is not pins x k");
-        for (std::size_t i = 0; i < n; ++i) {
-          std::vector<graphs::Neighbor>& list = s.my.hits.emplace_back(k);
-          for (std::size_t j = 0; j < k; ++j) list[j].index = ids[i * k + j];
-        }
-      }
     }
   } catch (const SnapshotError&) {
     throw;

@@ -15,11 +15,11 @@
 namespace cirstag::io {
 
 /// Binary circuit-snapshot format (DESIGN.md §13): one versioned,
-/// checksummed container holding only what training, the solves and the
-/// search produced for a resident circuit — the finalized netlist, the
-/// trained GNN weights, U_M, the DMD eigenvalues and V_s, both manifolds
-/// and, in fast mode, the output side's kNN indices. No timings or thread
-/// count: the bytes depend on the design and settings alone. Restoring
+/// checksummed container holding only what training and the solves
+/// produced for a resident circuit — the finalized netlist, the trained GNN
+/// weights, U_M, the DMD eigenvalues and V_s, and both manifolds, in one
+/// layout for both sweep modes. No timings or thread count: the bytes
+/// depend on the design and settings alone. Restoring
 /// re-trains and re-solves nothing (`eigen.runs` and `gnn.train_epochs`
 /// stay 0); the restoring SweepEngine derives the rest through the fresh
 /// pipeline's own calls.
@@ -38,7 +38,7 @@ namespace cirstag::io {
 
 /// Files of any other version fail with SnapshotError: snapshots are
 /// derived artifacts, regenerated from the netlist rather than migrated.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// Every snapshot failure mode (I/O, corruption, shape mismatch).
 class SnapshotError : public std::runtime_error {
@@ -48,8 +48,8 @@ class SnapshotError : public std::runtime_error {
 
 /// Snapshot-level metadata carried alongside the state sections.
 struct SnapshotMeta {
-  /// SweepOptions::exact of the exporting engine: only a fast-mode file
-  /// stores kNN lists, and the restore builds its engine in the same mode.
+  /// SweepOptions::exact of the exporting engine: the restore builds its
+  /// engine in the same mode.
   bool exact = true;
   double train_r2 = 0.0;  ///< training diagnostic, surfaced by /health
 };

@@ -43,14 +43,14 @@ void get_column(const Matrix& m, std::size_t j, std::vector<double>& out) {
 }
 
 /// z = M⁻¹r for one contiguous column, deflated when the solve is.
-void precondition(const BlockCgSystem& sys, bool deflate,
-                  std::span<const double> r, std::span<double> z) {
+void precondition(const BlockCgSystem& sys, std::span<const double> r,
+                  std::span<double> z) {
   if (sys.tree != nullptr) {
     sys.tree->apply(r, z);
   } else {
     for (std::size_t i = 0; i < r.size(); ++i) z[i] = sys.inv_diag[i] * r[i];
   }
-  if (deflate) deflate_constant(z);
+  if (sys.deflate_constant) deflate_constant(z);
 }
 
 /// What one lockstep loop reports beside its per-column results.
@@ -68,7 +68,7 @@ LoopStats solve_columns(const BlockCgSystem& sys, const Matrix& b,
   const std::size_t n = x.rows();
   const std::size_t k = x.cols();
   const std::size_t kp = kernels::padded_cols(k);
-  const bool deflate = opts.deflate_constant;
+  const bool deflate = sys.deflate_constant;
   // Jacobi's z = D⁻¹r is recomputed by the pass that needs it; z is stored
   // only after a tree solve or to be centered in a deflated solve.
   const double* jacobi = sys.tree == nullptr ? sys.inv_diag.data() : nullptr;
@@ -118,7 +118,7 @@ LoopStats solve_columns(const BlockCgSystem& sys, const Matrix& b,
       kernels::axpy(-1.0, aux.data(), col.data(), n);
       r.set_col(j, col);
     }
-    precondition(sys, deflate, col, aux);
+    precondition(sys, col, aux);
     rz[j] = kernels::dot(col.data(), aux.data(), n);
     p.set_col(j, aux);
   }
@@ -196,7 +196,7 @@ LoopStats solve_columns(const BlockCgSystem& sys, const Matrix& b,
       for (std::size_t j = 0; j < k; ++j) {
         if (!active[j]) continue;
         get_column(r, j, col);
-        precondition(sys, deflate, col, aux);
+        precondition(sys, col, aux);
         rz_new[j] = kernels::dot(col.data(), aux.data(), n);
         z.set_col(j, aux);
       }

@@ -21,6 +21,10 @@ struct BlockCgSystem {
   double shift = 0.0;
   std::span<const double> inv_diag;
   const TreeFactorization* tree = nullptr;
+  /// Project right-hand sides and iterates orthogonal to the all-ones
+  /// vector. Required when solving singular Laplacian systems L x = b with
+  /// 1ᵀb = 0; LaplacianSolver sets it exactly when its regularization is 0.
+  bool deflate_constant = false;
 };
 
 /// Per-column convergence report from a block-CG run.

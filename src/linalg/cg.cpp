@@ -24,7 +24,6 @@ LaplacianSolver::LaplacianSolver(SparseMatrix laplacian, double regularization,
     throw std::invalid_argument("LaplacianSolver: matrix not square");
   if (!tree_.empty() && tree_.dimension() != laplacian_.rows())
     throw std::invalid_argument("LaplacianSolver: tree dimension mismatch");
-  opts_.deflate_constant = (regularization_ == 0.0);
   inv_diag_ = laplacian_.diagonal();
   for (auto& d : inv_diag_) {
     d += regularization_;
@@ -54,7 +53,7 @@ Matrix LaplacianSolver::solve_block(const Matrix& rhs,
   const std::size_t k = rhs.cols();
   BlockCgResult res = block_conjugate_gradient(
       {laplacian_, regularization_, inv_diag_,
-       tree_.empty() ? nullptr : &tree_},
+       tree_.empty() ? nullptr : &tree_, regularization_ == 0.0},
       rhs, opts_, initial_guess);
   double worst = 0.0;
   std::size_t slowest = 0;

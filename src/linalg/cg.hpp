@@ -17,9 +17,6 @@ using LinearOperator =
 struct CgOptions {
   double tolerance = 1e-10;       ///< relative residual target ||r||/||b||
   std::size_t max_iterations = 2000;
-  /// Project iterates orthogonal to the all-ones vector. Required when
-  /// solving singular Laplacian systems L x = b with 1^T b = 0.
-  bool deflate_constant = false;
   /// The caller caps iterations deliberately and tolerates an unconverged
   /// result (the resistance sketch, whose JL error dwarfs a tighter solve;
   /// the Phase-3 subspace iteration, which tolerates inexact inner solves).

@@ -123,18 +123,6 @@ core::SweepVariant test_variant(const Netlist& nl) {
   return v;
 }
 
-/// Scales every cell-input pin of the first last-level gate: only that
-/// gate's GNN output rows move, so a fast variant delta-re-queries the
-/// output-side kNN baseline instead of rebuilding it.
-core::SweepVariant last_level_variant(const Netlist& nl) {
-  const circuit::GateId g = nl.gates_at_level(nl.num_gate_levels() - 1)[0];
-  core::SweepVariant v;
-  for (circuit::PinId p = 0; p < nl.num_pins(); ++p)
-    if (nl.pin(p).kind == circuit::PinKind::CellInput && nl.pin(p).gate == g)
-      v.cap_scalings.push_back({p, 1.5});
-  return v;
-}
-
 TEST(Snapshot, RoundTripRestoresByteIdenticalWarmEngine) {
   const Netlist nl = small_netlist();
   WarmCircuit original(nl, /*exact=*/true);
@@ -202,65 +190,34 @@ TEST(Snapshot, FastModeRoundTripRestoresManifoldBaselines) {
   core::SweepEngine restored(restored_nl, *model, sopts,
                              std::move(data.state));
 
-  // The file keeps the output side's neighbor indices only; the restore
-  // derives the rest of the baseline and every kNN distance², which must
-  // equal what the exporter's search stored.
+  // A fast-mode file has the exact-mode layout; the restore derives the
+  // rest of the baseline, which must equal the exporter's.
   expect_same_derived_baseline(restored.baseline(),
                                original.engine->baseline());
-  const graphs::KnnBaseline& want_my =
-      original.engine->export_baseline_state().my;
-  const graphs::KnnBaseline& got_my = restored.export_baseline_state().my;
-  EXPECT_EQ(got_my.k, want_my.k);
-  ASSERT_EQ(got_my.hits.size(), nl.num_pins());
-  ASSERT_EQ(got_my.hits.size(), want_my.hits.size());
-  std::size_t differing = 0;
-  for (std::size_t i = 0; i < want_my.hits.size(); ++i) {
-    ASSERT_EQ(got_my.hits[i].size(), want_my.hits[i].size()) << "list " << i;
-    for (std::size_t j = 0; j < want_my.hits[i].size(); ++j) {
-      const graphs::Neighbor& g = got_my.hits[i][j];
-      const graphs::Neighbor& w = want_my.hits[i][j];
-      if (g.index != w.index || !same_bits({&g.distance2, 1}, {&w.distance2, 1}))
-        ++differing;
-    }
-  }
-  EXPECT_EQ(differing, 0u);
-  EXPECT_TRUE(same_bits(got_my.points.data(), want_my.points.data()));
 
+  // The restored engine answers a variant as the exporter does, in every
+  // phase checksum.
   const std::vector<core::SweepVariant> variants{test_variant(nl)};
   const auto a = original.engine->run(variants);
   const auto b = restored.run(variants);
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a[0].report.node_scores, b[0].report.node_scores);
-
-  // A variant that engages the output-side delta re-queries around the
-  // restored lists and points, so any bit they lost would show in its
-  // re-queried set or its checksums.
-  const std::vector<core::SweepVariant> shallow{last_level_variant(nl)};
-  const auto c = original.engine->run(shallow);
-  const auto d = restored.run(shallow);
-  ASSERT_EQ(c.size(), 1u);
-  ASSERT_EQ(d.size(), 1u);
-  EXPECT_GT(c[0].stats.knn_y.total_points, 0u) << "delta did not engage";
-  EXPECT_EQ(d[0].stats.knn_y.total_points, c[0].stats.knn_y.total_points);
-  EXPECT_EQ(d[0].stats.knn_y.requeried_points,
-            c[0].stats.knn_y.requeried_points);
-  const auto want = c[0].report.checksums.fields();
-  const auto got = d[0].report.checksums.fields();
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  const auto want = a[0].report.checksums.fields();
+  const auto got = b[0].report.checksums.fields();
   for (std::size_t i = 0; i < want.size(); ++i)
     EXPECT_EQ(got[i].second, want[i].second) << want[i].first;
   std::remove(path.c_str());
 }
 
-TEST(Snapshot, RestoreRejectsKnnBaselineThatDoesNotFitNetlist) {
-  // The restore derives scores from the stored V_s and the output side's
-  // kNN distances from its lists, and a fast-mode delta re-query indexes one
-  // list per pin, so stored arrays that do not fit the netlist must fail up
-  // front (serve turns the throw into a failed /load), never at the first
-  // variant.
+TEST(Snapshot, RestoreRejectsArraysThatDoNotFitNetlist) {
+  // The restore derives scores from the stored V_s and a variant indexes
+  // U_M and both manifolds by pin, so stored arrays that do not fit the
+  // netlist must fail up front (serve turns the throw into a failed /load),
+  // never at the first variant.
   const Netlist nl = small_netlist(11);
   WarmCircuit warm(nl, /*exact=*/false);
   const core::SweepBaselineState& good = warm.engine->export_baseline_state();
-  ASSERT_EQ(good.my.hits.size(), nl.num_pins());
+  ASSERT_EQ(good.u0.rows(), nl.num_pins());
   core::SweepOptions sopts;
   sopts.exact = false;
   const auto restore = [&](core::SweepBaselineState state) {
@@ -274,25 +231,13 @@ TEST(Snapshot, RestoreRejectsKnnBaselineThatDoesNotFitNetlist) {
     const char* what;
     void (*mutate)(core::SweepBaselineState&, std::size_t pins);
   } corpus[] = {
-      {"kNN side missing its last list",
-       [](core::SweepBaselineState& s, std::size_t) { s.my.hits.pop_back(); }},
-      {"kNN side with one list too many",
-       [](core::SweepBaselineState& s, std::size_t) {
-         s.my.hits.emplace_back(s.my.hits.back());
-       }},
-      {"neighbor index equal to the pin count",
+      {"U_M with a row too few",
        [](core::SweepBaselineState& s, std::size_t pins) {
-         s.my.hits[0][0].index = pins;
+         s.u0 = linalg::Matrix(pins - 1, s.u0.cols());
        }},
-      {"k other than the config's",
-       [](core::SweepBaselineState& s, std::size_t) { ++s.my.k; }},
-      {"a list that names its own pin",
-       [](core::SweepBaselineState& s, std::size_t) {
-         s.my.hits[5][2].index = 5;
-       }},
-      {"a list one neighbor short",
-       [](core::SweepBaselineState& s, std::size_t) {
-         s.my.hits[3].pop_back();
+      {"manifold_y over a node too few",
+       [](core::SweepBaselineState& s, std::size_t pins) {
+         s.baseline.manifold_y = graphs::Graph(pins - 1);
        }},
       {"V_s with a row too few",
        [](core::SweepBaselineState& s, std::size_t pins) {
@@ -379,6 +324,8 @@ TEST(Snapshot, CorruptCorpusFailsCleanlyWithHealthEvents) {
        [](std::vector<char> b) { b[12] = 1; return b; }},
       {"format version 2",
        [](std::vector<char> b) { b[12] = 2; return b; }},
+      {"format version 3",
+       [](std::vector<char> b) { b[12] = 3; return b; }},
   };
 
   obs::HealthMonitor::global().set_enabled(true);

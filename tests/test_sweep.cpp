@@ -1,13 +1,15 @@
 // SweepEngine contract tests: exact mode is byte-identical to the naive
-// per-variant CirStag::analyze loop (at any thread count), and fast mode's
-// score drift stays within the documented kFastScoreDriftTolerance on both
-// Case-A (capacitance) and Case-B (topology) sweeps.
+// per-variant CirStag::analyze loop (at any thread count), fast mode builds
+// the same manifolds as exact mode, and fast mode's score drift stays
+// within the documented kFastScoreDriftTolerance on both Case-A
+// (capacitance) and Case-B (topology) sweeps.
 
 #include "core/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "circuit/generator.hpp"
@@ -259,9 +261,7 @@ TEST_F(SweepEngineTest, FastModeDriftWithinToleranceCaseA) {
               kFastScoreDriftTolerance)
         << "variant " << i;
     // Fast-mode reuse engaged: spectral reuse, and the adaptive Ritz stop
-    // kept the sweep count inside the budget. (kNN deltas are adaptive —
-    // they engage only when a minority of embedding rows moved, which
-    // depends on the perturbed pins' fanout cones.)
+    // kept the sweep count inside the budget.
     EXPECT_TRUE(results[i].stats.spectral_reused);
     EXPECT_GE(results[i].stats.subspace_sweeps, 1u);
     EXPECT_LE(results[i].stats.subspace_sweeps,
@@ -273,37 +273,6 @@ TEST_F(SweepEngineTest, FastModeDriftWithinToleranceCaseA) {
   EXPECT_LT(stats.avg_gnn_row_fraction, 1.0);
   // The adaptive stop saved eigensolver work somewhere in the sweep.
   EXPECT_LT(stats.avg_subspace_sweep_fraction, 1.0);
-}
-
-TEST_F(SweepEngineTest, OutputKnnDeltaEngagesForShallowCones) {
-  // Perturb cell-input pins of last-level gates only: their DAG-propagation
-  // cones are a handful of pins, so the output-side kNN delta re-queries a
-  // small neighborhood instead of rebuilding the graph.
-  // Both variants scale the same last-level gate's input pins (by different
-  // factors): even one gate a level earlier propagates to over half the
-  // embedding rows through the stacked GNN layers, which rightly makes the
-  // adaptive delta fall back to a full rebuild.
-  const std::size_t last = nl_.num_gate_levels() - 1;
-  const circuit::GateId g = nl_.gates_at_level(last).front();
-  std::vector<SweepVariant> variants(2);
-  for (circuit::PinId p = 0; p < nl_.num_pins(); ++p)
-    if (nl_.pin(p).kind == circuit::PinKind::CellInput &&
-        nl_.pin(p).gate == g) {
-      variants[0].cap_scalings.push_back({p, 1.5});
-      variants[1].cap_scalings.push_back({p, 1.7});
-    }
-  ASSERT_FALSE(variants[0].cap_scalings.empty());
-  ASSERT_FALSE(variants[1].cap_scalings.empty());
-
-  SweepOptions opts;
-  opts.config = fast_config();
-  SweepEngine engine(nl_, *model_, opts);
-  const auto results = engine.run(variants);
-  for (const SweepVariantResult& r : results) {
-    ASSERT_GT(r.stats.knn_y.total_points, 0u) << "delta did not engage";
-    EXPECT_LT(r.stats.knn_y.requeried_points, r.stats.knn_y.total_points / 2);
-  }
-  EXPECT_LT(engine.stats().avg_knn_requery_fraction, 0.5);
 }
 
 TEST_F(SweepEngineTest, FastModeIsThreadCountInvariant) {
@@ -373,7 +342,7 @@ TEST_F(SweepEngineTest, FastModeScoresArePinned) {
   // bound, so a refactor could move its bytes unnoticed. The constants are
   // FNV-1a checksums of each variant's node scores; re-record them only for
   // an intended numerical change. The last Case-A variant perturbs a single
-  // last-level gate, so it also pins the output-side kNN delta path.
+  // last-level gate, whose GNN cone is a handful of pins.
   SweepOptions opts;
   opts.config = fast_config();
 
@@ -387,7 +356,6 @@ TEST_F(SweepEngineTest, FastModeScoresArePinned) {
   variants_a.push_back(shallow);
   SweepEngine engine_a(nl_, *model_, opts);
   const auto a = engine_a.run(variants_a);
-  EXPECT_GT(a.back().stats.knn_y.total_points, 0u) << "delta did not engage";
 
   const graphs::Graph g0 = circuit::pin_graph(nl_);
   const linalg::Matrix feats = circuit::pin_features(nl_);
@@ -398,7 +366,7 @@ TEST_F(SweepEngineTest, FastModeScoresArePinned) {
 
   const std::vector<std::uint64_t> pins_a = {
       0x7dd2d101eab075c0ULL, 0x03060a12645bd521ULL, 0x4175e8b384ab7475ULL,
-      0x880458022c0d85d0ULL, 0x83fa52a3e490b984ULL};
+      0x880458022c0d85d0ULL, 0xb04d806346922e99ULL};
   const std::vector<std::uint64_t> pins_b = {
       0x87a3f80d26d514d6ULL, 0x467b6e39e3361f68ULL, 0x6e2537f9ccd60f29ULL};
   ASSERT_EQ(a.size(), pins_a.size());
@@ -409,6 +377,55 @@ TEST_F(SweepEngineTest, FastModeScoresArePinned) {
   for (std::size_t i = 0; i < b.size(); ++i)
     EXPECT_EQ(obs::fnv1a_doubles(b[i].report.node_scores), pins_b[i])
         << "Case-B variant " << i;
+}
+
+TEST_F(SweepEngineTest, FastAndExactModesBuildIdenticalManifolds) {
+  // Fast mode differs from exact mode only in its Phase-3 levers: both build
+  // every manifold from its embedding, so whatever Phase 3 starts from is
+  // the same bytes, also for a variant that moves only a last-level gate's
+  // few GNN output rows. The variants are FastModeScoresArePinned's.
+  auto variants_a = case_a_variants(nl_, 4);
+  const circuit::GateId g = nl_.gates_at_level(nl_.num_gate_levels() - 1)[0];
+  SweepVariant shallow;
+  for (circuit::PinId p = 0; p < nl_.num_pins(); ++p)
+    if (nl_.pin(p).kind == circuit::PinKind::CellInput &&
+        nl_.pin(p).gate == g)
+      shallow.cap_scalings.push_back({p, 1.5});
+  variants_a.push_back(shallow);
+  const graphs::Graph g0 = circuit::pin_graph(nl_);
+  const linalg::Matrix feats = circuit::pin_features(nl_);
+  const linalg::Matrix y0 = model_->embed(feats);
+  const std::vector<graphs::Graph> graphs_v = rewired_graphs(g0);
+  const auto variants_b = case_b_variants(graphs_v, feats, y0);
+
+  const auto expect_same_manifolds =
+      [](const std::vector<SweepVariantResult>& fast,
+         const std::vector<SweepVariantResult>& exact, const char* what) {
+        ASSERT_EQ(fast.size(), exact.size()) << what;
+        for (std::size_t i = 0; i < fast.size(); ++i) {
+          SCOPED_TRACE(std::string(what) + " variant " + std::to_string(i));
+          expect_same_graph(fast[i].report.manifold_x,
+                            exact[i].report.manifold_x, "manifold_x");
+          expect_same_graph(fast[i].report.manifold_y,
+                            exact[i].report.manifold_y, "manifold_y");
+          expect_same_matrix(fast[i].report.input_embedding,
+                             exact[i].report.input_embedding,
+                             "input_embedding");
+        }
+      };
+  SweepOptions opts;
+  opts.config = fast_config();
+  opts.exact = false;
+  SweepEngine fast_a(nl_, *model_, opts);
+  SweepEngine fast_b(g0, feats, y0, opts);
+  opts.exact = true;
+  SweepEngine exact_a(nl_, *model_, opts);
+  SweepEngine exact_b(g0, feats, y0, opts);
+  expect_same_report(fast_a.baseline(), exact_a.baseline(), "Case-A baseline");
+  expect_same_manifolds(fast_a.run(variants_a), exact_a.run(variants_a),
+                        "Case-A");
+  expect_same_manifolds(fast_b.run(variants_b), exact_b.run(variants_b),
+                        "Case-B");
 }
 
 TEST_F(SweepEngineTest, RejectsCaseAOnGraphModeEngine) {

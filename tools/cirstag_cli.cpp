@@ -809,11 +809,10 @@ int cmd_sweep(int argc, char** argv) {
   const auto& sw = engine.stats();
   std::printf("sweep: %zu variants in %.2fs (baseline %.2fs)\n", sw.variants,
               sw.sweep_seconds, sw.baseline_seconds);
-  std::printf("  reuse: STA cone %.3f, GNN rows %.3f, kNN re-query %.3f, "
-              "subspace sweeps %.3f of budget, solver-cache hits %zu\n",
+  std::printf("  reuse: STA cone %.3f, GNN rows %.3f, subspace sweeps %.3f "
+              "of budget, solver-cache hits %zu\n",
               sw.avg_sta_cone_fraction, sw.avg_gnn_row_fraction,
-              sw.avg_knn_requery_fraction, sw.avg_subspace_sweep_fraction,
-              sw.solver_cache_hits);
+              sw.avg_subspace_sweep_fraction, sw.solver_cache_hits);
   if (!sopts.exact)
     std::printf("  (fast mode: scores within %.2f relative L2 of the naive "
                 "per-variant loop; --exact 1 for byte-identical reports)\n",
