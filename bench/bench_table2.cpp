@@ -3,11 +3,12 @@
 // reverse-engineering GAT of [4].
 //
 // Protocol: train the GAT sub-circuit classifier on a module-stitched
-// netlist; run CirSTAG on (gate graph, gate features, GAT embeddings); for
-// each fraction k% apply the same local topology perturbation (one random
-// extra edge per selected gate, node features held fixed as in [4]) to the
-// unstable (top-k% score) and stable (bottom-k%) cohorts; re-run the same
-// trained weights on the perturbed topology and report
+// netlist; score the unperturbed (gate graph, gate features, GAT
+// embeddings) once with CirStag::analyze; for each fraction k% apply the
+// same local topology perturbation (one random extra edge per selected gate,
+// node features held fixed as in [4]) to the unstable (top-k% score) and
+// stable (bottom-k%) cohorts; re-run the same trained weights on the
+// perturbed topology and report
 //   (a) mean cosine similarity between original and perturbed embeddings of
 //       the perturbed gates, and
 //   (b) classification accuracy on the perturbed gates,
@@ -18,7 +19,6 @@
 // stability score is a working local-Lipschitz estimate.
 
 #include <cstdio>
-#include <iterator>
 
 #include "circuit/modules.hpp"
 #include "circuit/perturb.hpp"
@@ -47,20 +47,11 @@ graphs::Graph add_random_edges(const graphs::Graph& g,
   return out;
 }
 
+/// GAT-side metrics of one perturbed cohort.
 struct CohortResult {
   double cohort_cosine = 0.0;
   double cohort_accuracy = 0.0;
   double global_f1 = 0.0;
-};
-
-/// One perturbed-cohort experiment: the GAT-side metrics plus the perturbed
-/// topology/embedding pair handed to the sweep engine for batched CirSTAG
-/// re-analysis.
-struct CohortData {
-  std::vector<std::size_t> nodes;
-  graphs::Graph topo;
-  linalg::Matrix emb;
-  CohortResult metrics;
 };
 
 }  // namespace
@@ -99,7 +90,7 @@ int main() {
                           "cos@5%", "cos@10%", "cos@15%",
                           "acc@5%", "acc@10%", "acc@15%"});
   util::CsvWriter csv({"design", "fraction", "cohort", "cohort_cosine",
-                       "cohort_accuracy", "global_f1", "perturbed_top_eig"});
+                       "cohort_accuracy", "global_f1"});
 
   std::printf("=== Table II reproduction (Case B): GAT stability under "
               "topology perturbations ===\n");
@@ -119,93 +110,60 @@ int main() {
     const auto base_eval = model.evaluate(model.base_features());
     const auto base_emb = model.embed(model.base_features());
 
-    // Graph-mode sweep engine: captures the baseline analysis (byte-identical
-    // to CirStag::analyze) and batches every perturbed-topology re-analysis
-    // below as a Case-B variant with cross-variant reuse.
-    core::SweepEngine engine(topo, model.base_features(), base_emb,
-                             core::SweepOptions{default_config()});
-    const auto& report = engine.baseline();
+    // The unperturbed gate graph is scored once; the cohorts below are
+    // perturbed around its top- and bottom-ranked gates.
+    const core::CirStagReport report =
+        core::CirStag(default_config())
+            .analyze(topo, model.base_features(), base_emb);
 
     std::printf("[%s] gates=%zu edges=%zu acc=%.4f F1=%.4f (top eig %.3g)\n",
                 spec.name.c_str(), nl.num_gates(), topo.num_edges(),
                 base_eval.accuracy, base_eval.f1_macro,
                 report.eigenvalues.empty() ? 0.0 : report.eigenvalues[0]);
 
-    auto run_cohort = [&](std::vector<std::size_t> nodes,
+    auto run_cohort = [&](const std::vector<std::size_t>& nodes,
                           std::uint64_t seed) {
       linalg::Rng rng(seed);
-      CohortData d;
-      d.nodes = std::move(nodes);
-      d.topo = add_random_edges(topo, d.nodes, rng);
-      const auto clone = model.clone_for_topology(d.topo);
+      const auto clone =
+          model.clone_for_topology(add_random_edges(topo, nodes, rng));
       // Node features are held fixed (the perturbation is purely topological,
       // matching the GNN-RE protocol where features are precomputed).
-      d.emb = clone->embed(model.base_features());
-      const auto sims = gnn::row_cosine_similarities(base_emb, d.emb);
+      const auto sims = gnn::row_cosine_similarities(
+          base_emb, clone->embed(model.base_features()));
       const auto pred = clone->predict(model.base_features());
 
-      CohortResult& r = d.metrics;
+      CohortResult r;
       std::size_t correct = 0;
-      for (std::size_t i : d.nodes) {
+      for (std::size_t i : nodes) {
         r.cohort_cosine += sims[i];
         correct += (pred[i] == labels[i]) ? 1 : 0;
       }
-      r.cohort_cosine /= static_cast<double>(d.nodes.size());
+      r.cohort_cosine /= static_cast<double>(nodes.size());
       r.cohort_accuracy =
-          static_cast<double>(correct) / static_cast<double>(d.nodes.size());
+          static_cast<double>(correct) / static_cast<double>(nodes.size());
       r.global_f1 = gnn::f1_macro(pred, labels, kNumModuleClasses);
-      return d;
+      return r;
     };
-
-    // Prepare all six cohorts (GAT side), then analyze their perturbed
-    // topologies in one batched sweep.
-    std::vector<CohortData> cohorts;
-    for (double frac : fractions) {
-      cohorts.push_back(
-          run_cohort(select_top_fraction(report.node_scores, frac),
-                     900 + spec.seed));
-      cohorts.push_back(
-          run_cohort(select_bottom_fraction(report.node_scores, frac),
-                     901 + spec.seed));
-    }
-    std::vector<core::SweepVariant> variants(cohorts.size());
-    for (std::size_t i = 0; i < cohorts.size(); ++i) {
-      variants[i].input_graph = &cohorts[i].topo;
-      variants[i].node_features = &model.base_features();
-      variants[i].output_embedding = &cohorts[i].emb;
-    }
-    const auto vres = engine.run(variants);
-    const auto& sw = engine.stats();
-    std::printf("  sweep: %zu variants in %.2fs (baseline %.2fs, "
-                "subspace-sweep fraction %.2f, solver-cache hits %zu)\n",
-                sw.variants, sw.sweep_seconds, sw.baseline_seconds,
-                sw.avg_subspace_sweep_fraction, sw.solver_cache_hits);
 
     std::vector<std::string> row{spec.name, std::to_string(nl.num_gates()),
                                  util::fmt(base_eval.accuracy, 4),
                                  util::fmt(base_eval.f1_macro, 4)};
     std::vector<std::string> cos_cells, acc_cells;
-    for (std::size_t f = 0; f < std::size(fractions); ++f) {
-      const double frac = fractions[f];
-      const CohortData& du = cohorts[2 * f];
-      const CohortData& ds = cohorts[2 * f + 1];
-      const CohortResult& ru = du.metrics;
-      const CohortResult& rs = ds.metrics;
+    for (const double frac : fractions) {
+      const CohortResult ru = run_cohort(
+          select_top_fraction(report.node_scores, frac), 900 + spec.seed);
+      const CohortResult rs = run_cohort(
+          select_bottom_fraction(report.node_scores, frac), 901 + spec.seed);
       cos_cells.push_back(cell(ru.cohort_cosine, rs.cohort_cosine));
       acc_cells.push_back(cell(ru.cohort_accuracy, rs.cohort_accuracy));
-      const auto top_eig = [&](const core::SweepVariantResult& r) {
-        return r.report.eigenvalues.empty() ? 0.0 : r.report.eigenvalues[0];
-      };
       csv.add_row({spec.name, util::fmt(frac, 2), "unstable",
                    util::fmt(ru.cohort_cosine, 6),
                    util::fmt(ru.cohort_accuracy, 6),
-                   util::fmt(ru.global_f1, 6),
-                   util::fmt(top_eig(vres[2 * f]), 6)});
+                   util::fmt(ru.global_f1, 6)});
       csv.add_row({spec.name, util::fmt(frac, 2), "stable",
                    util::fmt(rs.cohort_cosine, 6),
                    util::fmt(rs.cohort_accuracy, 6),
-                   util::fmt(rs.global_f1, 6),
-                   util::fmt(top_eig(vres[2 * f + 1]), 6)});
+                   util::fmt(rs.global_f1, 6)});
     }
     for (auto& c : cos_cells) row.push_back(std::move(c));
     for (auto& c : acc_cells) row.push_back(std::move(c));

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/sweep.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace cirstag::core {
 
@@ -78,7 +77,6 @@ CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
 CirStagReport CirStag::analyze(const graphs::Graph& input_graph,
                                const linalg::Matrix& node_features,
                                const linalg::Matrix& output_embedding) const {
-  if (config_.threads != 0) runtime::set_global_threads(config_.threads);
   // Cross-phase solver cache: the resistance sketches of Phase 2 and the
   // L_Y solver of Phase 3 key their solvers here, so a manifold reused
   // across phases is assembled once. Purely an assembly cache: scores are

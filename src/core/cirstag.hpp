@@ -28,12 +28,6 @@ struct CirStagConfig {
   /// features, so a large output distance between them flags genuine
   /// mapping instability. 0 disables the feature channel.
   double feature_weight = 2.0;
-  /// Width of the parallel runtime pool used by analyze(): 0 keeps the
-  /// current global pool (CIRSTAG_THREADS env var or hardware concurrency
-  /// on first use); any other value resizes the global pool. Scores are
-  /// bit-identical at every setting — the runtime's chunked reductions fix
-  /// chunk boundaries independent of thread count.
-  std::size_t threads = 0;
 };
 
 /// Wall-clock per phase (Fig. 5 scalability series), plus the summed busy

@@ -245,42 +245,23 @@ SweepBaselineState compute_baseline(const graphs::Graph& input_graph,
 SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
                          SweepOptions opts)
     : opts_(std::move(opts)), netlist_(&netlist), model_(&model) {
-  if (opts_.config.threads != 0)
-    runtime::set_global_threads(opts_.config.threads);
   const obs::TraceSpan span("sweep.baseline", "sweep");
   static const obs::Counter baselines("sweep.baselines");
   baselines.add();
-  const linalg::Matrix features = set_up_case_a();
-  base_ = compute_baseline(pin_graph_, features, gnn_output(snap_),
-                           opts_.config, cache_);
-  stats_.baseline_seconds = span.seconds();
-}
-
-SweepEngine::SweepEngine(const graphs::Graph& input_graph,
-                         const linalg::Matrix& node_features,
-                         const linalg::Matrix& output_embedding,
-                         SweepOptions opts)
-    : opts_(std::move(opts)) {
-  if (opts_.config.threads != 0)
-    runtime::set_global_threads(opts_.config.threads);
-  const obs::TraceSpan span("sweep.baseline", "sweep");
-  static const obs::Counter baselines("sweep.baselines");
-  baselines.add();
-  base_ = compute_baseline(input_graph, node_features, output_embedding,
-                           opts_.config, cache_);
+  set_up_case_a();
+  base_ = compute_baseline(pin_graph_, model_->base_features(),
+                           gnn_output(snap_), opts_.config, cache_);
   stats_.baseline_seconds = span.seconds();
 }
 
 SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
                          SweepOptions opts, SweepBaselineState state)
     : opts_(std::move(opts)), netlist_(&netlist), model_(&model) {
-  if (opts_.config.threads != 0)
-    runtime::set_global_threads(opts_.config.threads);
   const obs::TraceSpan span("sweep.restore", "sweep");
   static const obs::Counter restores("sweep.baseline_restores");
   restores.add();
   const std::uint64_t health_begin = obs::HealthMonitor::global().next_index();
-  const linalg::Matrix features = set_up_case_a();
+  set_up_case_a();
 
   // What the file carries must fit this netlist before anything indexes it.
   const std::size_t n = pin_graph_.num_nodes();
@@ -303,8 +284,8 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   base_.u0 = std::move(state.u0);
   CirStagReport& report = base_.baseline;
   if (opts_.config.use_dimension_reduction)
-    report.input_embedding =
-        feature_augmented(base_.u0, features, opts_.config.feature_weight);
+    report.input_embedding = feature_augmented(
+        base_.u0, model_->base_features(), opts_.config.feature_weight);
   report.eigenvalues = std::move(solved.eigenvalues);
   report.weighted_subspace = std::move(solved.weighted_subspace);
   report.manifold_x = std::move(solved.manifold_x);
@@ -316,30 +297,20 @@ SweepEngine::SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
   stats_.baseline_seconds = span.seconds();
 }
 
-linalg::Matrix SweepEngine::set_up_case_a() {
+void SweepEngine::set_up_case_a() {
+  // The model's pin features and arc operators stand for this netlist, so
+  // it must be the object the model was built on (DESIGN.md §13).
+  if (&model_->netlist() != netlist_)
+    throw std::invalid_argument(
+        "SweepEngine: the model was built on another netlist");
   if (!netlist_->finalized())
     throw std::invalid_argument("SweepEngine: netlist must be finalized");
   pin_graph_ = circuit::pin_graph(*netlist_);
-  linalg::Matrix features = circuit::pin_features(*netlist_);
-  snap_ = model_->snapshot(features);
-  // Incremental STA re-times each Case-A variant's fanout cone (worst
-  // arrival + cone stats).
+  snap_ = model_->snapshot(model_->base_features());
+  // Incremental STA re-times each variant's fanout cone (worst arrival +
+  // cone stats).
   sta_ = std::make_unique<circuit::IncrementalSta>(*netlist_);
   baseline_timing_ = sta_->baseline_report();
-  return features;
-}
-
-const SweepBaselineState& SweepEngine::export_baseline_state() const {
-  if (netlist_ == nullptr)
-    throw std::logic_error(
-        "SweepEngine: snapshot export needs a Case-A engine");
-  return base_;
-}
-
-const circuit::TimingReport& SweepEngine::baseline_timing() const {
-  if (netlist_ == nullptr)
-    throw std::logic_error("SweepEngine: no netlist (graph-mode engine)");
-  return baseline_timing_;
 }
 
 std::vector<SweepVariantResult> SweepEngine::run(
@@ -363,7 +334,7 @@ std::vector<SweepVariantResult> SweepEngine::run(
   // bit-identical either way, and all reused data comes from the baseline
   // only — sibling variants never feed each other.
   runtime::parallel_for(0, variants.size(), 1, [&](std::size_t i) {
-    results[i] = run_variant(variants[i], i);
+    results[i] = run_case_a(variants[i], i);
   });
   // The tasks interleave their events, so every variant reports the call's.
   const obs::HealthReport health =
@@ -374,7 +345,7 @@ std::vector<SweepVariantResult> SweepEngine::run(
   stats_.variants = results.size();
   stats_.solver_cache_hits = cache_.hits() - cache_hits_before;
   double sta_sum = 0.0, gnn_sum = 0.0, sweep_sum = 0.0;
-  std::size_t sta_n = 0, gnn_n = 0, sweep_n = 0;
+  std::size_t sweep_n = 0;
   const double sweep_budget =
       static_cast<double>(opts_.config.stability.subspace_iterations);
   for (const SweepVariantResult& r : results) {
@@ -382,17 +353,12 @@ std::vector<SweepVariantResult> SweepEngine::run(
       sweep_sum += static_cast<double>(r.stats.subspace_sweeps) / sweep_budget;
       ++sweep_n;
     }
-    if (r.stats.sta.total_gates > 0) {
-      sta_sum += r.stats.sta.cone_fraction();
-      ++sta_n;
-    }
-    if (r.stats.gnn.total_rows > 0) {
-      gnn_sum += r.stats.gnn.row_fraction();
-      ++gnn_n;
-    }
+    sta_sum += r.stats.sta.cone_fraction();
+    gnn_sum += r.stats.gnn.row_fraction();
   }
-  stats_.avg_sta_cone_fraction = sta_n ? sta_sum / sta_n : 1.0;
-  stats_.avg_gnn_row_fraction = gnn_n ? gnn_sum / gnn_n : 1.0;
+  const double n = static_cast<double>(results.size());
+  stats_.avg_sta_cone_fraction = results.empty() ? 1.0 : sta_sum / n;
+  stats_.avg_gnn_row_fraction = results.empty() ? 1.0 : gnn_sum / n;
   stats_.avg_subspace_sweep_fraction = sweep_n ? sweep_sum / sweep_n : 1.0;
 
   static const obs::Gauge g_sta("sweep.sta_cone_fraction");
@@ -406,18 +372,8 @@ std::vector<SweepVariantResult> SweepEngine::run(
   return results;
 }
 
-SweepVariantResult SweepEngine::run_variant(const SweepVariant& v,
-                                            std::size_t index) {
-  if (v.input_graph != nullptr || v.output_embedding != nullptr)
-    return run_case_b(v, index);
-  return run_case_a(v, index);
-}
-
 SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v,
                                            std::size_t index) {
-  if (netlist_ == nullptr || model_ == nullptr)
-    throw std::invalid_argument(
-        "SweepEngine: Case-A variant on a graph-mode engine");
   const obs::TraceSpan span("sweep.variant_a", "sweep");
   SweepVariantResult out;
 
@@ -432,10 +388,7 @@ SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v,
   }
   const linalg::Matrix fv = circuit::pin_features(nlv);
 
-  if (sta_) {
-    const circuit::TimingReport rep = sta_->run(nlv, touched, &out.stats.sta);
-    out.worst_arrival = rep.worst_arrival;
-  }
+  out.worst_arrival = sta_->run(nlv, touched, &out.stats.sta).worst_arrival;
 
   // Incremental GNN forward (bit-identical to a full forward).
   gnn::GnnIncrementalResult inc =
@@ -445,51 +398,38 @@ SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v,
   // Input side: the pin graph is untouched by capacitance edits, so the
   // baseline spectral embedding is reused verbatim in both modes; only the
   // feature channel moves.
-  linalg::Matrix x_emb;
   const CirStagConfig& cfg = opts_.config;
+  CirStagReport& report = out.report;
+  report.timings.threads = runtime::global_pool().num_threads();
   if (cfg.use_dimension_reduction) {
     out.stats.spectral_reused = true;
-    x_emb = feature_augmented(base_.u0, fv, cfg.feature_weight);
+    report.input_embedding =
+        feature_augmented(base_.u0, fv, cfg.feature_weight);
   }
 
-  finish_variant(out, std::move(x_emb), pin_graph_, inc.embedding);
+  // Phase 2 in both modes, as the baseline ran it.
+  manifold_phase(report, pin_graph_, inc.embedding, cfg.manifold, cache_);
+
+  // Phase 3 — accelerated in fast mode by three levers that each keep the
+  // cold deterministic start: the spanning-tree preconditioner for the
+  // inner solves and a relaxed CG tolerance (measured drift ≤ 1e-4 each —
+  // Phase 3 makes no discrete decisions, so trajectory changes stay at
+  // tolerance level), plus the adaptive Ritz early stop (the whole drift
+  // budget; see kFastRitzTolerance).
+  StabilityOptions so = cfg.stability;
+  if (!opts_.exact) {
+    so.preconditioner = kFastPreconditioner;
+    so.cg_tolerance = kFastCgTolerance;
+    so.ritz_tolerance = kFastRitzTolerance;
+  }
+  out.stats.subspace_sweeps =
+      score_report(report, so, cache_, pin_graph_, inc.embedding);
   if (!opts_.exact && opts_.audit_drift)
-    audit_variant_drift(out, pin_graph_, fv, inc.embedding, index);
-  return out;
-}
-
-SweepVariantResult SweepEngine::run_case_b(const SweepVariant& v,
-                                           std::size_t index) {
-  if (v.input_graph == nullptr || v.output_embedding == nullptr)
-    throw std::invalid_argument(
-        "SweepEngine: Case-B variant needs input_graph and output_embedding");
-  const obs::TraceSpan span("sweep.variant_b", "sweep");
-  SweepVariantResult out;
-  const CirStagConfig& cfg = opts_.config;
-  const graphs::Graph& g = *v.input_graph;
-  if (g.num_nodes() != v.output_embedding->rows())
-    throw std::invalid_argument(
-        "SweepEngine: variant graph nodes != embedding rows");
-
-  const linalg::Matrix no_features;
-  const linalg::Matrix& feats =
-      v.node_features != nullptr ? *v.node_features : no_features;
-
-  // The topology changed, so the spectrum is recomputed from the same
-  // deterministic start as the baseline's.
-  linalg::Matrix x_emb;
-  if (cfg.use_dimension_reduction)
-    x_emb = feature_augmented(spectral_embedding(g, cfg.embedding), feats,
-                              cfg.feature_weight);
-
-  finish_variant(out, std::move(x_emb), g, *v.output_embedding);
-  if (!opts_.exact && opts_.audit_drift)
-    audit_variant_drift(out, g, feats, *v.output_embedding, index);
+    audit_variant_drift(out, fv, inc.embedding, index);
   return out;
 }
 
 void SweepEngine::audit_variant_drift(SweepVariantResult& out,
-                                      const graphs::Graph& input_graph,
                                       const linalg::Matrix& node_features,
                                       const linalg::Matrix& output_embedding,
                                       std::size_t index) const {
@@ -498,7 +438,7 @@ void SweepEngine::audit_variant_drift(SweepVariantResult& out,
   // runs serially inline like every nested parallel region.
   graphs::LaplacianSolverCache naive_cache;
   const CirStagReport ref =
-      compute_baseline(input_graph, node_features, output_embedding,
+      compute_baseline(pin_graph_, node_features, output_embedding,
                        opts_.config, naive_cache)
           .baseline;
 
@@ -529,39 +469,8 @@ void SweepEngine::audit_variant_drift(SweepVariantResult& out,
       over ? obs::HealthSeverity::error : obs::HealthSeverity::info);
 }
 
-void SweepEngine::finish_variant(SweepVariantResult& out,
-                                 linalg::Matrix input_embedding,
-                                 const graphs::Graph& input_graph,
-                                 const linalg::Matrix& output_embedding) {
-  const CirStagConfig& cfg = opts_.config;
-  CirStagReport& report = out.report;
-  report.timings.threads = runtime::global_pool().num_threads();
-  report.input_embedding = std::move(input_embedding);
-
-  // Phase 2 in both modes, as the baseline ran it.
-  manifold_phase(report, input_graph, output_embedding, cfg.manifold,
-                 cache_);
-
-  // Phase 3 — accelerated in fast mode by three levers that each keep the
-  // cold deterministic start: the spanning-tree preconditioner for the
-  // inner solves and a relaxed CG tolerance (measured drift ≤ 1e-4 each —
-  // Phase 3 makes no discrete decisions, so trajectory changes stay at
-  // tolerance level), plus the adaptive Ritz early stop (the whole drift
-  // budget; see kFastRitzTolerance).
-  StabilityOptions so = cfg.stability;
-  if (!opts_.exact) {
-    so.preconditioner = kFastPreconditioner;
-    so.cg_tolerance = kFastCgTolerance;
-    so.ritz_tolerance = kFastRitzTolerance;
-  }
-  out.stats.subspace_sweeps =
-      score_report(report, so, cache_, input_graph, output_embedding);
-}
-
 std::vector<double> SweepEngine::predict_case_a(
     std::span<const std::size_t> pins, double factor) const {
-  if (netlist_ == nullptr || model_ == nullptr)
-    throw std::logic_error("SweepEngine: predict_case_a needs a netlist");
   const linalg::Matrix fv =
       circuit::perturbed_pin_features(*netlist_, pins, factor);
   return model_->forward_incremental(snap_, fv).prediction;

@@ -12,33 +12,23 @@
 
 namespace cirstag::core {
 
-/// One capacitance edit of a Case-A sweep variant.
+/// One capacitance edit of a sweep variant.
 struct CapScaling {
   circuit::PinId pin = 0;
   double factor = 1.0;
 };
 
-/// One variant of a perturbation sweep.
-///
-/// Case A (capacitance): leave the pointers null and list `cap_scalings`;
-/// the engine derives the perturbed netlist, pin features, GNN forward and
-/// (optionally) incremental STA itself.
-///
-/// Case B (topology): set `input_graph` and `output_embedding` (plus
-/// optionally `node_features`) to the perturbed circuit view; the engine
-/// runs the analysis pipeline on them with cross-variant reuse. Pointers
-/// must stay valid for the duration of run().
+/// One variant of a perturbation sweep (Case A): the pin capacitances it
+/// scales. The engine derives the perturbed netlist, pin features, GNN
+/// forward and incremental STA itself.
 struct SweepVariant {
-  std::vector<CapScaling> cap_scalings;             ///< Case A
-  const graphs::Graph* input_graph = nullptr;       ///< Case B
-  const linalg::Matrix* node_features = nullptr;    ///< Case B (optional)
-  const linalg::Matrix* output_embedding = nullptr; ///< Case B
+  std::vector<CapScaling> cap_scalings;
 };
 
 /// Documented fast-mode drift bound: the relative L2 distance
 /// ‖s_fast − s_naive‖₂ / ‖s_naive‖₂ between a fast variant's node-score
 /// vector and the naive per-variant analyze() loop's stays below this
-/// bound (validated on Case-A and Case-B sweeps in test_sweep.cpp).
+/// bound (validated on Case-A sweeps in test_sweep.cpp).
 /// The drift is entirely the Phase-3 adaptive early stop (kFastRitzTolerance
 /// in core/sweep.cpp): measured across 120..1500-gate Case-A circuits and
 /// their perturbed variants, the spanning-tree preconditioner and the
@@ -75,8 +65,8 @@ struct SweepOptions {
 
 /// Per-variant reuse accounting.
 struct SweepVariantStats {
-  circuit::IncrementalStaStats sta;   ///< Case A
-  gnn::GnnIncrementalStats gnn;       ///< Case A
+  circuit::IncrementalStaStats sta;
+  gnn::GnnIncrementalStats gnn;
   bool spectral_reused = false;       ///< input embedding taken from baseline
   /// Phase-3 subspace sweeps executed (< the config budget when the fast
   /// mode's adaptive Ritz stop converged early). Deterministic.
@@ -86,12 +76,12 @@ struct SweepVariantStats {
   double audited_drift = -1.0;
 };
 
-/// Result of one variant: the full CirSTAG report plus the Case-A side
-/// products (GNN arrival predictions, incremental-STA worst arrival).
+/// Result of one variant: the full CirSTAG report plus the side products
+/// (GNN arrival predictions, incremental-STA worst arrival).
 struct SweepVariantResult {
   CirStagReport report;
-  std::vector<double> prediction;  ///< Case A; empty for Case B
-  double worst_arrival = 0.0;      ///< Case A
+  std::vector<double> prediction;
+  double worst_arrival = 0.0;
   SweepVariantStats stats;
 };
 
@@ -134,54 +124,55 @@ struct SweepBaselineState {
     graphs::LaplacianSolverCache& cache);
 
 /// Batched perturbation-sweep engine: analyzes one baseline circuit plus N
-/// perturbed variants while sharing work across them — shared Laplacian
-/// solver cache, incremental STA (fanout-cone re-timing), incremental GNN
-/// forward (changed-row re-propagation) and spectral-embedding reuse, all
-/// seeded from the baseline only, so cross-variant parallelism stays
-/// deterministic. Every manifold is built from its embedding.
+/// capacitance-perturbed variants (Case A) while sharing work across them —
+/// shared Laplacian solver cache, incremental STA (fanout-cone re-timing),
+/// incremental GNN forward (changed-row re-propagation) and spectral-
+/// embedding reuse, all seeded from the baseline only, so cross-variant
+/// parallelism stays deterministic. Every manifold is built from its
+/// embedding. A topology study (Case B) scores its unperturbed graph once
+/// with CirStag::analyze and needs no engine.
 ///
-/// Typical Case-A use:
+/// Typical use:
 ///
 ///   gnn::TimingGnn model(netlist);  model.train();
 ///   SweepEngine engine(netlist, model, opts);
 ///   auto results = engine.run(variants);   // one CirStagReport per variant
 class SweepEngine {
  public:
-  /// Case-A capable engine over a netlist and its trained timing GNN (also
-  /// accepts Case-B variants over the same pin set). Runs compute_baseline
-  /// on the unperturbed circuit and adopts its state.
+  /// Engine over a netlist and the timing GNN trained on it. Runs
+  /// compute_baseline on the unperturbed circuit and adopts its state. The
+  /// model must have been built on this very netlist object
+  /// (`&model.netlist() == &netlist`; std::invalid_argument otherwise), and
+  /// the netlist must not change afterwards: the engine reads the model's
+  /// pin features and arc operators as the netlist's.
   SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
               SweepOptions opts = {});
 
-  /// Graph-mode engine: baseline from an explicit (graph, features,
-  /// embedding) triplet — the Case-B form used with non-pin node sets
-  /// (e.g. gate graphs). Only Case-B variants are accepted by run().
-  /// `node_features` may be empty.
-  SweepEngine(const graphs::Graph& input_graph,
-              const linalg::Matrix& node_features,
-              const linalg::Matrix& output_embedding, SweepOptions opts = {});
-
-  /// Restoring Case-A constructor (io/snapshot): adopt what a baseline
-  /// solved — no spectral embedding, eigensolve or training. Reads only
-  /// `state.u0` and the report's eigenvalues, V_s and manifolds; derives the
-  /// rest through the fresh pipeline's own calls (set-up, feature_augmented,
-  /// eq9_scores, the report tail), so it equals a computed baseline by
-  /// construction, with zero phase times. `opts` must match the
-  /// exporting engine's. Stored arrays that do not fit the netlist (DESIGN.md
-  /// §13 lists the checks) throw std::invalid_argument.
+  /// Restoring constructor (io/snapshot), with the same model/netlist
+  /// check: adopt what a baseline solved — no spectral embedding, eigensolve
+  /// or training. Reads only `state.u0` and the report's eigenvalues, V_s and
+  /// manifolds; derives the rest through the fresh pipeline's own calls
+  /// (set-up, feature_augmented, eq9_scores, the report tail), so it equals a
+  /// computed baseline by construction, with zero phase times. `opts` must
+  /// match the exporting engine's. Stored arrays that do not fit the netlist
+  /// (DESIGN.md §13 lists the checks) throw std::invalid_argument.
   SweepEngine(const circuit::Netlist& netlist, gnn::TimingGnn& model,
               SweepOptions opts, SweepBaselineState state);
 
   /// The warm baseline; a binary snapshot stores its solved arrays.
-  [[nodiscard]] const SweepBaselineState& export_baseline_state() const;
+  [[nodiscard]] const SweepBaselineState& export_baseline_state() const {
+    return base_;
+  }
 
   [[nodiscard]] const CirStagReport& baseline() const {
     return base_.baseline;
   }
-  [[nodiscard]] const circuit::TimingReport& baseline_timing() const;
+  [[nodiscard]] const circuit::TimingReport& baseline_timing() const {
+    return baseline_timing_;
+  }
   [[nodiscard]] const SweepOptions& options() const { return opts_; }
-  /// The pin-level connectivity graph (empty in graph mode) — the cone
-  /// topology behind localized score-region queries (core::score_cone).
+  /// The pin-level connectivity graph — the cone topology behind localized
+  /// score-region queries (core::score_cone).
   [[nodiscard]] const graphs::Graph& pin_graph() const { return pin_graph_; }
 
   /// Analyze every variant (cross-variant parallel on the deterministic
@@ -202,33 +193,24 @@ class SweepEngine {
   [[nodiscard]] const SweepStats& stats() const { return stats_; }
 
  private:
-  /// Case-A set-up shared by the fresh and restoring constructors: pin
-  /// graph, GNN forward snapshot and incremental-STA baseline, all cheap
-  /// deterministic functions of the netlist and trained model. Returns the
-  /// baseline pin features.
-  linalg::Matrix set_up_case_a();
-  SweepVariantResult run_variant(const SweepVariant& v, std::size_t index);
+  /// Set-up shared by the fresh and restoring constructors: the model/netlist
+  /// check, then pin graph, GNN forward snapshot of the model's pin features
+  /// and incremental-STA baseline, all cheap deterministic functions of the
+  /// netlist and trained model.
+  void set_up_case_a();
   SweepVariantResult run_case_a(const SweepVariant& v, std::size_t index);
-  SweepVariantResult run_case_b(const SweepVariant& v, std::size_t index);
   /// audit_drift support: re-analyze the variant with the naive per-variant
   /// pipeline (no cross-variant reuse, no fast-mode Phase-3 levers) and
   /// record the measured node-score drift on `out` plus a health event.
   void audit_variant_drift(SweepVariantResult& out,
-                           const graphs::Graph& input_graph,
                            const linalg::Matrix& node_features,
                            const linalg::Matrix& output_embedding,
                            std::size_t index) const;
-  /// Manifold/stability tail shared by both cases: both manifolds built
-  /// from their embeddings, then Phase 3 (with the fast-mode levers).
-  void finish_variant(SweepVariantResult& out, linalg::Matrix input_embedding,
-                      const graphs::Graph& input_graph,
-                      const linalg::Matrix& output_embedding);
 
   SweepOptions opts_;
 
-  // Case-A state (null/empty in graph mode).
-  const circuit::Netlist* netlist_ = nullptr;
-  gnn::TimingGnn* model_ = nullptr;
+  const circuit::Netlist* netlist_;
+  gnn::TimingGnn* model_;
   graphs::Graph pin_graph_;
   gnn::GnnSnapshot snap_;
   std::unique_ptr<circuit::IncrementalSta> sta_;

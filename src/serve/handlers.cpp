@@ -34,8 +34,8 @@ Dispatch immediate_error(int status, const std::string& message) {
 }
 
 /// Ceilings of the integer request fields that have no natural one
-/// (README, "Serving"): past them a request is refused with 422.
-constexpr double kMaxDeadlineMs = 86'400'000;  // one day
+/// (README, "Serving"): past them a request is refused with 422. The
+/// deadline's, kMaxDeadlineMs, is in handlers.hpp.
 constexpr double kMaxEpochs = 100'000;
 constexpr double kMaxHidden = 1'024;
 
@@ -208,7 +208,7 @@ bool apply_deadline(const JsonValue& body, Job& job, std::string& error) {
   std::size_t ms = 0;
   if (!whole_in(*deadline, 1, kMaxDeadlineMs, ms)) {
     error = "'deadline_ms' must be a whole number of milliseconds in [1, " +
-            std::to_string(static_cast<long>(kMaxDeadlineMs)) + "]";
+            std::to_string(kMaxDeadlineMs) + "]";
     return false;
   }
   job.deadline = std::chrono::steady_clock::now() +
@@ -397,8 +397,9 @@ Dispatch dispatch_sweep(Service& service, const JsonValue& body,
       variants->as_array().empty())
     return immediate_error(422, "'variants' must be a non-empty array");
   for (const JsonValue& entry : variants->as_array()) {
-    // Each variant is an object ({"cap_scalings": [...]}) so the shape can
-    // grow Case-B fields later without breaking clients.
+    // Each variant is an object ({"cap_scalings": [...]}) holding the one
+    // field of core::SweepVariant: capacitance edits. A topology (Case-B)
+    // study needs no sweep; it scores its unperturbed graph once.
     if (!entry.is_object())
       return immediate_error(422,
                              "each variant must be an object with "
@@ -506,18 +507,14 @@ Dispatch dispatch_score_region(Service& service, const JsonValue& body,
   }
 
   // Optional cone expansion: "hops": h scores the h-ring fan-in/fan-out
-  // cone of the listed seed nodes instead of the exact node set — the
-  // localized sub-linear query path (needs the pin-level graph, so it is
-  // unavailable for circuits loaded in graph mode).
+  // cone of the listed seed nodes over the pin graph instead of the exact
+  // node set — the localized sub-linear query path.
   std::size_t hops = 0;
   bool cone = false;
   if (const JsonValue* h = body.find("hops"); h != nullptr) {
     if (!whole_in(*h, 0, 1e6, hops))
       return immediate_error(422, "'hops' must be a small non-negative count");
     cone = true;
-    if (record->engine->pin_graph().num_nodes() == 0)
-      return immediate_error(
-          422, "cone queries need a pin graph (circuit loaded in graph mode)");
   }
 
   Job job;

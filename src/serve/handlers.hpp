@@ -15,6 +15,10 @@ class RequestContext;
 
 namespace cirstag::serve {
 
+/// Longest deadline, in milliseconds, that a request's "deadline_ms" or the
+/// daemon's default (`cirstag_cli serve --deadline-ms`) may set: one day.
+inline constexpr int kMaxDeadlineMs = 86'400'000;
+
 /// The serving application: resident circuits plus the request scheduler.
 /// One Service backs one daemon; bench/tests also drive it in-process
 /// (no sockets), which is what makes the scheduler counters deterministic

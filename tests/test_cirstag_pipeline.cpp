@@ -157,9 +157,8 @@ TEST(CirStagPipeline, ScoresBitIdenticalAcrossThreadCounts) {
   const linalg::Matrix embedding = model.embed(model.base_features());
 
   auto run_with_threads = [&](std::size_t threads) {
-    CirStagConfig cfg = fast_config();
-    cfg.threads = threads;
-    const CirStag analyzer(cfg);
+    runtime::set_global_threads(threads);
+    const CirStag analyzer(fast_config());
     return analyzer.analyze(pin_graph(nl), model.base_features(), embedding);
   };
 

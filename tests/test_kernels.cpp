@@ -26,6 +26,7 @@
 #include "core/cirstag.hpp"
 #include "core/sweep.hpp"
 #include "gnn/timing_gnn.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/arena.hpp"
 
 namespace {
@@ -611,18 +612,19 @@ TEST(SimdByteIdentity, AnalyzeAcrossModesAndThreadCounts) {
   for (const char* mode : {"auto", "off"}) {
     for (std::size_t threads : {1u, 4u}) {
       ASSERT_TRUE(kernels::set_simd_mode(mode));
+      runtime::set_global_threads(threads);
       // Training is part of the run: the GNN forward/backward passes route
       // through the same kernels, so the model itself must come out
       // identical too.
       gnn::TimingGnn model(nl, gopts);
       model.train();
       predictions.push_back(model.predict(f));
-      CirStagConfig cfg = fast_config();
-      cfg.threads = threads;
-      reports.push_back(
-          CirStag(cfg).analyze(circuit::pin_graph(nl), f, model.embed(f)));
+      reports.push_back(CirStag(fast_config())
+                            .analyze(circuit::pin_graph(nl), f,
+                                     model.embed(f)));
     }
   }
+  runtime::set_global_threads(0);  // back to the environment default
   for (std::size_t i = 1; i < reports.size(); ++i) {
     expect_same_vector(predictions[0], predictions[i], "gnn prediction");
     expect_same_report(reports[0], reports[i], "analyze report");
@@ -649,16 +651,17 @@ TEST(SimdByteIdentity, SweepEngineAcrossModesAndThreadCounts) {
   for (const char* mode : {"auto", "off"}) {
     for (std::size_t threads : {1u, 4u}) {
       ASSERT_TRUE(kernels::set_simd_mode(mode));
+      runtime::set_global_threads(threads);
       gnn::TimingGnn model(nl, gopts);
       model.train();
       SweepOptions opts;
       opts.config = fast_config();
-      opts.config.threads = threads;
       opts.exact = true;
       SweepEngine engine(nl, model, opts);
       runs.push_back(engine.run(variants));
     }
   }
+  runtime::set_global_threads(0);  // back to the environment default
   for (std::size_t i = 1; i < runs.size(); ++i) {
     ASSERT_EQ(runs[0].size(), runs[i].size());
     for (std::size_t v = 0; v < runs[0].size(); ++v) {

@@ -313,10 +313,10 @@ TEST(ObsManifest, BuilderRendersOrderedWellFormedJson) {
 }
 
 TEST(ObsManifest, PhaseChecksumsAreThreadCountInvariant) {
-  core::CirStagConfig cfg = diag_config();
-  cfg.threads = 1;
+  const core::CirStagConfig cfg = diag_config();
+  runtime::set_global_threads(1);
   const core::CirStagReport serial = run_diag_pipeline(cfg);
-  cfg.threads = 4;
+  runtime::set_global_threads(4);
   const core::CirStagReport wide = run_diag_pipeline(cfg);
   runtime::set_global_threads(0);
 
@@ -475,8 +475,8 @@ TEST(ObsSweepAudit, AuditPopulatesDriftAndRecordsHealthEvents) {
 // identical to a fully uninstrumented run, at 1 and N threads.
 
 core::CirStagReport run_fully_instrumented(std::size_t threads) {
-  core::CirStagConfig cfg = diag_config();
-  cfg.threads = threads;
+  const core::CirStagConfig cfg = diag_config();
+  runtime::set_global_threads(threads);
 
   obs::MetricsRegistry::global().set_enabled(true);
   obs::Tracer::global().set_enabled(true);
@@ -525,8 +525,8 @@ core::CirStagReport run_fully_instrumented(std::size_t threads) {
 }
 
 core::CirStagReport run_uninstrumented(std::size_t threads) {
-  core::CirStagConfig cfg = diag_config();
-  cfg.threads = threads;
+  const core::CirStagConfig cfg = diag_config();
+  runtime::set_global_threads(threads);
   obs::MetricsRegistry::global().set_enabled(false);
   obs::HealthMonitor::global().set_enabled(false);
   const core::CirStagReport report = run_diag_pipeline(cfg);

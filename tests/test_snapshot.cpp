@@ -282,9 +282,9 @@ TEST(Snapshot, SerializationIsDeterministic) {
   for (const bool exact : {true, false}) {
     meta.exact = exact;
     for (const auto& [threads, path] : {std::pair{4, a}, std::pair{1, b}}) {
+      runtime::set_global_threads(threads);
       core::SweepOptions sopts;
       sopts.exact = exact;
-      sopts.config.threads = threads;
       const core::SweepEngine engine(nl, model, sopts);
       io::write_snapshot(path, model, engine, meta);
     }

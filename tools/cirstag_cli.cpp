@@ -229,6 +229,9 @@ std::size_t opt_size(const std::map<std::string, std::string>& opts,
   const auto it = opts.find(key);
   if (it == opts.end()) return fallback;
   try {
+    // std::stoull accepts a leading minus and wraps it ("-1" reads 2^64-1).
+    if (it->second.find('-') != std::string::npos)
+      throw std::invalid_argument(it->second);
     std::size_t pos = 0;
     const auto v = std::stoull(it->second, &pos);
     if (pos != it->second.size()) throw std::invalid_argument(it->second);
@@ -236,6 +239,20 @@ std::size_t opt_size(const std::map<std::string, std::string>& opts,
   } catch (const std::exception&) {
     bad_option_value(key, it->second, "a non-negative integer");
   }
+}
+
+/// opt_size for an option with a range: a value outside [lo, hi] is a usage
+/// error too, so a narrowing cast after it cannot wrap.
+std::size_t opt_size_in(const std::map<std::string, std::string>& opts,
+                        const std::string& key, std::size_t fallback,
+                        std::size_t lo, std::size_t hi) {
+  const std::size_t v = opt_size(opts, key, fallback);
+  if (v < lo || v > hi) {
+    const std::string range = "an integer in [" + std::to_string(lo) + ", " +
+                              std::to_string(hi) + "]";
+    bad_option_value(key, opts.at(key), range.c_str());
+  }
+  return v;
 }
 
 std::string opt_str(const std::map<std::string, std::string>& opts,
@@ -449,12 +466,13 @@ int cmd_serve(int argc, char** argv) {
   apply_global_flags(opts);
 
   serve::ServerOptions sopts;
-  sopts.port = static_cast<std::uint16_t>(opt_size(opts, "port", 8437));
+  sopts.port =
+      static_cast<std::uint16_t>(opt_size_in(opts, "port", 8437, 0, 65535));
   sopts.scheduler.queue_capacity = opt_size(opts, "queue-capacity", 256);
   sopts.scheduler.workers = opt_size(opts, "workers", 2);
   sopts.scheduler.max_batch_size = opt_size(opts, "max-batch", 8);
-  sopts.scheduler.default_deadline_ms =
-      static_cast<int>(opt_size(opts, "deadline-ms", 60000));
+  sopts.scheduler.default_deadline_ms = static_cast<int>(
+      opt_size_in(opts, "deadline-ms", 60000, 1, serve::kMaxDeadlineMs));
 
   // Request-log sinks: access log (one JSONL line per request) and slow
   // exemplars (span tree + folded profile for requests over --slow-us).
