@@ -207,7 +207,6 @@ void arm_request_log(const std::map<std::string, std::string>& opts) {
   rlog.set_access_log_path(opt_str(opts, "access-log", ""));
   rlog.set_exemplar_path(opt_str(opts, "slow-trace", ""));
   rlog.set_slow_threshold_us(opt_double(opts, "slow-us", -1.0));
-  rlog.configure_token_bucket(opt_double(opts, "slow-budget", 8.0), 0.1);
 }
 
 /// Validate a /metrics scrape: must be text exposition (TYPE lines) and must
@@ -226,15 +225,15 @@ void check_exposition_scrape(const std::string& text,
   if (!metrics_out.empty()) write_output(metrics_out, text);
 }
 
-/// Sum of the rolling-window per-endpoint request counters — the gated
-/// windowed row. Deterministic because the run is far shorter than the
+/// Sum of the rolling-window per-endpoint latency histogram counts — the
+/// gated windowed row. Deterministic because the run is far shorter than the
 /// window: every scheduler-completed request is still in-window at readout.
 double window_requests_total() {
   double total = 0.0;
   for (const auto& entry :
-       cirstag::obs::WindowedRegistry::global().counter_snapshots()) {
-    if (entry.name.rfind("serve.window.requests.", 0) == 0)
-      total += static_cast<double>(entry.total);
+       cirstag::obs::WindowedRegistry::global().histogram_snapshots()) {
+    if (entry.name.rfind("serve.window.latency_ms.", 0) == 0)
+      total += static_cast<double>(entry.snap.count);
   }
   return total;
 }

@@ -32,10 +32,10 @@ CaseA prepare_case_a(const circuit::CellLibrary& lib,
 
   // The engine captures the baseline analysis once (byte-identical to
   // CirStag::analyze on the unperturbed circuit); every cohort perturbation
-  // below rides its incremental GNN forward.
+  // below rides its incremental GNN forward, which is exact in both sweep
+  // modes, so the engine keeps the default mode.
   core::SweepOptions sopts;
   sopts.config = opts.config;
-  sopts.exact = opts.exact_sweep;
   c.engine = std::make_unique<core::SweepEngine>(c.netlist, *c.model, sopts);
   c.report = c.engine->baseline();
 

@@ -42,10 +42,6 @@ struct CaseAOptions {
   std::size_t gnn_epochs = 250;
   std::size_t gnn_hidden = 24;
   core::CirStagConfig config = default_config();
-  /// Run the sweep engine in exact (byte-identical) mode. The benches'
-  /// per-cohort work is the incremental GNN forward, which is exact in both
-  /// modes, so this only matters when a bench calls engine->run().
-  bool exact_sweep = false;
 };
 
 /// Build + train + analyze one benchmark.

@@ -73,10 +73,8 @@ std::uint64_t checksum_matrix(const linalg::Matrix& m) {
   return obs::fnv1a_doubles(m.data(), h);
 }
 
-/// NaN/Inf sentinel over a graph's edge weights (no allocation; skipped
-/// entirely when the health monitor is off).
+/// NaN/Inf sentinel over a graph's edge weights (no allocation).
 void check_graph_finite(const char* where, const graphs::Graph& g) {
-  if (!obs::HealthMonitor::global().enabled()) return;
   std::size_t bad = 0;
   for (const graphs::Edge& e : g.edges())
     if (!std::isfinite(e.weight)) ++bad;
@@ -334,7 +332,7 @@ std::vector<SweepVariantResult> SweepEngine::run(
   // bit-identical either way, and all reused data comes from the baseline
   // only — sibling variants never feed each other.
   runtime::parallel_for(0, variants.size(), 1, [&](std::size_t i) {
-    results[i] = run_case_a(variants[i], i);
+    results[i] = run_case_a(variants[i]);
   });
   // The tasks interleave their events, so every variant reports the call's.
   const obs::HealthReport health =
@@ -372,8 +370,7 @@ std::vector<SweepVariantResult> SweepEngine::run(
   return results;
 }
 
-SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v,
-                                           std::size_t index) {
+SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v) {
   const obs::TraceSpan span("sweep.variant_a", "sweep");
   SweepVariantResult out;
 
@@ -401,11 +398,9 @@ SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v,
   const CirStagConfig& cfg = opts_.config;
   CirStagReport& report = out.report;
   report.timings.threads = runtime::global_pool().num_threads();
-  if (cfg.use_dimension_reduction) {
-    out.stats.spectral_reused = true;
+  if (cfg.use_dimension_reduction)
     report.input_embedding =
         feature_augmented(base_.u0, fv, cfg.feature_weight);
-  }
 
   // Phase 2 in both modes, as the baseline ran it.
   manifold_phase(report, pin_graph_, inc.embedding, cfg.manifold, cache_);
@@ -424,49 +419,7 @@ SweepVariantResult SweepEngine::run_case_a(const SweepVariant& v,
   }
   out.stats.subspace_sweeps =
       score_report(report, so, cache_, pin_graph_, inc.embedding);
-  if (!opts_.exact && opts_.audit_drift)
-    audit_variant_drift(out, fv, inc.embedding, index);
   return out;
-}
-
-void SweepEngine::audit_variant_drift(SweepVariantResult& out,
-                                      const linalg::Matrix& node_features,
-                                      const linalg::Matrix& output_embedding,
-                                      std::size_t index) const {
-  // The reference is the naive per-variant loop: CirStag::analyze's exact
-  // pipeline with its own solver cache. Inside run()'s parallel region it
-  // runs serially inline like every nested parallel region.
-  graphs::LaplacianSolverCache naive_cache;
-  const CirStagReport ref =
-      compute_baseline(pin_graph_, node_features, output_embedding,
-                       opts_.config, naive_cache)
-          .baseline;
-
-  const std::vector<double>& fast_scores = out.report.node_scores;
-  const std::vector<double>& ref_scores = ref.node_scores;
-  double diff2 = 0.0, ref2 = 0.0;
-  const std::size_t n = std::min(fast_scores.size(), ref_scores.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = fast_scores[i] - ref_scores[i];
-    diff2 += d * d;
-    ref2 += ref_scores[i] * ref_scores[i];
-  }
-  const double drift =
-      ref2 > 0.0 ? std::sqrt(diff2 / ref2) : std::sqrt(diff2);
-  out.stats.audited_drift = drift;
-
-  static const obs::Counter audits("sweep.drift_audits");
-  audits.add();
-  const bool over = drift > kFastScoreDriftTolerance ||
-                    fast_scores.size() != ref_scores.size();
-  obs::record_health_event(
-      "sweep.drift",
-      "variant " + std::to_string(index) +
-          ": fast-vs-naive node-score drift " + std::to_string(drift) +
-          " (documented bound " + std::to_string(kFastScoreDriftTolerance) +
-          ")",
-      drift, kFastScoreDriftTolerance,
-      over ? obs::HealthSeverity::error : obs::HealthSeverity::info);
 }
 
 std::vector<double> SweepEngine::predict_case_a(

@@ -54,26 +54,15 @@ struct SweepOptions {
   /// from the naive loop by up to kFastScoreDriftTolerance (relative L2),
   /// all of it from the early stop.
   bool exact = false;
-  /// Fast mode: after each variant, re-run the naive per-variant analyze()
-  /// and record the measured relative-L2 node-score drift in
-  /// SweepVariantStats::audited_drift, raising a health event (error past
-  /// kFastScoreDriftTolerance, info otherwise). Roughly doubles the sweep's
-  /// cost — a validation tool, not a production setting. No effect in exact
-  /// mode (drift is zero by construction there).
-  bool audit_drift = false;
 };
 
 /// Per-variant reuse accounting.
 struct SweepVariantStats {
   circuit::IncrementalStaStats sta;
   gnn::GnnIncrementalStats gnn;
-  bool spectral_reused = false;       ///< input embedding taken from baseline
   /// Phase-3 subspace sweeps executed (< the config budget when the fast
   /// mode's adaptive Ritz stop converged early). Deterministic.
   std::size_t subspace_sweeps = 0;
-  /// Measured fast-vs-naive node-score drift (relative L2) when
-  /// SweepOptions::audit_drift is set; -1 when not audited.
-  double audited_drift = -1.0;
 };
 
 /// Result of one variant: the full CirSTAG report plus the side products
@@ -198,14 +187,7 @@ class SweepEngine {
   /// and incremental-STA baseline, all cheap deterministic functions of the
   /// netlist and trained model.
   void set_up_case_a();
-  SweepVariantResult run_case_a(const SweepVariant& v, std::size_t index);
-  /// audit_drift support: re-analyze the variant with the naive per-variant
-  /// pipeline (no cross-variant reuse, no fast-mode Phase-3 levers) and
-  /// record the measured node-score drift on `out` plus a health event.
-  void audit_variant_drift(SweepVariantResult& out,
-                           const linalg::Matrix& node_features,
-                           const linalg::Matrix& output_embedding,
-                           std::size_t index) const;
+  SweepVariantResult run_case_a(const SweepVariant& v);
 
   SweepOptions opts_;
 

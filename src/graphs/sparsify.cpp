@@ -6,7 +6,6 @@
 #include "graphs/spanning_tree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/stats.hpp"
 
 namespace cirstag::graphs {
 
@@ -37,15 +36,7 @@ SparsifyResult sparsify_pgm(const Graph& g, const SparsifyOptions& opts,
   for (EdgeId e = 0; e < m; ++e)
     if (!in_tree[e]) offtree.push_back(e);
 
-  // LRD bound: drop off-tree edges closing cycles of large effective
-  // resistance (relative to the mean edge resistance).
-  if (opts.lrd_resistance_multiple > 0.0 && !offtree.empty()) {
-    const double mean_r = util::mean(r_eff);
-    const double bound = opts.lrd_resistance_multiple * mean_r;
-    std::erase_if(offtree, [&](EdgeId e) { return r_eff[e] > bound; });
-  }
-
-  // Rank remaining off-tree edges by η descending; keep the top fraction.
+  // Rank the off-tree edges by η descending; keep the top fraction.
   std::sort(offtree.begin(), offtree.end(),
             [&](EdgeId a, EdgeId b) { return out.eta[a] > out.eta[b]; });
   const auto frac = std::clamp(opts.offtree_keep_fraction, 0.0, 1.0);

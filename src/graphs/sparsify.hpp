@@ -13,10 +13,6 @@ struct SparsifyOptions {
   /// η_pq = w_pq · R_eff(p,q) (largest kept). 0 keeps only the spanning
   /// forest; 1 keeps everything.
   double offtree_keep_fraction = 0.10;
-  /// Resistance-diameter bound of the LRD decomposition: off-tree edges whose
-  /// effective resistance exceeds this multiple of the mean edge resistance
-  /// are always pruned (they close "long" cycles). 0 disables.
-  double lrd_resistance_multiple = 0.0;
   ResistanceSketchOptions resistance;
 };
 

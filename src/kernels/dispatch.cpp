@@ -1,7 +1,8 @@
 // Kernel-table dispatch: pick scalar vs AVX2 once, cache the choice in an
-// atomic pointer. Resolution order: explicit set_simd_mode() (the CLI's
-// --simd flag) wins, otherwise the CIRSTAG_SIMD environment variable,
-// otherwise "auto" (AVX2+FMA when the CPU reports both).
+// atomic pointer. The CIRSTAG_SIMD environment variable is the one way to
+// choose ("off" forces the scalar table); unset or unknown means "auto"
+// (AVX2+FMA when the CPU reports both). set_simd_mode() re-picks the table
+// in-process, which the scalar-vs-SIMD identity tests use to run both.
 
 #include "kernels/kernels.hpp"
 
@@ -57,8 +58,6 @@ bool set_simd_mode(const std::string& mode) {
   const KernelTable* t = pick(mode, known);
   if (!known) return false;
   detail::g_table.store(t, std::memory_order_release);
-  // "avx2" asked for the vector table explicitly; report whether it stuck.
-  if (mode == "avx2") return avx2_available();
   return true;
 }
 

@@ -7,8 +7,8 @@
 //   * avx2    — AVX2 + FMA, compiled in its own TU with -mavx2 -mfma and
 //               selected at startup only when the CPU supports both.
 //
-// The table is resolved once (CIRSTAG_SIMD env var, overridable via
-// set_simd_mode(), surfaced as the --simd CLI flag) and cached in an atomic
+// The table is resolved once from the CIRSTAG_SIMD env var (set_simd_mode()
+// re-selects it in-process for the identity tests) and cached in an atomic
 // pointer; per-call overhead is one relaxed load plus an indirect call.
 //
 // ## Bit-identity contract
@@ -33,9 +33,9 @@
 //     multiply-by-zero tail would differ on signed zeros and NaN payloads:
 //     fma(0, x, -0.0) = +0.0.)
 //
-// Consequently `--simd auto` and `--simd off` are byte-identical, and both
-// are independent of thread count (the runtime layer's fixed-grain chunking
-// handles the rest). The lane-tree result *does* differ from the pre-kernel
+// Consequently CIRSTAG_SIMD=auto and CIRSTAG_SIMD=off are byte-identical,
+// and both are independent of thread count (the runtime layer's fixed-grain
+// chunking handles the rest). The lane-tree result *does* differ from the pre-kernel
 // scalar seed (sequential left fold, no contraction); bench/MANIFEST_baseline
 // was re-baselined once for that change — see DESIGN.md §11.
 //
@@ -189,11 +189,11 @@ inline const KernelTable& table() {
   return t != nullptr ? *t : detail::resolve_table();
 }
 
-/// Select the dispatch mode: "auto" (use AVX2/FMA when the CPU has it),
-/// "off"/"scalar" (force the portable path), "avx2" (force AVX2; falls back
-/// to scalar with a false return when unsupported). Returns false on an
-/// unknown mode string. Callable at any time; the CLI applies --simd /
-/// CIRSTAG_SIMD through here before any work runs.
+/// Select the dispatch mode: "auto"/"on"/"avx2" (use AVX2/FMA when the CPU
+/// has it, else scalar), "off"/"scalar" (force the portable path). Returns
+/// false on an unknown mode string. Callable at any time; the identity tests
+/// use it to run both tables in one process (CIRSTAG_SIMD is the one outside
+/// selector).
 bool set_simd_mode(const std::string& mode);
 
 /// ISA of the active table: "avx2" or "scalar".

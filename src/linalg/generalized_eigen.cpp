@@ -196,37 +196,34 @@ GeneralizedEigenResult generalized_eigen_sparse(
 
   // Numerical health: residuals of the Ritz pairs, r_j = L_x u_j - θ_j (L_y
   // + εI) u_j with u_j = V c_j, computed entirely from the already-produced
-  // lx_v / ly_v / V blocks (read-only, O(n s²), skipped when the monitor is
-  // off). Large residuals mean the subspace had not converged at the
-  // iteration cap and the spectrum is approximate.
-  if (obs::HealthMonitor::global().enabled()) {
-    double max_rel = 0.0;
-    for (std::size_t j = 0; j < s; ++j) {
-      const double theta = small.values[j];
-      double r2 = 0.0, a2 = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        double ax = 0.0, bx = 0.0;
-        for (std::size_t c = 0; c < s; ++c) {
-          const double coeff = small.vectors(c, j);
-          ax += lx_v(i, c) * coeff;
-          bx += (ly_v(i, c) + opts.ly_regularization * v(i, c)) * coeff;
-        }
-        const double r = ax - theta * bx;
-        r2 += r * r;
-        a2 += ax * ax;
+  // lx_v / ly_v / V blocks (read-only, O(n s²)). Large residuals mean the
+  // subspace had not converged at the iteration cap and the spectrum is
+  // approximate.
+  double max_rel = 0.0;
+  for (std::size_t j = 0; j < s; ++j) {
+    const double theta = small.values[j];
+    double r2 = 0.0, a2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double ax = 0.0, bx = 0.0;
+      for (std::size_t c = 0; c < s; ++c) {
+        const double coeff = small.vectors(c, j);
+        ax += lx_v(i, c) * coeff;
+        bx += (ly_v(i, c) + opts.ly_regularization * v(i, c)) * coeff;
       }
-      const double rel = a2 > 0.0 ? std::sqrt(r2 / a2) : std::sqrt(r2);
-      max_rel = std::max(max_rel, rel);
+      const double r = ax - theta * bx;
+      r2 += r * r;
+      a2 += ax * ax;
     }
-    static const obs::Gauge max_ritz("eigen.max_ritz_residual");
-    max_ritz.set(max_rel);
-    obs::record_health_event(
-        "eigen.ritz_residual",
-        "max relative Ritz residual across " + std::to_string(s) +
-            " pairs after " + std::to_string(executed) +
-            " subspace iterations",
-        max_rel, 0.0, obs::HealthSeverity::info);
+    const double rel = a2 > 0.0 ? std::sqrt(r2 / a2) : std::sqrt(r2);
+    max_rel = std::max(max_rel, rel);
   }
+  static const obs::Gauge max_ritz("eigen.max_ritz_residual");
+  max_ritz.set(max_rel);
+  obs::record_health_event(
+      "eigen.ritz_residual",
+      "max relative Ritz residual across " + std::to_string(s) +
+          " pairs after " + std::to_string(executed) + " subspace iterations",
+      max_rel, 0.0, obs::HealthSeverity::info);
 
   GeneralizedEigenResult out;
   out.sweeps_executed = executed;

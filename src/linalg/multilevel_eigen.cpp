@@ -81,7 +81,6 @@ double max_standard_residual(const Matrix& v, const Matrix& av,
 }
 
 void record_residual_event(double worst, double bound) {
-  if (!obs::HealthMonitor::global().enabled()) return;
   char detail[96];
   std::snprintf(detail, sizeof(detail),
                 "max multilevel Ritz relative residual %.3e", worst);
@@ -198,23 +197,20 @@ GeneralizedEigenResult multilevel_generalized_eigen(
   if (stats != nullptr) stats->ritz_refine_sweeps += refine_total;
   cur.sweeps_executed = total_sweeps;
 
-  if (obs::HealthMonitor::global().enabled()) {
-    // Finest-level pencil residual ‖L_X u − θ (L_Y + εI) u‖ / ‖L_X u‖ per
-    // returned pair — the documented drift contract of multilevel mode.
-    double worst = 0.0;
-    std::vector<double> r(lx[0].rows());
-    for (std::size_t j = 0; j < cur.values.size(); ++j) {
-      const std::vector<double> u = cur.vectors.col(j);
-      const std::vector<double> xu = lx[0].multiply(u);
-      const std::vector<double> yu = ly[0].multiply(u);
-      for (std::size_t i = 0; i < r.size(); ++i)
-        r[i] = xu[i] -
-               cur.values[j] * (yu[i] + opts.ly_regularization * u[i]);
-      const double denom = norm2(xu);
-      if (denom > 0.0) worst = std::max(worst, norm2(r) / denom);
-    }
-    record_residual_event(worst, kMultilevelPencilResidualBound);
+  // Finest-level pencil residual ‖L_X u − θ (L_Y + εI) u‖ / ‖L_X u‖ per
+  // returned pair — the documented drift contract of multilevel mode.
+  double worst = 0.0;
+  std::vector<double> r(lx[0].rows());
+  for (std::size_t j = 0; j < cur.values.size(); ++j) {
+    const std::vector<double> u = cur.vectors.col(j);
+    const std::vector<double> xu = lx[0].multiply(u);
+    const std::vector<double> yu = ly[0].multiply(u);
+    for (std::size_t i = 0; i < r.size(); ++i)
+      r[i] = xu[i] - cur.values[j] * (yu[i] + opts.ly_regularization * u[i]);
+    const double denom = norm2(xu);
+    if (denom > 0.0) worst = std::max(worst, norm2(r) / denom);
   }
+  record_residual_event(worst, kMultilevelPencilResidualBound);
   return cur;
 }
 

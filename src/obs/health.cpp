@@ -55,7 +55,6 @@ HealthMonitor& HealthMonitor::global() {
 
 void HealthMonitor::record(std::string kind, std::string detail, double value,
                            double threshold, HealthSeverity severity) {
-  if (!enabled()) return;
   static const Counter events_counter("health.events");
   static const Counter warnings_counter("health.warnings");
   static const Counter errors_counter("health.errors");
@@ -98,7 +97,6 @@ void record_health_event(std::string kind, std::string detail, double value,
 }
 
 bool health_check_finite(const char* where, std::span<const double> values) {
-  if (!HealthMonitor::global().enabled()) return true;
   std::size_t bad = 0;
   for (const double v : values)
     if (!std::isfinite(v)) ++bad;

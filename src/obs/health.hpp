@@ -66,12 +66,6 @@ class HealthMonitor {
   /// Never destroyed, for the same reason as MetricsRegistry::global().
   [[nodiscard]] static HealthMonitor& global();
 
-  /// Enabled by default; when disabled, record() is one relaxed load.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
   void record(std::string kind, std::string detail, double value,
               double threshold, HealthSeverity severity);
 
@@ -91,14 +85,13 @@ class HealthMonitor {
   void clear();
 
  private:
-  std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> dropped_{0};
   mutable std::mutex mutex_;
   std::vector<HealthEvent> events_;
   std::uint64_t next_index_ = 0;
 };
 
-/// Record into HealthMonitor::global() (no-op when disabled).
+/// Record into HealthMonitor::global().
 void record_health_event(std::string kind, std::string detail, double value,
                          double threshold, HealthSeverity severity);
 

@@ -134,17 +134,14 @@ std::size_t MetricsRegistry::histogram_id(const std::string& name,
 }
 
 void MetricsRegistry::counter_add(std::size_t id, std::uint64_t delta) {
-  if (!enabled()) return;
   shard_add_u64(shard().counters[id], delta);
 }
 
 void MetricsRegistry::gauge_set(std::size_t id, double value) {
-  if (!enabled()) return;
   gauges_[id].store(value, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::histogram_observe(std::size_t id, double value) {
-  if (!enabled()) return;
   // Bucket index is registry state, but bounds are immutable once
   // registered, so reading them without the mutex is safe.
   const std::vector<double>& bounds = histogram_bounds_[id];

@@ -19,12 +19,11 @@ namespace cirstag::obs {
 /// Design goals, in order:
 ///   1. Instrumentation must never perturb the instrumented computation —
 ///      metrics only ever read scalars the code already produced, so scores
-///      stay bit-identical with metrics on, off, or absent.
+///      stay bit-identical whether or not anything reads the registry.
 ///   2. The write fast path must be safe and cheap from inside `parallel_for`
 ///      bodies: every thread writes its own shard (single-writer relaxed
 ///      atomics, no contended cache lines), and shards are summed only when a
-///      snapshot is taken.
-///   3. Near-zero cost when disabled: one relaxed atomic-bool load.
+///      snapshot is taken. The registry is always on; there is no switch.
 ///
 /// Metric names follow `subsystem.noun[_unit]` (see DESIGN.md §8), e.g.
 /// `cg.iterations`, `solver_cache.hits`, `runtime.pool.idle_ns`.
@@ -55,13 +54,6 @@ class MetricsRegistry {
   /// Never destroyed (leaked on purpose) so instrumented code in static
   /// destructors and detached threads can always write safely.
   [[nodiscard]] static MetricsRegistry& global();
-
-  /// When disabled, writes become a single relaxed load + branch; reads and
-  /// registration still work. Enabled by default.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
 
   /// Register (or look up) a metric by name; ids are stable for the life of
   /// the registry. Re-registering a histogram name ignores the new bounds.
@@ -133,7 +125,6 @@ class MetricsRegistry {
   Shard& acquire_shard();
 
   const std::uint64_t registry_id_;  ///< process-unique, for the TLS cache
-  std::atomic<bool> enabled_{true};
 
   mutable std::mutex mutex_;  // guards names/bounds/shard list, not writes
   std::vector<std::string> counter_names_;

@@ -228,15 +228,6 @@ void RequestLog::set_slow_threshold_us(double threshold_us) {
   slow_threshold_us_ = threshold_us;
 }
 
-void RequestLog::configure_token_bucket(double capacity,
-                                        double refill_per_second) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  bucket_capacity_ = capacity;
-  bucket_refill_per_second_ = refill_per_second;
-  bucket_tokens_ = capacity;
-  bucket_last_refill_us_ = process_now_us();
-}
-
 void RequestLog::record(const RequestContext& ctx) {
   static Counter access_lines_counter("obs.access_log.lines");
   static Counter exemplar_captured_counter("serve.slow_exemplars.captured");
@@ -260,8 +251,8 @@ void RequestLog::record(const RequestContext& ctx) {
   const double now_us = process_now_us();
   if (bucket_last_refill_us_ > 0.0) {
     bucket_tokens_ += (now_us - bucket_last_refill_us_) / 1e6 *
-                      bucket_refill_per_second_;
-    if (bucket_tokens_ > bucket_capacity_) bucket_tokens_ = bucket_capacity_;
+                      kExemplarRefillPerSecond;
+    if (bucket_tokens_ > kExemplarBurst) bucket_tokens_ = kExemplarBurst;
   }
   bucket_last_refill_us_ = now_us;
   if (bucket_tokens_ < 1.0) {
@@ -316,9 +307,7 @@ void RequestLog::reset_for_tests() {
     exemplar_file_ = nullptr;
   }
   slow_threshold_us_ = -1.0;
-  bucket_capacity_ = 8.0;
-  bucket_refill_per_second_ = 0.1;
-  bucket_tokens_ = 8.0;
+  bucket_tokens_ = kExemplarBurst;
   bucket_last_refill_us_ = 0.0;
   access_lines_ = 0;
   exemplars_captured_ = 0;

@@ -138,10 +138,16 @@ class RenderScope {
 /// endpoint, circuit, segment micros, status, deadline slack). The exemplar
 /// sink captures the *full* span tree + folded profile of any request whose
 /// total latency exceeds `slow_threshold_us`, rate-limited by a token bucket
-/// (default: burst of 8, refill 0.1/s) so a latency regression under load
-/// yields a handful of representative traces instead of gigabytes.
+/// (burst of kExemplarBurst, refill kExemplarRefillPerSecond) so a latency
+/// regression under load yields a handful of representative traces instead
+/// of gigabytes.
 class RequestLog {
  public:
+  /// Exemplar token bucket: at most this many captures in a burst...
+  static constexpr double kExemplarBurst = 8.0;
+  /// ...refilled at this many tokens per second.
+  static constexpr double kExemplarRefillPerSecond = 0.1;
+
   RequestLog() = default;
   ~RequestLog();
   RequestLog(const RequestLog&) = delete;
@@ -157,9 +163,6 @@ class RequestLog {
   /// Requests with total_us >= threshold are exemplar candidates; negative
   /// disables capture (the default).
   void set_slow_threshold_us(double threshold_us);
-  /// Token bucket bounding exemplar writes: at most `capacity` in a burst,
-  /// refilled at `refill_per_second`.
-  void configure_token_bucket(double capacity, double refill_per_second);
 
   /// Flush one finished request to the armed sinks. Safe from any thread.
   void record(const RequestContext& ctx);
@@ -176,9 +179,7 @@ class RequestLog {
   std::FILE* access_file_ = nullptr;
   std::FILE* exemplar_file_ = nullptr;
   double slow_threshold_us_ = -1.0;
-  double bucket_capacity_ = 8.0;
-  double bucket_refill_per_second_ = 0.1;
-  double bucket_tokens_ = 8.0;
+  double bucket_tokens_ = kExemplarBurst;
   double bucket_last_refill_us_ = 0.0;
   std::uint64_t access_lines_ = 0;
   std::uint64_t exemplars_captured_ = 0;

@@ -90,65 +90,6 @@ MetricsRegistry::HistogramSnapshot WindowedHistogram::snapshot_at(
 }
 
 // ---------------------------------------------------------------------------
-// WindowedCounter
-
-WindowedCounter::WindowedCounter(Config config)
-    : slot_us_(config.slot_seconds * 1e6),
-      num_slots_(config.num_slots == 0 ? 1 : config.num_slots),
-      slots_(num_slots_) {}
-
-double WindowedCounter::window_seconds() const {
-  return static_cast<double>(num_slots_) * slot_us_ / 1e6;
-}
-
-void WindowedCounter::add(std::uint64_t delta) {
-  add_at(delta, process_now_us());
-}
-
-void WindowedCounter::add_at(std::uint64_t delta, double now_us) {
-  const std::int64_t idx = slot_for(now_us, slot_us_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  Slot& slot = slots_[static_cast<std::size_t>(
-      ((idx % static_cast<std::int64_t>(num_slots_)) +
-       static_cast<std::int64_t>(num_slots_)) %
-      static_cast<std::int64_t>(num_slots_))];
-  if (slot.index != idx) {
-    slot.index = idx;
-    slot.count = 0;
-  }
-  slot.count += delta;
-}
-
-std::uint64_t WindowedCounter::total() const {
-  return total_at(process_now_us());
-}
-
-std::uint64_t WindowedCounter::total_at(double now_us) const {
-  const std::int64_t newest = slot_for(now_us, slot_us_);
-  const std::int64_t oldest = newest - static_cast<std::int64_t>(num_slots_) + 1;
-  std::uint64_t total = 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Slot& slot : slots_) {
-    if (slot.index >= oldest && slot.index <= newest) {
-      total += slot.count;
-    }
-  }
-  return total;
-}
-
-double WindowedCounter::rate_per_second() const {
-  return rate_per_second_at(process_now_us());
-}
-
-double WindowedCounter::rate_per_second_at(double now_us) const {
-  const double span = window_seconds();
-  if (span <= 0.0) {
-    return 0.0;
-  }
-  return static_cast<double>(total_at(now_us)) / span;
-}
-
-// ---------------------------------------------------------------------------
 // WindowedRegistry
 
 WindowedRegistry& WindowedRegistry::global() {
@@ -170,17 +111,6 @@ WindowedHistogram& WindowedRegistry::histogram(
   return *it->second;
 }
 
-WindowedCounter& WindowedRegistry::counter(const std::string& name,
-                                           WindowedCounter::Config config) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(name, std::make_unique<WindowedCounter>(config))
-             .first;
-  }
-  return *it->second;
-}
-
 std::vector<WindowedRegistry::HistogramEntry>
 WindowedRegistry::histogram_snapshots() const {
   const double now_us = process_now_us();
@@ -193,24 +123,9 @@ WindowedRegistry::histogram_snapshots() const {
   return out;
 }
 
-std::vector<WindowedRegistry::CounterEntry>
-WindowedRegistry::counter_snapshots() const {
-  const double now_us = process_now_us();
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<CounterEntry> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    out.push_back({name, counter->total_at(now_us),
-                   counter->rate_per_second_at(now_us),
-                   counter->window_seconds()});
-  }
-  return out;
-}
-
 void WindowedRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   histograms_.clear();
-  counters_.clear();
 }
 
 }  // namespace cirstag::obs

@@ -36,7 +36,11 @@ namespace cirstag::obs {
 /// clock, see clock.hpp); the no-argument forms stamp with process_now_us().
 /// Tests drive the `_at` forms with synthetic clocks so decay behaviour is
 /// asserted exactly, without sleeping.
-/// Ring geometry shared by the windowed metric types.
+///
+/// A window's event count and rate are its histogram's: `snapshot().count`
+/// and `count / window_seconds()`, so the two can never disagree.
+
+/// Ring geometry of a windowed histogram.
 struct WindowConfig {
   double slot_seconds = 10.0;
   std::size_t num_slots = 12;
@@ -79,37 +83,6 @@ class WindowedHistogram {
   mutable std::vector<Slot> slots_;  ///< ring keyed by index % num_slots
 };
 
-/// Rolling event counter over the same slot ring; reports the event total
-/// inside the window and the implied steady-state rate.
-class WindowedCounter {
- public:
-  using Config = WindowConfig;
-
-  explicit WindowedCounter(Config config = {});
-
-  void add(std::uint64_t delta = 1);
-  void add_at(std::uint64_t delta, double now_us);
-
-  [[nodiscard]] std::uint64_t total() const;
-  [[nodiscard]] std::uint64_t total_at(double now_us) const;
-  /// total / window span — events per second sustained over the window.
-  [[nodiscard]] double rate_per_second() const;
-  [[nodiscard]] double rate_per_second_at(double now_us) const;
-
-  [[nodiscard]] double window_seconds() const;
-
- private:
-  struct Slot {
-    std::int64_t index = -1;
-    std::uint64_t count = 0;
-  };
-
-  double slot_us_;
-  std::size_t num_slots_;
-  mutable std::mutex mutex_;
-  mutable std::vector<Slot> slots_;
-};
-
 /// Named registry of windowed metrics, mirroring how MetricsRegistry hands
 /// out ids: registration happens once per call site, snapshots walk the
 /// whole table for the /metrics and /stats renderers. Lives next to (not
@@ -126,32 +99,22 @@ class WindowedRegistry {
   WindowedHistogram& histogram(const std::string& name,
                                std::vector<double> bounds,
                                WindowedHistogram::Config config = {});
-  WindowedCounter& counter(const std::string& name,
-                           WindowedCounter::Config config = {});
 
   struct HistogramEntry {
     std::string name;
     MetricsRegistry::HistogramSnapshot snap;
     double window_seconds = 0.0;
   };
-  struct CounterEntry {
-    std::string name;
-    std::uint64_t total = 0;
-    double rate_per_second = 0.0;
-    double window_seconds = 0.0;
-  };
 
   [[nodiscard]] std::vector<HistogramEntry> histogram_snapshots() const;
-  [[nodiscard]] std::vector<CounterEntry> counter_snapshots() const;
 
-  /// Drop every registered metric (tests; references from histogram()/
-  /// counter() are invalidated).
+  /// Drop every registered metric (tests; references from histogram() are
+  /// invalidated).
   void reset();
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<WindowedHistogram>> histograms_;
-  std::map<std::string, std::unique_ptr<WindowedCounter>> counters_;
 };
 
 }  // namespace cirstag::obs

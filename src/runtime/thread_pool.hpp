@@ -15,6 +15,11 @@ class TraceSpan;
 
 namespace cirstag::runtime {
 
+/// Ceiling on any thread count the program is asked for: pool widths from
+/// --threads or CIRSTAG_THREADS and serve scheduler workers. A larger value
+/// is a typo, not a machine, and would start that many OS threads.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Fixed-size thread pool (no work stealing): `num_threads` total execution
 /// lanes, of which one is the calling thread — a pool of width 1 spawns no
 /// workers and runs everything inline.
@@ -86,8 +91,9 @@ class ThreadPool {
 };
 
 /// Thread count used when a pool is created with num_threads = 0: the
-/// CIRSTAG_THREADS environment variable if set to a positive integer,
-/// otherwise std::thread::hardware_concurrency() (minimum 1).
+/// CIRSTAG_THREADS environment variable if set to an integer in
+/// [1, kMaxThreads], otherwise std::thread::hardware_concurrency()
+/// (minimum 1).
 [[nodiscard]] std::size_t default_thread_count();
 
 /// The process-wide pool used by the free-function parallel_for overloads.

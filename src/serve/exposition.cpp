@@ -16,7 +16,6 @@ namespace {
 
 constexpr std::string_view kLatencyPrefix = "serve.latency_ms.";
 constexpr std::string_view kWindowLatencyPrefix = "serve.window.latency_ms.";
-constexpr std::string_view kWindowRequestsPrefix = "serve.window.requests.";
 
 bool has_prefix(const std::string& name, std::string_view prefix) {
   return name.size() > prefix.size() &&
@@ -39,6 +38,13 @@ void append_bound(std::string& out, double v) {
 
 std::string endpoint_label(const std::string& endpoint) {
   return "{endpoint=\"" + prom_escape_label(endpoint) + "\"}";
+}
+
+/// Requests per second sustained over a window: its count / its span.
+double window_qps(const obs::WindowedRegistry::HistogramEntry& entry) {
+  return entry.window_seconds > 0.0
+             ? static_cast<double>(entry.snap.count) / entry.window_seconds
+             : 0.0;
 }
 
 /// One histogram family in classic text-exposition shape: cumulative
@@ -170,33 +176,30 @@ std::string render_metrics_exposition(Service& service) {
            std::to_string(entry.snap.count) + "\n";
   }
 
-  // Windowed request totals and rates: gauges, not counters — a rolling
-  // total can decrease as slots age out.
-  const auto window_counters = obs::WindowedRegistry::global()
-                                   .counter_snapshots();
+  // Windowed request totals and rates, read off the same window snapshots
+  // as the summary: gauges, not counters — a rolling total can decrease as
+  // slots age out.
   bool requests_type_emitted = false;
-  for (const auto& entry : window_counters) {
-    if (!has_prefix(entry.name, kWindowRequestsPrefix)) continue;
+  for (const auto& entry : window_hists) {
+    if (!has_prefix(entry.name, kWindowLatencyPrefix)) continue;
     if (!requests_type_emitted) {
       out += "# TYPE cirstag_serve_window_requests gauge\n";
       requests_type_emitted = true;
     }
-    const std::string endpoint =
-        entry.name.substr(kWindowRequestsPrefix.size());
+    const std::string endpoint = entry.name.substr(kWindowLatencyPrefix.size());
     out += "cirstag_serve_window_requests" + endpoint_label(endpoint) + " " +
-           std::to_string(entry.total) + "\n";
+           std::to_string(entry.snap.count) + "\n";
   }
   bool qps_type_emitted = false;
-  for (const auto& entry : window_counters) {
-    if (!has_prefix(entry.name, kWindowRequestsPrefix)) continue;
+  for (const auto& entry : window_hists) {
+    if (!has_prefix(entry.name, kWindowLatencyPrefix)) continue;
     if (!qps_type_emitted) {
       out += "# TYPE cirstag_serve_window_qps gauge\n";
       qps_type_emitted = true;
     }
-    const std::string endpoint =
-        entry.name.substr(kWindowRequestsPrefix.size());
+    const std::string endpoint = entry.name.substr(kWindowLatencyPrefix.size());
     out += "cirstag_serve_window_qps" + endpoint_label(endpoint) + " ";
-    append_value(out, entry.rate_per_second);
+    append_value(out, window_qps(entry));
     out += "\n";
   }
 
@@ -214,8 +217,6 @@ std::string render_stats_json(Service& service) {
       obs::MetricsRegistry::global().snapshot();
   const auto window_hists = obs::WindowedRegistry::global()
                                 .histogram_snapshots();
-  const auto window_counters = obs::WindowedRegistry::global()
-                                   .counter_snapshots();
 
   const auto counter = [&snap](std::string_view name) -> std::uint64_t {
     for (const auto& [n, v] : snap.counters)
@@ -232,28 +233,18 @@ std::string render_stats_json(Service& service) {
       .field("queue_depth", service.scheduler.queue_depth())
       .field("draining", service.scheduler.draining());
 
-  // Per-endpoint rolling-window latency + rate. The window total can lag
-  // the matching histogram count by a scrape race; both come from the same
-  // registry walk here, so within this document they agree.
+  // Per-endpoint rolling-window latency + rate, all from one histogram
+  // snapshot: count, quantiles and qps = count / window.
   w.key("window").begin_object().key("endpoints").begin_object();
   for (const auto& entry : window_hists) {
     if (!has_prefix(entry.name, kWindowLatencyPrefix)) continue;
-    const std::string endpoint = entry.name.substr(kWindowLatencyPrefix.size());
-    double qps = 0.0;
-    for (const auto& c : window_counters) {
-      if (has_prefix(c.name, kWindowRequestsPrefix) &&
-          c.name.substr(kWindowRequestsPrefix.size()) == endpoint) {
-        qps = c.rate_per_second;
-        break;
-      }
-    }
-    w.key(endpoint)
+    w.key(entry.name.substr(kWindowLatencyPrefix.size()))
         .begin_object()
         .field("count", entry.snap.count)
         .field("p50_ms", entry.snap.quantile(0.50))
         .field("p95_ms", entry.snap.quantile(0.95))
         .field("p99_ms", entry.snap.quantile(0.99))
-        .field("qps", qps)
+        .field("qps", window_qps(entry))
         .end_object();
   }
   w.end_object()

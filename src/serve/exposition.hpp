@@ -19,10 +19,10 @@ struct Service;
 ///   - windowed `serve.window.latency_ms.<ep>` render as a summary family
 ///     `cirstag_serve_window_latency_ms{endpoint,quantile}` (p50/p95/p99
 ///     over the rolling window) plus `_sum`/`_count`
-///   - windowed request counters render as the gauges
-///     `cirstag_serve_window_requests{endpoint}` and
-///     `cirstag_serve_window_qps{endpoint}` (gauges, not counters — a
-///     rolling-window total can decrease)
+///   - the same windowed histograms also render as the gauges
+///     `cirstag_serve_window_requests{endpoint}` (the summary's `_count`)
+///     and `cirstag_serve_window_qps{endpoint}` (that count over the
+///     window); gauges, not counters — a rolling-window total can decrease
 /// Metric names are sanitized to [a-zA-Z0-9_:]; label values are escaped
 /// per the exposition spec (backslash, quote, newline).
 [[nodiscard]] std::string render_metrics_exposition(Service& service);

@@ -19,6 +19,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// The netlist keeps a pointer to its cell library, and analyze/sweep
+/// requests walk it long after a load returns — the library must have
+/// static storage duration.
+const circuit::CellLibrary& cell_library() {
+  static const circuit::CellLibrary lib = circuit::CellLibrary::standard();
+  return lib;
+}
+
 }  // namespace
 
 CircuitRegistry::LoadResult CircuitRegistry::load_from_path(
@@ -35,35 +43,11 @@ CircuitRegistry::LoadResult CircuitRegistry::load_from_text(
 
 CircuitRegistry::LoadResult CircuitRegistry::load_from_snapshot(
     const std::string& name, const std::string& path) {
-  static obs::Counter loads("serve.registry.snapshot_loads");
-  static obs::Counter load_failures("serve.registry.load_failures");
-  static obs::Gauge resident("serve.registry.circuits");
-
-  LoadResult result;
-  if (name.empty()) {
-    result.error = "circuit name must be non-empty";
-    load_failures.add();
-    return result;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = circuits_.emplace(name, nullptr);
-    (void)it;
-    if (!inserted) {
-      result.error = "circuit '" + name + "' is already loaded or loading";
-      result.name_conflict = true;
-      load_failures.add();
-      return result;
-    }
-  }
-
-  std::shared_ptr<CircuitRecord> record;
-  try {
-    static const circuit::CellLibrary lib = circuit::CellLibrary::standard();
+  static const obs::Counter loads("serve.registry.snapshot_loads");
+  LoadResult result = load_with(name, loads, [&path] {
     const auto t0 = std::chrono::steady_clock::now();
-    io::SnapshotData data = io::read_snapshot(path, lib);
-    record = std::make_shared<CircuitRecord>(std::move(data.netlist));
-    record->name = name;
+    io::SnapshotData data = io::read_snapshot(path, cell_library());
+    auto record = std::make_shared<CircuitRecord>(std::move(data.netlist));
     record->options.gnn_epochs = data.gnn_options.epochs;
     record->options.gnn_hidden = data.gnn_options.hidden_dim;
     record->options.exact = data.meta.exact;
@@ -77,73 +61,33 @@ CircuitRegistry::LoadResult CircuitRegistry::load_from_snapshot(
     record->engine = std::make_unique<core::SweepEngine>(
         record->netlist, *record->model, sopts, std::move(data.state));
     record->baseline_seconds = seconds_since(t0);
-  } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    circuits_.erase(name);
-    result.error = e.what();
-    load_failures.add();
-    return result;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    circuits_[name] = record;
-    resident.set(static_cast<double>(circuits_.size()));
-  }
-  loads.add();
-  obs::logf_info("serve",
-                 "restored circuit '%s' from snapshot: %zu pins, %zu gates, "
-                 "R2 %.4f (restore %.2fs, %s mode)",
-                 name.c_str(), record->netlist.num_pins(),
-                 record->netlist.num_gates(), record->train_r2,
-                 record->baseline_seconds,
-                 record->options.exact ? "exact" : "fast");
-  result.record = std::move(record);
+    return record;
+  });
+  if (const CircuitRecord* record = result.record.get())
+    obs::logf_info("serve",
+                   "restored circuit '%s' from snapshot: %zu pins, %zu gates, "
+                   "R2 %.4f (restore %.2fs, %s mode)",
+                   name.c_str(), record->netlist.num_pins(),
+                   record->netlist.num_gates(), record->train_r2,
+                   record->baseline_seconds,
+                   record->options.exact ? "exact" : "fast");
   return result;
 }
 
 CircuitRegistry::LoadResult CircuitRegistry::load_impl(
     const std::string& name, const std::string& path_or_text, bool is_path,
     const LoadOptions& options) {
-  static obs::Counter loads("serve.registry.loads");
-  static obs::Counter load_failures("serve.registry.load_failures");
-  static obs::Gauge resident("serve.registry.circuits");
-
-  LoadResult result;
-  if (name.empty()) {
-    result.error = "circuit name must be non-empty";
-    load_failures.add();
-    return result;
-  }
-
-  // Reserve the name so a concurrent duplicate load fails immediately
-  // instead of training a second GNN it can never publish.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = circuits_.emplace(name, nullptr);
-    (void)it;
-    if (!inserted) {
-      result.error = "circuit '" + name + "' is already loaded or loading";
-      result.name_conflict = true;
-      load_failures.add();
-      return result;
-    }
-  }
-
-  std::shared_ptr<CircuitRecord> record;
-  try {
-    // The netlist keeps a pointer to its cell library, and analyze/sweep
-    // requests walk it long after this load returns — the library must have
-    // static storage duration.
-    static const circuit::CellLibrary lib = circuit::CellLibrary::standard();
+  static const obs::Counter loads("serve.registry.loads");
+  LoadResult result = load_with(name, loads, [&] {
+    std::shared_ptr<CircuitRecord> record;
     if (is_path) {
       record = std::make_shared<CircuitRecord>(
-          circuit::load_netlist(path_or_text, lib));
+          circuit::load_netlist(path_or_text, cell_library()));
     } else {
       std::istringstream in(path_or_text);
-      record = std::make_shared<CircuitRecord>(circuit::read_netlist(in, lib));
+      record = std::make_shared<CircuitRecord>(
+          circuit::read_netlist(in, cell_library()));
     }
-    record->name = name;
     record->options = options;
 
     gnn::TimingGnnOptions gopts;
@@ -161,6 +105,47 @@ CircuitRegistry::LoadResult CircuitRegistry::load_impl(
     record->engine = std::make_unique<core::SweepEngine>(
         record->netlist, *record->model, sopts);
     record->baseline_seconds = seconds_since(t_base);
+    return record;
+  });
+  if (const CircuitRecord* record = result.record.get())
+    obs::logf_info("serve", "loaded circuit '%s': %zu pins, %zu gates, "
+                   "R2 %.4f (train %.2fs, baseline %.2fs, %s mode)",
+                   name.c_str(), record->netlist.num_pins(),
+                   record->netlist.num_gates(), record->train_r2,
+                   record->train_seconds, record->baseline_seconds,
+                   options.exact ? "exact" : "fast");
+  return result;
+}
+
+CircuitRegistry::LoadResult CircuitRegistry::load_with(
+    const std::string& name, const obs::Counter& loads,
+    const std::function<std::shared_ptr<CircuitRecord>()>& build) {
+  static const obs::Counter load_failures("serve.registry.load_failures");
+  static const obs::Gauge resident("serve.registry.circuits");
+
+  LoadResult result;
+  if (name.empty()) {
+    result.error = "circuit name must be non-empty";
+    load_failures.add();
+    return result;
+  }
+
+  // Reserve the name so a concurrent duplicate load fails immediately
+  // instead of building a second record it can never publish.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!circuits_.emplace(name, nullptr).second) {
+      result.error = "circuit '" + name + "' is already loaded or loading";
+      result.name_conflict = true;
+      load_failures.add();
+      return result;
+    }
+  }
+
+  std::shared_ptr<CircuitRecord> record;
+  try {
+    record = build();
+    record->name = name;
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(mutex_);
     circuits_.erase(name);
@@ -175,12 +160,6 @@ CircuitRegistry::LoadResult CircuitRegistry::load_impl(
     resident.set(static_cast<double>(circuits_.size()));
   }
   loads.add();
-  obs::logf_info("serve", "loaded circuit '%s': %zu pins, %zu gates, "
-                 "R2 %.4f (train %.2fs, baseline %.2fs, %s mode)",
-                 name.c_str(), record->netlist.num_pins(),
-                 record->netlist.num_gates(), record->train_r2,
-                 record->train_seconds, record->baseline_seconds,
-                 options.exact ? "exact" : "fast");
   result.record = std::move(record);
   return result;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,6 +12,10 @@
 #include "circuit/netlist.hpp"
 #include "core/sweep.hpp"
 #include "gnn/timing_gnn.hpp"
+
+namespace cirstag::obs {
+class Counter;
+}
 
 namespace cirstag::serve {
 
@@ -112,6 +117,15 @@ class CircuitRegistry {
   LoadResult load_impl(const std::string& name,
                        const std::string& path_or_text, bool is_path,
                        const LoadOptions& options);
+  /// The protocol every load runs: reject an empty name, reserve the name
+  /// (a concurrent duplicate fails at once with name_conflict), run `build`
+  /// outside the lock, then publish its record, count it on `loads` and set
+  /// the serve.registry.circuits gauge. When `build` throws, the name is
+  /// released and its message returned; every failure counts on
+  /// serve.registry.load_failures.
+  LoadResult load_with(
+      const std::string& name, const obs::Counter& loads,
+      const std::function<std::shared_ptr<CircuitRecord>()>& build);
 
   mutable std::mutex mutex_;
   /// nullptr value = name reserved by an in-flight load.

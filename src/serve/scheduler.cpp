@@ -42,17 +42,13 @@ obs::Histogram& latency_histogram(const std::string& endpoint) {
   return *slot;
 }
 
-/// Rolling-window twins of the cumulative per-endpoint telemetry: the
-/// /metrics summary quantiles and /stats QPS read these, so they describe
-/// the last ~2 minutes rather than the process lifetime.
+/// Rolling-window twin of the cumulative per-endpoint latency histogram:
+/// the /metrics summary quantiles, window request counts and /stats QPS all
+/// read it, so they describe the last ~2 minutes rather than the process
+/// lifetime.
 obs::WindowedHistogram& windowed_latency(const std::string& endpoint) {
   return obs::WindowedRegistry::global().histogram(
       "serve.window.latency_ms." + endpoint, latency_bounds_ms());
-}
-
-obs::WindowedCounter& windowed_requests(const std::string& endpoint) {
-  return obs::WindowedRegistry::global().counter("serve.window.requests." +
-                                                 endpoint);
 }
 
 obs::Gauge& queue_depth_gauge() {
@@ -81,7 +77,6 @@ void Scheduler::complete(Job& job, JobResponse response) {
   const double latency_ms = ms_since(job.enqueued);
   latency_histogram(job.endpoint).observe(latency_ms);
   windowed_latency(job.endpoint).observe(latency_ms);
-  windowed_requests(job.endpoint).add(1);
   if (status == 504) {
     static obs::Counter expired("serve.expired_504");
     expired.add();

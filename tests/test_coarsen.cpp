@@ -1,7 +1,7 @@
 // Multilevel coarsening contracts (DESIGN.md §12): hierarchy invariants
 // (valid Laplacians per level, aggregate maps partition the fine nodes,
 // aggregate_graph ≡ the Galerkin triple product Pᵀ L P), byte-determinism
-// across thread counts and --simd modes, `--coarsen off` byte-identity vs
+// across thread counts and kernel tables, `--coarsen off` byte-identity vs
 // the default automatic mode on small graphs, and multilevel-vs-exact
 // eigensolver agreement within the documented residual bound.
 

@@ -1,5 +1,5 @@
 // Scalar-vs-SIMD parity corpus for the kernel layer, plus end-to-end
-// byte-identity of analyze() and SweepEngine across --simd modes and thread
+// byte-identity of analyze() and SweepEngine across kernel tables and thread
 // counts.
 //
 // The kernel layer promises bit-identical results from the scalar and AVX2
@@ -534,7 +534,7 @@ INSTANTIATE_TEST_SUITE_P(FiniteAndPoisoned, KernelParityTest,
                            return info.param ? "NanInfInputs" : "FiniteInputs";
                          });
 
-// ---- End-to-end byte-identity across --simd modes and thread counts -------
+// ---- End-to-end byte-identity across kernel tables and thread counts -----
 
 using core::CirStag;
 using core::CirStagConfig;
@@ -583,7 +583,7 @@ void expect_same_report(const CirStagReport& a, const CirStagReport& b,
   expect_same_matrix(a.input_embedding, b.input_embedding, what);
 }
 
-/// Restores --simd auto even when a test body fails mid-way.
+/// Restores the auto kernel table even when a test body fails mid-way.
 struct SimdModeGuard {
   ~SimdModeGuard() { kernels::set_simd_mode("auto"); }
 };

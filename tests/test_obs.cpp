@@ -85,23 +85,6 @@ TEST(ObsMetrics, CountsFromManyThreadsUnderParallelFor) {
   runtime::set_global_threads(0);
 }
 
-TEST(ObsMetrics, DisabledRegistryCountsNothing) {
-  obs::MetricsRegistry reg;
-  const obs::Counter c(reg, "test.off");
-  const obs::Gauge g(reg, "test.off_gauge");
-  const obs::Histogram h(reg, "test.off_hist", {1.0});
-  reg.set_enabled(false);
-  c.add(100);
-  g.set(7.0);
-  h.observe(0.5);
-  EXPECT_EQ(reg.counter_value("test.off"), 0u);
-  EXPECT_EQ(reg.gauge_value("test.off_gauge"), 0.0);
-  EXPECT_EQ(reg.histogram_value("test.off_hist").count, 0u);
-  reg.set_enabled(true);
-  c.add(2);
-  EXPECT_EQ(reg.counter_value("test.off"), 2u);
-}
-
 TEST(ObsMetrics, ResetZeroesEverything) {
   obs::MetricsRegistry reg;
   const obs::Counter c(reg, "test.reset");
@@ -272,22 +255,16 @@ core::CirStagReport run_small_pipeline() {
 }
 
 TEST(ObsBitIdentity, PipelineScoresIdenticalWithObservabilityOnAndOff) {
-  auto& reg = obs::MetricsRegistry::global();
   auto& tracer = obs::Tracer::global();
 
-  reg.set_enabled(true);
   tracer.set_enabled(true);
   const core::CirStagReport with_obs = run_small_pipeline();
   EXPECT_FALSE(tracer.events().empty());
 
-  reg.set_enabled(false);
   tracer.set_enabled(false);
   tracer.clear();
   const core::CirStagReport without_obs = run_small_pipeline();
   EXPECT_TRUE(tracer.events().empty());
-
-  // Restore defaults for the rest of the suite.
-  reg.set_enabled(true);
 
   ASSERT_EQ(with_obs.node_scores.size(), without_obs.node_scores.size());
   for (std::size_t i = 0; i < with_obs.node_scores.size(); ++i)
@@ -302,7 +279,6 @@ TEST(ObsBitIdentity, PipelineScoresIdenticalWithObservabilityOnAndOff) {
 
 TEST(ObsGlobal, PipelinePopulatesStandardCounters) {
   auto& reg = obs::MetricsRegistry::global();
-  reg.set_enabled(true);
   const std::uint64_t solves_before =
       reg.counter_value("laplacian_solver.block_solves");
   const std::uint64_t iters_before =

@@ -200,13 +200,6 @@ TEST(ObsHealth, BufferBoundDegradesToDropCounter) {
   EXPECT_EQ(r.dropped, 10u);
 }
 
-TEST(ObsHealth, DisabledMonitorRecordsNothing) {
-  obs::HealthMonitor mon;
-  mon.set_enabled(false);
-  mon.record("x", "", 0.0, 0.0, obs::HealthSeverity::error);
-  EXPECT_TRUE(mon.collect().events.empty());
-}
-
 // ---------------------------------------------------------------------------
 // Pipeline fixtures
 
@@ -238,7 +231,6 @@ core::CirStagReport run_diag_pipeline(const core::CirStagConfig& cfg) {
 }
 
 TEST(ObsHealth, ForcedNonConvergenceSurfacesOnReport) {
-  obs::HealthMonitor::global().set_enabled(true);
   core::CirStagConfig cfg = diag_config();
   // A 1-iteration CG budget cannot converge the Phase-3 subspace solves;
   // the run must finish (degraded, finite) and say so in its health report.
@@ -257,7 +249,6 @@ TEST(ObsHealth, ForcedNonConvergenceSurfacesOnReport) {
 }
 
 TEST(ObsHealth, HealthyRunReportsNoWarningsOrErrors) {
-  obs::HealthMonitor::global().set_enabled(true);
   const core::CirStagReport report = run_diag_pipeline(diag_config());
   EXPECT_TRUE(report.health.ok()) << report.health.to_json();
 }
@@ -417,58 +408,6 @@ TEST(ObsProfiler, ProfileAndChromeSinksAreArmedIndependently) {
 }
 
 // ---------------------------------------------------------------------------
-// Fast-mode drift audit
-
-TEST(ObsSweepAudit, AuditPopulatesDriftAndRecordsHealthEvents) {
-  static const circuit::CellLibrary lib = circuit::CellLibrary::standard();
-  circuit::RandomCircuitSpec spec;
-  spec.num_gates = 120;
-  spec.num_inputs = 10;
-  spec.num_outputs = 6;
-  spec.num_levels = 7;
-  spec.seed = 77;
-  const circuit::Netlist nl = circuit::generate_random_logic(lib, spec);
-
-  gnn::TimingGnnOptions gopts;
-  gopts.epochs = 60;
-  gopts.hidden_dim = 16;
-  gnn::TimingGnn model(nl, gopts);
-  model.train();
-
-  std::vector<circuit::PinId> cell_inputs;
-  for (circuit::PinId p = 0; p < nl.num_pins(); ++p)
-    if (nl.pin(p).kind == circuit::PinKind::CellInput)
-      cell_inputs.push_back(p);
-  std::vector<core::SweepVariant> variants(2);
-  for (std::size_t v = 0; v < variants.size(); ++v)
-    for (std::size_t j = 0; j < 4; ++j)
-      variants[v].cap_scalings.push_back(
-          {cell_inputs[(v * 4 + j) % cell_inputs.size()], 1.5 + 0.1 * v});
-
-  obs::HealthMonitor::global().set_enabled(true);
-  core::SweepOptions opts;
-  opts.config = diag_config();
-  opts.exact = false;
-  opts.audit_drift = true;
-  core::SweepEngine engine(nl, model, opts);
-
-  const std::uint64_t begin = obs::HealthMonitor::global().next_index();
-  const auto results = engine.run(variants);
-  const obs::HealthReport health =
-      obs::HealthMonitor::global().collect_since(begin);
-
-  ASSERT_EQ(results.size(), variants.size());
-  for (const auto& r : results) {
-    EXPECT_GE(r.stats.audited_drift, 0.0);
-    EXPECT_LE(r.stats.audited_drift, core::kFastScoreDriftTolerance);
-  }
-  std::size_t drift_events = 0;
-  for (const auto& e : health.events)
-    if (e.kind == "sweep.drift") ++drift_events;
-  EXPECT_EQ(drift_events, variants.size());
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end identity: every sink armed at once (folded profile, health
 // monitors, tracer, metrics, JSON log mirror, request tracing with the
 // access-log and slow-exemplar sinks capturing) must leave scores byte-
@@ -478,9 +417,7 @@ core::CirStagReport run_fully_instrumented(std::size_t threads) {
   const core::CirStagConfig cfg = diag_config();
   runtime::set_global_threads(threads);
 
-  obs::MetricsRegistry::global().set_enabled(true);
   obs::Tracer::global().set_enabled(true);
-  obs::HealthMonitor::global().set_enabled(true);
   const std::string log_path = temp_path("obs_diag_identity.jsonl");
   EXPECT_TRUE(obs::Logger::global().set_json_path(log_path));
 
@@ -527,12 +464,7 @@ core::CirStagReport run_fully_instrumented(std::size_t threads) {
 core::CirStagReport run_uninstrumented(std::size_t threads) {
   const core::CirStagConfig cfg = diag_config();
   runtime::set_global_threads(threads);
-  obs::MetricsRegistry::global().set_enabled(false);
-  obs::HealthMonitor::global().set_enabled(false);
-  const core::CirStagReport report = run_diag_pipeline(cfg);
-  obs::MetricsRegistry::global().set_enabled(true);
-  obs::HealthMonitor::global().set_enabled(true);
-  return report;
+  return run_diag_pipeline(cfg);
 }
 
 TEST(ObsDiagnosticsIdentity, AllSinksArmedScoresByteIdenticalAcrossThreads) {

@@ -64,7 +64,7 @@ TEST(ObsClock, TracerSharesTheProcessEpoch) {
 }
 
 // ===========================================================================
-// ObsWindow — rolling slot-ring histograms and counters
+// ObsWindow — rolling slot-ring histograms
 // ===========================================================================
 
 constexpr double kSlotUs = 10.0 * 1e6;  // default 10s slots
@@ -122,18 +122,6 @@ TEST(ObsWindow, QuantilesDescribeOnlyTheWindow) {
   EXPECT_LE(snap.quantile(0.99), 1.0);  // the slow burst decayed away
 }
 
-TEST(ObsWindow, CounterTotalAndRateDecay) {
-  obs::WindowedCounter counter(tiny_window());
-  counter.add_at(10, 0.0);
-  counter.add_at(5, 1.0 * kSlotUs);
-  EXPECT_EQ(counter.total_at(1.0 * kSlotUs), 15u);
-  EXPECT_DOUBLE_EQ(counter.rate_per_second_at(1.0 * kSlotUs),
-                   15.0 / counter.window_seconds());
-  // Slot 0's events age out; slot 1's survive until slot 5.
-  EXPECT_EQ(counter.total_at(4.5 * kSlotUs), 5u);
-  EXPECT_EQ(counter.total_at(50.0 * kSlotUs), 0u);
-}
-
 TEST(ObsWindow, RegistryHandsOutStableReferences) {
   auto& registry = obs::WindowedRegistry::global();
   registry.reset();
@@ -142,25 +130,25 @@ TEST(ObsWindow, RegistryHandsOutStableReferences) {
       registry.histogram("test.win.hist", {99.0});  // bounds ignored on refetch
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.bounds().size(), 2u);
-  obs::WindowedCounter& c = registry.counter("test.win.count");
-  EXPECT_EQ(&c, &registry.counter("test.win.count"));
+  obs::WindowedHistogram& c = registry.histogram("test.win.other", {1.0});
+  EXPECT_NE(&a, &c);
+  EXPECT_EQ(&c, &registry.histogram("test.win.other", {1.0}));
 
   a.observe(1.5);
-  c.add(3);
-  bool saw_hist = false, saw_count = false;
+  for (int i = 0; i < 3; ++i) c.observe(0.5);
+  bool saw_hist = false, saw_other = false;
   for (const auto& entry : registry.histogram_snapshots()) {
-    if (entry.name != "test.win.hist") continue;
-    saw_hist = true;
-    EXPECT_EQ(entry.snap.count, 1u);
-    EXPECT_GT(entry.window_seconds, 0.0);
-  }
-  for (const auto& entry : registry.counter_snapshots()) {
-    if (entry.name != "test.win.count") continue;
-    saw_count = true;
-    EXPECT_EQ(entry.total, 3u);
+    if (entry.name == "test.win.hist") {
+      saw_hist = true;
+      EXPECT_EQ(entry.snap.count, 1u);
+      EXPECT_GT(entry.window_seconds, 0.0);
+    } else if (entry.name == "test.win.other") {
+      saw_other = true;
+      EXPECT_EQ(entry.snap.count, 3u);
+    }
   }
   EXPECT_TRUE(saw_hist);
-  EXPECT_TRUE(saw_count);
+  EXPECT_TRUE(saw_other);
   registry.reset();
   EXPECT_TRUE(registry.histogram_snapshots().empty());
 }
@@ -375,9 +363,12 @@ TEST_F(ObsRequestLog, AccessLinesAreWrittenPerRequest) {
 TEST_F(ObsRequestLog, SlowRequestsCaptureExemplarsUnderATokenBudget) {
   auto& log = obs::RequestLog::global();
   ASSERT_TRUE(log.set_exemplar_path(exemplar_path));
-  log.set_slow_threshold_us(0.0);        // everything is "slow"
-  log.configure_token_bucket(2.0, 0.0);  // burst of 2, no refill
-  for (int i = 0; i < 5; ++i) {
+  log.set_slow_threshold_us(0.0);  // everything is "slow"
+  // Three more than the burst (8 + 3), recorded well inside one refill
+  // period (1 / kExemplarRefillPerSecond = 10 s).
+  const auto burst =
+      static_cast<std::uint64_t>(obs::RequestLog::kExemplarBurst);
+  for (std::uint64_t i = 0; i < burst + 3; ++i) {
     RequestContext ctx("sweep");
     const std::uint32_t span =
         ctx.open_span("compute", 1.0, RequestContext::kNoParent);
@@ -385,7 +376,7 @@ TEST_F(ObsRequestLog, SlowRequestsCaptureExemplarsUnderATokenBudget) {
     ctx.finish(200);
     log.record(ctx);
   }
-  EXPECT_EQ(log.exemplars_captured(), 2u);
+  EXPECT_EQ(log.exemplars_captured(), burst);
   EXPECT_EQ(log.exemplars_dropped(), 3u);
   const std::string contents = read_file(exemplar_path);
   EXPECT_NE(contents.find("\"spans\""), std::string::npos);

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -266,6 +267,33 @@ TEST(Runtime, GlobalPoolResizes) {
   runtime::set_global_threads(0);  // back to the environment default
   EXPECT_EQ(runtime::global_pool().num_threads(),
             runtime::default_thread_count());
+}
+
+TEST(Runtime, DefaultThreadCountRejectsEnvAboveCeiling) {
+  // default_thread_count() only reads the environment; it starts no thread,
+  // so the over-ceiling values are safe to try here.
+  const char* saved = std::getenv("CIRSTAG_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  unsetenv("CIRSTAG_THREADS");
+  const std::size_t fallback = runtime::default_thread_count();
+
+  const auto with_env = [](const std::string& value) {
+    setenv("CIRSTAG_THREADS", value.c_str(), 1);
+    return runtime::default_thread_count();
+  };
+  EXPECT_EQ(with_env("3"), 3u);
+  EXPECT_EQ(with_env(std::to_string(runtime::kMaxThreads)),
+            runtime::kMaxThreads);
+  EXPECT_EQ(with_env(std::to_string(runtime::kMaxThreads + 1)), fallback);
+  EXPECT_EQ(with_env("100000"), fallback);
+  EXPECT_EQ(with_env("99999999999999999999999"), fallback);  // strtol range
+  EXPECT_EQ(with_env("0"), fallback);
+  EXPECT_EQ(with_env("-4"), fallback);
+
+  if (saved != nullptr)
+    setenv("CIRSTAG_THREADS", restore.c_str(), 1);
+  else
+    unsetenv("CIRSTAG_THREADS");
 }
 
 }  // namespace

@@ -790,6 +790,26 @@ TEST(ServeEndpoints, MetricsEndpointServesTextExposition) {
             std::string::npos);
   EXPECT_NE(body.find("cirstag_serve_window_requests{endpoint=\"load\"} "),
             std::string::npos);
+  // Each endpoint's window request gauge is its window summary's _count.
+  const auto sample = [&body](const std::string& series) {
+    const std::size_t at = body.find("\n" + series + " ");
+    if (at == std::string::npos) return std::string("(absent)");
+    const std::size_t begin = at + series.size() + 2;
+    return body.substr(begin, body.find('\n', begin) - begin);
+  };
+  const std::string count_family = "cirstag_serve_window_latency_ms_count";
+  std::size_t endpoints = 0;
+  for (std::size_t at = body.find(count_family + "{"); at != std::string::npos;
+       at = body.find(count_family + "{", at + 1)) {
+    const std::size_t labels_at = at + count_family.size();
+    const std::string labels =
+        body.substr(labels_at, body.find('}', labels_at) + 1 - labels_at);
+    EXPECT_EQ(sample("cirstag_serve_window_requests" + labels),
+              sample(count_family + labels))
+        << labels;
+    ++endpoints;
+  }
+  EXPECT_GE(endpoints, 1u);
   EXPECT_NE(body.find("# TYPE cirstag_serve_registry_resident_circuits "
                       "gauge"),
             std::string::npos);

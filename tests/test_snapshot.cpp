@@ -328,7 +328,6 @@ TEST(Snapshot, CorruptCorpusFailsCleanlyWithHealthEvents) {
        [](std::vector<char> b) { b[12] = 3; return b; }},
   };
 
-  obs::HealthMonitor::global().set_enabled(true);
   const std::string bad = testing::TempDir() + "cirstag_snapshot_bad.bin";
   for (const Mutation& m : corpus) {
     write_file(bad, m.mutate(good));

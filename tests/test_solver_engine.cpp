@@ -287,7 +287,6 @@ TEST(CgBreakdown, SolveBlockReportsBreakdownEvenWhenBudgeted) {
   // A negative-definite operator (-I + 0.5 I) through the production entry
   // point, with the budget-bounded options every pipeline solve uses: the
   // breakdown must surface as cg.breakdown, not as an iteration-cap event.
-  obs::HealthMonitor::global().set_enabled(true);
   linalg::CgOptions opts;
   opts.budget_bounded = true;
   linalg::LaplacianSolver solver(

@@ -101,19 +101,6 @@ TEST(Sparsify, SpectralApproximationOfKeptGraph) {
   EXPECT_LE(lambda2_h, lambda2_g + 1e-9);  // subgraph Laplacian ⪯ original
 }
 
-TEST(Sparsify, LrdBoundPrunesHighResistanceOfftreeEdges) {
-  const Graph g = random_connected_graph(30, 90, 61);
-  SparsifyOptions with_lrd;
-  with_lrd.offtree_keep_fraction = 1.0;
-  with_lrd.lrd_resistance_multiple = 0.5;  // aggressive bound
-  SparsifyOptions without;
-  without.offtree_keep_fraction = 1.0;
-  const auto r1 = sparsify_pgm(g, with_lrd);
-  const auto r0 = sparsify_pgm(g, without);
-  EXPECT_LT(r1.graph.num_edges(), r0.graph.num_edges());
-  EXPECT_TRUE(is_connected(r1.graph));
-}
-
 TEST(Sparsify, EmptyGraphPassesThrough) {
   Graph g(4);
   const auto res = sparsify_pgm(g, {});

@@ -238,9 +238,15 @@ TEST_F(SweepEngineTest, FastModeDriftWithinToleranceCaseA) {
                           naive[i].node_scores),
               kFastScoreDriftTolerance)
         << "variant " << i;
-    // Fast-mode reuse engaged: spectral reuse, and the adaptive Ritz stop
-    // kept the sweep count inside the budget.
-    EXPECT_TRUE(results[i].stats.spectral_reused);
+    // Fast-mode reuse engaged: the input embedding starts with the
+    // baseline's U_M, and the adaptive Ritz stop kept the sweep count
+    // inside the budget.
+    const linalg::Matrix& u0 = engine.export_baseline_state().u0;
+    const linalg::Matrix& emb = results[i].report.input_embedding;
+    ASSERT_EQ(emb.rows(), u0.rows());
+    for (std::size_t r = 0; r < u0.rows(); ++r)
+      for (std::size_t c = 0; c < u0.cols(); ++c)
+        ASSERT_EQ(emb(r, c), u0(r, c)) << "variant " << i;
     EXPECT_GE(results[i].stats.subspace_sweeps, 1u);
     EXPECT_LE(results[i].stats.subspace_sweeps,
               fast_config().stability.subspace_iterations);

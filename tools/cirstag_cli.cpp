@@ -73,8 +73,7 @@ constexpr const char* kUsage =
     "                       [--paths K] [--clock T]\n"
     "  analyze <in.ckt>     train GNN surrogate + CirSTAG stability scores\n"
     "                       [--scores out.csv] [--epochs E] [--hidden H]\n"
-    "                       [--top K] [--probes P]\n"
-    "                       [--solver-precond jacobi|tree] [--coarsen auto|off]\n"
+    "                       [--top K] [--coarsen auto|off]\n"
     "                       [--perf-json out.json]\n"
     "  sweep <in.ckt>       batched Case-A perturbation sweep: analyze N\n"
     "                       capacitance-scaled variants through the sweep\n"
@@ -106,7 +105,7 @@ constexpr const char* kUsage =
     "                       [--access-log PATH]  per-request JSONL log\n"
     "                       [--slow-trace PATH]  slow-request exemplars\n"
     "                       [--slow-us T]        exemplar latency threshold\n"
-    "                       [--slow-budget B]    exemplar token-bucket burst\n"
+    "                                            (captures are rate-limited)\n"
     "  help                 print this message\n"
     "  --version            print build identity (git describe, build type,\n"
     "                       compiler) and exit\n"
@@ -117,42 +116,27 @@ constexpr const char* kUsage =
     "  --threads N          parallel runtime pool width (default: the\n"
     "                       CIRSTAG_THREADS env var, else hardware threads;\n"
     "                       scores are bit-identical at every setting)\n"
-    "  --simd MODE          kernel dispatch: auto (AVX2+FMA when the CPU\n"
-    "                       has it; default, also via CIRSTAG_SIMD) or off\n"
-    "                       (portable scalar path); results are\n"
-    "                       bit-identical either way\n"
     "  --trace-json PATH    record trace spans and write a Chrome Trace\n"
     "                       Event Format file (open in chrome://tracing or\n"
     "                       Perfetto); instrumentation never changes results\n"
     "  --metrics-json PATH  write the aggregated metrics registry (counters,\n"
     "                       gauges, histograms with p50/p95/p99) as JSON on\n"
-    "                       exit, with the run's health report and profile\n"
-    "                       summary embedded when those are armed\n"
+    "                       exit, with the run's health report embedded\n"
+    "                       (and the profile summary with --profile-folded)\n"
     "  --profile-folded P   write the exact self thread-time (microseconds)\n"
     "                       of every span path to P as folded stacks\n"
     "                       (flamegraph.pl / inferno / speedscope input)\n"
     "  --manifest-json P    write a run-provenance manifest (git describe,\n"
     "                       build flags, resolved config, seeds, per-phase\n"
     "                       FNV-1a checksums) to P\n"
-    "  --health 0|1         numerical-health monitors: CG convergence, Ritz\n"
-    "                       residuals, NaN/Inf sentinels, drift audits\n"
-    "                       (default 1; monitors only read already-produced\n"
-    "                       values, scores are unchanged either way)\n"
     "  --log-json PATH      mirror diagnostics as JSON lines to PATH\n"
     "  --log-level L        debug|info|warn|error|off (default: the\n"
     "                       CIRSTAG_LOG_LEVEL env var, else info)\n"
     "\n"
-    "sweep knobs:\n"
-    "  --audit-drift 0|1    fast mode only: re-run the naive pipeline per\n"
-    "                       variant and record the relative-L2 score drift\n"
-    "                       as a health event (default 0; expensive — it\n"
-    "                       exists to audit the documented 0.08 bound)\n"
+    "The kernel table is AVX2+FMA when the CPU has it; CIRSTAG_SIMD=off\n"
+    "forces the portable scalar path (bit-identical results).\n"
     "\n"
-    "analyze solver knobs:\n"
-    "  --probes P           JL probe count of the resistance sketch (24)\n"
-    "  --solver-precond X   'jacobi' (default, historical iterates) or\n"
-    "                       'tree' (spanning-tree preconditioner, fewer CG\n"
-    "                       iterations, same accuracy)\n"
+    "analyze knobs:\n"
     "  --coarsen auto|off   multilevel eigensolver (DESIGN.md §12): 'auto'\n"
     "                       (default) coarsens graphs at or above the\n"
     "                       engagement threshold and solves coarse-to-fine;\n"
@@ -166,9 +150,8 @@ constexpr const char* kUsage =
 
 /// Options every command reads through apply_global_flags.
 constexpr std::string_view kGlobalOptions[] = {
-    "threads",      "simd",           "log-level",    "log-json",
-    "health",       "trace-json",     "metrics-json", "profile-folded",
-    "manifest-json"};
+    "threads",      "log-level",      "log-json",     "trace-json",
+    "metrics-json", "profile-folded", "manifest-json"};
 
 /// "--key value" option map for everything after the positional args.
 /// `accepted` lists the command's own keys; any other key that is not a
@@ -321,22 +304,15 @@ std::string profile_json() {
   return w.end_object().end_object().take();
 }
 
-/// Honors the global flags every command accepts: --threads sizes the pool,
-/// --trace-json / --metrics-json / --profile-folded / --manifest-json arm
-/// the observability sinks, --health gates the numerical-health monitors,
-/// --log-level / --log-json configure the structured logger.
+/// Honors the global flags every command accepts: --threads sizes the pool
+/// (a width above runtime::kMaxThreads is a usage error, before any pool
+/// exists), --trace-json / --metrics-json / --profile-folded /
+/// --manifest-json arm the observability sinks, --log-level / --log-json
+/// configure the structured logger.
 void apply_global_flags(const std::map<std::string, std::string>& opts) {
-  const std::size_t n = opt_size(opts, "threads", 0);
+  const std::size_t n =
+      opt_size_in(opts, "threads", 0, 0, runtime::kMaxThreads);
   if (n > 0) runtime::set_global_threads(n);
-
-  const std::string simd = opt_str(opts, "simd", "");
-  if (!simd.empty() && !kernels::set_simd_mode(simd)) {
-    if (simd == "avx2")
-      obs::log_warn("cli", "--simd avx2 requested but unavailable; "
-                           "using the scalar kernels");
-    else
-      bad_option_value("simd", simd, "auto|off");
-  }
 
   const std::string level = opt_str(opts, "log-level", "");
   if (!level.empty()) {
@@ -351,7 +327,6 @@ void apply_global_flags(const std::map<std::string, std::string>& opts) {
   if (!log_json.empty() && !obs::Logger::global().set_json_path(log_json))
     obs::logf_error("cli", "cannot open log sink %s", log_json.c_str());
 
-  obs::HealthMonitor::global().set_enabled(opt_size(opts, "health", 1) != 0);
   g_health_begin = obs::HealthMonitor::global().next_index();
 
   g_trace_path = opt_str(opts, "trace-json", "");
@@ -388,8 +363,7 @@ void write_observability_outputs() {
     std::printf("trace written to %s\n", g_trace_path.c_str());
   if (!g_metrics_path.empty()) {
     std::vector<std::pair<std::string, std::string>> extra;
-    if (obs::HealthMonitor::global().enabled())
-      extra.emplace_back("health", health.to_json());
+    extra.emplace_back("health", health.to_json());
     if (!g_profile_path.empty())
       extra.emplace_back("profile", profile_json());
     if (write_artifact("metrics", g_metrics_path,
@@ -407,7 +381,6 @@ obs::ManifestBuilder make_manifest(const char* command,
   mb.set("run", "netlist", netlist_path);
   mb.set("run", "threads", runtime::global_pool().num_threads());
   mb.set("run", "simd", kernels::active_isa());
-  mb.set("run", "health_enabled", obs::HealthMonitor::global().enabled());
   mb.set("run", "profiler_enabled", !g_profile_path.empty());
   return mb;
 }
@@ -461,15 +434,16 @@ int cmd_serve(int argc, char** argv) {
   const auto opts = parse_options(
       argc, argv, 2,
       {"port", "queue-capacity", "workers", "max-batch", "deadline-ms",
-       "access-log", "slow-trace", "slow-us", "slow-budget", "preload",
-       "preload-snapshot", "preload-name", "epochs", "hidden", "exact"});
+       "access-log", "slow-trace", "slow-us", "preload", "preload-snapshot",
+       "preload-name", "epochs", "hidden", "exact"});
   apply_global_flags(opts);
 
   serve::ServerOptions sopts;
   sopts.port =
       static_cast<std::uint16_t>(opt_size_in(opts, "port", 8437, 0, 65535));
   sopts.scheduler.queue_capacity = opt_size(opts, "queue-capacity", 256);
-  sopts.scheduler.workers = opt_size(opts, "workers", 2);
+  sopts.scheduler.workers =
+      opt_size_in(opts, "workers", 2, 0, runtime::kMaxThreads);
   sopts.scheduler.max_batch_size = opt_size(opts, "max-batch", 8);
   sopts.scheduler.default_deadline_ms = static_cast<int>(
       opt_size_in(opts, "deadline-ms", 60000, 1, serve::kMaxDeadlineMs));
@@ -483,8 +457,6 @@ int cmd_serve(int argc, char** argv) {
     const std::size_t slow_us = opt_size(opts, "slow-us", 0);
     rlog.set_slow_threshold_us(slow_us == 0 ? -1.0
                                             : static_cast<double>(slow_us));
-    const std::size_t budget = opt_size(opts, "slow-budget", 8);
-    rlog.configure_token_bucket(static_cast<double>(budget), 0.1);
   }
 
   serve::Server server(sopts);
@@ -655,26 +627,13 @@ int cmd_analyze(int argc, char** argv) {
   }
   const auto opts = parse_options(
       argc, argv, 3,
-      {"scores", "epochs", "hidden", "top", "probes", "solver-precond",
-       "coarsen", "perf-json"});
+      {"scores", "epochs", "hidden", "top", "coarsen", "perf-json"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
 
-  // Validate all solver knobs before the (slow) GNN training step.
+  // Validate the knob before the (slow) GNN training step.
   core::CirStagConfig cfg;
-  const std::size_t probes = opt_size(opts, "probes", 0);
-  if (probes > 0) {
-    cfg.manifold.sparsify.resistance.num_probes = probes;
-  }
-  const std::string precond = opt_str(opts, "solver-precond", "jacobi");
-  if (precond == "tree") {
-    cfg.manifold.sparsify.resistance.preconditioner =
-        graphs::SolverPreconditioner::spanning_tree;
-    cfg.stability.preconditioner = graphs::SolverPreconditioner::spanning_tree;
-  } else if (precond != "jacobi") {
-    bad_option_value("solver-precond", precond, "'jacobi' or 'tree'");
-  }
   apply_coarsen_flag(opts, cfg);
 
   std::printf("training timing GNN surrogate...\n");
@@ -735,7 +694,6 @@ int cmd_analyze(int argc, char** argv) {
   mb.set("config", "hidden_dim", gopts.hidden_dim);
   mb.set("config", "gnn_seed", gopts.seed);
   mb.set("config", "probes", cfg.manifold.sparsify.resistance.num_probes);
-  mb.set("config", "solver_precond", precond);
   mb.set("config", "coarsen",
          cfg.embedding.coarsen.mode != graphs::CoarsenMode::off);
   mb.set("config", "coarsen_levels", cfg.embedding.coarsen.max_levels);
@@ -752,7 +710,7 @@ int cmd_sweep(int argc, char** argv) {
   const auto opts = parse_options(
       argc, argv, 3,
       {"variants", "pins-per-variant", "factor", "seed", "epochs", "hidden",
-       "exact", "audit-drift", "scores"});
+       "exact", "scores"});
   apply_global_flags(opts);
   const CellLibrary lib = CellLibrary::standard();
   const Netlist nl = load_netlist(argv[2], lib);
@@ -771,7 +729,6 @@ int cmd_sweep(int argc, char** argv) {
 
   core::SweepOptions sopts;
   sopts.exact = opt_size(opts, "exact", 0) != 0;
-  sopts.audit_drift = opt_size(opts, "audit-drift", 0) != 0;
   std::printf("capturing sweep baseline (%s mode)...\n",
               sopts.exact ? "exact" : "fast");
   core::SweepEngine engine(nl, model, sopts);
@@ -835,13 +792,6 @@ int cmd_sweep(int argc, char** argv) {
     std::printf("  (fast mode: scores within %.2f relative L2 of the naive "
                 "per-variant loop; --exact 1 for byte-identical reports)\n",
                 core::kFastScoreDriftTolerance);
-  if (sopts.audit_drift && !sopts.exact) {
-    double max_drift = 0.0;
-    for (const auto& r : results)
-      max_drift = std::max(max_drift, r.stats.audited_drift);
-    std::printf("  drift audit: max relative-L2 drift %.4g (bound %.2f)\n",
-                max_drift, core::kFastScoreDriftTolerance);
-  }
 
   const std::string csv_path = opt_str(opts, "scores", "");
   if (!csv_path.empty()) {
@@ -855,7 +805,6 @@ int cmd_sweep(int argc, char** argv) {
   mb.set("config", "factor", factor);
   mb.set("config", "variant_seed", seed);
   mb.set("config", "exact", sopts.exact);
-  mb.set("config", "audit_drift", sopts.audit_drift);
   mb.set("config", "epochs", gopts.epochs);
   mb.set("config", "hidden_dim", gopts.hidden_dim);
   mb.set_checksums("checksums", engine.baseline().checksums);
