@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "graphs/knn.hpp"
 #include "graphs/laplacian.hpp"
 #include "graphs/sparsify.hpp"
+#include "graphs/spanning_tree.hpp"
 #include "gnn/timing_gnn.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/rng.hpp"
@@ -31,6 +33,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
+#include "util/arena.hpp"
 
 namespace {
 
@@ -411,34 +414,88 @@ void BM_BlockCgSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockCgSolve)->Arg(4000);
 
-/// One row pass of a block-CG iteration over an n×4 block: P3's
-/// p = D⁻¹r + βp (the xpby_cols kernel). At n = 256 its three operands
-/// (8 KiB each) sit in L1; at n = 11400, analyze_mid's pin count, they do
-/// not. rows_per_s barely moves between the two, so a CG iteration costs
-/// in proportion to its number of passes, not the bytes they move
-/// (DESIGN.md §7).
+/// The operator shape of the Phase-3 solve: points drawn at random on a
+/// 2-D torus in 4-D, their 10-NN graph cut to its max-weight spanning
+/// forest plus one in eight off-tree edges. Laplacian rows hold 2 to 11
+/// entries, about 4 on average, in no order, and node ids are unrelated to
+/// position, like the sparsified output graph over pin ids.
+linalg::SparseMatrix sparsified_manifold_laplacian(std::size_t n) {
+  linalg::Rng rng(16);
+  linalg::Matrix pts(n, 4);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = 2.0 * std::numbers::pi * rng.uniform(0.0, 1.0);
+    const double v = 2.0 * std::numbers::pi * rng.uniform(0.0, 1.0);
+    pts(i, 0) = std::cos(u);
+    pts(i, 1) = std::sin(u);
+    pts(i, 2) = 0.5 * std::cos(v);
+    pts(i, 3) = 0.5 * std::sin(v);
+  }
+  graphs::KnnGraphOptions ko;
+  ko.k = 10;
+  const graphs::Graph knn =
+      graphs::connect_components(graphs::build_knn_graph(pts, ko), 1e-3);
+  std::vector<char> in_tree(knn.num_edges(), 0);
+  for (const graphs::EdgeId e : graphs::max_weight_spanning_forest(knn))
+    in_tree[e] = 1;
+  graphs::Graph g(n);
+  for (graphs::EdgeId e = 0; e < knn.num_edges(); ++e) {
+    if (!in_tree[e] && rng.index(8) != 0) continue;
+    const graphs::Edge& ed = knn.edge(e);
+    g.add_edge(ed.u, ed.v, ed.weight);
+  }
+  return graphs::laplacian(g);
+}
+
+/// One row pass of a block-CG iteration over an n×4 block, all columns
+/// active (one group): P1 `ap = (A + 10⁻⁴·I)p` and `pᵀap` on
+/// sparsified_manifold_laplacian, P2 the Jacobi `x`/`r` updates with `rᵀr`
+/// and `rᵀz`, or P3 `p = D⁻¹r + βp`. At n = 256 the dense operands (8 KiB
+/// each) sit in L1; at n = 11400, analyze_mid's pin count, they do not.
+/// Args: pass (1–3), n.
 void BM_BlockCgPass(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t k = 4;  // one group, no padding lanes
+  const auto pass = state.range(0);
+  const auto n = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t k = 4;
   linalg::Rng rng(15);
-  const linalg::Matrix r = linalg::Matrix::random_normal(n, k, rng);
+  linalg::Matrix r = linalg::Matrix::random_normal(n, k, rng);
   linalg::Matrix p = linalg::Matrix::random_normal(n, k, rng);
+  linalg::Matrix ap = linalg::Matrix::random_normal(n, k, rng);
+  linalg::Matrix x(n, k);
+  const linalg::SparseMatrix a =
+      pass == 1 ? sparsified_manifold_laplacian(n) : linalg::SparseMatrix();
   const std::vector<double> inv_diag(n, 0.5);
-  const std::vector<double> beta(k, 1e-3);
+  const std::vector<double> coeff(k, 1e-3);
   const std::vector<double> mask(k, kernels::kMaskOn);
+  std::vector<double> out1(k), out2(k);
+  util::ArenaFrame frame;
+  const auto scratch = frame.alloc<double>(kernels::kCgScratchPerCol * k);
   const kernels::KernelTable& kt = kernels::table();
   WallClock wall;
   for (auto _ : state) {
-    kt.xpby_cols(beta.data(), inv_diag.data(), r.data().data(),
-                 p.data().data(), n, k, mask.data());
+    if (pass == 1) {
+      a.multiply_shifted_cols(p, 1e-4, ap, mask, false, out1);
+    } else if (pass == 2) {
+      // The coefficient is tiny, so x and r stay bounded over iterations.
+      kt.cg_step_cols(coeff.data(), p.data().data(), ap.data().data(),
+                      x.data().data(), r.data().data(), inv_diag.data(),
+                      nullptr, n, k, mask.data(), out1.data(), out2.data(),
+                      scratch.data());
+    } else {
+      kt.xpby_cols(coeff.data(), inv_diag.data(), r.data().data(),
+                   p.data().data(), n, k, mask.data());
+    }
+    benchmark::DoNotOptimize(out1.data());
     benchmark::DoNotOptimize(p.data().data());
+    benchmark::ClobberMemory();
   }
   wall.finish(state);
+  state.SetLabel(pass == 1 ? "P1 cg_apply_cols"
+                           : pass == 2 ? "P2 cg_step_cols" : "P3 xpby_cols");
   state.counters["rows_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * static_cast<double>(n),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BlockCgPass)->Arg(256)->Arg(11400);
+BENCHMARK(BM_BlockCgPass)->ArgsProduct({{1, 2, 3}, {256, 11400}});
 
 /// Metrics-shard contention: every thread hammers the same counter. The
 /// 64-byte shard padding keeps per-thread cache lines private, so ops/s

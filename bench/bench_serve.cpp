@@ -42,6 +42,9 @@
 // --perf-json writes a google-benchmark-shaped report (name + counters per
 // row) that tools/check_bench_regression.py consumes; wall_* fields ride
 // along ungated.
+//
+// Each mode names the options it reads (modes() below); any other option
+// exits 2 and names itself before any work starts, as cirstag_cli does.
 
 #include <algorithm>
 #include <chrono>
@@ -52,6 +55,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -951,19 +955,61 @@ int run_region(const std::map<std::string, std::string>& opts,
   return 0;
 }
 
+/// One --mode: its entry point and the keys it reads besides `mode`,
+/// `seed` and `perf-json`, which main() reads for every mode.
+struct Mode {
+  std::string_view name;
+  int (*run)(const std::map<std::string, std::string>&,
+             std::vector<BenchRow>&);
+  std::vector<std::string_view> keys;
+};
+
+const std::vector<Mode>& modes() {
+  static const std::vector<Mode> all = {
+      {"inproc",
+       run_inproc,
+       {"gates", "requests", "wave", "max-batch", "epochs", "access-log",
+        "slow-trace", "slow-us", "metrics-out", "latency-csv"}},
+      {"socket",
+       run_socket,
+       {"port", "requests", "connections", "arrival-us", "circuit",
+        "metrics-out", "latency-csv"}},
+      {"speedup",
+       run_speedup,
+       {"gates", "warm-requests", "cold-requests", "epochs",
+        "require-speedup", "engine-mode"}},
+      {"snapshot",
+       run_snapshot,
+       {"gates", "epochs", "require-speedup", "snapshot-path",
+        "engine-mode"}},
+      {"region", run_region, {"gates", "requests", "hops", "epochs"}},
+  };
+  return all;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto opts = parse_options(argc, argv);
   const std::string mode = opt_str(opts, "mode", "inproc");
+  const auto it = std::find_if(modes().begin(), modes().end(),
+                               [&](const Mode& m) { return m.name == mode; });
+  if (it == modes().end()) {
+    std::fprintf(stderr, "bench_serve: unknown mode '%s'\n", mode.c_str());
+    return 2;
+  }
+  // A key the mode does not read is a usage error before any work starts,
+  // so a misspelt or retired flag cannot run silently with defaults.
+  for (const auto& [key, value] : opts) {
+    if (key == "mode" || key == "seed" || key == "perf-json" ||
+        std::find(it->keys.begin(), it->keys.end(), key) != it->keys.end())
+      continue;
+    std::fprintf(stderr, "bench_serve: --mode %s does not read option '--%s'\n",
+                 mode.c_str(), key.c_str());
+    return 2;
+  }
   std::vector<BenchRow> rows;
-  int rc = 2;
-  if (mode == "inproc") rc = run_inproc(opts, rows);
-  else if (mode == "socket") rc = run_socket(opts, rows);
-  else if (mode == "speedup") rc = run_speedup(opts, rows);
-  else if (mode == "snapshot") rc = run_snapshot(opts, rows);
-  else if (mode == "region") rc = run_region(opts, rows);
-  else std::fprintf(stderr, "bench_serve: unknown mode '%s'\n", mode.c_str());
+  const int rc = it->run(opts, rows);
   const std::string report = opt_str(opts, "perf-json", "");
   if (rc == 0 && !report.empty())
     write_report(report, rows, opt_size(opts, "seed", 1));

@@ -60,6 +60,27 @@
 // P1's row dot keeps spmm_range's nnz tree; for k <= 8 its accumulators stay
 // in registers. A Jacobi iteration is P1, P2, P3; a deflated one adds a
 // center_dot_cols pass after P1 and after P2 (DESIGN.md §7).
+//
+// For k <= 4, the groups every top-level solve runs, the AVX2 passes do not
+// branch on the data:
+//
+//   * Blended tail. The row dot (P1 and spmm_range) always reads the three
+//     entries after a row's last full group of 4 and keeps each one's fma
+//     only in the lanes the row owns (blendv), instead of testing a ragged
+//     tail of 0–3 entries.
+//   * Over-read rule. Only a row with row_ptr[r+1] + 3 <= row_ptr[n] takes
+//     the blended tail (spmm_range bounds it by row_ptr[hi], since callers
+//     may pass arrays that end there); the last rows keep the branched
+//     tail. So every read stays inside the CSR arrays, and no array is
+//     padded. A lane past the row's end is blended away, never multiplied
+//     by zero, so a NaN or Inf reached only through the over-read cannot
+//     leak into the result.
+//   * Row lanes in registers. P2, center_dot_cols and P3 load the column
+//     mask and coefficients once per call and run rows unrolled by 8, each
+//     reduction's 8 row lanes held in registers.
+//
+// Lane assignment and fold trees are unchanged, so both tables still agree
+// bit for bit.
 
 #pragma once
 
@@ -134,7 +155,8 @@ struct KernelTable {
   // Multi-RHS CSR rows [lo, hi). Each column j reduces its row dot through
   // the SAME 4-lane nnz tree as spmv_range (lane = nnz position & 3), so
   // column j of the result is bit-identical to spmv on X.col(j). `acc` is
-  // caller scratch of 4 * padded_cols(k) doubles (lane-major).
+  // caller scratch of 4 * padded_cols(k) doubles (lane-major). col_idx and
+  // values are read up to row_ptr[hi], never further (the blended tail).
   void (*spmm_range)(const std::size_t* row_ptr, const std::uint32_t* col_idx,
                      const double* values, const double* x, std::size_t ldx,
                      double alpha, double* y, std::size_t ldy, std::size_t k,

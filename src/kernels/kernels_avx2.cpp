@@ -17,6 +17,8 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 namespace cirstag::kernels {
 namespace {
@@ -229,34 +231,52 @@ void spmv_range_avx2(const std::size_t* row_ptr, const std::uint32_t* col_idx,
 /// accumulator block fits in four ymm registers, so there is no scratch
 /// round-trip per nnz. Lane (t - b) & 3 and the fold (a0 + a2) + (a1 + a3)
 /// are the scalar tree's. KFull selects plain loads when k == 4; otherwise
-/// `km` masks the live columns.
-template <bool KFull>
+/// `km` masks the live columns. `ldx` is a std::size_t, or a
+/// std::integral_constant when the caller knows it, which keeps a multiply
+/// out of every load's address.
+///
+/// The ragged tail of 0–3 entries does not branch on its length: a row
+/// ending at least 3 entries before `end` (an nnz bound inside the caller's
+/// CSR arrays) always loads the next three entries and keeps each one's fma
+/// only in the lanes the row owns (blendv). A lane past the row's end is
+/// blended away, never multiplied by zero, so a NaN or Inf reached only
+/// through the over-read cannot enter the sum. Rows nearer `end` take the
+/// branched tail.
+template <bool KFull, typename Ld>
 inline __m256d spmm_row_kp4(const std::size_t* row_ptr,
                             const std::uint32_t* col_idx, const double* values,
-                            const double* x, std::size_t ldx, __m256i km,
-                            std::size_t r) {
+                            const double* x, Ld ldx, __m256i km,
+                            std::size_t r, std::size_t end) {
   const std::size_t b = row_ptr[r], e = row_ptr[r + 1];
   const __m256d zero = _mm256_setzero_pd();
   __m256d a0 = zero, a1 = zero, a2 = zero, a3 = zero;
-  const auto xrow = [&](std::size_t t) {
+  const auto term = [&](std::size_t t, __m256d acc) {
     const double* p = x + static_cast<std::size_t>(col_idx[t]) * ldx;
-    return KFull ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, km);
+    const __m256d xv = KFull ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, km);
+    return _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xv, acc);
   };
   std::size_t t = b;
   for (; t + 4 <= e; t += 4) {
-    if (t + 4 < e)
-      _mm_prefetch(reinterpret_cast<const char*>(
-                       x + static_cast<std::size_t>(col_idx[t + 4]) * ldx),
-                   _MM_HINT_T0);
-    a0 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a0);
-    a1 = _mm256_fmadd_pd(_mm256_set1_pd(values[t + 1]), xrow(t + 1), a1);
-    a2 = _mm256_fmadd_pd(_mm256_set1_pd(values[t + 2]), xrow(t + 2), a2);
-    a3 = _mm256_fmadd_pd(_mm256_set1_pd(values[t + 3]), xrow(t + 3), a3);
+    a0 = term(t, a0);
+    a1 = term(t + 1, a1);
+    a2 = term(t + 2, a2);
+    a3 = term(t + 3, a3);
   }
   // Ragged tail continues the lane assignment: lanes 0, 1, 2.
-  if (t < e) a0 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a0), ++t;
-  if (t < e) a1 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a1), ++t;
-  if (t < e) a2 = _mm256_fmadd_pd(_mm256_set1_pd(values[t]), xrow(t), a2);
+  if (e + 3 <= end) {
+    const __m256i rem = _mm256_set1_epi64x(static_cast<long long>(e - t));
+    const auto live = [&](long long lane) {
+      return _mm256_castsi256_pd(
+          _mm256_cmpgt_epi64(rem, _mm256_set1_epi64x(lane)));
+    };
+    a0 = _mm256_blendv_pd(a0, term(t, a0), live(0));
+    a1 = _mm256_blendv_pd(a1, term(t + 1, a1), live(1));
+    a2 = _mm256_blendv_pd(a2, term(t + 2, a2), live(2));
+  } else {
+    if (t < e) a0 = term(t, a0), ++t;
+    if (t < e) a1 = term(t, a1), ++t;
+    if (t < e) a2 = term(t, a2);
+  }
   return _mm256_add_pd(_mm256_add_pd(a0, a2), _mm256_add_pd(a1, a3));
 }
 
@@ -281,10 +301,6 @@ inline void spmm_row_kp8(const std::size_t* row_ptr,
   };
   std::size_t t = b;
   for (; t + 4 <= e; t += 4) {
-    if (t + 4 < e)
-      _mm_prefetch(reinterpret_cast<const char*>(
-                       x + static_cast<std::size_t>(col_idx[t + 4]) * ldx),
-                   _MM_HINT_T0);
     step(t, a0l, a0h);
     step(t + 1, a1l, a1h);
     step(t + 2, a2l, a2h);
@@ -311,10 +327,6 @@ inline void spmm_row_acc(const std::size_t* row_ptr,
   for (std::size_t j = 0; j < 4 * kp; j += 4)
     _mm256_store_pd(acc + j, _mm256_setzero_pd());
   for (std::size_t t = b; t < e; ++t) {
-    if (t + 2 < e)
-      _mm_prefetch(reinterpret_cast<const char*>(
-                       x + static_cast<std::size_t>(col_idx[t + 2]) * ldx),
-                   _MM_HINT_T0);
     const __m256d v = _mm256_set1_pd(values[t]);
     const double* xrow = x + static_cast<std::size_t>(col_idx[t]) * ldx;
     double* lane = acc + ((t - b) & 3) * kp;
@@ -344,9 +356,12 @@ void spmm_rows_kp4(const std::size_t* row_ptr, const std::uint32_t* col_idx,
                    double alpha, double* y, std::size_t ldy, __m256i km,
                    std::size_t lo, std::size_t hi) {
   const __m256d av = _mm256_set1_pd(alpha);
+  // Callers may pass arrays that end at row hi (gnn/layers.cpp passes one
+  // row's own spans), so the over-read is bounded there, not at row n.
+  const std::size_t end = row_ptr[hi];
   for (std::size_t r = lo; r < hi; ++r) {
     const __m256d fold =
-        spmm_row_kp4<KFull>(row_ptr, col_idx, values, x, ldx, km, r);
+        spmm_row_kp4<KFull>(row_ptr, col_idx, values, x, ldx, km, r, end);
     double* yrow = y + r * ldy;
     if (KFull) {
       _mm256_storeu_pd(yrow,
@@ -455,6 +470,71 @@ inline void store_block(double* p, __m256d v, const ColBlock& c) {
     _mm256_maskstore_pd(p, c.m, v);
 }
 
+/// The one 4-column block of a group of k <= 4 columns, its mask read once
+/// per call: Full (k == 4, every column active) uses plain loads and stores
+/// and the constant row stride 4; otherwise `m` masks them, so suppressed
+/// lanes read 0 and are never written.
+template <bool Full>
+struct Kp4Block {
+  __m256i m;
+  std::size_t k;
+  /// Row stride of a row-major n x k block, a compile-time 4 when Full, so
+  /// no address needs a multiply.
+  auto ld() const {
+    if constexpr (Full)
+      return std::integral_constant<std::size_t, 4>{};
+    else
+      return k;
+  }
+  std::size_t row(std::size_t i) const { return i * ld(); }
+  __m256d load(const double* p) const {
+    return Full ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, m);
+  }
+  void store(double* p, __m256d v) const {
+    if constexpr (Full)
+      _mm256_storeu_pd(p, v);
+    else
+      _mm256_maskstore_pd(p, m, v);
+  }
+};
+
+template <bool Tail, typename Row, std::size_t... L>
+inline void rows8_block(std::size_t i, std::size_t n, Row& row,
+                        std::index_sequence<L...>) {
+  ((!Tail || i + L < n
+        ? row(i + L, std::integral_constant<std::size_t, L>{})
+        : void()),
+   ...);
+}
+
+/// Calls row(i, lane) for i = 0..n-1 in order, `lane` being i & 7 as a
+/// std::integral_constant. Rows are unrolled by 8, so per-lane reduction
+/// accumulators that `row` indexes by `lane` stay in registers.
+template <typename Row>
+inline void for_rows8(std::size_t n, Row&& row) {
+  constexpr auto lanes = std::make_index_sequence<8>{};
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) rows8_block<false>(i, n, row, lanes);
+  rows8_block<true>(i, n, row, lanes);
+}
+
+/// Spill 8 register row lanes to lane-major scratch for fold_lanes (kp 4).
+inline void store_lanes4(const __m256d (&acc)[8], double* lanes) {
+  for (std::size_t l = 0; l < 8; ++l) _mm256_store_pd(lanes + l * 4, acc[l]);
+}
+
+/// Run a kp == 4 pass on its block, Full or masked; with no active column
+/// there is nothing to do.
+template <typename Pass>
+inline void with_kp4_block(const double* mask, std::size_t k, Pass&& pass) {
+  const ColBlock c = col_block(mask);
+  if (c.bits == 0) return;
+  if (k == 4 && c.bits == 0xF)
+    pass(Kp4Block<true>{c.m, k});
+  else
+    pass(Kp4Block<false>{c.m, k});
+}
+
 /// out[j] = the 8-lane tree over lanes[l * kp + j] (l = 0..7), masked j.
 inline void fold_lanes(const double* lanes, std::size_t kp,
                        const double* mask, double* out) {
@@ -500,12 +580,13 @@ inline void cg_apply_block(__m256d fold, const double* pi, double shift,
 template <bool Sums, bool Full>
 void cg_apply_kp4(const std::size_t* row_ptr, const std::uint32_t* col_idx,
                   const double* values, const double* p, double shift,
-                  double* ap, std::size_t n, std::size_t k, __m256i m,
+                  double* ap, std::size_t n, const Kp4Block<Full>& c,
                   double* red) {
+  const std::size_t end = row_ptr[n];
   for (std::size_t i = 0; i < n; ++i) {
     const __m256d fold =
-        spmm_row_kp4<Full>(row_ptr, col_idx, values, p, k, m, i);
-    cg_apply_block<Sums, Full>(fold, p + i * k, shift, ap + i * k, m,
+        spmm_row_kp4<Full>(row_ptr, col_idx, values, p, c.ld(), c.m, i, end);
+    cg_apply_block<Sums, Full>(fold, p + c.row(i), shift, ap + c.row(i), c.m,
                                red + (i & 7) * 4);
   }
 }
@@ -532,13 +613,9 @@ void cg_apply_rows(const std::size_t* row_ptr, const std::uint32_t* col_idx,
                    const double* mask, double* red, double* acc) {
   const std::size_t kp = padded_cols(k);
   if (kp == 4) {
-    const ColBlock c = col_block(mask);
-    if (k == 4 && c.bits == 0xF)
-      cg_apply_kp4<Sums, true>(row_ptr, col_idx, values, p, shift, ap, n, k,
-                               c.m, red);
-    else
-      cg_apply_kp4<Sums, false>(row_ptr, col_idx, values, p, shift, ap, n, k,
-                                c.m, red);
+    with_kp4_block(mask, k, [&](const auto& c) {
+      cg_apply_kp4<Sums>(row_ptr, col_idx, values, p, shift, ap, n, c, red);
+    });
     return;
   }
   if (kp == 8) {
@@ -590,12 +667,48 @@ void cg_apply_cols_avx2(const std::size_t* row_ptr,
 /// (Jacobi, deflated).
 enum class StepZ { none, dot, store_sum };
 
+/// P2 rows for k <= 4: ±α and the mask are loaded once per call, and the
+/// rᵀr and rᵀz / Σz row lanes stay in registers.
+template <StepZ Z, typename Block>
+void cg_step_kp4(const double* alpha, const double* p, const double* ap,
+                 double* x, double* r, const double* d, double* z,
+                 std::size_t n, const Block& c, double* rr_lanes,
+                 double* zr_lanes) {
+  const __m256d a = _mm256_loadu_pd(alpha);
+  const __m256d na = _mm256_xor_pd(a, _mm256_set1_pd(-0.0));
+  __m256d rr[8] = {}, zr[8] = {};
+  for_rows8(n, [&](std::size_t i, auto l) {
+    const std::size_t row = c.row(i);
+    c.store(x + row, _mm256_fmadd_pd(a, c.load(p + row), c.load(x + row)));
+    const __m256d rv = _mm256_fmadd_pd(na, c.load(ap + row), c.load(r + row));
+    c.store(r + row, rv);
+    rr[l] = _mm256_fmadd_pd(rv, rv, rr[l]);
+    if constexpr (Z != StepZ::none) {
+      const __m256d zv = _mm256_mul_pd(_mm256_set1_pd(d[i]), rv);
+      if constexpr (Z == StepZ::dot) {
+        zr[l] = _mm256_fmadd_pd(rv, zv, zr[l]);
+      } else {
+        c.store(z + row, zv);
+        zr[l] = _mm256_add_pd(zr[l], zv);
+      }
+    }
+  });
+  store_lanes4(rr, rr_lanes);
+  if constexpr (Z != StepZ::none) store_lanes4(zr, zr_lanes);
+}
+
 template <StepZ Z>
 void cg_step_rows(const double* alpha, const double* p, const double* ap,
                   double* x, double* r, const double* d, double* z,
                   std::size_t n, std::size_t k, const double* mask,
                   double* rr_lanes, double* zr_lanes) {
   const std::size_t kp = padded_cols(k);
+  if (kp == 4) {
+    with_kp4_block(mask, k, [&](const auto& c) {
+      cg_step_kp4<Z>(alpha, p, ap, x, r, d, z, n, c, rr_lanes, zr_lanes);
+    });
+    return;
+  }
   const __m256d sign = _mm256_set1_pd(-0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t row = i * k;
@@ -657,27 +770,62 @@ void center_dot_cols_avx2(const double* m, double* a, const double* b,
   const std::size_t kp = padded_cols(k);
   for (std::size_t j = 0; j < 8 * kp; j += 4)
     _mm256_store_pd(scratch + j, _mm256_setzero_pd());
-  for (std::size_t i = 0; i < n; ++i) {
-    double* ar = a + i * k;
-    const double* br = b + i * k;
-    double* lane = scratch + (i & 7) * kp;
-    for (std::size_t j = 0; j < kp; j += 4) {
-      const ColBlock c = col_block(mask + j);
-      if (c.bits == 0) continue;
-      const __m256d av =
-          _mm256_sub_pd(load_block(ar + j, c), _mm256_loadu_pd(m + j));
-      store_block(ar + j, av, c);
-      _mm256_store_pd(lane + j, _mm256_fmadd_pd(load_block(br + j, c), av,
-                                                _mm256_load_pd(lane + j)));
+  if (kp == 4) {
+    // The means and the mask are loaded once, the row lanes stay in
+    // registers.
+    with_kp4_block(mask, k, [&](const auto& c) {
+      const __m256d mv = _mm256_loadu_pd(m);
+      __m256d acc[8] = {};
+      for_rows8(n, [&](std::size_t i, auto l) {
+        const std::size_t row = c.row(i);
+        const __m256d av = _mm256_sub_pd(c.load(a + row), mv);
+        c.store(a + row, av);
+        acc[l] = _mm256_fmadd_pd(c.load(b + row), av, acc[l]);
+      });
+      store_lanes4(acc, scratch);
+    });
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      double* ar = a + i * k;
+      const double* br = b + i * k;
+      double* lane = scratch + (i & 7) * kp;
+      for (std::size_t j = 0; j < kp; j += 4) {
+        const ColBlock c = col_block(mask + j);
+        if (c.bits == 0) continue;
+        const __m256d av =
+            _mm256_sub_pd(load_block(ar + j, c), _mm256_loadu_pd(m + j));
+        store_block(ar + j, av, c);
+        _mm256_store_pd(lane + j, _mm256_fmadd_pd(load_block(br + j, c), av,
+                                                  _mm256_load_pd(lane + j)));
+      }
     }
   }
   fold_lanes(scratch, kp, mask, out);
+}
+
+/// P3 rows for k <= 4: β and the mask are loaded once per call.
+template <bool Jacobi, typename Block>
+void xpby_kp4(const double* beta, const double* d, const double* src,
+              double* p, std::size_t n, const Block& c) {
+  const __m256d bv = _mm256_loadu_pd(beta);
+  for_rows8(n, [&](std::size_t i, auto) {
+    const std::size_t row = c.row(i);
+    const __m256d sv = c.load(src + row);
+    const __m256d zv = Jacobi ? _mm256_mul_pd(_mm256_set1_pd(d[i]), sv) : sv;
+    c.store(p + row, _mm256_fmadd_pd(bv, c.load(p + row), zv));
+  });
 }
 
 template <bool Jacobi>
 void xpby_rows(const double* beta, const double* d, const double* src,
                double* p, std::size_t n, std::size_t k, const double* mask) {
   const std::size_t kp = padded_cols(k);
+  if (kp == 4) {
+    with_kp4_block(mask, k, [&](const auto& c) {
+      xpby_kp4<Jacobi>(beta, d, src, p, n, c);
+    });
+    return;
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const double* sr = src + i * k;
     double* pr = p + i * k;

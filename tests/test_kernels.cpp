@@ -305,6 +305,17 @@ std::vector<double> random_mask(std::mt19937_64& rng, std::size_t k) {
   return mask;
 }
 
+/// The masks each column-kernel case runs under: a random one with a
+/// retired column, and every column active — the path every group solve
+/// takes (k = 4 and k = 8 use plain loads and stores there).
+std::vector<std::vector<double>> test_masks(std::mt19937_64& rng,
+                                            std::size_t k) {
+  std::vector<double> all(kernels::padded_cols(k), kernels::kMaskOff);
+  std::fill(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k),
+            kernels::kMaskOn);
+  return {random_mask(rng, k), all};
+}
+
 std::vector<double> column_of(const std::vector<double>& a, std::size_t n,
                               std::size_t k, std::size_t j) {
   std::vector<double> c(n);
@@ -345,45 +356,226 @@ TEST_P(KernelParityTest, CgApplyCols) {
       const auto m = random_csr(rng_, n, n, poisoned());
       const auto p = make(n * k);
       const auto ap0 = make(n * k);
-      const auto mask = random_mask(rng_, k);
-      util::ArenaFrame frame;
-      std::span<double> scratch =
-          frame.alloc_zero<double>(kernels::kCgScratchPerCol * kp);
-      for (double shift : {0.0, coeff(rng_)}) {
-        for (bool sums : {false, true}) {
-          auto aps = ap0, apv = ap0;
-          std::vector<double> outs(kp, kSentinel), outv(kp, kSentinel);
-          sc_->cg_apply_cols(m.row_ptr.data(), m.col_idx.data(),
-                             m.values.data(), p.data(), shift, aps.data(), n,
-                             k, mask.data(), sums, outs.data(),
-                             scratch.data());
-          vec_->cg_apply_cols(m.row_ptr.data(), m.col_idx.data(),
-                              m.values.data(), p.data(), shift, apv.data(), n,
-                              k, mask.data(), sums, outv.data(),
-                              scratch.data());
-          expect_same_bits(aps, apv, "cg_apply_cols ap", k);
-          expect_same_bits(outs, outv, "cg_apply_cols out", k);
-          expect_masked_untouched(aps, ap0, mask, n, k, "cg_apply_cols");
-          for (std::size_t j = 0; j < kp; ++j) {
-            if (!kernels::mask_on(mask[j])) {
-              ASSERT_EQ(bits(outs[j]), bits(kSentinel)) << "out lane " << j;
-              continue;
+      for (const auto& mask : test_masks(rng_, k)) {
+        util::ArenaFrame frame;
+        std::span<double> scratch =
+            frame.alloc_zero<double>(kernels::kCgScratchPerCol * kp);
+        for (double shift : {0.0, coeff(rng_)}) {
+          for (bool sums : {false, true}) {
+            auto aps = ap0, apv = ap0;
+            std::vector<double> outs(kp, kSentinel), outv(kp, kSentinel);
+            sc_->cg_apply_cols(m.row_ptr.data(), m.col_idx.data(),
+                               m.values.data(), p.data(), shift, aps.data(), n,
+                               k, mask.data(), sums, outs.data(),
+                               scratch.data());
+            vec_->cg_apply_cols(m.row_ptr.data(), m.col_idx.data(),
+                                m.values.data(), p.data(), shift, apv.data(), n,
+                                k, mask.data(), sums, outv.data(),
+                                scratch.data());
+            expect_same_bits(aps, apv, "cg_apply_cols ap", k);
+            expect_same_bits(outs, outv, "cg_apply_cols out", k);
+            expect_masked_untouched(aps, ap0, mask, n, k, "cg_apply_cols");
+            for (std::size_t j = 0; j < kp; ++j) {
+              if (!kernels::mask_on(mask[j])) {
+                ASSERT_EQ(bits(outs[j]), bits(kSentinel)) << "out lane " << j;
+                continue;
+              }
+              // Column j alone: spmv into zeros, the shift axpy, then dot/sum.
+              const auto pj = column_of(p, n, k, j);
+              std::vector<double> want(n, 0.0);
+              sc_->spmv_range(m.row_ptr.data(), m.col_idx.data(),
+                              m.values.data(), pj.data(), 1.0, want.data(), 0,
+                              n);
+              if (shift != 0.0) sc_->axpy(shift, pj.data(), want.data(), n);
+              expect_column(aps, n, k, j, want, "cg_apply_cols ap");
+              expect_same_bits(outs[j],
+                               sums ? sc_->sum(want.data(), n)
+                                    : sc_->dot(pj.data(), want.data(), n),
+                               "cg_apply_cols out vs dot/sum", n);
             }
-            // Column j alone: spmv into zeros, the shift axpy, then dot/sum.
-            const auto pj = column_of(p, n, k, j);
-            std::vector<double> want(n, 0.0);
-            sc_->spmv_range(m.row_ptr.data(), m.col_idx.data(),
-                            m.values.data(), pj.data(), 1.0, want.data(), 0,
-                            n);
-            if (shift != 0.0) sc_->axpy(shift, pj.data(), want.data(), n);
-            expect_column(aps, n, k, j, want, "cg_apply_cols ap");
-            expect_same_bits(outs[j],
-                             sums ? sc_->sum(want.data(), n)
-                                  : sc_->dot(pj.data(), want.data(), n),
-                             "cg_apply_cols out vs dot/sum", n);
           }
         }
       }
+    }
+  }
+}
+
+// ---- P1's blended row tail -----------------------------------------------
+//
+// For k <= 4 the AVX2 row dot reads the three entries after a row's last
+// full group of 4 whether or not the row owns them, and blends away the
+// lanes it does not own; only rows ending at least 3 entries before the CSR
+// arrays end take that path. The cases below pin every tail length, rows
+// next to the end, empty rows and tiny matrices, and an over-read that
+// reaches NaN and Inf. Their arrays are exactly nnz long, so a read past
+// them shows under AddressSanitizer.
+
+/// CSR with the given row lengths, random columns and values.
+RaggedCsr csr_with_lengths(std::mt19937_64& rng,
+                           const std::vector<std::size_t>& lengths,
+                           std::size_t cols) {
+  RaggedCsr m;
+  m.rows = lengths.size();
+  m.cols = cols;
+  m.row_ptr.assign(m.rows + 1, 0);
+  for (std::size_t r = 0; r < m.rows; ++r)
+    m.row_ptr[r + 1] = m.row_ptr[r] + lengths[r];
+  std::uniform_int_distribution<std::uint32_t> col_dist(
+      0, static_cast<std::uint32_t>(cols - 1));
+  std::uniform_real_distribution<double> val_dist(-1.0, 1.0);
+  m.col_idx = std::vector<std::uint32_t>(m.row_ptr.back());
+  m.values = std::vector<double>(m.row_ptr.back());
+  for (std::size_t t = 0; t < m.col_idx.size(); ++t) {
+    m.col_idx[t] = col_dist(rng);
+    m.values[t] = val_dist(rng);
+  }
+  return m;
+}
+
+/// P1 on `m` with p given, k = 1..4 under both masks, shift 0 and not, pᵀap
+/// and Σap: the AVX2 table equals the scalar one bit for bit, and each
+/// active column equals spmv on that column alone.
+void expect_cg_apply_parity(const KernelTable& sc, const KernelTable& vec,
+                            std::mt19937_64& rng, const RaggedCsr& m,
+                            const std::vector<double>& p, std::size_t k,
+                            const char* what) {
+  const std::size_t n = m.rows, kp = kernels::padded_cols(k);
+  util::ArenaFrame frame;
+  std::span<double> scratch =
+      frame.alloc_zero<double>(kernels::kCgScratchPerCol * kp);
+  for (const auto& mask : test_masks(rng, k)) {
+    for (double shift : {0.0, -0.75}) {
+      for (bool sums : {false, true}) {
+        std::vector<double> aps(n * k, kSentinel), apv(n * k, kSentinel);
+        std::vector<double> outs(kp, kSentinel), outv(kp, kSentinel);
+        sc.cg_apply_cols(m.row_ptr.data(), m.col_idx.data(), m.values.data(),
+                         p.data(), shift, aps.data(), n, k, mask.data(), sums,
+                         outs.data(), scratch.data());
+        vec.cg_apply_cols(m.row_ptr.data(), m.col_idx.data(), m.values.data(),
+                          p.data(), shift, apv.data(), n, k, mask.data(), sums,
+                          outv.data(), scratch.data());
+        expect_same_bits(aps, apv, what, k);
+        expect_same_bits(outs, outv, what, k);
+        for (std::size_t j = 0; j < k; ++j) {
+          if (!kernels::mask_on(mask[j])) continue;
+          const auto pj = column_of(p, n, k, j);
+          std::vector<double> want(n, 0.0);
+          sc.spmv_range(m.row_ptr.data(), m.col_idx.data(), m.values.data(),
+                        pj.data(), 1.0, want.data(), 0, n);
+          if (shift != 0.0) sc.axpy(shift, pj.data(), want.data(), n);
+          expect_column(apv, n, k, j, want, what);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelParityTest, CgApplyColsBlendedTailEveryShape) {
+  // Every tail length 0–3 after 0, 1 and 2 full groups, in and out of the
+  // last three entries; empty rows, also last; fewer than 3 entries.
+  std::vector<std::size_t> every_tail;
+  for (std::size_t len = 0; len < 12; ++len) every_tail.push_back(len);
+  for (std::size_t len = 12; len-- > 0;) every_tail.push_back(len);
+  const std::vector<std::vector<std::size_t>> shapes = {
+      every_tail,
+      {5, 0, 3, 0, 0, 0},
+      {0, 0, 0, 4},
+      {2, 0, 0},
+      {3, 1},
+      {4, 3, 2, 1, 0},
+      {1, 0, 1},
+      {2},
+      {0},
+      {0, 1},
+  };
+  for (const auto& lengths : shapes) {
+    for (std::size_t k = 1; k <= 4; ++k) {
+      const std::size_t n = lengths.size();
+      const auto m = csr_with_lengths(rng_, lengths, n);
+      const auto p = make(n * k);
+      expect_cg_apply_parity(*sc_, *vec_, rng_, m, p, k,
+                             "cg_apply_cols blended tail");
+    }
+  }
+}
+
+TEST_P(KernelParityTest, CgApplyColsOverReadNeverLeaks) {
+  // Row 0 owns one entry; its over-read covers row 1's three entries,
+  // which point at rows of p holding NaN, +Inf and -Inf with values 0, NaN
+  // and Inf. Row 0 never reads those rows, so its ap stays finite.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::size_t> lengths = {1, 3, 1, 1, 1, 1, 1, 1};
+  const std::size_t n = lengths.size();
+  RaggedCsr m = csr_with_lengths(rng_, lengths, n);
+  m.col_idx[0] = 0;
+  m.values[0] = 0.5;
+  const std::uint32_t poisoned_rows[3] = {5, 6, 7};
+  const double over_read_values[3] = {0.0, nan, inf};
+  for (std::size_t t = 0; t < 3; ++t) {
+    m.col_idx[1 + t] = poisoned_rows[t];
+    m.values[1 + t] = over_read_values[t];
+  }
+  for (std::size_t k = 1; k <= 4; ++k) {
+    std::vector<double> p = random_vec(rng_, n * k);
+    for (std::size_t j = 0; j < k; ++j) {
+      p[5 * k + j] = nan;
+      p[6 * k + j] = inf;
+      p[7 * k + j] = -inf;
+    }
+    expect_cg_apply_parity(*sc_, *vec_, rng_, m, p, k,
+                           "cg_apply_cols over-read");
+    util::ArenaFrame frame;
+    std::span<double> scratch = frame.alloc_zero<double>(
+        kernels::kCgScratchPerCol * kernels::padded_cols(k));
+    for (const auto& mask : test_masks(rng_, k)) {
+      std::vector<double> ap(n * k, 0.0), out(kernels::padded_cols(k));
+      vec_->cg_apply_cols(m.row_ptr.data(), m.col_idx.data(),
+                          m.values.data(), p.data(), 1e-4, ap.data(), n, k,
+                          mask.data(), false, out.data(), scratch.data());
+      for (std::size_t j = 0; j < k; ++j) {
+        if (!kernels::mask_on(mask[j])) continue;
+        ASSERT_TRUE(std::isfinite(ap[j])) << "k=" << k << " col " << j;
+      }
+    }
+  }
+}
+
+TEST_P(KernelParityTest, SpmmRangeOverReadStopsAtHi) {
+  // spmm_range's callers may pass arrays that end at row hi: a row chunk's
+  // prefix of the CSR, or one row's own spans (the GNN recompute). Both are
+  // copied here into arrays exactly row_ptr[hi] long.
+  for (std::size_t k = 1; k <= 4; ++k) {
+    const std::size_t rows = 23;
+    const auto full = random_csr(rng_, rows, rows, poisoned());
+    const auto x = make(rows * k);
+    util::ArenaFrame frame;
+    std::span<double> acc =
+        frame.alloc_zero<double>(4 * kernels::padded_cols(k));
+    for (std::size_t hi = 1; hi <= rows; hi += 3) {
+      const std::size_t lo = hi / 2;
+      const auto nnz = static_cast<std::ptrdiff_t>(full.row_ptr[hi]);
+      const std::vector<std::uint32_t> cols(full.col_idx.begin(),
+                                            full.col_idx.begin() + nnz);
+      const std::vector<double> vals(full.values.begin(),
+                                     full.values.begin() + nnz);
+      const auto y0 = make(rows * k);
+      auto ys = y0, yv = y0;
+      sc_->spmm_range(full.row_ptr.data(), cols.data(), vals.data(), x.data(),
+                      k, 0.5, ys.data(), k, k, acc.data(), lo, hi);
+      vec_->spmm_range(full.row_ptr.data(), cols.data(), vals.data(),
+                       x.data(), k, 0.5, yv.data(), k, k, acc.data(), lo, hi);
+      expect_same_bits(ys, yv, "spmm_range chunk", hi);
+    }
+    for (std::size_t len = 0; len <= 5; ++len) {
+      const auto one = csr_with_lengths(rng_, {len}, rows);
+      const std::size_t row_ptr[2] = {0, len};
+      std::vector<double> ys(k, 0.0), yv(k, 0.0);
+      sc_->spmm_range(row_ptr, one.col_idx.data(), one.values.data(),
+                      x.data(), k, 1.0, ys.data(), k, k, acc.data(), 0, 1);
+      vec_->spmm_range(row_ptr, one.col_idx.data(), one.values.data(),
+                       x.data(), k, 1.0, yv.data(), k, k, acc.data(), 0, 1);
+      expect_same_bits(ys, yv, "spmm_range one row", len);
     }
   }
 }
@@ -396,61 +588,62 @@ TEST_P(KernelParityTest, CgStepCols) {
       const auto p = make(n * k), ap = make(n * k);
       const auto x0 = make(n * k), r0 = make(n * k), z0 = make(n * k);
       const auto d = make(n);
-      const auto mask = random_mask(rng_, k);
-      std::vector<double> alpha(kp, 0.0);
-      for (std::size_t j = 0; j < k; ++j) alpha[j] = coeff(rng_);
-      util::ArenaFrame frame;
-      std::span<double> scratch =
-          frame.alloc_zero<double>(kernels::kCgScratchPerCol * kp);
-      // Tree (no z), Jacobi (r·z, z not stored), Jacobi deflated (z, Σz).
-      for (int mode = 0; mode < 3; ++mode) {
-        const double* dp = mode == 0 ? nullptr : d.data();
-        auto xs = x0, xv = x0, rs = r0, rv = r0, zs = z0, zv = z0;
-        std::vector<double> rrs(kp, kSentinel), rrv(kp, kSentinel);
-        std::vector<double> zrs(kp, kSentinel), zrv(kp, kSentinel);
-        sc_->cg_step_cols(alpha.data(), p.data(), ap.data(), xs.data(),
-                          rs.data(), dp, mode == 2 ? zs.data() : nullptr, n,
-                          k, mask.data(), rrs.data(), zrs.data(),
-                          scratch.data());
-        vec_->cg_step_cols(alpha.data(), p.data(), ap.data(), xv.data(),
-                           rv.data(), dp, mode == 2 ? zv.data() : nullptr, n,
-                           k, mask.data(), rrv.data(), zrv.data(),
-                           scratch.data());
-        expect_same_bits(xs, xv, "cg_step_cols x", k);
-        expect_same_bits(rs, rv, "cg_step_cols r", k);
-        expect_same_bits(zs, zv, "cg_step_cols z", k);
-        expect_same_bits(rrs, rrv, "cg_step_cols rr", k);
-        expect_same_bits(zrs, zrv, "cg_step_cols zr", k);
-        expect_masked_untouched(xs, x0, mask, n, k, "cg_step_cols x");
-        expect_masked_untouched(rs, r0, mask, n, k, "cg_step_cols r");
-        expect_masked_untouched(zs, z0, mask, n, k, "cg_step_cols z");
-        for (std::size_t j = 0; j < kp; ++j) {
-          if (!kernels::mask_on(mask[j])) {
-            ASSERT_EQ(bits(rrs[j]), bits(kSentinel)) << "rr lane " << j;
-            ASSERT_EQ(bits(zrs[j]), bits(kSentinel)) << "zr lane " << j;
-            continue;
-          }
-          auto xj = column_of(x0, n, k, j), rj = column_of(r0, n, k, j);
-          const auto pj = column_of(p, n, k, j), apj = column_of(ap, n, k, j);
-          sc_->axpy(alpha[j], pj.data(), xj.data(), n);
-          sc_->axpy(-alpha[j], apj.data(), rj.data(), n);
-          expect_column(xs, n, k, j, xj, "cg_step_cols x");
-          expect_column(rs, n, k, j, rj, "cg_step_cols r");
-          expect_same_bits(rrs[j], sc_->dot_self(rj.data(), n),
-                           "cg_step_cols rr vs dot_self", n);
-          if (mode == 0) {
-            ASSERT_EQ(bits(zrs[j]), bits(kSentinel)) << "zr lane " << j;
-            continue;
-          }
-          std::vector<double> zj(n);
-          for (std::size_t i = 0; i < n; ++i) zj[i] = d[i] * rj[i];
-          if (mode == 1) {
-            expect_same_bits(zrs[j], sc_->dot(rj.data(), zj.data(), n),
-                             "cg_step_cols zr vs dot", n);
-          } else {
-            expect_column(zs, n, k, j, zj, "cg_step_cols z");
-            expect_same_bits(zrs[j], sc_->sum(zj.data(), n),
-                             "cg_step_cols zr vs sum", n);
+      for (const auto& mask : test_masks(rng_, k)) {
+        std::vector<double> alpha(kp, 0.0);
+        for (std::size_t j = 0; j < k; ++j) alpha[j] = coeff(rng_);
+        util::ArenaFrame frame;
+        std::span<double> scratch =
+            frame.alloc_zero<double>(kernels::kCgScratchPerCol * kp);
+        // Tree (no z), Jacobi (r·z, z not stored), Jacobi deflated (z, Σz).
+        for (int mode = 0; mode < 3; ++mode) {
+          const double* dp = mode == 0 ? nullptr : d.data();
+          auto xs = x0, xv = x0, rs = r0, rv = r0, zs = z0, zv = z0;
+          std::vector<double> rrs(kp, kSentinel), rrv(kp, kSentinel);
+          std::vector<double> zrs(kp, kSentinel), zrv(kp, kSentinel);
+          sc_->cg_step_cols(alpha.data(), p.data(), ap.data(), xs.data(),
+                            rs.data(), dp, mode == 2 ? zs.data() : nullptr, n,
+                            k, mask.data(), rrs.data(), zrs.data(),
+                            scratch.data());
+          vec_->cg_step_cols(alpha.data(), p.data(), ap.data(), xv.data(),
+                             rv.data(), dp, mode == 2 ? zv.data() : nullptr, n,
+                             k, mask.data(), rrv.data(), zrv.data(),
+                             scratch.data());
+          expect_same_bits(xs, xv, "cg_step_cols x", k);
+          expect_same_bits(rs, rv, "cg_step_cols r", k);
+          expect_same_bits(zs, zv, "cg_step_cols z", k);
+          expect_same_bits(rrs, rrv, "cg_step_cols rr", k);
+          expect_same_bits(zrs, zrv, "cg_step_cols zr", k);
+          expect_masked_untouched(xs, x0, mask, n, k, "cg_step_cols x");
+          expect_masked_untouched(rs, r0, mask, n, k, "cg_step_cols r");
+          expect_masked_untouched(zs, z0, mask, n, k, "cg_step_cols z");
+          for (std::size_t j = 0; j < kp; ++j) {
+            if (!kernels::mask_on(mask[j])) {
+              ASSERT_EQ(bits(rrs[j]), bits(kSentinel)) << "rr lane " << j;
+              ASSERT_EQ(bits(zrs[j]), bits(kSentinel)) << "zr lane " << j;
+              continue;
+            }
+            auto xj = column_of(x0, n, k, j), rj = column_of(r0, n, k, j);
+            const auto pj = column_of(p, n, k, j), apj = column_of(ap, n, k, j);
+            sc_->axpy(alpha[j], pj.data(), xj.data(), n);
+            sc_->axpy(-alpha[j], apj.data(), rj.data(), n);
+            expect_column(xs, n, k, j, xj, "cg_step_cols x");
+            expect_column(rs, n, k, j, rj, "cg_step_cols r");
+            expect_same_bits(rrs[j], sc_->dot_self(rj.data(), n),
+                             "cg_step_cols rr vs dot_self", n);
+            if (mode == 0) {
+              ASSERT_EQ(bits(zrs[j]), bits(kSentinel)) << "zr lane " << j;
+              continue;
+            }
+            std::vector<double> zj(n);
+            for (std::size_t i = 0; i < n; ++i) zj[i] = d[i] * rj[i];
+            if (mode == 1) {
+              expect_same_bits(zrs[j], sc_->dot(rj.data(), zj.data(), n),
+                               "cg_step_cols zr vs dot", n);
+            } else {
+              expect_column(zs, n, k, j, zj, "cg_step_cols z");
+              expect_same_bits(zrs[j], sc_->sum(zj.data(), n),
+                               "cg_step_cols zr vs sum", n);
+            }
           }
         }
       }
@@ -464,32 +657,33 @@ TEST_P(KernelParityTest, CenterDotCols) {
     const std::size_t kp = kernels::padded_cols(k);
     for (std::size_t n : fused_row_counts()) {
       const auto a0 = make(n * k), b = make(n * k);
-      const auto mask = random_mask(rng_, k);
-      std::vector<double> mean(kp, 0.0);
-      for (std::size_t j = 0; j < k; ++j) mean[j] = coeff(rng_);
-      util::ArenaFrame frame;
-      std::span<double> scratch =
-          frame.alloc_zero<double>(kernels::kCgScratchPerCol * kp);
-      auto as = a0, av = a0;
-      std::vector<double> outs(kp, kSentinel), outv(kp, kSentinel);
-      sc_->center_dot_cols(mean.data(), as.data(), b.data(), n, k,
-                           mask.data(), outs.data(), scratch.data());
-      vec_->center_dot_cols(mean.data(), av.data(), b.data(), n, k,
-                            mask.data(), outv.data(), scratch.data());
-      expect_same_bits(as, av, "center_dot_cols a", k);
-      expect_same_bits(outs, outv, "center_dot_cols out", k);
-      expect_masked_untouched(as, a0, mask, n, k, "center_dot_cols");
-      for (std::size_t j = 0; j < kp; ++j) {
-        if (!kernels::mask_on(mask[j])) {
-          ASSERT_EQ(bits(outs[j]), bits(kSentinel)) << "out lane " << j;
-          continue;
+      for (const auto& mask : test_masks(rng_, k)) {
+        std::vector<double> mean(kp, 0.0);
+        for (std::size_t j = 0; j < k; ++j) mean[j] = coeff(rng_);
+        util::ArenaFrame frame;
+        std::span<double> scratch =
+            frame.alloc_zero<double>(kernels::kCgScratchPerCol * kp);
+        auto as = a0, av = a0;
+        std::vector<double> outs(kp, kSentinel), outv(kp, kSentinel);
+        sc_->center_dot_cols(mean.data(), as.data(), b.data(), n, k,
+                             mask.data(), outs.data(), scratch.data());
+        vec_->center_dot_cols(mean.data(), av.data(), b.data(), n, k,
+                              mask.data(), outv.data(), scratch.data());
+        expect_same_bits(as, av, "center_dot_cols a", k);
+        expect_same_bits(outs, outv, "center_dot_cols out", k);
+        expect_masked_untouched(as, a0, mask, n, k, "center_dot_cols");
+        for (std::size_t j = 0; j < kp; ++j) {
+          if (!kernels::mask_on(mask[j])) {
+            ASSERT_EQ(bits(outs[j]), bits(kSentinel)) << "out lane " << j;
+            continue;
+          }
+          auto aj = column_of(a0, n, k, j);
+          const auto bj = column_of(b, n, k, j);
+          sc_->sub_scalar(mean[j], aj.data(), n);
+          expect_column(as, n, k, j, aj, "center_dot_cols a");
+          expect_same_bits(outs[j], sc_->dot(bj.data(), aj.data(), n),
+                           "center_dot_cols out vs dot", n);
         }
-        auto aj = column_of(a0, n, k, j);
-        const auto bj = column_of(b, n, k, j);
-        sc_->sub_scalar(mean[j], aj.data(), n);
-        expect_column(as, n, k, j, aj, "center_dot_cols a");
-        expect_same_bits(outs[j], sc_->dot(bj.data(), aj.data(), n),
-                         "center_dot_cols out vs dot", n);
       }
     }
   }
@@ -501,27 +695,28 @@ TEST_P(KernelParityTest, XpbyCols) {
     const std::size_t kp = kernels::padded_cols(k);
     for (std::size_t n : fused_row_counts()) {
       const auto p0 = make(n * k), src = make(n * k), d = make(n);
-      const auto mask = random_mask(rng_, k);
-      std::vector<double> beta(kp, 0.0);
-      for (std::size_t j = 0; j < k; ++j) beta[j] = coeff(rng_);
-      for (const double* dp : {static_cast<const double*>(nullptr),
-                               d.data()}) {
-        auto ps = p0, pv = p0;
-        sc_->xpby_cols(beta.data(), dp, src.data(), ps.data(), n, k,
-                       mask.data());
-        vec_->xpby_cols(beta.data(), dp, src.data(), pv.data(), n, k,
-                        mask.data());
-        expect_same_bits(ps, pv, "xpby_cols", k);
-        expect_masked_untouched(ps, p0, mask, n, k, "xpby_cols");
-        for (std::size_t j = 0; j < k; ++j) {
-          if (!kernels::mask_on(mask[j])) continue;
-          std::vector<double> want(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            const double z = dp != nullptr ? d[i] * src[i * k + j]
-                                           : src[i * k + j];
-            want[i] = std::fma(beta[j], p0[i * k + j], z);
+      for (const auto& mask : test_masks(rng_, k)) {
+        std::vector<double> beta(kp, 0.0);
+        for (std::size_t j = 0; j < k; ++j) beta[j] = coeff(rng_);
+        for (const double* dp : {static_cast<const double*>(nullptr),
+                                 d.data()}) {
+          auto ps = p0, pv = p0;
+          sc_->xpby_cols(beta.data(), dp, src.data(), ps.data(), n, k,
+                         mask.data());
+          vec_->xpby_cols(beta.data(), dp, src.data(), pv.data(), n, k,
+                          mask.data());
+          expect_same_bits(ps, pv, "xpby_cols", k);
+          expect_masked_untouched(ps, p0, mask, n, k, "xpby_cols");
+          for (std::size_t j = 0; j < k; ++j) {
+            if (!kernels::mask_on(mask[j])) continue;
+            std::vector<double> want(n);
+            for (std::size_t i = 0; i < n; ++i) {
+              const double z = dp != nullptr ? d[i] * src[i * k + j]
+                                             : src[i * k + j];
+              want[i] = std::fma(beta[j], p0[i * k + j], z);
+            }
+            expect_column(ps, n, k, j, want, "xpby_cols");
           }
-          expect_column(ps, n, k, j, want, "xpby_cols");
         }
       }
     }
